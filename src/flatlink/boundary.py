@@ -26,10 +26,8 @@ from .qkernel import (
     det,
     isolate_real_roots,
     kernel_basis,
-    mat_to_json,
     poly_gcd,
     rank,
-    rat,
     rational_roots,
     rref_rows,
 )
@@ -346,29 +344,3 @@ def common_associated_subspaces(
             out.append(S)
     out.sort(key=lambda S: (subspace_dim(S), S.rows))
     return out
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def flag_to_json(flag: Flag) -> list:
-    return [mat_to_json(S) for S in flag.subspaces]
-
-
-def boundary_point_to_json(bp: BoundaryPoint) -> dict:
-    evs = []
-    for e in bp.eigenvalues:
-        if isinstance(e, Fraction):
-            evs.append(str(e))
-        else:
-            q, (lo, hi) = e
-            evs.append({"factor": q.to_json(), "interval": [str(lo), str(hi)]})
-    return {
-        "direction": mat_to_json(bp.direction),
-        "eigenvalues": evs,
-        "multiplicities": list(bp.multiplicities),
-        "flag": flag_to_json(bp.flag) if bp.flag is not None else None,
-        "norm_squared": str(bp.norm_squared),
-        "exact": bp.exact,
-    }

@@ -22,7 +22,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from typing import Optional
 
@@ -46,19 +45,19 @@ from .construct import (
 )
 from .projlink import (
     GeneralPositionError,
+    LinePlanePair,
     LinkDecision,
     arrangement_from_json,
     frame_coefficients,
     link_decision,
-    pair_from_json,
 )
-from .qkernel import QMatrix, kernel_basis, mat_from_json, rat, rat_str
+from .qkernel import QMatrix, kernel_basis, mat_from_json, rat, rat_str, vec_from_json
 from .symspace import (
     IntersectionKind,
     flat_from_tau,
     intersect,
     intersection_sign,
-    subspace_from_json,
+    involution_for_pair,
     subspace_from_rho,
 )
 
@@ -69,6 +68,11 @@ class _CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+# what reading the raw JSON numbers and shapes can raise; anything raised
+# later, while the geometric objects are built, is a degenerate input
+_PARSE_ERRORS = (KeyError, TypeError, ValueError, ZeroDivisionError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,13 +113,6 @@ def _write_text(text: str, path: Optional[str]):
         sys.stdout.write(text)
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("FLATLINK_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _parse_level(spec: Optional[str], line) -> CongruenceLevel:
     if spec is None:
         raise _CliError(1, "--level p[:n] is required")
@@ -123,9 +120,9 @@ def _parse_level(spec: Optional[str], line) -> CongruenceLevel:
     try:
         p = int(parts[0])
         n = int(parts[1]) if len(parts) > 1 else min_level_v(line, p)
+        return CongruenceLevel(p, n)
     except (ValueError, IndexError) as e:
         raise _CliError(1, f"bad --level {spec}: {e}")
-    return CongruenceLevel(p, n)
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +132,13 @@ def _parse_level(spec: Optional[str], line) -> CongruenceLevel:
 def cmd_link(args) -> int:
     obj = _read_json(args.input)
     try:
-        arr = arrangement_from_json(obj["arrangement"])
-        pair = pair_from_json(obj)
-    except (KeyError, TypeError) as e:
+        arr_obj = obj["arrangement"]
+        points = [vec_from_json(row) for row in arr_obj["points"]]
+        line, plane = vec_from_json(obj["line"]), vec_from_json(obj["plane"])
+    except _PARSE_ERRORS as e:
         raise _CliError(1, f"bad input: {e}")
+    arr = arrangement_from_json(dict(arr_obj, points=points))
+    pair = LinePlanePair(line, plane)
     decision = link_decision(arr, pair)
     coeffs = frame_coefficients(arr, pair.line)
     values = [pair.plane.eval(pt) for pt in arr.points]
@@ -154,10 +154,17 @@ def cmd_link(args) -> int:
 def cmd_intersect(args) -> int:
     obj = _read_json(args.input)
     try:
-        X = flat_from_tau(mat_from_json(obj["tau"]))
-        Y = subspace_from_json(obj)
-    except (KeyError, TypeError) as e:
+        tau = mat_from_json(obj["tau"])
+        if "rho" in obj:
+            rho = mat_from_json(obj["rho"])
+        else:
+            line, plane = vec_from_json(obj["line"]), vec_from_json(obj["plane"])
+    except _PARSE_ERRORS as e:
         raise _CliError(1, f"bad input: {e}")
+    X = flat_from_tau(tau)
+    if "rho" not in obj:
+        rho = involution_for_pair(line, plane)
+    Y = subspace_from_rho(rho)
     res = intersect(X, Y)
     verdicts = res.to_json()
     if res.kind is IntersectionKind.TRANSVERSE_POINT:
@@ -242,15 +249,13 @@ def cmd_descend(args) -> int:
     try:
         tau = mat_from_json(obj["tau"])
         rho = mat_from_json(obj["rho"])
-    except (KeyError, TypeError) as e:
+    except _PARSE_ERRORS as e:
         raise _CliError(1, f"bad input: {e}")
     if not scalar_commutant_check(tau, rho):
         raise CommutantError("joint commutant of (tau, rho) is not scalar")
     Y = subspace_from_rho(rho)
     level = _parse_level(args.level, Y.line)
-    hits = enumerate_same_sign(
-        tau, rho, level, entry_bound=args.bound, workers=_workers()
-    )
+    hits = enumerate_same_sign(tau, rho, level, entry_bound=args.bound)
     signs = {h.sign for h in hits}
     lines = [_canonical(signed_hit_to_json(h)) for h in hits]
     summary = _envelope(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -172,9 +171,9 @@ def ptoq_solve(gamma: QMatrix, tau: QMatrix, rho: QMatrix) -> PtoqResult:
 
 
 def _combine(basis: list[QMatrix], coeffs: Sequence[int]) -> QMatrix:
-    out = basis[0].scale(coeffs[0])
+    out = basis[0] * coeffs[0]
     for B, c in zip(basis[1:], coeffs[1:]):
-        out = out + B.scale(c)
+        out = out + B * c
     return out
 
 
@@ -194,7 +193,7 @@ def _normalize_on_fixed_line(a: QMatrix, rho: QMatrix) -> QMatrix:
     lam = av[i] / v[i]
     if lam == 0 or av != tuple(lam * x for x in v):
         return a
-    return a.scale(1 / lam)
+    return a * (1 / lam)
 
 
 def decomposition_valid(
@@ -295,10 +294,6 @@ def _candidates(m: int, q: int, bound: int):
         yield rows
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    return int(det(QMatrix(rows)))
-
-
 def _evaluate(rows: list[list[int]], X: FlatX, Y) -> Optional[SignedHit]:
     gamma = QMatrix(rows)
     moved = X.transport(gamma)
@@ -314,13 +309,12 @@ def enumerate_same_sign(
     rho: QMatrix,
     level: CongruenceLevel,
     entry_bound: int,
-    workers: int = 1,
 ) -> list[SignedHit]:
     """Every det-1 integer gamma = I mod p^n within the entry bound whose
     transported flat meets the subspace transversely, with its sign.
 
     Results are sorted by (max absolute entry, entries lex) so reports are
-    reproducible regardless of worker count.
+    reproducible.
     """
     if not scalar_commutant_check(tau, rho):
         raise CommutantError("joint commutant of (tau, rho) is not scalar")
@@ -328,17 +322,11 @@ def enumerate_same_sign(
     Y = subspace_from_rho(rho)
     q = level.modulus
     survivors = [
-        rows for rows in _candidates(X.m, q, entry_bound) if _int_det(rows) == 1
+        rows
+        for rows in _candidates(X.m, q, entry_bound)
+        if det(QMatrix(rows)) == 1
     ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = [
-                h
-                for h in pool.map(lambda r: _evaluate(r, X, Y), survivors)
-                if h is not None
-            ]
-    else:
-        hits = [h for h in (_evaluate(r, X, Y) for r in survivors) if h is not None]
+    hits = [h for h in (_evaluate(r, X, Y) for r in survivors) if h is not None]
 
     def key(h: SignedHit):
         entries = [

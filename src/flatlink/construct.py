@@ -321,7 +321,6 @@ def _column_sin_distance(A: np.ndarray, B: np.ndarray) -> float:
 def rationalize_tau(
     target_frame: Sequence[Sequence],
     denom_bound: int = 64,
-    require_irreducible: bool = True,
     scan: int = 40,
     prime_budget: int = 25,
 ) -> RationalizedTau:
@@ -348,8 +347,6 @@ def rationalize_tau(
         )
     best = None
     for entry in entries:
-        if require_irreducible and entry.cert.verdict is not IrredVerdict.IRREDUCIBLE:
-            continue
         F0 = np.array(entry.frame, dtype=float).T  # orthonormal columns
         for j in range(m):  # align eigh's arbitrary column signs with the target
             if float(np.dot(T[:, j], F0[:, j])) < 0:
@@ -408,7 +405,6 @@ def rationalize_pattern(
     max_rounds: int = 6,
     frame_noise: Optional[Sequence[Sequence[Sequence[float]]]] = None,
     pair_noise: Optional[Sequence[tuple]] = None,
-    require_irreducible: bool = True,
     prime_budget: int = 25,
 ) -> tuple[Pattern, int]:
     """Snap a certified pattern to rationalized flats and pairs, growing
@@ -449,10 +445,7 @@ def rationalize_pattern(
             flats = []
             for tgt in targets:
                 rt = rationalize_tau(
-                    tgt,
-                    denom_bound=bound,
-                    require_irreducible=require_irreducible,
-                    prime_budget=prime_budget,
+                    tgt, denom_bound=bound, prime_budget=prime_budget
                 )
                 flats.append(
                     PatternFlat(flat=flat_from_tau(rt.tau), rationalized=rt)

@@ -177,9 +177,6 @@ class QMatrix:
             raise ValueError("trace of a non-square matrix")
         return sum((self.rows[i][i] for i in range(self.nrows)), _ZERO)
 
-    def scale(self, c) -> "QMatrix":
-        return self * c
-
     # -- elimination-backed queries (free functions do the work)
 
     def det(self) -> Fraction:
@@ -220,10 +217,6 @@ def mat_to_json(M: QMatrix) -> list:
 
 def mat_from_json(rows) -> QMatrix:
     return QMatrix([[rat(x) for x in r] for r in rows])
-
-
-def vec_to_json(v: Sequence) -> list:
-    return [rat_str(rat(x)) for x in v]
 
 
 def vec_from_json(entries) -> tuple:

@@ -25,11 +25,9 @@ from typing import Optional, Sequence
 
 from .qkernel import (
     QMatrix,
-    QPoly,
     char_poly,
     det,
     kernel_basis,
-    mat_from_json,
     mat_to_json,
     rat,
     sign,
@@ -58,13 +56,6 @@ def unvec_sym(v: Sequence, m: int) -> QMatrix:
     for (i, j), x in zip(sym_pairs(m), vs):
         rows[i][j] = x
         rows[j][i] = x
-    return QMatrix(rows)
-
-
-def _sym_basis_element(m: int, i: int, j: int) -> QMatrix:
-    rows = [[0] * m for _ in range(m)]
-    rows[i][j] = 1
-    rows[j][i] = 1
     return QMatrix(rows)
 
 
@@ -104,36 +95,51 @@ class SPDPoint:
 # membership systems
 
 
-def _membership_rows(image, m: int, strict: bool) -> QMatrix:
-    """Rows of the linear system image(Z) = 0 on symmetric coordinates.
-
-    `image` sends a symmetric basis element to a matrix; equations are read
-    off the upper triangle of the image, strictly above the diagonal when
-    the image is always antisymmetric.
-    """
-    pairs = sym_pairs(m)
-    eq_pairs = [(i, j) for i in range(m) for j in range(i + (1 if strict else 0), m)]
-    cols = []
-    for (k, l) in pairs:
-        img = image(_sym_basis_element(m, k, l))
-        cols.append([img[i, j] for (i, j) in eq_pairs])
-    return QMatrix.from_columns(cols)
+def _sym_index(m: int) -> dict[tuple[int, int], int]:
+    """Coordinate of the entry Z_ab, for a <= b and a > b alike."""
+    index = {}
+    for n, (i, j) in enumerate(sym_pairs(m)):
+        index[i, j] = index[j, i] = n
+    return index
 
 
 def flat_membership_system(tau: QMatrix) -> QMatrix:
-    """System whose kernel is {Z symmetric : tau Z = Z tau^T}."""
-    # tau Z - Z tau^T is antisymmetric for symmetric Z, so the strict upper
-    # triangle carries all the constraints
-    return _membership_rows(
-        lambda B: tau @ B - B @ tau.transpose(), tau.nrows, strict=True
-    )
+    """System whose kernel is {Z symmetric : tau Z = Z tau^T}.
+
+    tau Z - Z tau^T is antisymmetric for symmetric Z, so the strict upper
+    triangle carries all the constraints: row (i, j), i < j, holds the
+    coefficients of (tau Z - Z tau^T)_ij = sum_k tau_ik Z_kj - Z_ik tau_jk.
+    """
+    m = tau.nrows
+    index = _sym_index(m)
+    rows = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            row = [Fraction(0)] * sym_dim(m)
+            for k in range(m):
+                row[index[k, j]] += tau[i, k]
+                row[index[i, k]] -= tau[j, k]
+            rows.append(row)
+    return QMatrix(rows)
 
 
 def subspace_membership_system(rho: QMatrix) -> QMatrix:
-    """System whose kernel is {Z symmetric : rho Z rho^T = Z}."""
-    return _membership_rows(
-        lambda B: rho @ B @ rho.transpose() - B, rho.nrows, strict=False
-    )
+    """System whose kernel is {Z symmetric : rho Z rho^T = Z}.
+
+    Row (i, j), i <= j, holds the coefficients of
+    (rho Z rho^T - Z)_ij = sum_{a,b} rho_ia Z_ab rho_jb - Z_ij.
+    """
+    m = rho.nrows
+    index = _sym_index(m)
+    rows = []
+    for i, j in sym_pairs(m):
+        row = [Fraction(0)] * sym_dim(m)
+        for a in range(m):
+            for b in range(m):
+                row[index[a, b]] += rho[i, a] * rho[j, b]
+        row[index[i, j]] -= 1
+        rows.append(row)
+    return QMatrix(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +151,11 @@ class FlatX:
     """Maximal flat: PD part of the m-dimensional space {Z : tau Z = Z tau^T}.
 
     solution_basis is the canonical kernel basis of the membership system in
-    symmetric pair-lex coordinates; the orientation tag names the frame
-    convention used by intersection_sign (powers of tau applied to the
-    anchor point, which transport cleanly under conjugation).
+    symmetric pair-lex coordinates.
     """
 
     tau: QMatrix
     solution_basis: tuple[QMatrix, ...]
-    orientation: str = "tau-powers"
 
     def contains(self, Z: QMatrix) -> bool:
         return (
@@ -170,7 +173,6 @@ class FlatX:
         return FlatX(
             tau=g @ self.tau @ gi,
             solution_basis=tuple(g @ B @ gt for B in self.solution_basis),
-            orientation=self.orientation,
         )
 
 
@@ -199,7 +201,6 @@ class SubspaceY:
     rho: QMatrix
     line: tuple
     plane: tuple
-    orientation: str = "line-then-plane-pairs"
 
     def contains(self, Z: QMatrix) -> bool:
         return Z.is_symmetric() and self.rho @ Z @ self.rho.transpose() == Z
@@ -394,26 +395,3 @@ def apply_isometry(g: QMatrix, Z: SPDPoint) -> SPDPoint:
         raise ValueError("g must be invertible")
     return SPDPoint(g @ Z.Z @ g.transpose())
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def flat_to_json(X: FlatX) -> dict:
-    return {"tau": mat_to_json(X.tau)}
-
-
-def flat_from_json(obj: dict) -> FlatX:
-    return flat_from_tau(mat_from_json(obj["tau"]))
-
-
-def subspace_to_json(Y: SubspaceY) -> dict:
-    return {"rho": mat_to_json(Y.rho)}
-
-
-def subspace_from_json(obj: dict) -> SubspaceY:
-    if "rho" in obj:
-        return subspace_from_rho(mat_from_json(obj["rho"]))
-    return subspace_from_rho(involution_for_pair(
-        [rat(x) for x in obj["line"]], [rat(x) for x in obj["plane"]]
-    ))

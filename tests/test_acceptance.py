@@ -299,10 +299,10 @@ def _random_member(rng, m, tau, rho, line, plane):
         if det(a) == 0:
             continue
         power = QMatrix.identity(m)
-        b = power.scale(rng.randint(-2, 2))
+        b = power * rng.randint(-2, 2)
         for _ in range(m - 1):
             power = power @ tau
-            b = b + power.scale(rng.randint(-2, 2))
+            b = b + power * rng.randint(-2, 2)
         if det(b) != 0:
             return a, b
 

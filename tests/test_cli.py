@@ -50,6 +50,9 @@ def test_link_malformed_exit1(tmp_path):
     path.write_text("{not json")
     assert main(["link", str(path)]) == 1
     assert main(["link", str(tmp_path / "missing.json")]) == 1
+    bad_point = {"arrangement": {"m": 2, "points": [["x", "0"], ["0", "1"]]}}
+    path = _write(tmp_path / "in.json", dict(LINKED_INPUT, **bad_point))
+    assert main(["link", path]) == 1
 
 
 def test_link_wrong_keys_exit1(tmp_path):
@@ -87,6 +90,18 @@ def test_intersect_pair_input(tmp_path, capsys):
     )
     assert main(["intersect", path]) == 0
     assert _last_json(capsys)["verdicts"]["kind"] == "TransversePoint"
+
+
+def test_intersect_malformed_exit1(tmp_path):
+    path = _write(
+        tmp_path / "in.json", {"tau": "oops", "rho": [["0", "1"], ["1", "0"]]}
+    )
+    assert main(["intersect", path]) == 1
+    path = _write(
+        tmp_path / "in.json",
+        {"tau": [["1/0", "1"], ["1", "1"]], "rho": [["0", "1"], ["1", "0"]]},
+    )
+    assert main(["intersect", path]) == 1
 
 
 def test_pattern_writes_file_and_envelope(tmp_path, capsys):
@@ -210,3 +225,4 @@ def test_descend_missing_level_exit1(tmp_path):
         {"tau": [["2", "1"], ["1", "1"]], "rho": [["0", "1"], ["1", "0"]]},
     )
     assert main(["descend", path]) == 1
+    assert main(["descend", path, "--level", "5:0"]) == 1

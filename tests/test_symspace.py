@@ -221,6 +221,30 @@ def test_transport_matches_recomputation():
         assert Xr.contains(B)
 
 
+def test_membership_systems_match_their_definition():
+    rng = random.Random(41)
+
+    def q():
+        return F(rng.randint(-9, 9), rng.randint(1, 5))
+
+    for m in range(2, 6):
+        for _ in range(5):
+            tau = QMatrix([[q() for _ in range(m)] for _ in range(m)])
+            while True:
+                line, plane = [q() for _ in range(m)], [q() for _ in range(m)]
+                if sum(a * b for a, b in zip(line, plane)) != 0:
+                    break
+            rho = involution_for_pair(line, plane)
+            assert rho @ rho == QMatrix.identity(m)
+            Z = unvec_sym([q() for _ in range(sym_dim(m))], m)
+            D = tau @ Z - Z @ tau.transpose()
+            assert flat_membership_system(tau).apply(vec_sym(Z)) == tuple(
+                D[i, j] for i in range(m) for j in range(i + 1, m)
+            )
+            E = rho @ Z @ rho.transpose() - Z
+            assert subspace_membership_system(rho).apply(vec_sym(Z)) == vec_sym(E)
+
+
 def test_dimension_bookkeeping():
     for m in range(2, 9):
         assert (m - 1) + m * (m - 1) // 2 == sym_dim(m) - 1
