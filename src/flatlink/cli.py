@@ -31,7 +31,6 @@ from .congruence import (
     CongruenceLevel,
     enumerate_same_sign,
     min_level_v,
-    scalar_commutant_check,
     signed_hit_to_json,
 )
 from .construct import (
@@ -113,16 +112,24 @@ def _write_text(text: str, path: Optional[str]):
         sys.stdout.write(text)
 
 
-def _parse_level(spec: Optional[str], line) -> CongruenceLevel:
+def _parse_level(spec: Optional[str]) -> tuple[int, Optional[int]]:
+    """(p, n) from "p" or "p:n"; n is None when left to the level finder."""
     if spec is None:
         raise _CliError(1, "--level p[:n] is required")
-    parts = spec.split(":")
+    p, sep, n = spec.partition(":")
     try:
-        p = int(parts[0])
-        n = int(parts[1]) if len(parts) > 1 else min_level_v(line, p)
-        return CongruenceLevel(p, n)
-    except (ValueError, IndexError) as e:
+        p, n = int(p), (int(n) if sep else None)
+        CongruenceLevel(p, 1 if n is None else n)  # raises on a bad p or n
+        return p, n
+    except ValueError as e:
         raise _CliError(1, f"bad --level {spec}: {e}")
+
+
+def _read_points(arr_obj) -> list:
+    points = [vec_from_json(row) for row in arr_obj["points"]]
+    if arr_obj.get("m", len(points)) != len(points):
+        raise ValueError("declared m does not match the point count")
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +140,7 @@ def cmd_link(args) -> int:
     obj = _read_json(args.input)
     try:
         arr_obj = obj["arrangement"]
-        points = [vec_from_json(row) for row in arr_obj["points"]]
+        points = _read_points(arr_obj)
         line, plane = vec_from_json(obj["line"]), vec_from_json(obj["plane"])
     except _PARSE_ERRORS as e:
         raise _CliError(1, f"bad input: {e}")
@@ -182,13 +189,11 @@ def cmd_pattern(args) -> int:
         retry_budget=args.retries,
     )
     doc = pattern_to_json(p)
-    doc["seed"] = args.seed
     inputs = {
         "N": args.N,
         "m": args.m,
         "thinness": args.thinness,
         "rotation": args.rotation,
-        "seed": args.seed,
     }
     verdicts = {
         "N": p.N,
@@ -217,8 +222,7 @@ def cmd_rationalize(args) -> int:
         p, denom_bound=args.denoms, prime_budget=args.primes
     )
     doc = pattern_to_json(snapped)
-    doc["seed"] = args.seed
-    inputs = {"pattern": pattern_to_json(p), "denoms": args.denoms, "seed": args.seed}
+    inputs = {"pattern": pattern_to_json(p), "denoms": args.denoms}
     verdicts = {
         "stable": True,
         "denom_bound": bound,
@@ -251,10 +255,15 @@ def cmd_descend(args) -> int:
         rho = mat_from_json(obj["rho"])
     except _PARSE_ERRORS as e:
         raise _CliError(1, f"bad input: {e}")
-    if not scalar_commutant_check(tau, rho):
-        raise CommutantError("joint commutant of (tau, rho) is not scalar")
-    Y = subspace_from_rho(rho)
-    level = _parse_level(args.level, Y.line)
+    p, n = _parse_level(args.level)
+    if n is None:
+        try:
+            n = min_level_v(subspace_from_rho(rho).line, p)
+        except ValueError:
+            # a rho with no fixed line never reaches a level: the search
+            # below rejects it (commutant first, exit 4; else exit 2)
+            n = 1
+    level = CongruenceLevel(p, n)
     hits = enumerate_same_sign(tau, rho, level, entry_bound=args.bound)
     signs = {h.sign for h in hits}
     lines = [_canonical(signed_hit_to_json(h)) for h in hits]
@@ -275,8 +284,22 @@ def cmd_descend(args) -> int:
 
 
 def _load_pattern(obj: dict) -> Pattern:
-    if "matrix" not in obj and "verdicts" in obj:
-        obj = obj["verdicts"]
+    try:
+        if "matrix" not in obj and "verdicts" in obj:
+            obj = obj["verdicts"]
+        # read every number first: a bad one is a parse error, not degenerate
+        for rec in obj["flats"]:
+            mat_from_json(rec["tau"])
+            if "arrangement" in rec:
+                _read_points(rec["arrangement"])
+        for rec in obj["subspaces"]:
+            mat_from_json(rec["rho"])
+            if "line" in rec:
+                vec_from_json(rec["line"])
+                vec_from_json(rec["plane"])
+        [int(x) for row in obj["matrix"] for x in row]
+    except _PARSE_ERRORS as e:
+        raise _CliError(1, f"bad pattern file: {e}")
     try:
         return pattern_from_json(obj)
     except (KeyError, TypeError) as e:
@@ -404,7 +427,6 @@ def _pattern_svg(p: Pattern) -> str:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="flatlink", description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):

@@ -13,7 +13,6 @@ with vertex set {L_1, ..., L_m} that contains L.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -21,6 +20,7 @@ from typing import Sequence
 
 from .qkernel import (
     QMatrix,
+    _primitive_ints,
     inverse,
     kernel_basis,
     rat,
@@ -34,23 +34,6 @@ class GeneralPositionError(ValueError):
     """Raised when an input configuration is degenerate for the requested decision."""
 
 
-def _primitive_ints(v: Sequence) -> tuple[int, ...]:
-    vs = [rat(x) for x in v]
-    if all(x == 0 for x in vs):
-        raise ValueError("zero vector does not represent a projective object")
-    l = 1
-    for x in vs:
-        l = l * x.denominator // math.gcd(l, x.denominator)
-    ints = [int(x * l) for x in vs]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    if next(x for x in ints if x != 0) < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
-
-
 @dataclass(frozen=True)
 class ProjPoint:
     """Point of P^{m-1}, canonical primitive integer representative."""
@@ -58,7 +41,7 @@ class ProjPoint:
     rep: tuple[int, ...]
 
     def __init__(self, rep: Sequence):
-        object.__setattr__(self, "rep", _primitive_ints(rep))
+        object.__setattr__(self, "rep", _primitive_ints([rat(x) for x in rep]))
 
     @property
     def dim(self) -> int:
@@ -75,7 +58,8 @@ class ProjHyperplane:
     functional: tuple[int, ...]
 
     def __init__(self, functional: Sequence):
-        object.__setattr__(self, "functional", _primitive_ints(functional))
+        ints = _primitive_ints([rat(x) for x in functional])
+        object.__setattr__(self, "functional", ints)
 
     @property
     def dim(self) -> int:

@@ -1,9 +1,12 @@
 """Exact rational linear algebra and univariate polynomial utilities.
 
 Scalars are `fractions.Fraction` (aliased Rat): always reduced, denominator
-positive. Matrices are immutable row-major tuples of Fractions; elimination
-(det / rank / kernel) runs fraction-free (Bareiss) on integer-scaled rows so
-intermediate entries stay minors of the input instead of blowing up.
+positive. Matrices are immutable row-major tuples of Fractions. All
+elimination is one fraction-free (Bareiss) forward pass on integer-scaled
+rows, so intermediate entries stay minors of the input instead of blowing
+up, followed where needed by one integer back-substitution whose divisions
+are exact by Cramer's rule: det, rank, kernel_basis, rref_rows, solve_unique
+and inverse are all read off that pass.
 Polynomials are ascending coefficient tuples over Fractions.
 
 Real-root counting is by Sturm chains with exact rational arithmetic.
@@ -45,6 +48,19 @@ def rat_str(x: Fraction) -> str:
 
 def sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
+
+
+def _primitive_ints(v: Sequence) -> tuple[int, ...]:
+    """Coprime integers spanning the line of a rational vector (ints or
+    Fractions), first nonzero entry positive."""
+    l = math.lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (l // x.denominator) for x in v]
+    g = math.gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive representative")
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 # ---------------------------------------------------------------------------
@@ -225,55 +241,36 @@ def vec_from_json(entries) -> tuple:
 
 # ---------------------------------------------------------------------------
 # fraction-free elimination
+#
+# One forward pass, `_echelon`, and one back-substitution serve every query.
+# After Bareiss elimination, entry (k, j) of the echelon is the minor of the
+# integer-scaled, row-permuted input on its first k+1 rows and the columns
+# pivots[:k] + [j]; so the last pivot d is the determinant of the pivot
+# block. `_back_substitute` solves that block against a column with the
+# solution scaled by d: by Cramer's rule each coordinate is again a minor,
+# so every division in it is exact.
+
 
 def _int_rows(M: QMatrix) -> tuple[list[list[int]], list[int]]:
     """Scale each row to integers; return rows and the row scale factors."""
     out, scales = [], []
     for r in M.rows:
-        l = 1
-        for x in r:
-            l = l * x.denominator // math.gcd(l, x.denominator)
-        out.append([int(x * l) for x in r])
+        l = math.lcm(*(x.denominator for x in r))
+        out.append([x.numerator * (l // x.denominator) for x in r])
         scales.append(l)
     return out, scales
 
 
-def det(M: QMatrix) -> Fraction:
-    """Determinant via fraction-free Bareiss elimination."""
-    if not M.is_square:
-        raise ValueError("determinant of a non-square matrix")
-    a, scales = _int_rows(M)
-    n = len(a)
-    sgn, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sgn = -sgn
-                    break
-            else:
-                return _ZERO
-        pkk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            ri, rk = a[i], a[k]
-            for j in range(k + 1, n):
-                ri[j] = (pkk * ri[j] - aik * rk[j]) // prev
-            ri[k] = 0
-        prev = pkk
-    d = Fraction(sgn * a[n - 1][n - 1])
-    for s in scales:
-        d /= s
-    return d
+def _echelon(a: list[list[int]]) -> tuple[list[int], int, int]:
+    """In-place fraction-free row echelon.
 
-
-def _echelon(a: list[list[int]]) -> list[int]:
-    """In-place fraction-free row echelon; returns the pivot column list."""
+    Returns the pivot columns, the sign of the row permutation and the last
+    pivot (1 when there is none).
+    """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     pivots: list[int] = []
-    r, prev = 0, 1
+    r, prev, sgn = 0, 1, 1
     for c in range(ncols):
         if r == nrows:
             break
@@ -282,6 +279,7 @@ def _echelon(a: list[list[int]]) -> list[int]:
             continue
         if pr != r:
             a[r], a[pr] = a[pr], a[r]
+            sgn = -sgn
         pc = a[r][c]
         for i in range(r + 1, nrows):
             aic = a[i][c]
@@ -291,58 +289,51 @@ def _echelon(a: list[list[int]]) -> list[int]:
         pivots.append(c)
         prev = pc
         r += 1
-    return pivots
+    return pivots, sgn, prev
+
+
+def _back_substitute(a: list[list[int]], pivots: list[int], d: int, j: int):
+    """Integers y with (pivot block) y = d * (column j) of the echelon `a`;
+    y[k] is the coordinate at column pivots[k]."""
+    r = len(pivots)
+    y = [0] * r
+    for k in range(r - 1, -1, -1):
+        row = a[k]
+        s = d * row[j]
+        for l in range(k + 1, r):
+            s -= row[pivots[l]] * y[l]
+        y[k] = s // row[pivots[k]]
+    return y
+
+
+def det(M: QMatrix) -> Fraction:
+    """Determinant: the signed last pivot over the row scales."""
+    if not M.is_square:
+        raise ValueError("determinant of a non-square matrix")
+    a, scales = _int_rows(M)
+    pivots, sgn, d = _echelon(a)
+    if len(pivots) < M.nrows:
+        return _ZERO
+    return Fraction(sgn * d, math.prod(scales))
 
 
 def rank(M: QMatrix) -> int:
     a, _ = _int_rows(M)
-    return len(_echelon(a))
+    return len(_echelon(a)[0])
 
 
 def rref_rows(M: QMatrix) -> tuple[list[tuple], list[int]]:
     """Reduced row echelon form: (nonzero rows, pivot columns).
 
     Rows are normalized to leading coefficient 1 with pivot columns cleared,
-    so the output is the canonical basis of the row space.
+    so the output is the canonical basis of the row space. Column j of the
+    form is the pivot block's solution against column j.
     """
-    rows = [list(r) for r in M.rows]
-    nrows, ncols = len(rows), M.ncols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pc = rows[r][c]
-        rows[r] = [x / pc for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return [tuple(rows[i]) for i in range(len(pivots))], pivots
-
-
-def _primitive_signed(v: Sequence[Fraction]) -> tuple:
-    """Scale a rational vector to primitive integers, first nonzero positive."""
-    l = 1
-    for x in v:
-        l = l * x.denominator // math.gcd(l, x.denominator)
-    ints = [int(x * l) for x in v]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    if g == 0:
-        raise ValueError("zero vector has no primitive representative")
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
+    a, _ = _int_rows(M)
+    pivots, _, d = _echelon(a)
+    cols = [_back_substitute(a, pivots, d, j) for j in range(M.ncols)]
+    rows = [tuple(Fraction(y[k], d) for y in cols) for k in range(len(pivots))]
+    return rows, pivots
 
 
 def kernel_basis(M: QMatrix) -> list[tuple]:
@@ -352,19 +343,15 @@ def kernel_basis(M: QMatrix) -> list[tuple]:
     ordered by their free-column index in the echelon form.
     """
     a, _ = _int_rows(M)
-    pivots = _echelon(a)
-    ncols = M.ncols
-    free = [c for c in range(ncols) if c not in pivots]
+    pivots, _, d = _echelon(a)
     basis = []
-    for f in free:
-        v = [_ZERO] * ncols
-        v[f] = _ONE
-        # back-substitute the pivot coordinates, bottom row first
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            s = sum((Fraction(a[r][j]) * v[j] for j in range(c + 1, ncols)), _ZERO)
-            v[c] = -s / a[r][c]
-        basis.append(_primitive_signed(v))
+    for f in range(M.ncols):
+        if f not in pivots:
+            # column f = (pivot columns) y / d: y at the pivots, -d at f
+            v = dict(zip(pivots, _back_substitute(a, pivots, d, f)))
+            v[f] = -d
+            ints = _primitive_ints([v.get(c, 0) for c in range(M.ncols)])
+            basis.append(tuple(map(Fraction, ints)))
     return basis
 
 
@@ -373,31 +360,28 @@ def solve_unique(M: QMatrix, b: Sequence) -> tuple:
     bs = [rat(x) for x in b]
     if len(bs) != M.nrows:
         raise ValueError("right-hand side length mismatch")
-    aug = QMatrix([list(r) + [bs[i]] for i, r in enumerate(M.rows)])
-    a, _ = _int_rows(aug)
-    pivots = _echelon(a)
-    ncols = M.ncols
-    if ncols in pivots:
+    n = M.ncols
+    a, _ = _int_rows(QMatrix([r + (x,) for r, x in zip(M.rows, bs)]))
+    pivots, _, d = _echelon(a)
+    if n in pivots:
         raise ValueError("inconsistent linear system")
-    if len(pivots) != ncols:
+    if len(pivots) != n:
         raise ValueError("linear system is underdetermined")
-    x = [_ZERO] * ncols
-    for r in range(ncols - 1, -1, -1):
-        c = pivots[r]
-        s = sum((Fraction(a[r][j]) * x[j] for j in range(c + 1, ncols)), _ZERO)
-        x[c] = (Fraction(a[r][ncols]) - s) / a[r][c]
-    return tuple(x)
+    return tuple(Fraction(y, d) for y in _back_substitute(a, pivots, d, n))
 
 
 def inverse(M: QMatrix) -> QMatrix:
+    """Inverse from one pass over [M | I] and n back-substitutions."""
     if not M.is_square:
         raise ValueError("inverse of a non-square matrix")
     n = M.nrows
-    cols = []
-    for j in range(n):
-        e = [_ONE if i == j else _ZERO for i in range(n)]
-        cols.append(solve_unique(M, e))
-    return QMatrix.from_columns(cols)
+    I = QMatrix.identity(n)
+    a, _ = _int_rows(QMatrix([r + e for r, e in zip(M.rows, I.rows)]))
+    pivots, _, d = _echelon(a)
+    if pivots[-1] >= n:
+        raise ValueError("singular matrix has no inverse")
+    cols = [_back_substitute(a, pivots, d, n + j) for j in range(n)]
+    return QMatrix([[Fraction(y[i], d) for y in cols] for i in range(n)])
 
 
 def char_poly(M: QMatrix) -> "QPoly":
@@ -551,17 +535,7 @@ class QPoly:
         """Integer coefficients with content 1, leading coefficient positive."""
         if self.is_zero:
             raise ValueError("zero polynomial")
-        l = 1
-        for c in self.coeffs:
-            l = l * c.denominator // math.gcd(l, c.denominator)
-        ints = [int(c * l) for c in self.coeffs]
-        g = 0
-        for x in ints:
-            g = math.gcd(g, abs(x))
-        ints = [x // g for x in ints]
-        if ints[-1] < 0:
-            ints = [-x for x in ints]
-        return tuple(ints)
+        return tuple(reversed(_primitive_ints(self.coeffs[::-1])))
 
     def to_json(self) -> list:
         return [rat_str(c) for c in self.coeffs]

@@ -263,12 +263,6 @@ class IntersectionResult:
         return out
 
 
-def _joint_system(X: FlatX, Y: SubspaceY) -> QMatrix:
-    a = flat_membership_system(X.tau)
-    b = subspace_membership_system(Y.rho)
-    return QMatrix(list(a.rows) + list(b.rows))
-
-
 def intersect(X: FlatX, Y: SubspaceY) -> IntersectionResult:
     """Exact intersection of the two PD solution sets.
 
@@ -278,7 +272,8 @@ def intersect(X: FlatX, Y: SubspaceY) -> IntersectionResult:
     """
     if X.m != Y.m:
         raise ValueError("dimension mismatch")
-    ker = kernel_basis(_joint_system(X, Y))
+    joint = flat_membership_system(X.tau).rows + subspace_membership_system(Y.rho).rows
+    ker = kernel_basis(QMatrix(joint))
     k = len(ker)
     if k != 1:
         return IntersectionResult(IntersectionKind.DEGENERATE, None, None, k)
@@ -372,13 +367,20 @@ def intersection_sign(
         raise ValueError("point does not lie on the flat")
     if not Y.contains(Z):
         raise ValueError("point does not lie on the subspace")
-    if len(kernel_basis(_joint_system(X, Y))) != 1:
-        raise ValueError("intersection at the point is not transverse")
-
-    xf = x_frame if x_frame is not None else default_x_frame(X, Z)
-    yf = y_frame if y_frame is not None else default_y_frame(Y)
-    sx, x_lifts = _oriented_lifts(xf, Z)
-    sy, y_lifts = _oriented_lifts(yf, Z)
+    # The frames lie in the two solution spaces, whose dimensions add up to
+    # sym_dim + 1. So d != 0 below forces their sum to be all of Sym and
+    # their intersection, the joint kernel, to be the line of Z: the det
+    # check is the transversality check.
+    if x_frame is None:
+        x_frame = default_x_frame(X, Z)
+    elif not all(X.contains(F) for F in x_frame):
+        raise ValueError("x_frame does not lie on the flat")
+    if y_frame is None:
+        y_frame = default_y_frame(Y)
+    elif not all(Y.contains(F) for F in y_frame):
+        raise ValueError("y_frame does not lie on the subspace")
+    sx, x_lifts = _oriented_lifts(x_frame, Z)
+    sy, y_lifts = _oriented_lifts(y_frame, Z)
 
     cols = [vec_sym(Z)] + [vec_sym(B) for B in y_lifts] + [vec_sym(B) for B in x_lifts]
     if len(cols) != sym_dim(X.m):

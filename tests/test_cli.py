@@ -55,6 +55,12 @@ def test_link_malformed_exit1(tmp_path):
     assert main(["link", path]) == 1
 
 
+def test_link_declared_m_mismatch_exit1(tmp_path):
+    arr = {"m": 3, "points": [["1", "0"], ["0", "1"]]}
+    path = _write(tmp_path / "in.json", dict(LINKED_INPUT, arrangement=arr))
+    assert main(["link", path]) == 1
+
+
 def test_link_wrong_keys_exit1(tmp_path):
     path = _write(tmp_path / "in.json", {"arrangement": {"m": 2}})
     assert main(["link", path]) == 1
@@ -112,7 +118,6 @@ def test_pattern_writes_file_and_envelope(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["N"] == 2 and doc["m"] == 2
     assert doc["matrix"][1][0] == 0
-    assert "seed" in doc
 
     before = out.read_bytes()
     assert main(["pattern", "2", "2", "--out", str(out)]) == 0
@@ -158,6 +163,26 @@ def test_rank_cmd(tmp_path, capsys):
     capsys.readouterr()
     assert main(["rank", str(out)]) == 0
     assert _last_json(capsys)["verdicts"]["rank"] == 3
+
+
+def test_rank_and_rationalize_bad_number_exit1(tmp_path, capsys):
+    pat = tmp_path / "p.json"
+    main(["pattern", "2", "2", "--out", str(pat)])
+    capsys.readouterr()
+    doc = json.loads(pat.read_text())
+    flat, *rest = doc["flats"]
+    bad_tau = dict(flat, tau=[["x", "0"], ["0", "1"]])
+    bad = _write(tmp_path / "bad.json", dict(doc, flats=[bad_tau, *rest]))
+    assert main(["rank", bad]) == 1
+    assert main(["rationalize", bad]) == 1
+    bad_m = dict(flat, arrangement=dict(flat["arrangement"], m=5))
+    bad = _write(tmp_path / "bad.json", dict(doc, flats=[bad_m, *rest]))
+    assert main(["rank", bad]) == 1
+    # a well-formed but degenerate tau (a scalar matrix) is still exit 2
+    scalar = dict(flat, tau=[["1", "0"], ["0", "1"]])
+    degenerate = _write(tmp_path / "degenerate.json", dict(doc, flats=[scalar, *rest]))
+    assert main(["rank", degenerate]) == 2
+    assert main(["rationalize", degenerate]) == 2
 
 
 def test_rationalize_cmd(tmp_path, capsys):
@@ -217,6 +242,18 @@ def test_descend_commutant_exit4(tmp_path):
         {"tau": [["2", "1"], ["1", "1"]], "rho": [["1", "0"], ["0", "1"]]},
     )
     assert main(["descend", path, "--level", "5", "--bound", "3"]) == 4
+
+
+def test_descend_bad_level_before_commutant_exit1(tmp_path):
+    # the commutant is not scalar (exit 4 with a good level), but the level is
+    # read first: 4 is not prime
+    path = _write(
+        tmp_path / "in.json",
+        {"tau": [["2", "1"], ["1", "1"]], "rho": [["1", "0"], ["0", "1"]]},
+    )
+    assert main(["descend", path, "--level", "4", "--bound", "3"]) == 1
+    assert main(["descend", path, "--level", "5:x", "--bound", "3"]) == 1
+    assert main(["descend", path, "--level", "5:1:9", "--bound", "3"]) == 1
 
 
 def test_descend_missing_level_exit1(tmp_path):

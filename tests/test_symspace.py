@@ -327,6 +327,26 @@ def test_intersection_sign_requires_membership():
         intersection_sign(X, Y, SPDPoint(QMatrix([[2, 1], [1, 1]])))
 
 
+def test_intersection_sign_rejects_non_transverse_point():
+    # I lies on both, but the joint kernel is the 3-dim space of diagonals
+    X = flat_from_tau(QMatrix.diagonal([1, 2, 3]))
+    Y = subspace_from_rho(QMatrix.diagonal([1, -1, -1]))
+    assert intersect(X, Y).kernel_dim == 3
+    with pytest.raises(ValueError):
+        intersection_sign(X, Y, SPDPoint(QMatrix.identity(3)))
+
+
+def test_intersection_sign_rejects_frames_off_their_spaces():
+    X = flat_from_tau(QMatrix.diagonal([2, F(1, 2)]))
+    Y = subspace_from_rho(QMatrix([[0, 1], [1, 0]]))
+    at = intersect(X, Y).point
+    W = QMatrix([[1, 1], [1, 0]])  # on neither space; the columns still span
+    with pytest.raises(ValueError):
+        intersection_sign(X, Y, at, x_frame=[at.Z, W])
+    with pytest.raises(ValueError):
+        intersection_sign(X, Y, at, y_frame=[at.Z, W])
+
+
 def test_apply_isometry():
     Z = SPDPoint(QMatrix.diagonal([1, 2]))
     assert apply_isometry(QMatrix.identity(2), Z).Z == Z.Z
