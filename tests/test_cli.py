@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -263,3 +264,71 @@ def test_descend_missing_level_exit1(tmp_path):
     )
     assert main(["descend", path]) == 1
     assert main(["descend", path, "--level", "5:0"]) == 1
+
+
+# sha256 of the exact stdout bytes of each command on README-style inputs;
+# a refactor of parsing or serialization must leave every one unchanged
+GOLDEN_INPUTS = {
+    "link2": LINKED_INPUT,
+    "link3": {
+        "arrangement": {
+            "m": 3,
+            "points": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        },
+        "line": ["1", "2", "3"],
+        "plane": ["1", "-1", "1"],
+    },
+    "intersect_rho": {
+        "tau": [["2", "1"], ["1", "1"]],
+        "rho": [["0", "1"], ["1", "0"]],
+    },
+    "intersect_pair": {
+        "tau": [["3", "1", "0"], ["1", "2", "1"], ["0", "1", "1"]],
+        "line": ["1", "1", "1"],
+        "plane": ["1", "1", "1"],
+    },
+    "intersect_degenerate": {
+        "tau": [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "1/2"]],
+        "rho": [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]],
+    },
+    "descend": {
+        "tau": [["2", "1"], ["1", "1"]],
+        "rho": [["0", "1"], ["1", "0"]],
+    },
+}
+
+GOLDEN = [
+    ("link2", ["link", "{link2}"], 0,
+     "e2f56b1a939e8a4ee87655ef9977b076d4d74ed52b9f4992d2ab765b1ee6f96c"),
+    ("link3", ["link", "{link3}"], 0,
+     "cf4dd8ce054370572242582b24d0319bfbdf7ec0d38165f890bff05b20b84b7d"),
+    ("intersect_rho", ["intersect", "{intersect_rho}"], 0,
+     "d98d966e571cd549e9a15c6d6323b1cd9aa20e34b86b726adc9ffa2bdef33b00"),
+    ("intersect_pair", ["intersect", "{intersect_pair}"], 0,
+     "30182ab8ed0d3dc46b306cb4d8c0579b9ec55fcab41481e6ca680f0ffeac6a1e"),
+    ("intersect_degenerate", ["intersect", "{intersect_degenerate}"], 2,
+     "d1ceb2e75ed2ad55b405a55be1861b8cd91a5b4547f9adb59ffed36a71475746"),
+    ("pattern43", ["pattern", "4", "3"], 0,
+     "994323c0e90c351f5a2e2b1b07dcd7ca66fa5b6f625141a821da22e50df88c56"),
+    ("pattern22", ["pattern", "2", "2"], 0,
+     "e9f1f84c371d12fcf997e938f153bea968391f130a2dd50c87e90a81413894fe"),
+    ("rank", ["rank", "{pattern22}"], 0,
+     "92b9039efc630e995f6a96579d040cf54913dca1f8fc41eb08d30bebb25609db"),
+    ("rationalize", ["rationalize", "{pattern22}"], 0,
+     "1bb8b95e80fc623872ba5a80900eeead057e06d3c4177a1e3148e14f9d7fd300"),
+    ("descend", ["descend", "{descend}", "--level", "5", "--bound", "6"], 0,
+     "11fab1e9bb9605607b02e97f1dcb71e02331d1fd69f15619f26ae4282b4f6429"),
+]
+
+
+def test_golden_stdout(tmp_path, capsys):
+    paths = {k: _write(tmp_path / f"{k}.json", v) for k, v in GOLDEN_INPUTS.items()}
+    got = {}
+    for name, argv, code, _ in GOLDEN:
+        assert main([a.format(**paths) for a in argv]) == code, name
+        out = capsys.readouterr().out
+        got[name] = hashlib.sha256(out.encode()).hexdigest()
+        if name == "pattern22":  # the document rank and rationalize read
+            paths[name] = str(tmp_path / "pattern22.json")
+            (tmp_path / "pattern22.json").write_text(out)
+    assert got == {name: digest for name, _, _, digest in GOLDEN}
