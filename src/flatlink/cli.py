@@ -29,28 +29,29 @@ from . import __version__
 from .congruence import (
     CommutantError,
     CongruenceLevel,
+    SignedHit,
     enumerate_same_sign,
     min_level_v,
-    signed_hit_to_json,
 )
 from .construct import (
+    CellWitness,
     Pattern,
+    PatternFlat,
+    PatternSubspace,
     SynthesisBudgetError,
-    pattern_from_json,
     pattern_rank,
-    pattern_to_json,
     rationalize_pattern,
     synthesize_pattern,
 )
 from .projlink import (
+    Arrangement,
     GeneralPositionError,
     LinePlanePair,
     LinkDecision,
-    arrangement_from_json,
     frame_coefficients,
     link_decision,
 )
-from .qkernel import QMatrix, kernel_basis, mat_from_json, rat, rat_str, vec_from_json
+from .qkernel import IrredCertificate, QMatrix, kernel_basis, mat_to_json, rat, rat_str
 from .symspace import (
     IntersectionKind,
     flat_from_tau,
@@ -67,11 +68,6 @@ class _CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-# what reading the raw JSON numbers and shapes can raise; anything raised
-# later, while the geometric objects are built, is a degenerate input
-_PARSE_ERRORS = (KeyError, TypeError, ValueError, ZeroDivisionError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,20 +92,22 @@ def _envelope(kind: str, inputs, verdicts: dict) -> dict:
     }
 
 
-def _read_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise _CliError(1, f"cannot read {path}: {e}")
-
-
 def _write_text(text: str, path: Optional[str]):
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _rational(text: str) -> str:
+    """A rational option value, checked and kept as typed: the inputs digest
+    hashes the text."""
+    try:
+        rat(text)
+    except ZeroDivisionError as e:
+        raise ValueError(e)
+    return text
 
 
 def _parse_level(spec: Optional[str]) -> tuple[int, Optional[int]]:
@@ -125,26 +123,228 @@ def _parse_level(spec: Optional[str]) -> tuple[int, Optional[int]]:
         raise _CliError(1, f"bad --level {spec}: {e}")
 
 
-def _read_points(arr_obj) -> list:
-    points = [vec_from_json(row) for row in arr_obj["points"]]
-    if arr_obj.get("m", len(points)) != len(points):
+# ---------------------------------------------------------------------------
+# reading: every input file is parsed once, numbers and shapes, into plain
+# rationals; the geometric objects are built only afterwards, so a parse
+# error is exit 1 and only the geometry can be degenerate (exit 2)
+
+
+def _read(path: str, parse):
+    """The JSON document at path and parse(document)."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except (OSError, json.JSONDecodeError) as e:
+        raise _CliError(1, f"cannot read {path}: {e}")
+    try:
+        return obj, parse(obj)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise _CliError(1, f"bad input {path}: {e}")
+
+
+def _sized(obj, n: int) -> bool:
+    return isinstance(obj, list) and len(obj) == n
+
+
+def _list(obj, n: int, name: str) -> list:
+    if not _sized(obj, n):
+        raise ValueError(f"{name} must be a list of {n}")
+    return obj
+
+
+def _vec(entries, n: int, name: str) -> tuple:
+    """Exactly n rationals ("3/4", "5" or 5) from a JSON list."""
+    return tuple(rat(x) for x in _list(entries, n, name))
+
+
+def _mat(rows, name: str, n: Optional[int] = None) -> QMatrix:
+    """An n x n rational matrix from JSON rows; n defaults to the row count
+    and is at least 2."""
+    n = len(rows) if n is None else n
+    if n < 2:
+        raise ValueError(f"{name} must be at least 2x2")
+    if not _sized(rows, n) or not all(_sized(r, n) for r in rows):
+        raise ValueError(f"{name} must be {n}x{n}")
+    return QMatrix([[rat(x) for x in r] for r in rows])
+
+
+def read_points(arr: dict, m: Optional[int] = None) -> tuple:
+    """The points of an arrangement: m points with m coordinates each."""
+    points = _mat(arr["points"], "points", m).rows
+    if arr.get("m", len(points)) != len(points):
         raise ValueError("declared m does not match the point count")
     return points
+
+
+def read_line_plane(obj: dict, m: int) -> tuple[tuple, tuple]:
+    return _vec(obj["line"], m, "line"), _vec(obj["plane"], m, "plane")
+
+
+def _read_link(obj: dict):
+    points = read_points(obj["arrangement"])
+    return points, read_line_plane(obj, len(points))
+
+
+def _read_intersect(obj: dict):
+    """tau, rho and None, or tau, None and the (line, plane) pair of rho."""
+    tau = _mat(obj["tau"], "tau")
+    if "rho" in obj:
+        return tau, _mat(obj["rho"], "rho", tau.nrows), None
+    return tau, None, read_line_plane(obj, tau.nrows)
+
+
+def _read_descend(obj: dict):
+    tau = _mat(obj["tau"], "tau")
+    return tau, _mat(obj["rho"], "rho", tau.nrows)
+
+
+def read_pattern(obj: dict) -> tuple:
+    """(N, m, flats, subspaces, matrix, certificate) of a pattern document.
+
+    flats holds (tau, points or None), subspaces (rho, (line, plane) or
+    None); every matrix and vector is checked against the declared m, and
+    the lists against the declared N.
+    """
+    N, m = obj["N"], obj["m"]
+    if not (isinstance(N, int) and isinstance(m, int) and N >= 1):
+        raise ValueError("N and m must be integers, N >= 1")
+    flats = [
+        (
+            _mat(rec["tau"], "tau", m),
+            read_points(rec["arrangement"], m) if "arrangement" in rec else None,
+        )
+        for rec in _list(obj["flats"], N, "flats")
+    ]
+    subspaces = [
+        (_mat(rec["rho"], "rho", m), read_line_plane(rec, m) if "line" in rec else None)
+        for rec in _list(obj["subspaces"], N, "subspaces")
+    ]
+    matrix = tuple(
+        tuple(int(x) for x in _list(row, N, "a row of matrix"))
+        for row in _list(obj["matrix"], N, "matrix")
+    )
+    certificate = tuple(
+        tuple(CellWitness(link=w["link"], oracle=w["oracle"], sign=w["sign"]) for w in row)
+        for row in obj.get("certificate", [])
+    )
+    return N, m, flats, subspaces, matrix, certificate
+
+
+def _read_pattern_to_snap(obj: dict) -> tuple:
+    values = read_pattern(obj)
+    if any(points is None for _, points in values[2]):
+        raise ValueError("every flat needs its arrangement: its frame is the snap target")
+    return values
+
+
+def build_pattern(N, m, flats, subspaces, matrix, certificate) -> Pattern:
+    return Pattern(
+        N=N,
+        m=m,
+        flats=tuple(
+            PatternFlat(
+                flat=flat_from_tau(tau),
+                arrangement=None if points is None else Arrangement(points),
+            )
+            for tau, points in flats
+        ),
+        subspaces=tuple(
+            PatternSubspace(
+                subspace=subspace_from_rho(rho),
+                pair=None if pair is None else LinePlanePair(*pair),
+            )
+            for rho, pair in subspaces
+        ),
+        matrix=matrix,
+        certificate=certificate,
+    )
+
+
+# ---------------------------------------------------------------------------
+# writing: fractions as strings, with "/q" omitted when q == 1
+
+
+def _vec_to_json(v) -> list:
+    return [rat_str(x) for x in v]
+
+
+def arrangement_to_json(arr: Arrangement) -> dict:
+    return {"m": arr.m, "points": [_vec_to_json(p.rep) for p in arr.points]}
+
+
+def pair_to_json(lp: LinePlanePair) -> dict:
+    return {"line": _vec_to_json(lp.line.rep), "plane": _vec_to_json(lp.plane.functional)}
+
+
+def _irreducible_to_json(cert: IrredCertificate) -> dict:
+    # only certified-irreducible bases are written, so the witness is the
+    # prime whose reduction stays irreducible, or None
+    return {
+        "verdict": cert.verdict.value,
+        "witness": None if cert.witness is None else {"prime": cert.witness},
+        "patterns": [[p, list(d)] for p, d in cert.patterns],
+    }
+
+
+def pattern_to_json(p: Pattern) -> dict:
+    flats = []
+    for pf in p.flats:
+        rec = {"tau": mat_to_json(pf.flat.tau)}
+        if pf.arrangement is not None:
+            rec["arrangement"] = arrangement_to_json(pf.arrangement)
+        if pf.rationalized is not None:
+            rt = pf.rationalized
+            rec["rationalized"] = {
+                "base": mat_to_json(rt.base),
+                "conjugator": mat_to_json(rt.conjugator),
+                "irreducible": _irreducible_to_json(rt.irred),
+                "sturm_count": rt.sturm_count,
+                "frame_distance": str(rt.frame_distance),
+                "unit_base_det": rt.unit_base_det,
+            }
+        flats.append(rec)
+    subs = []
+    for ps in p.subspaces:
+        rec = {"rho": mat_to_json(ps.subspace.rho)}
+        if ps.pair is not None:
+            rec.update(pair_to_json(ps.pair))
+        subs.append(rec)
+    return {
+        "N": p.N,
+        "m": p.m,
+        "flats": flats,
+        "subspaces": subs,
+        "matrix": [list(row) for row in p.matrix],
+        "certificate": [
+            [{"link": w.link, "oracle": w.oracle, "sign": w.sign} for w in row]
+            for row in p.certificate
+        ],
+    }
+
+
+def signed_hit_to_json(h: SignedHit) -> dict:
+    return {
+        "gamma": [[int(x) for x in row] for row in h.gamma.rows],
+        "point": mat_to_json(h.point.Z),
+        "sign": h.sign,
+    }
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
+def _emit_pattern(doc: dict, inputs, verdicts: dict, out: Optional[str]):
+    """The pattern document to stdout, or to `out` with the envelope on stdout."""
+    _write_text(_canonical(doc) + "\n", out)
+    if out:
+        verdicts["out"] = out
+        sys.stdout.write(_canonical(_envelope("Pattern", inputs, verdicts)) + "\n")
+
+
 def cmd_link(args) -> int:
-    obj = _read_json(args.input)
-    try:
-        arr_obj = obj["arrangement"]
-        points = _read_points(arr_obj)
-        line, plane = vec_from_json(obj["line"]), vec_from_json(obj["plane"])
-    except _PARSE_ERRORS as e:
-        raise _CliError(1, f"bad input: {e}")
-    arr = arrangement_from_json(dict(arr_obj, points=points))
+    obj, (points, (line, plane)) = _read(args.input, _read_link)
+    arr = Arrangement(points)
     pair = LinePlanePair(line, plane)
     decision = link_decision(arr, pair)
     coeffs = frame_coefficients(arr, pair.line)
@@ -159,21 +359,16 @@ def cmd_link(args) -> int:
 
 
 def cmd_intersect(args) -> int:
-    obj = _read_json(args.input)
-    try:
-        tau = mat_from_json(obj["tau"])
-        if "rho" in obj:
-            rho = mat_from_json(obj["rho"])
-        else:
-            line, plane = vec_from_json(obj["line"]), vec_from_json(obj["plane"])
-    except _PARSE_ERRORS as e:
-        raise _CliError(1, f"bad input: {e}")
+    obj, (tau, rho, pair) = _read(args.input, _read_intersect)
     X = flat_from_tau(tau)
-    if "rho" not in obj:
-        rho = involution_for_pair(line, plane)
-    Y = subspace_from_rho(rho)
+    Y = subspace_from_rho(rho if pair is None else involution_for_pair(*pair))
     res = intersect(X, Y)
-    verdicts = res.to_json()
+    verdicts = {
+        "kind": res.kind.value,
+        "kernel_dim": res.kernel_dim,
+        "point": mat_to_json(res.point.Z) if res.point else None,
+        "sign": None,
+    }
     if res.kind is IntersectionKind.TRANSVERSE_POINT:
         verdicts["sign"] = intersection_sign(X, Y, res.point)
     _write_text(_canonical(_envelope("Intersect", obj, verdicts)) + "\n", args.out)
@@ -201,12 +396,7 @@ def cmd_pattern(args) -> int:
         "rank": pattern_rank(p),
         "matrix": [list(row) for row in p.matrix],
     }
-    if args.out:
-        _write_text(_canonical(doc) + "\n", args.out)
-        verdicts["out"] = args.out
-        sys.stdout.write(_canonical(_envelope("Pattern", inputs, verdicts)) + "\n")
-    else:
-        _write_text(_canonical(doc) + "\n", None)
+    _emit_pattern(doc, inputs, verdicts, args.out)
     if args.svg:
         if p.m == 3:
             _write_text(_pattern_svg(p), args.svg)
@@ -216,11 +406,9 @@ def cmd_pattern(args) -> int:
 
 
 def cmd_rationalize(args) -> int:
-    obj = _read_json(args.input)
-    p = _load_pattern(obj)
-    snapped, bound = rationalize_pattern(
-        p, denom_bound=args.denoms, prime_budget=args.primes
-    )
+    _, values = _read(args.input, _read_pattern_to_snap)
+    p = build_pattern(*values)
+    snapped, bound = rationalize_pattern(p, denom_bound=args.denoms)
     doc = pattern_to_json(snapped)
     inputs = {"pattern": pattern_to_json(p), "denoms": args.denoms}
     verdicts = {
@@ -231,30 +419,20 @@ def cmd_rationalize(args) -> int:
             str(pf.rationalized.frame_distance) for pf in snapped.flats
         ],
     }
-    if args.out:
-        _write_text(_canonical(doc) + "\n", args.out)
-        verdicts["out"] = args.out
-        sys.stdout.write(_canonical(_envelope("Pattern", inputs, verdicts)) + "\n")
-    else:
-        _write_text(_canonical(doc) + "\n", None)
+    _emit_pattern(doc, inputs, verdicts, args.out)
     return 0
 
 
 def cmd_rank(args) -> int:
-    obj = _read_json(args.input)
-    p = _load_pattern(obj)
+    obj, values = _read(args.input, read_pattern)
+    p = build_pattern(*values)
     verdicts = {"N": p.N, "m": p.m, "rank": pattern_rank(p)}
     _write_text(_canonical(_envelope("Pattern", obj, verdicts)) + "\n", args.out)
     return 0
 
 
 def cmd_descend(args) -> int:
-    obj = _read_json(args.input)
-    try:
-        tau = mat_from_json(obj["tau"])
-        rho = mat_from_json(obj["rho"])
-    except _PARSE_ERRORS as e:
-        raise _CliError(1, f"bad input: {e}")
+    obj, (tau, rho) = _read(args.input, _read_descend)
     p, n = _parse_level(args.level)
     if n is None:
         try:
@@ -281,29 +459,6 @@ def cmd_descend(args) -> int:
     lines.append(_canonical(summary))
     _write_text("\n".join(lines) + "\n", args.out)
     return 0
-
-
-def _load_pattern(obj: dict) -> Pattern:
-    try:
-        if "matrix" not in obj and "verdicts" in obj:
-            obj = obj["verdicts"]
-        # read every number first: a bad one is a parse error, not degenerate
-        for rec in obj["flats"]:
-            mat_from_json(rec["tau"])
-            if "arrangement" in rec:
-                _read_points(rec["arrangement"])
-        for rec in obj["subspaces"]:
-            mat_from_json(rec["rho"])
-            if "line" in rec:
-                vec_from_json(rec["line"])
-                vec_from_json(rec["plane"])
-        [int(x) for row in obj["matrix"] for x in row]
-    except _PARSE_ERRORS as e:
-        raise _CliError(1, f"bad pattern file: {e}")
-    try:
-        return pattern_from_json(obj)
-    except (KeyError, TypeError) as e:
-        raise _CliError(1, f"bad pattern file: {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +600,8 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("pattern", help="synthesize a certified pattern")
     sp.add_argument("N", type=int)
     sp.add_argument("m", type=int)
-    sp.add_argument("--thinness", default="1/4")
-    sp.add_argument("--rotation", default="1/2")
+    sp.add_argument("--thinness", default="1/4", type=_rational)
+    sp.add_argument("--rotation", default="1/2", type=_rational)
     sp.add_argument("--retries", type=int, default=32)
     sp.add_argument("--svg", default=None)
     common(sp)
@@ -455,7 +610,6 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("rationalize", help="snap a pattern to certified rationals")
     sp.add_argument("input")
     sp.add_argument("--denoms", type=int, default=64)
-    sp.add_argument("--primes", type=int, default=25)
     common(sp)
     sp.set_defaults(fn=cmd_rationalize)
 

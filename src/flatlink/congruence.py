@@ -30,7 +30,6 @@ from .qkernel import (
     _is_prime,
     det,
     kernel_basis,
-    mat_to_json,
     rat,
 )
 from .symspace import (
@@ -335,11 +334,3 @@ def enumerate_same_sign(
         return (max(abs(x) for x in entries), entries)
 
     return sorted(hits, key=key)
-
-
-def signed_hit_to_json(h: SignedHit) -> dict:
-    return {
-        "gamma": [[int(x) for x in row] for row in h.gamma.to_lists()],
-        "point": mat_to_json(h.point.Z),
-        "sign": h.sign,
-    }

@@ -255,9 +255,11 @@ class _BaseEntry:
     frame: tuple  # eigenvector columns, ascending eigenvalues (floats)
 
 
-_BASE_CACHE: dict[tuple[int, int], list[_BaseEntry]] = {}
-_BASE_ITERS: dict[tuple[int, int], object] = {}
+_BASE_CACHE: dict[int, list[_BaseEntry]] = {}
+_BASE_ITERS: dict[int, object] = {}
 _MAX_ENTRY_BOUND = 5
+_BASE_SCAN = 40  # base matrices tried per rationalized tau
+_MAX_ROUNDS = 6  # denominator-bound rounds of rationalize_pattern
 
 
 def _symmetric_candidates(m: int):
@@ -274,11 +276,10 @@ def _symmetric_candidates(m: int):
             yield QMatrix(rows)
 
 
-def _base_stream(m: int, count: int, prime_budget: int = 25) -> list[_BaseEntry]:
+def _base_stream(m: int, count: int) -> list[_BaseEntry]:
     """First `count` certified-irreducible base matrices for size m."""
-    key = (m, prime_budget)
-    cache = _BASE_CACHE.setdefault(key, [])
-    it = _BASE_ITERS.setdefault(key, _symmetric_candidates(m))
+    cache = _BASE_CACHE.setdefault(m, [])
+    it = _BASE_ITERS.setdefault(m, _symmetric_candidates(m))
     while len(cache) < count:
         tau0 = next(it, None)
         if tau0 is None:
@@ -286,7 +287,7 @@ def _base_stream(m: int, count: int, prime_budget: int = 25) -> list[_BaseEntry]
         p = char_poly(tau0)
         if sturm_distinct_real_roots(p) != m:
             continue
-        cert = irreducible_over_Q(p, prime_budget=prime_budget)
+        cert = irreducible_over_Q(p)
         if cert.verdict is not IrredVerdict.IRREDUCIBLE:
             continue
         evals, evecs = np.linalg.eigh(np.array(tau0.to_lists(), dtype=float))
@@ -321,8 +322,6 @@ def _column_sin_distance(A: np.ndarray, B: np.ndarray) -> float:
 def rationalize_tau(
     target_frame: Sequence[Sequence],
     denom_bound: int = 64,
-    scan: int = 40,
-    prime_budget: int = 25,
 ) -> RationalizedTau:
     """Rational tau with certified irreducible characteristic polynomial
     whose eigenframe approximates the target frame.
@@ -339,7 +338,7 @@ def rationalize_tau(
     if abs(np.linalg.det(T)) < 1e-9 * max(1.0, float(np.abs(T).max())) ** m:
         raise ValueError("target frame is degenerate")
 
-    entries = _base_stream(m, scan, prime_budget)
+    entries = _base_stream(m, _BASE_SCAN)
     if not entries:
         raise SynthesisBudgetError(
             f"no integer symmetric base with certified irreducible "
@@ -402,10 +401,8 @@ def rationalize_pair(
 def rationalize_pattern(
     p: Pattern,
     denom_bound: int = 64,
-    max_rounds: int = 6,
     frame_noise: Optional[Sequence[Sequence[Sequence[float]]]] = None,
     pair_noise: Optional[Sequence[tuple]] = None,
-    prime_budget: int = 25,
 ) -> tuple[Pattern, int]:
     """Snap a certified pattern to rationalized flats and pairs, growing
     denom_bound by 4x per round until the sign matrix certifies identically.
@@ -440,13 +437,11 @@ def rationalize_pattern(
             )
 
     bound = denom_bound
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         try:
             flats = []
             for tgt in targets:
-                rt = rationalize_tau(
-                    tgt, denom_bound=bound, prime_budget=prime_budget
-                )
+                rt = rationalize_tau(tgt, denom_bound=bound)
                 flats.append(
                     PatternFlat(flat=flat_from_tau(rt.tau), rationalized=rt)
                 )
@@ -473,92 +468,6 @@ def rationalize_pattern(
                 return snapped, bound
         bound *= 4
     raise SynthesisBudgetError(
-        f"pattern did not restabilize within {max_rounds} rounds "
+        f"pattern did not restabilize within {_MAX_ROUNDS} rounds "
         f"(last denominator bound {bound // 4})"
-    )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _witness_to_json(w: CellWitness) -> dict:
-    return {"link": w.link, "oracle": w.oracle, "sign": w.sign}
-
-
-def pattern_to_json(p: Pattern) -> dict:
-    from .projlink import arrangement_to_json, pair_to_json
-    from .qkernel import mat_to_json
-
-    flats = []
-    for pf in p.flats:
-        rec = {"tau": mat_to_json(pf.flat.tau)}
-        if pf.arrangement is not None:
-            rec["arrangement"] = arrangement_to_json(pf.arrangement)
-        if pf.rationalized is not None:
-            rt = pf.rationalized
-            rec["rationalized"] = {
-                "base": mat_to_json(rt.base),
-                "conjugator": mat_to_json(rt.conjugator),
-                "irreducible": rt.irred.to_json(),
-                "sturm_count": rt.sturm_count,
-                "frame_distance": str(rt.frame_distance),
-                "unit_base_det": rt.unit_base_det,
-            }
-        flats.append(rec)
-    subs = []
-    for ps in p.subspaces:
-        rec = {"rho": mat_to_json(ps.subspace.rho)}
-        if ps.pair is not None:
-            rec.update(pair_to_json(ps.pair))
-        subs.append(rec)
-    return {
-        "N": p.N,
-        "m": p.m,
-        "flats": flats,
-        "subspaces": subs,
-        "matrix": [list(row) for row in p.matrix],
-        "certificate": [
-            [_witness_to_json(w) for w in row] for row in p.certificate
-        ],
-    }
-
-
-def pattern_from_json(obj: dict) -> Pattern:
-    from .projlink import arrangement_from_json, pair_from_json
-    from .qkernel import mat_from_json
-
-    flats = []
-    for rec in obj["flats"]:
-        arr = (
-            arrangement_from_json(rec["arrangement"])
-            if "arrangement" in rec
-            else None
-        )
-        flats.append(
-            PatternFlat(flat=flat_from_tau(mat_from_json(rec["tau"])), arrangement=arr)
-        )
-    subs = []
-    for rec in obj["subspaces"]:
-        pair = pair_from_json(rec) if "line" in rec else None
-        subs.append(
-            PatternSubspace(
-                subspace=subspace_from_rho(mat_from_json(rec["rho"])), pair=pair
-            )
-        )
-    matrix = tuple(tuple(int(x) for x in row) for row in obj["matrix"])
-    cert = tuple(
-        tuple(
-            CellWitness(link=w["link"], oracle=w["oracle"], sign=w["sign"])
-            for w in row
-        )
-        for row in obj.get("certificate", [])
-    )
-    return Pattern(
-        N=obj["N"],
-        m=obj["m"],
-        flats=tuple(flats),
-        subspaces=tuple(subs),
-        matrix=matrix,
-        certificate=cert,
     )

@@ -24,7 +24,6 @@ from .qkernel import (
     inverse,
     kernel_basis,
     rat,
-    rat_str,
     sign,
     solve_unique,
 )
@@ -269,32 +268,3 @@ def transform_arrangement(g: QMatrix, arr: Arrangement) -> Arrangement:
 
 def transform_pair(g: QMatrix, lp: LinePlanePair) -> LinePlanePair:
     return LinePlanePair(transform_point(g, lp.line), transform_hyperplane(g, lp.plane))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def arrangement_to_json(arr: Arrangement) -> dict:
-    return {"m": arr.m, "points": [[rat_str(rat(x)) for x in p.rep] for p in arr.points]}
-
-
-def arrangement_from_json(obj: dict) -> Arrangement:
-    pts = [ProjPoint([rat(x) for x in row]) for row in obj["points"]]
-    if "m" in obj and obj["m"] != len(pts):
-        raise ValueError("declared m does not match the point count")
-    return Arrangement(pts)
-
-
-def pair_to_json(lp: LinePlanePair) -> dict:
-    return {
-        "line": [rat_str(rat(x)) for x in lp.line.rep],
-        "plane": [rat_str(rat(x)) for x in lp.plane.functional],
-    }
-
-
-def pair_from_json(obj: dict) -> LinePlanePair:
-    return LinePlanePair(
-        ProjPoint([rat(x) for x in obj["line"]]),
-        ProjHyperplane([rat(x) for x in obj["plane"]]),
-    )

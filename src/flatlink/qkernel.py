@@ -231,14 +231,6 @@ def mat_to_json(M: QMatrix) -> list:
     return [[rat_str(x) for x in r] for r in M.rows]
 
 
-def mat_from_json(rows) -> QMatrix:
-    return QMatrix([[rat(x) for x in r] for r in rows])
-
-
-def vec_from_json(entries) -> tuple:
-    return tuple(rat(x) for x in entries)
-
-
 # ---------------------------------------------------------------------------
 # fraction-free elimination
 #
@@ -537,9 +529,6 @@ class QPoly:
             raise ValueError("zero polynomial")
         return tuple(reversed(_primitive_ints(self.coeffs[::-1])))
 
-    def to_json(self) -> list:
-        return [rat_str(c) for c in self.coeffs]
-
 
 def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
     """Monic gcd by the Euclidean algorithm."""
@@ -811,22 +800,6 @@ class IrredCertificate:
     verdict: IrredVerdict
     witness: Union[int, Fraction, QPoly, None]
     patterns: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def to_json(self) -> dict:
-        w = self.witness
-        if isinstance(w, QPoly):
-            wj = {"factor": w.to_json()}
-        elif isinstance(w, Fraction):
-            wj = {"root": rat_str(w)}
-        elif isinstance(w, int):
-            wj = {"prime": w}
-        else:
-            wj = None
-        return {
-            "verdict": self.verdict.value,
-            "witness": wj,
-            "patterns": [[p, list(d)] for p, d in self.patterns],
-        }
 
 
 def _subset_sums(multiset: tuple[int, ...]) -> frozenset:

@@ -28,7 +28,6 @@ from .qkernel import (
     char_poly,
     det,
     kernel_basis,
-    mat_to_json,
     rat,
     sign,
     sturm_distinct_real_roots,
@@ -228,6 +227,8 @@ def subspace_from_rho(rho: QMatrix) -> SubspaceY:
 
 def involution_for_pair(line: Sequence, plane: Sequence) -> QMatrix:
     """The involution fixing `line` and negating the kernel of `plane`."""
+    if len(line) != len(plane):
+        raise ValueError("dimension mismatch")
     v = [rat(x) for x in line]
     u = [rat(x) for x in plane]
     uv = sum(a * b for a, b in zip(u, v))
@@ -253,14 +254,7 @@ class IntersectionKind(Enum):
 class IntersectionResult:
     kind: IntersectionKind
     point: Optional[SPDPoint]
-    sign: Optional[int]
     kernel_dim: int
-
-    def to_json(self) -> dict:
-        out = {"kind": self.kind.value, "kernel_dim": self.kernel_dim}
-        out["point"] = mat_to_json(self.point.Z) if self.point else None
-        out["sign"] = self.sign
-        return out
 
 
 def intersect(X: FlatX, Y: SubspaceY) -> IntersectionResult:
@@ -276,14 +270,14 @@ def intersect(X: FlatX, Y: SubspaceY) -> IntersectionResult:
     ker = kernel_basis(QMatrix(joint))
     k = len(ker)
     if k != 1:
-        return IntersectionResult(IntersectionKind.DEGENERATE, None, None, k)
+        return IntersectionResult(IntersectionKind.DEGENERATE, None, k)
     Z0 = unvec_sym(ker[0], X.m)
-    for cand in (Z0, -Z0):
-        if all(d > 0 for d in leading_principal_minors(cand)):
-            return IntersectionResult(
-                IntersectionKind.TRANSVERSE_POINT, SPDPoint(cand), None, 1
-            )
-    return IntersectionResult(IntersectionKind.EMPTY, None, None, 1)
+    # a PD matrix has a positive (0, 0) entry, so only this sign can be one
+    try:
+        point = SPDPoint(Z0 if Z0[0, 0] > 0 else -Z0)
+    except ValueError:  # the kernel line misses the PD cone
+        return IntersectionResult(IntersectionKind.EMPTY, None, 1)
+    return IntersectionResult(IntersectionKind.TRANSVERSE_POINT, point, 1)
 
 
 # ---------------------------------------------------------------------------

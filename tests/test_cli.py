@@ -3,7 +3,21 @@ import json
 
 import pytest
 
-from flatlink.cli import main
+from flatlink.cli import (
+    arrangement_to_json,
+    build_pattern,
+    main,
+    pair_to_json,
+    pattern_to_json,
+    read_line_plane,
+    read_pattern,
+    read_points,
+    signed_hit_to_json,
+)
+from flatlink.congruence import CongruenceLevel, enumerate_same_sign
+from flatlink.construct import synthesize_pattern
+from flatlink.projlink import Arrangement, LinePlanePair
+from flatlink.qkernel import QMatrix
 
 
 def _write(path, obj):
@@ -111,6 +125,99 @@ def test_intersect_malformed_exit1(tmp_path):
     assert main(["intersect", path]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        # a 2x2 tau with a 3x3 rho
+        ("intersect", {"tau": [["2", "1"], ["1", "1"]],
+                       "rho": [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]]}),
+        # a 2x3 tau
+        ("intersect", {"tau": [["2", "1", "0"], ["1", "1", "0"]],
+                       "rho": [["0", "1"], ["1", "0"]]}),
+        # a 3-entry line and a 2-entry plane for a 3x3 tau
+        ("intersect", {"tau": [["3", "1", "0"], ["1", "2", "1"], ["0", "1", "1"]],
+                       "line": ["1", "1", "1"], "plane": ["1", "1"]}),
+        # a plane with one entry too many for a 2x2 tau
+        ("intersect", {"tau": [["2", "1"], ["1", "1"]],
+                       "line": ["1", "1"], "plane": ["1", "1", "5"]}),
+        # a 3-entry line for m = 2
+        ("link", dict(LINKED_INPUT, line=["1", "1", "1"])),
+        # 3-entry points for m = 2
+        ("link", dict(LINKED_INPUT, arrangement={
+            "m": 2, "points": [["1", "0", "0"], ["0", "1", "0"]]})),
+        # a 1x1 tau: there is no SL_1 geometry
+        ("intersect", {"tau": [["2"]], "rho": [["1"]]}),
+        # tau and rho of different sizes
+        ("descend", {"tau": [["2", "1"], ["1", "1"]],
+                     "rho": [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]]}),
+    ],
+)
+def test_shape_errors_exit1(tmp_path, capsys, command, obj):
+    path = _write(tmp_path / "in.json", obj)
+    argv = [command, path] + (["--level", "5"] if command == "descend" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("flatlink: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_pattern_file_shape_errors_exit1(tmp_path, capsys):
+    assert main(["pattern", "2", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    flat, *rest = doc["flats"]
+    sub, *others = doc["subspaces"]
+    bad_docs = [
+        dict(doc, m=3),  # declared m does not match the data
+        dict(doc, N=3),  # declared N does not match the lists
+        dict(doc, flats=[dict(flat, tau=[["1", "0", "0"]] * 3), *rest]),
+        dict(doc, subspaces=[dict(sub, line=["1", "1", "1"]), *others]),
+        dict(doc, matrix=[[1, 1]]),
+    ]
+    for bad in bad_docs:
+        path = _write(tmp_path / "bad.json", bad)
+        assert main(["rank", path]) == 1
+        assert main(["rationalize", path]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+    # a rationalized pattern keeps no arrangements, so it has no snap targets
+    assert main(["rationalize", _write(tmp_path / "p.json", doc)]) == 0
+    snapped = _write(tmp_path / "snapped.json", json.loads(capsys.readouterr().out))
+    assert main(["rank", snapped]) == 0
+    assert main(["rationalize", snapped]) == 1
+
+
+def test_pattern_json_roundtrip():
+    p = synthesize_pattern(2, 2)
+    blob = json.dumps(pattern_to_json(p), sort_keys=True)
+    q = build_pattern(*read_pattern(json.loads(blob)))
+    assert q.matrix == p.matrix
+    assert q.N == p.N and q.m == p.m
+    assert all(x.flat.tau == y.flat.tau for x, y in zip(p.flats, q.flats))
+    assert all(
+        x.subspace.rho == y.subspace.rho
+        for x, y in zip(p.subspaces, q.subspaces)
+    )
+    assert q.certificate == p.certificate
+
+
+def test_arrangement_and_pair_json_round_trip():
+    arr = Arrangement([[1, 0], [1, 1]])
+    lp = LinePlanePair([2, 1], [1, -3])
+    assert Arrangement(read_points(arrangement_to_json(arr))) == arr
+    assert LinePlanePair(*read_line_plane(pair_to_json(lp), 2)) == lp
+    obj = arrangement_to_json(arr)
+    assert obj["m"] == 2 and obj["points"][1] == ["1", "1"]
+
+
+def test_signed_hit_json():
+    tau, rho = QMatrix([[2, 1], [1, 1]]), QMatrix([[0, 1], [1, 0]])
+    hits = enumerate_same_sign(tau, rho, CongruenceLevel(5, 1), entry_bound=1)
+    blob = json.loads(json.dumps(signed_hit_to_json(hits[0]), sort_keys=True))
+    assert blob["gamma"] == [[1, 0], [0, 1]]
+    assert blob["sign"] in (1, -1)
+    assert isinstance(blob["point"], list)
+
+
 def test_pattern_writes_file_and_envelope(tmp_path, capsys):
     out = tmp_path / "p.json"
     assert main(["pattern", "2", "2", "--out", str(out)]) == 0
@@ -156,6 +263,8 @@ def test_pattern_budget_exit3():
 def test_pattern_bad_args_exit1():
     assert main(["pattern", "2"]) == 1
     assert main(["nonsense"]) == 1
+    assert main(["pattern", "2", "2", "--thinness", "x"]) == 1
+    assert main(["pattern", "2", "2", "--rotation", "1/0"]) == 1
 
 
 def test_rank_cmd(tmp_path, capsys):

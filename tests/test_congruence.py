@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -16,7 +15,6 @@ from flatlink.congruence import (
     orientation_on_L,
     ptoq_solve,
     scalar_commutant_check,
-    signed_hit_to_json,
 )
 from flatlink.qkernel import QMatrix, det, kernel_basis
 from flatlink.symspace import involution_for_pair
@@ -234,11 +232,3 @@ def test_enumerate_rejects_fat_commutant():
             QMatrix.diagonal([1, 2]), QMatrix.diagonal([1, -1]),
             CongruenceLevel(5, 1), entry_bound=5,
         )
-
-
-def test_signed_hit_json():
-    hits = enumerate_same_sign(TAU2, RHO2, CongruenceLevel(5, 1), entry_bound=1)
-    blob = json.loads(json.dumps(signed_hit_to_json(hits[0]), sort_keys=True))
-    assert blob["gamma"] == [[1, 0], [0, 1]]
-    assert blob["sign"] in (1, -1)
-    assert isinstance(blob["point"], list)

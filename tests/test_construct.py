@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 import random
 from fractions import Fraction
@@ -10,9 +9,7 @@ from flatlink.construct import (
     Pattern,
     SynthesisBudgetError,
     certify_pattern_stability,
-    pattern_from_json,
     pattern_rank,
-    pattern_to_json,
     rationalize_pair,
     rationalize_pattern,
     rationalize_tau,
@@ -225,17 +222,3 @@ def test_snapped_cells_recheck_against_oracle():
                 else IntersectionKind.EMPTY
             )
             assert res.kind is want
-
-
-def test_pattern_json_roundtrip():
-    p = synthesize_pattern(2, 2)
-    blob = json.dumps(pattern_to_json(p), sort_keys=True)
-    q = pattern_from_json(json.loads(blob))
-    assert q.matrix == p.matrix
-    assert q.N == p.N and q.m == p.m
-    assert all(x.flat.tau == y.flat.tau for x, y in zip(p.flats, q.flats))
-    assert all(
-        x.subspace.rho == y.subspace.rho
-        for x, y in zip(p.subspaces, q.subspaces)
-    )
-    assert q.certificate == p.certificate

@@ -10,14 +10,10 @@ from flatlink.projlink import (
     LinePlanePair,
     ProjHyperplane,
     ProjPoint,
-    arrangement_from_json,
-    arrangement_to_json,
     common_flags,
     hyperplane_V,
     in_general_position,
     link_decision,
-    pair_from_json,
-    pair_to_json,
     plane_meets_simplex,
     simplex_of,
     transform_arrangement,
@@ -315,12 +311,3 @@ def test_linked_descends_to_Q():
             continue
         assert link_decision(sub_arr, sub_lp) is LinkDecision.LINKED
         done += 1
-
-
-def test_json_round_trip():
-    arr = Arrangement([[1, 0], [1, 1]])
-    lp = LinePlanePair([2, 1], [1, -3])
-    assert arrangement_from_json(arrangement_to_json(arr)) == arr
-    assert pair_from_json(pair_to_json(lp)) == lp
-    obj = arrangement_to_json(arr)
-    assert obj["m"] == 2 and obj["points"][1] == ["1", "1"]

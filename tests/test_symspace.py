@@ -135,6 +135,12 @@ def test_involution_for_pair():
         involution_for_pair([1, 0], [0, 1])
 
 
+def test_involution_for_pair_rejects_dimension_mismatch():
+    for line, plane in (([1, 1], [1, 1, 5]), ([1, 1, 1], [1, 1])):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            involution_for_pair(line, plane)
+
+
 def test_intersect_transverse_identity():
     X = flat_from_tau(QMatrix.diagonal([2, F(1, 2)]))
     Y = subspace_from_rho(QMatrix([[0, 1], [1, 0]]))
