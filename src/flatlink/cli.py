@@ -100,14 +100,35 @@ def _write_text(text: str, path: Optional[str]):
         sys.stdout.write(text)
 
 
-def _rational(text: str) -> str:
-    """A rational option value, checked and kept as typed: the inputs digest
+# argparse types: a value out of range is a parse error (exit 1), caught
+# before any command starts
+
+
+def _positive_rational(text: str) -> str:
+    """A positive rational option value, kept as typed: the inputs digest
     hashes the text."""
     try:
-        rat(text)
-    except ZeroDivisionError as e:
-        raise ValueError(e)
+        ok = rat(text) > 0
+    except (ValueError, ZeroDivisionError):
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive rational")
     return text
+
+
+def _int_at_least(low: int):
+    """The argparse type of an integer option that must be >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = None
+        if n is None or n < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        return n
+
+    return parse
 
 
 def _parse_level(spec: Optional[str]) -> tuple[int, Optional[int]]:
@@ -598,25 +619,25 @@ def _build_parser() -> _Parser:
     sp.set_defaults(fn=cmd_intersect)
 
     sp = sub.add_parser("pattern", help="synthesize a certified pattern")
-    sp.add_argument("N", type=int)
-    sp.add_argument("m", type=int)
-    sp.add_argument("--thinness", default="1/4", type=_rational)
-    sp.add_argument("--rotation", default="1/2", type=_rational)
-    sp.add_argument("--retries", type=int, default=32)
+    sp.add_argument("N", type=_int_at_least(1))
+    sp.add_argument("m", type=_int_at_least(2))
+    sp.add_argument("--thinness", default="1/4", type=_positive_rational)
+    sp.add_argument("--rotation", default="1/2", type=_positive_rational)
+    sp.add_argument("--retries", type=_int_at_least(1), default=32)
     sp.add_argument("--svg", default=None)
     common(sp)
     sp.set_defaults(fn=cmd_pattern)
 
     sp = sub.add_parser("rationalize", help="snap a pattern to certified rationals")
     sp.add_argument("input")
-    sp.add_argument("--denoms", type=int, default=64)
+    sp.add_argument("--denoms", type=_int_at_least(1), default=64)
     common(sp)
     sp.set_defaults(fn=cmd_rationalize)
 
     sp = sub.add_parser("descend", help="bounded same-sign congruence run")
     sp.add_argument("input")
     sp.add_argument("--level", default=None, metavar="p[:n]")
-    sp.add_argument("--bound", type=int, default=10)
+    sp.add_argument("--bound", type=_int_at_least(0), default=10)
     common(sp)
     sp.set_defaults(fn=cmd_descend)
 

@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 from .projlink import ProjPoint
 from .qkernel import (
     QMatrix,
+    _echelon,
     _is_prime,
     det,
     kernel_basis,
@@ -272,25 +273,40 @@ def min_level_separate(gamma: QMatrix, p: int) -> int:
 # bounded enumeration
 
 
-def _entry_ranges(m: int, q: int, bound: int) -> list[range]:
-    """Per-entry ranges of K so that I + q K stays inside the entry bound."""
-    out = []
-    for i in range(m):
-        for j in range(m):
-            base = 1 if i == j else 0
-            lo = -((bound + base) // q)
-            hi = (bound - base) // q
-            out.append(range(lo, hi + 1))
-    return out
+def _int_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, in plain integers."""
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    a = [list(r) for r in rows]
+    pivots, sgn, d = _echelon(a)
+    return sgn * d if len(pivots) == len(a) else 0
 
 
-def _candidates(m: int, q: int, bound: int):
-    for ks in itertools.product(*_entry_ranges(m, q, bound)):
-        rows = [
-            [(1 if i == j else 0) + q * ks[i * m + j] for j in range(m)]
-            for i in range(m)
-        ]
-        yield rows
+def _det_one_points(m: int, q: int, bound: int):
+    """Every integer gamma = I mod q with entries in [-bound, bound] and det 1.
+
+    det is linear in gamma_00: det = gamma_00 C + R, with C the trailing
+    (m-1)x(m-1) minor and R the determinant at gamma_00 = 0. So every other
+    entry is walked and gamma_00 = (1 - R) / C is solved. C is a minor of a
+    matrix = I mod q, so C = 1 mod q and is never 0; R = 0 mod q, so an
+    exact quotient is = 1 mod q and only its size needs checking.
+    """
+    diag = range(1 - q * ((bound + 1) // q), bound + 1, q)
+    off = range(-q * (bound // q), bound + 1, q)
+    n = m - 1
+    for entries in itertools.product(
+        *(diag if i == j else off for i in range(n) for j in range(n))
+    ):
+        minor = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
+        C = _int_det(minor)
+        for top in itertools.product(off, repeat=n):
+            for left in itertools.product(off, repeat=n):
+                rows = [[0, *top]] + [[x, *r] for x, r in zip(left, minor)]
+                g00, rem = divmod(1 - _int_det(rows), C)
+                if rem == 0 and -bound <= g00 <= bound:
+                    rows[0][0] = g00
+                    yield rows
 
 
 def _evaluate(rows: list[list[int]], X: FlatX, Y) -> Optional[SignedHit]:
@@ -315,17 +331,15 @@ def enumerate_same_sign(
     Results are sorted by (max absolute entry, entries lex) so reports are
     reproducible.
     """
+    if entry_bound < 0:
+        raise ValueError("entry bound must be >= 0")
     if not scalar_commutant_check(tau, rho):
         raise CommutantError("joint commutant of (tau, rho) is not scalar")
     X = flat_from_tau(tau)
     Y = subspace_from_rho(rho)
     q = level.modulus
-    survivors = [
-        rows
-        for rows in _candidates(X.m, q, entry_bound)
-        if det(QMatrix(rows)) == 1
-    ]
-    hits = [h for h in (_evaluate(r, X, Y) for r in survivors) if h is not None]
+    points = _det_one_points(X.m, q, entry_bound)
+    hits = [h for h in (_evaluate(r, X, Y) for r in points) if h is not None]
 
     def key(h: SignedHit):
         entries = [

@@ -415,6 +415,8 @@ def rationalize_pattern(
     to the projective criterion. Returns the snapped pattern and the bound
     that certified.
     """
+    if denom_bound < 1:
+        raise ValueError("denom_bound must be >= 1")
     targets = []
     for i, pf in enumerate(p.flats):
         if frame_noise is not None:

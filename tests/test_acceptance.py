@@ -382,6 +382,24 @@ def test_criterion_7_same_sign_descent():
     )
 
 
+def test_criterion_7_larger_ball():
+    # the det-1 points are enumerated directly, so a ball of 7.6 M grid
+    # points at level (5,1) and bound 130 is affordable
+    t0 = time.time()
+    tau = QMatrix([[2, 1], [1, 1]])
+    rho = QMatrix([[0, 1], [1, 0]])
+    hits = enumerate_same_sign(tau, rho, CongruenceLevel(5, 1), entry_bound=130)
+    assert [h.gamma for h in hits] == [
+        QMatrix.identity(2),
+        QMatrix([[-89, -55], [-55, -34]]),
+        QMatrix([[-34, 55], [55, -89]]),
+    ]
+    assert len({h.sign for h in hits}) == 1
+    elapsed = time.time() - t0
+    assert elapsed < 30
+    print(f"PASS criterion-7 larger ball: level (5,1) bound 130, 3 hits one sign, {elapsed:.1f}s")
+
+
 def test_criterion_8_sphere_dimension_formulas():
     for m in range(2, 9):
         assert sphere_dim(DecompSphere([m])) == m * (m + 1) // 2 - 2

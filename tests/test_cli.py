@@ -257,7 +257,10 @@ def test_pattern_svg_skipped_above_m3(tmp_path, capsys):
 
 
 def test_pattern_budget_exit3():
-    assert main(["pattern", "4", "3", "--retries", "0"]) == 3
+    # a rotation of 100 puts each plane far outside its target gap, so the
+    # one attempt a budget of 1 allows fails (a budget of 0 is an argument
+    # error, exit 1)
+    assert main(["pattern", "2", "2", "--rotation", "100", "--retries", "1"]) == 3
 
 
 def test_pattern_bad_args_exit1():
@@ -265,6 +268,48 @@ def test_pattern_bad_args_exit1():
     assert main(["nonsense"]) == 1
     assert main(["pattern", "2", "2", "--thinness", "x"]) == 1
     assert main(["pattern", "2", "2", "--rotation", "1/0"]) == 1
+
+
+def _assert_parse_error(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("flatlink: argument ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pattern", "0", "2"],  # was exit 2
+        ["pattern", "2", "1"],  # was exit 2
+        ["pattern", "2", "2", "--thinness", "0"],  # was exit 2
+        ["pattern", "2", "2", "--rotation", "0"],  # was exit 2
+        ["pattern", "2", "2", "--rotation=-1/2"],  # was exit 2
+        ["pattern", "2", "2", "--retries", "0"],  # was exit 3
+    ],
+)
+def test_pattern_out_of_range_options_exit1(argv, capsys):
+    _assert_parse_error(argv, capsys)
+
+
+def test_rationalize_denoms_zero_exit1(tmp_path, capsys):
+    # bound 0 never grows (it is multiplied by 4 each round): six rounds, exit 3
+    pat = tmp_path / "p.json"
+    assert main(["pattern", "2", "2", "--out", str(pat)]) == 0
+    capsys.readouterr()
+    _assert_parse_error(["rationalize", str(pat), "--denoms", "0"], capsys)
+
+
+def test_descend_negative_bound_exit1(tmp_path, capsys):
+    # an empty ball used to report zero hits and all_same_sign, exit 0
+    path = _write(
+        tmp_path / "in.json",
+        {"tau": [["2", "1"], ["1", "1"]], "rho": [["0", "1"], ["1", "0"]]},
+    )
+    _assert_parse_error(["descend", path, "--level", "5", "--bound", "-1"], capsys)
+    assert main(["descend", path, "--level", "5", "--bound", "0"]) == 0
+    assert _last_json(capsys)["verdicts"]["hits"] == 0
 
 
 def test_rank_cmd(tmp_path, capsys):

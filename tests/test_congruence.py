@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from flatlink.congruence import (
     CommutantError,
     CongruenceLevel,
     Decomposition,
+    _det_one_points,
     Orientation,
     decomposition_valid,
     enumerate_same_sign,
@@ -17,7 +19,14 @@ from flatlink.congruence import (
     scalar_commutant_check,
 )
 from flatlink.qkernel import QMatrix, det, kernel_basis
-from flatlink.symspace import involution_for_pair
+from flatlink.symspace import (
+    IntersectionKind,
+    flat_from_tau,
+    intersect,
+    intersection_sign,
+    involution_for_pair,
+    subspace_from_rho,
+)
 
 TAU2 = QMatrix([[2, 1], [1, 1]])
 RHO2 = QMatrix([[0, 1], [1, 0]])
@@ -232,3 +241,92 @@ def test_enumerate_rejects_fat_commutant():
             QMatrix.diagonal([1, 2]), QMatrix.diagonal([1, -1]),
             CongruenceLevel(5, 1), entry_bound=5,
         )
+
+
+# ---------------------------------------------------------------------------
+# reference: the whole congruence ball, filtered by a plain integer det
+
+
+def _plain_det(rows):
+    """Laplace expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * x * _plain_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+    )
+
+
+def _ball(m, q, bound):
+    """Every integer matrix = I mod q with entries in [-bound, bound]."""
+    diag = [x for x in range(-bound, bound + 1) if (x - 1) % q == 0]
+    off = [x for x in range(-bound, bound + 1) if x % q == 0]
+    cells = [diag if i == j else off for i in range(m) for j in range(m)]
+    for entries in itertools.product(*cells):
+        yield [list(entries[i * m : (i + 1) * m]) for i in range(m)]
+
+
+def _brute_force_hits(tau, rho, q, bound):
+    """(gamma, sign) of every transverse det-1 ball point, in report order."""
+    X, Y = flat_from_tau(tau), subspace_from_rho(rho)
+    hits = []
+    for rows in _ball(tau.nrows, q, bound):
+        if _plain_det(rows) != 1:
+            continue
+        moved = X.transport(QMatrix(rows))
+        res = intersect(moved, Y)
+        if res.kind is IntersectionKind.TRANSVERSE_POINT:
+            hits.append((rows, intersection_sign(moved, Y, res.point)))
+
+    def key(hit):
+        entries = [x for r in hit[0] for x in r]
+        return (max(abs(x) for x in entries), entries)
+
+    return sorted(hits, key=key)
+
+
+# seeded pairs: linked with hits of both signs, disjoint with two hits, and
+# an m = 3 pair with a scalar commutant (its bound-5 ball has 5,832 points)
+LINKED = (QMatrix([[-4, 2], [1, 4]]), involution_for_pair((1, -1), (1, -3)))
+DISJOINT = (QMatrix([[-1, -1], [-4, 3]]), involution_for_pair((3, 1), (-2, -1)))
+M3 = (
+    QMatrix([[8, 2, 0], [2, -2, -4], [0, -4, -2]]),
+    involution_for_pair((0, -3, -1), (1, 3, -1)),
+)
+
+
+@pytest.mark.parametrize(
+    "pair, level, bound",
+    [
+        ((TAU2, RHO2), (5, 1), 6),
+        ((TAU2, RHO2), (5, 1), 12),
+        ((TAU2, RHO2), (5, 1), 30),
+        ((TAU2, RHO2), (5, 2), 30),
+        (LINKED, (5, 1), 20),
+        (DISJOINT, (5, 1), 20),
+        (M3, (5, 1), 5),
+    ],
+    ids=["c7-b6", "c7-b12", "c7-b30", "c7-5:2-b30", "linked-b20", "disjoint-b20", "m3-b5"],
+)
+def test_enumerate_matches_brute_force(pair, level, bound):
+    tau, rho = pair
+    level = CongruenceLevel(*level)
+    hits = enumerate_same_sign(tau, rho, level, entry_bound=bound)
+    got = [([[int(x) for x in r] for r in h.gamma.rows], h.sign) for h in hits]
+    assert got == _brute_force_hits(tau, rho, level.modulus, bound)
+    assert got  # every case has a hit to compare
+
+
+@pytest.mark.parametrize(
+    "m, q, bound",
+    [(2, 5, 30), (2, 25, 30), (2, 2, 7), (2, 3, 10), (2, 5, 0), (2, 5, 1),
+     (3, 5, 5), (3, 2, 3), (3, 3, 4)],
+)
+def test_det_one_points_are_the_det_one_ball(m, q, bound):
+    want = sorted(rows for rows in _ball(m, q, bound) if _plain_det(rows) == 1)
+    assert sorted(_det_one_points(m, q, bound)) == want
+
+
+def test_enumerate_rejects_negative_bound():
+    with pytest.raises(ValueError):
+        enumerate_same_sign(TAU2, RHO2, CongruenceLevel(5, 1), entry_bound=-1)

@@ -185,6 +185,12 @@ def test_rationalize_pattern_roundtrip():
             assert w.oracle in ("TransversePoint", "Empty")
 
 
+def test_rationalize_pattern_rejects_bound_below_one():
+    # a bound of 0 never grows (4 * 0): it used to spend every round failing
+    with pytest.raises(ValueError):
+        rationalize_pattern(synthesize_pattern(1, 2), denom_bound=0)
+
+
 def test_rationalize_pattern_with_noise():
     rng = random.Random(11)
     p = synthesize_pattern(2, 2)
