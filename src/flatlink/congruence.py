@@ -12,7 +12,8 @@ undecided rather than guessing when it is not.
 The deep-congruence machinery behind the same-sign statement (double
 cosets, p-adic identity neighborhoods) is replaced by what it predicts:
 enumerate gamma = I + p^n K inside an entry bound with det = 1, intersect
-each transported flat, and report every transverse sign.
+each moved flat gamma X with Y (computed as X against the pulled-back
+gamma^{-1} Y, in integers), and report every transverse sign.
 """
 
 from __future__ import annotations
@@ -29,16 +30,19 @@ from .qkernel import (
     QMatrix,
     _echelon,
     _is_prime,
+    _primitive_ints,
     det,
     kernel_basis,
     rat,
 )
 from .symspace import (
     FlatX,
-    IntersectionKind,
     SPDPoint,
+    SubspaceY,
+    _int_basis,
+    _meet,
+    default_y_frame,
     flat_from_tau,
-    intersect,
     intersection_sign,
     subspace_from_rho,
 )
@@ -283,14 +287,31 @@ def _int_det(rows: list[list[int]]) -> int:
     return sgn * d if len(pivots) == len(a) else 0
 
 
+def _int_adjugate(rows: list[list[int]]) -> list[list[int]]:
+    """adj(A) of a square integer matrix: its transposed cofactors."""
+    n = len(rows)
+    if n == 2:
+        (a, b), (c, d) = rows
+        return [[d, -b], [-c, a]]
+    return [
+        [
+            (-1) ** (i + j)
+            * _int_det([r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
 def _det_one_points(m: int, q: int, bound: int):
     """Every integer gamma = I mod q with entries in [-bound, bound] and det 1.
 
-    det is linear in gamma_00: det = gamma_00 C + R, with C the trailing
-    (m-1)x(m-1) minor and R the determinant at gamma_00 = 0. So every other
-    entry is walked and gamma_00 = (1 - R) / C is solved. C is a minor of a
-    matrix = I mod q, so C = 1 mod q and is never 0; R = 0 mod q, so an
-    exact quotient is = 1 mod q and only its size needs checking.
+    det is linear in gamma_00: writing gamma = [[gamma_00, top^T], [left, M]],
+    det = gamma_00 C + R with C = det M and R = -top^T adj(M) left. So every
+    other entry is walked and gamma_00 = (1 - R) / C is solved, with adj(M)
+    built once per trailing minor. C is a minor of a matrix = I mod q, so
+    C = 1 mod q and is never 0; R = 0 mod q, so an exact quotient is
+    = 1 mod q and only its size needs checking.
     """
     diag = range(1 - q * ((bound + 1) // q), bound + 1, q)
     off = range(-q * (bound // q), bound + 1, q)
@@ -300,23 +321,51 @@ def _det_one_points(m: int, q: int, bound: int):
     ):
         minor = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
         C = _int_det(minor)
+        adj = _int_adjugate(minor)
         for top in itertools.product(off, repeat=n):
+            ta = [sum(t * r[j] for t, r in zip(top, adj)) for j in range(n)]
             for left in itertools.product(off, repeat=n):
-                rows = [[0, *top]] + [[x, *r] for x, r in zip(left, minor)]
-                g00, rem = divmod(1 - _int_det(rows), C)
+                R = -sum(x * y for x, y in zip(ta, left))
+                g00, rem = divmod(1 - R, C)
                 if rem == 0 and -bound <= g00 <= bound:
-                    rows[0][0] = g00
-                    yield rows
+                    yield [[g00, *top]] + [[x, *r] for x, r in zip(left, minor)]
 
 
-def _evaluate(rows: list[list[int]], X: FlatX, Y) -> Optional[SignedHit]:
-    gamma = QMatrix(rows)
-    moved = X.transport(gamma)
-    res = intersect(moved, Y)
-    if res.kind is not IntersectionKind.TRANSVERSE_POINT:
-        return None
-    s = intersection_sign(moved, Y, res.point)
-    return SignedHit(gamma=gamma, point=res.point, sign=s)
+def _evaluator(X: FlatX, Y: SubspaceY):
+    """The per-point step of a descent: gamma -> the hit of gamma X with Y.
+
+    It pulls Y back instead of moving X. gamma X and Y meet in
+    gamma (X and gamma^{-1} Y), and gamma^{-1} Y has line adj(gamma) v and
+    plane gamma^T w (det gamma = 1), so each point costs two integer
+    mat-vecs and one integer kernel for the pulled-back point Z'; matrices
+    are built only for a hit. The reported point is gamma Z' gamma^T,
+    primitive because gamma is unimodular. Z -> gamma Z gamma^T has
+    det(gamma)^(m+1) = 1 on Sym and carries X's default frame at Z' to
+    gamma X's at the point, so the sign is taken at Z' with Y's default
+    frame pulled back along with Y: a frame rebuilt from the pulled-back
+    line and plane would flip it for some gamma at odd m.
+    """
+    m = X.m
+    basis = _int_basis(X)
+    v, w = _primitive_ints(Y.line), _primitive_ints(Y.plane)
+    y_frame = default_y_frame(Y)
+
+    def evaluate(rows: list[list[int]]) -> Optional[SignedHit]:
+        adj = _int_adjugate(rows)
+        line = [sum(a * x for a, x in zip(r, v)) for r in adj]
+        plane = [sum(rows[i][j] * w[i] for i in range(m)) for j in range(m)]
+        _, Z = _meet(basis, line, plane)
+        if Z is None:
+            return None
+        gamma, A, Zq = QMatrix(rows), QMatrix(adj), QMatrix(Z)
+        pulled = SubspaceY(rho=A @ Y.rho @ gamma, line=tuple(line), plane=tuple(plane))
+        s = intersection_sign(
+            X, pulled, SPDPoint(Zq), y_frame=[A @ F @ A.transpose() for F in y_frame]
+        )
+        point = SPDPoint(gamma @ Zq @ gamma.transpose())
+        return SignedHit(gamma=gamma, point=point, sign=s)
+
+    return evaluate
 
 
 def enumerate_same_sign(
@@ -338,8 +387,10 @@ def enumerate_same_sign(
     X = flat_from_tau(tau)
     Y = subspace_from_rho(rho)
     q = level.modulus
-    points = _det_one_points(X.m, q, entry_bound)
-    hits = [h for h in (_evaluate(r, X, Y) for r in points) if h is not None]
+    evaluate = _evaluator(X, Y)
+    hits = [
+        h for h in map(evaluate, _det_one_points(X.m, q, entry_bound)) if h is not None
+    ]
 
     def key(h: SignedHit):
         entries = [

@@ -8,9 +8,10 @@ The maximal flat attached to a regular tau is the PD part of the linear
 space {Z symmetric : tau Z = Z tau^T}; the geodesic subspace attached to an
 involution rho with eigenvalues (-1, ..., -1, 1) is the PD part of
 {Z : rho Z rho^T = Z}. Both memberships are linear, so intersection is an
-exact kernel computation and transversality is a rank statement. This route
-never consults the projective linking criterion; it is the module the
-criterion is tested against.
+exact kernel computation and transversality is a rank statement; `intersect`
+solves it in the flat's own coordinates, as one m x (m+1) integer kernel.
+This route never consults the projective linking criterion; it is the module
+the criterion is tested against.
 
 Symmetric coordinates are ordered lexicographically on index pairs (i, j)
 with i <= j throughout.
@@ -18,6 +19,7 @@ with i <= j throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -25,6 +27,9 @@ from typing import Optional, Sequence
 
 from .qkernel import (
     QMatrix,
+    _back_substitute,
+    _echelon,
+    _primitive_ints,
     char_poly,
     det,
     kernel_basis,
@@ -124,6 +129,9 @@ def flat_membership_system(tau: QMatrix) -> QMatrix:
 
 def subspace_membership_system(rho: QMatrix) -> QMatrix:
     """System whose kernel is {Z symmetric : rho Z rho^T = Z}.
+
+    `intersect` does not need it (see `_meet`); it is the reference the
+    closed form is checked against.
 
     Row (i, j), i <= j, holds the coefficients of
     (rho Z rho^T - Z)_ij = sum_{a,b} rho_ia Z_ab rho_jb - Z_ij.
@@ -257,27 +265,91 @@ class IntersectionResult:
     kernel_dim: int
 
 
+def _int_basis(X: FlatX) -> list[list[list[int]]]:
+    """The flat's basis matrices, each scaled to primitive integers."""
+    m = X.m
+    out = []
+    for B in X.solution_basis:
+        ints = _primitive_ints([x for r in B.rows for x in r])
+        out.append([list(ints[i * m : (i + 1) * m]) for i in range(m)])
+    return out
+
+
+def _leading_minors_positive(Z: list[list[int]]) -> bool:
+    """Sylvester's test in integers: without row swaps, the fraction-free
+    pivots are the leading principal minors, so stop at the first that is
+    not positive."""
+    a = [list(r) for r in Z]
+    m, prev = len(a), 1
+    for k in range(m):
+        p = a[k][k]
+        if p <= 0:
+            return False
+        for i in range(k + 1, m):
+            ri, rk = a[i], a[k]
+            for j in range(k + 1, m):
+                ri[j] = (p * ri[j] - ri[k] * rk[j]) // prev
+        prev = p
+    return True
+
+
+def _meet(
+    basis: list[list[list[int]]], line: Sequence[int], plane: Sequence[int]
+) -> tuple[int, Optional[list[list[int]]]]:
+    """X ∩ Y in plain integers, from the flat's basis B_1..B_m and the
+    subspace's +1 line v and plane functional w.
+
+    Y is {Z symmetric : Z w parallel to v}: its solution space is
+    Sym^2(v) + Sym^2(ker w), which Z w maps into the line of v. So
+    Z = sum c_k B_k lies on Y exactly when (c, lam) is in the kernel of the
+    m x (m+1) matrix with columns B_k w and -v. (c, lam) -> Z is injective,
+    so this kernel has the dimension of the joint membership kernel.
+
+    Returns that dimension and, when it is 1 and the line meets the PD
+    cone, the primitive integer point with Z[0][0] > 0; else None.
+    """
+    m = len(line)
+    a = [
+        [sum(B[i][j] * plane[j] for j in range(m)) for B in basis] + [-line[i]]
+        for i in range(m)
+    ]
+    pivots, _, d = _echelon(a)
+    k = m + 1 - len(pivots)
+    if k != 1:
+        return k, None
+    f = next(c for c in range(m + 1) if c not in pivots)
+    sol = dict(zip(pivots, _back_substitute(a, pivots, d, f)))
+    sol[f] = -d
+    c = [sol.get(t, 0) for t in range(m)]
+    Z = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            Z[i][j] = Z[j][i] = sum(ck * B[i][j] for ck, B in zip(c, basis))
+    g = math.gcd(*(x for r in Z for x in r))
+    if Z[0][0] < 0:  # a PD matrix has a positive (0, 0) entry
+        g = -g
+    Z = [[x // g for x in r] for r in Z]
+    if not _leading_minors_positive(Z):  # the kernel line misses the PD cone
+        return 1, None
+    return 1, Z
+
+
 def intersect(X: FlatX, Y: SubspaceY) -> IntersectionResult:
     """Exact intersection of the two PD solution sets.
 
-    The joint membership system is linear; a one-dimensional kernel whose
-    line carries a PD representative is a transverse intersection point.
-    Higher-dimensional kernels are reported as Degenerate, never perturbed.
+    The intersection is one small integer kernel (see `_meet`); a
+    one-dimensional kernel whose line carries a PD representative is a
+    transverse intersection point. Higher-dimensional kernels are reported
+    as Degenerate, never perturbed.
     """
     if X.m != Y.m:
         raise ValueError("dimension mismatch")
-    joint = flat_membership_system(X.tau).rows + subspace_membership_system(Y.rho).rows
-    ker = kernel_basis(QMatrix(joint))
-    k = len(ker)
+    k, Z = _meet(_int_basis(X), _primitive_ints(Y.line), _primitive_ints(Y.plane))
     if k != 1:
         return IntersectionResult(IntersectionKind.DEGENERATE, None, k)
-    Z0 = unvec_sym(ker[0], X.m)
-    # a PD matrix has a positive (0, 0) entry, so only this sign can be one
-    try:
-        point = SPDPoint(Z0 if Z0[0, 0] > 0 else -Z0)
-    except ValueError:  # the kernel line misses the PD cone
+    if Z is None:
         return IntersectionResult(IntersectionKind.EMPTY, None, 1)
-    return IntersectionResult(IntersectionKind.TRANSVERSE_POINT, point, 1)
+    return IntersectionResult(IntersectionKind.TRANSVERSE_POINT, SPDPoint(QMatrix(Z)), 1)
 
 
 # ---------------------------------------------------------------------------

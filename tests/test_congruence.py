@@ -9,6 +9,7 @@ from flatlink.congruence import (
     CongruenceLevel,
     Decomposition,
     _det_one_points,
+    _evaluator,
     Orientation,
     decomposition_valid,
     enumerate_same_sign,
@@ -21,6 +22,7 @@ from flatlink.congruence import (
 from flatlink.qkernel import QMatrix, det, kernel_basis
 from flatlink.symspace import (
     IntersectionKind,
+    SPDPoint,
     flat_from_tau,
     intersect,
     intersection_sign,
@@ -330,3 +332,67 @@ def test_det_one_points_are_the_det_one_ball(m, q, bound):
 def test_enumerate_rejects_negative_bound():
     with pytest.raises(ValueError):
         enumerate_same_sign(TAU2, RHO2, CongruenceLevel(5, 1), entry_bound=-1)
+
+
+# ---------------------------------------------------------------------------
+# the descent's pull-back against the forward transport
+
+
+def _gamma_mod_5(rng, m):
+    """A det-1 gamma = I mod 5: a product of elementary matrices I +- 5 E_ij."""
+    g = QMatrix.identity(m)
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.sample(range(m), 2)
+        E = [[0] * m for _ in range(m)]
+        E[i][j] = rng.choice([5, -5])
+        g = g @ (QMatrix.identity(m) + QMatrix(E))
+    return g
+
+
+def _flat_and_frame(rng, m):
+    """A flat of rational tau = g D g^-1, which is {g L g^T : L diagonal}."""
+    while True:
+        g = QMatrix([[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)])
+        if det(g) != 0:
+            break
+    D = QMatrix.diagonal(rng.sample([1, 2, 3, 5, 7, -1, -2], m))
+    return flat_from_tau(g @ D @ g.inverse()), g
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_pullback_sign_matches_forward(m):
+    rng = random.Random(71 + m)
+    hits = rebuilt_flips = 0
+    for _ in range(30):
+        X, g = _flat_and_frame(rng, m)
+        gamma = _gamma_mod_5(rng, m)
+        # Y through a PD point P of gamma X: P w is parallel to v
+        L = QMatrix.diagonal([rng.randint(1, 4) for _ in range(m)])
+        P = gamma @ g @ L @ g.transpose() @ gamma.transpose()
+        plane = [rng.choice([-2, -1, 1, 2]) for _ in range(m)]
+        Y = subspace_from_rho(involution_for_pair(P.apply(plane), plane))
+        evaluate = _evaluator(X, Y)
+        for c in (gamma, _gamma_mod_5(rng, m)):  # the second one mostly misses
+            hit = evaluate([[int(x) for x in r] for r in c.rows])
+            moved = X.transport(c)
+            res = intersect(moved, Y)
+            if res.kind is not IntersectionKind.TRANSVERSE_POINT:
+                assert hit is None
+                continue
+            assert hit.gamma == c
+            assert hit.point.Z == res.point.Z
+            assert hit.sign == intersection_sign(moved, Y, res.point)
+            hits += 1
+            # the sign with a y-frame rebuilt from the pulled-back subspace
+            ci = c.inverse()
+            rebuilt = intersection_sign(
+                X,
+                subspace_from_rho(ci @ Y.rho @ c),
+                SPDPoint(ci @ res.point.Z @ ci.transpose()),
+            )
+            rebuilt_flips += rebuilt != hit.sign
+    assert hits >= 20
+    if m == 3:  # odd m: only the transported frame gives the forward sign
+        assert rebuilt_flips > 0
+    else:
+        assert rebuilt_flips == 0

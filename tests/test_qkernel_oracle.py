@@ -1,4 +1,5 @@
-"""qkernel's elimination core against an independent oracle: sympy over QQ.
+"""qkernel's elimination core and characteristic polynomial against an
+independent oracle: sympy over QQ.
 
 Inputs are random rectangular rational matrices up to 6 x 6, with forced
 low-rank products and explicit zero rows and columns, so rank-deficient,
@@ -18,6 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from flatlink.qkernel import (  # noqa: E402
     QMatrix,
+    char_poly,
     det,
     inverse,
     kernel_basis,
@@ -151,3 +153,10 @@ def test_inverse_matches_sympy(M):
         return
     Si = S.inv()
     assert inverse(M) == QMatrix([[_frac(x) for x in Si.row(i)] for i in range(Si.rows)])
+
+
+@_SETTINGS
+@given(matrices(square=True))
+def test_char_poly_matches_sympy(M):
+    want = _sym(M).charpoly().all_coeffs()  # descending, monic
+    assert char_poly(M).coeffs == tuple(_frac(x) for x in reversed(want))

@@ -175,6 +175,59 @@ def test_intersect_degenerate():
     assert res.point is None
 
 
+def _joint_system_intersection(X, Y):
+    """(kind, kernel_dim, point matrix) from the stacked membership systems."""
+    joint = flat_membership_system(X.tau).rows + subspace_membership_system(Y.rho).rows
+    ker = kernel_basis(QMatrix(joint))
+    if len(ker) != 1:
+        return IntersectionKind.DEGENERATE, len(ker), None
+    Z = unvec_sym(ker[0], X.m)  # primitive, so Z[0, 0] > 0 when Z is PD
+    if not is_positive_definite(Z):
+        return IntersectionKind.EMPTY, 1, None
+    return IntersectionKind.TRANSVERSE_POINT, 1, Z
+
+
+def test_closed_form_intersect_matches_joint_system():
+    rng = random.Random(67)
+    seen = set()
+    for m in range(2, 6):
+        done = 0
+        while done < 12:
+            tau, frame = rational_frame_flat(rng, m)  # X = {frame D frame^T}
+            X = flat_from_tau(tau)
+            if done % 2:  # a rational g leaves the basis non-integer
+                g = QMatrix(
+                    [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m)] for _ in range(m)]
+                )
+                if det(g) == 0:
+                    continue
+                X, frame = X.transport(g), g @ frame
+                if all(x.denominator == 1 for B in X.solution_basis for r in B.rows for x in r):
+                    continue
+            plane = [rng.randint(-3, 3) for _ in range(m)]
+            if done % 3:  # Y through a PD point of X: Z w is parallel to v
+                D = QMatrix.diagonal([rng.randint(1, 5) for _ in range(m)])
+                line = (frame @ D @ frame.transpose()).apply(plane)
+            else:
+                line = [rng.randint(-3, 3) for _ in range(m)]
+            try:
+                Y = subspace_from_rho(involution_for_pair(line, plane))
+            except ValueError:
+                continue
+            res = intersect(X, Y)
+            point = res.point.Z if res.point is not None else None
+            assert (res.kind, res.kernel_dim, point) == _joint_system_intersection(X, Y)
+            seen.add((m, res.kind))
+            done += 1
+    kinds = {IntersectionKind.EMPTY, IntersectionKind.TRANSVERSE_POINT}
+    assert {(m, k) for m in range(2, 6) for k in kinds} <= seen
+    X = flat_from_tau(QMatrix.diagonal([1, 2, 3]))
+    Y = subspace_from_rho(QMatrix.diagonal([1, -1, -1]))
+    assert _joint_system_intersection(X, Y) == (IntersectionKind.DEGENERATE, 3, None)
+    res = intersect(X, Y)
+    assert (res.kind, res.kernel_dim, res.point) == (IntersectionKind.DEGENERATE, 3, None)
+
+
 def test_transverse_point_memberships():
     rng = random.Random(19)
     hits = 0
