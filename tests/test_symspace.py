@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from flatlink.construct import tau_for_arrangement
 from flatlink.projlink import (
     Arrangement,
     GeneralPositionError,
@@ -362,6 +363,58 @@ def test_intersection_sign_swap_flips():
     assert intersection_sign(X, Y, at, y_frame=yswapped) == -intersection_sign(
         X, Y, at
     )
+
+
+# Signs of 40 seeded transverse crossings per m, with Y's default frame and
+# with its first two vectors swapped.
+PINNED_SIGNS = {
+    2: (
+        "+-+++-+-+-+-+-++--+-+++-+++-+++---++++-+",
+        "-+---+-+-+-+-+--++-+---+---+---+++----+-",
+    ),
+    3: (
+        "+-++++-+++-+-++--++---+-+-+++-+---+----+",
+        "-+----+---+-+--++--+++-+-+---+-+++-++++-",
+    ),
+    4: (
+        "--+-+-+-+--++-+-++-----+---------+-+--+-",
+        "++-+-+-+-++--+-+--+++++-+++++++++-+-++-+",
+    ),
+    5: (
+        "----++--+-++-+--+---++-+--+---+-++-+---+",
+        "++++--++-+--+-++-+++--+-++-+++-+--+-+++-",
+    ),
+}
+
+
+@pytest.mark.parametrize("m", sorted(PINNED_SIGNS))
+def test_intersection_sign_pinned(m):
+    """X from a random integer frame F, Y through the PD point F D F^T."""
+    rng = random.Random(100 + m)
+    default, swapped = "", ""
+    while len(default) < 40:
+        try:
+            arr = Arrangement([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)])
+        except ValueError:
+            continue
+        F = arr.frame_matrix()
+        D = QMatrix.diagonal([rng.randint(1, 5) for _ in range(m)])
+        plane = [rng.randint(-3, 3) for _ in range(m)]
+        line = (F @ D @ F.transpose()).apply(plane)
+        try:
+            Y = subspace_from_rho(involution_for_pair(line, plane))
+        except ValueError:
+            continue
+        X = flat_from_tau(tau_for_arrangement(arr))
+        res = intersect(X, Y)
+        if res.kind is not IntersectionKind.TRANSVERSE_POINT:
+            continue
+        frame = default_y_frame(Y)
+        s = intersection_sign(X, Y, res.point)
+        t = intersection_sign(X, Y, res.point, y_frame=[frame[1], frame[0], *frame[2:]])
+        default += "+-"[s < 0]
+        swapped += "+-"[t < 0]
+    assert (default, swapped) == PINNED_SIGNS[m]
 
 
 def test_intersection_sign_invariant_under_centralizer():
