@@ -178,6 +178,14 @@ def _vec(entries, n: int, name: str) -> tuple:
     return tuple(rat(x) for x in _list(entries, n, name))
 
 
+def _int(x) -> int:
+    """An integer entry: any rational form ("5", 5, "10/2") of an integer."""
+    q = rat(x)
+    if q.denominator != 1:
+        raise ValueError(f"{x!r} is not an integer")
+    return q.numerator
+
+
 def _mat(rows, name: str, n: Optional[int] = None) -> QMatrix:
     """An n x n rational matrix from JSON rows; n defaults to the row count
     and is at least 2."""
@@ -241,7 +249,7 @@ def read_pattern(obj: dict) -> tuple:
         for rec in _list(obj["subspaces"], N, "subspaces")
     ]
     matrix = tuple(
-        tuple(int(x) for x in _list(row, N, "a row of matrix"))
+        tuple(_int(x) for x in _list(row, N, "a row of matrix"))
         for row in _list(obj["matrix"], N, "matrix")
     )
     certificate = tuple(

@@ -340,7 +340,7 @@ def _evaluator(X: FlatX, Y: SubspaceY):
     mat-vecs and one integer kernel for the pulled-back point Z'; matrices
     are built only for a hit. The reported point is gamma Z' gamma^T,
     primitive because gamma is unimodular. Z -> gamma Z gamma^T has
-    det(gamma)^(m+1) = 1 on Sym and carries X's default frame at Z' to
+    det(gamma)^(m+1) = 1 on Sym and carries X's frame (Z', tau Z', ...) to
     gamma X's at the point, so the sign is taken at Z' with Y's default
     frame pulled back along with Y: a frame rebuilt from the pulled-back
     line and plane would flip it for some gamma at odd m.

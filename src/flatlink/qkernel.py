@@ -583,7 +583,7 @@ def cauchy_root_bound(p: QPoly) -> Fraction:
     if p.is_zero or p.degree == 0:
         return _ONE
     lead = abs(p.lead)
-    return _ONE + max(abs(c) / lead for c in p.coeffs[:-1]) if p.degree else _ONE
+    return _ONE + max(abs(c) / lead for c in p.coeffs[:-1])
 
 
 def isolate_real_roots(p: QPoly) -> list[tuple[Fraction, Fraction]]:
@@ -657,16 +657,36 @@ def rational_roots(p: QPoly) -> list[Fraction]:
     return sorted(roots)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981  # least strong pseudoprime to all of them
+
+
 def _is_prime(n: int) -> bool:
+    """Trial division by the first 13 primes, then Miller-Rabin to those
+    bases, which is deterministic below _MR_LIMIT (Sorenson and Webster,
+    2015). Larger n raise ValueError rather than get a probable answer."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality of {n} >= {_MR_LIMIT} is not decided")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:  # a composite this small has a prime factor below 43
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -844,11 +864,8 @@ def irreducible_over_Q(p: QPoly, prime_budget: int = 25) -> IrredCertificate:
         return IrredCertificate(IrredVerdict.REDUCIBLE, QPoly(g.primitive_int()), ())
 
     roots = rational_roots(pq)
-    if roots:
-        if deg == 1:
-            pass  # a linear polynomial is its own root witness and irreducible
-        else:
-            return IrredCertificate(IrredVerdict.REDUCIBLE, roots[0], ())
+    if roots and deg > 1:  # a linear polynomial has its root and is irreducible
+        return IrredCertificate(IrredVerdict.REDUCIBLE, roots[0], ())
 
     patterns: list[tuple[int, tuple[int, ...]]] = []
     allowed = frozenset(range(deg + 1))
@@ -873,11 +890,8 @@ def irreducible_over_Q(p: QPoly, prime_budget: int = 25) -> IrredCertificate:
         if not (allowed & frozenset(range(1, deg))):
             return IrredCertificate(IrredVerdict.IRREDUCIBLE, None, tuple(patterns))
 
-    if deg == 1:
-        # budget exhausted without a usable prime; still certain
-        return IrredCertificate(IrredVerdict.IRREDUCIBLE, None, tuple(patterns))
     if deg <= 3:
-        # no rational root and degree <= 3: any factorization would be linear
+        # linear, or no rational root: any factorization would be linear
         return IrredCertificate(IrredVerdict.IRREDUCIBLE, None, tuple(patterns))
 
     factor = _monic_factor_search(ints, set(allowed))

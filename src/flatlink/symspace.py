@@ -29,6 +29,7 @@ from .qkernel import (
     QMatrix,
     _back_substitute,
     _echelon,
+    _int_rows,
     _primitive_ints,
     char_poly,
     det,
@@ -63,15 +64,28 @@ def unvec_sym(v: Sequence, m: int) -> QMatrix:
     return QMatrix(rows)
 
 
-def leading_principal_minors(M: QMatrix) -> list[Fraction]:
-    return [
-        det(QMatrix([r[: k + 1] for r in M.rows[: k + 1]]))
-        for k in range(M.nrows)
-    ]
+def _leading_minors_positive(Z: list[list[int]]) -> bool:
+    """Sylvester's test in integers: without row swaps, the fraction-free
+    pivots are the leading principal minors, so stop at the first that is
+    not positive."""
+    a = [list(r) for r in Z]
+    m, prev = len(a), 1
+    for k in range(m):
+        p = a[k][k]
+        if p <= 0:
+            return False
+        for i in range(k + 1, m):
+            ri, rk = a[i], a[k]
+            for j in range(k + 1, m):
+                ri[j] = (p * ri[j] - ri[k] * rk[j]) // prev
+        prev = p
+    return True
 
 
 def is_positive_definite(M: QMatrix) -> bool:
-    return M.is_symmetric() and all(d > 0 for d in leading_principal_minors(M))
+    """Sylvester's test on M with its rows scaled to integers: positive row
+    scales keep the sign of every leading principal minor."""
+    return M.is_symmetric() and _leading_minors_positive(_int_rows(M)[0])
 
 
 @dataclass(frozen=True)
@@ -79,16 +93,12 @@ class SPDPoint:
     """Positive definite symmetric matrix up to positive scale."""
 
     Z: QMatrix
-    determinant: Fraction
 
-    def __init__(self, Z: QMatrix):
-        if not Z.is_symmetric():
+    def __post_init__(self):
+        if not self.Z.is_symmetric():
             raise ValueError("point matrix must be symmetric")
-        minors = leading_principal_minors(Z)
-        if not all(d > 0 for d in minors):
+        if not is_positive_definite(self.Z):
             raise ValueError("point matrix must be positive definite")
-        object.__setattr__(self, "Z", Z)
-        object.__setattr__(self, "determinant", minors[-1])
 
     @property
     def m(self) -> int:
@@ -225,12 +235,13 @@ def subspace_from_rho(rho: QMatrix) -> SubspaceY:
     if rho @ rho != I:
         raise ValueError("rho must be an involution")
     plus = kernel_basis(rho - I)
-    minus = kernel_basis(rho + I)
-    if len(plus) != 1 or len(minus) != m - 1:
+    # rho^2 = I splits Q^m into the two eigenspaces, so a +1 line leaves a
+    # -1 space of dimension m - 1. The functional w cutting it out satisfies
+    # w rho = w, so it spans the +1 line of rho^T.
+    if len(plus) != 1:
         raise ValueError("rho must have eigenvalue signature (+1, -1^(m-1))")
-    functional = kernel_basis(QMatrix(minus))
-    assert len(functional) == 1
-    return SubspaceY(rho=rho, line=plus[0], plane=functional[0])
+    (functional,) = kernel_basis(rho.transpose() - I)
+    return SubspaceY(rho=rho, line=plus[0], plane=functional)
 
 
 def involution_for_pair(line: Sequence, plane: Sequence) -> QMatrix:
@@ -273,24 +284,6 @@ def _int_basis(X: FlatX) -> list[list[list[int]]]:
         ints = _primitive_ints([x for r in B.rows for x in r])
         out.append([list(ints[i * m : (i + 1) * m]) for i in range(m)])
     return out
-
-
-def _leading_minors_positive(Z: list[list[int]]) -> bool:
-    """Sylvester's test in integers: without row swaps, the fraction-free
-    pivots are the leading principal minors, so stop at the first that is
-    not positive."""
-    a = [list(r) for r in Z]
-    m, prev = len(a), 1
-    for k in range(m):
-        p = a[k][k]
-        if p <= 0:
-            return False
-        for i in range(k + 1, m):
-            ri, rk = a[i], a[k]
-            for j in range(k + 1, m):
-                ri[j] = (p * ri[j] - ri[k] * rk[j]) // prev
-        prev = p
-    return True
 
 
 def _meet(
@@ -356,40 +349,6 @@ def intersect(X: FlatX, Y: SubspaceY) -> IntersectionResult:
 # orientation sign
 
 
-def _coords_in_span(frame_vecs: list[tuple], target: tuple) -> tuple:
-    """Coefficients of target in the span of frame_vecs (must be exact)."""
-    cols = [tuple(v) for v in frame_vecs] + [tuple(-rat(x) for x in target)]
-    ker = kernel_basis(QMatrix.from_columns(cols))
-    if len(ker) != 1 or ker[0][-1] == 0:
-        raise ValueError("frame is dependent or does not span the target")
-    t = ker[0][-1]
-    return tuple(c / t for c in ker[0][:-1])
-
-
-def _oriented_lifts(frame: list[QMatrix], Z: QMatrix):
-    """Drop one frame vector against the anchor Z, tracking orientation.
-
-    Writing Z = sum c_k F_k, remove the first k with c_k != 0 and return
-    (sign(c_k) * (-1)^k, remaining frame). Prepending Z to the remainder
-    then represents the same orientation of the span regardless of which
-    index was dropped.
-    """
-    vecs = [vec_sym(F) for F in frame]
-    coords = _coords_in_span(vecs, vec_sym(Z))
-    k = next(i for i, c in enumerate(coords) if c != 0)
-    sigma = sign(coords[k]) * (-1) ** k
-    return sigma, [F for i, F in enumerate(frame) if i != k]
-
-
-def default_x_frame(X: FlatX, Z: QMatrix) -> list[QMatrix]:
-    """Ordered spanning frame of the tau-solution space anchored at Z:
-    (Z, tau Z, tau^2 Z, ...). Conjugation-equivariant by construction."""
-    frame = [Z]
-    for _ in range(X.m - 1):
-        frame.append(X.tau @ frame[-1])
-    return frame
-
-
 def default_y_frame(Y: SubspaceY) -> list[QMatrix]:
     """Ordered spanning frame of the rho-solution space: the line square
     first, then symmetrized products of the plane-kernel basis, pair-lex."""
@@ -416,45 +375,46 @@ def intersection_sign(
     X: FlatX,
     Y: SubspaceY,
     at: SPDPoint,
-    x_frame: Optional[list[QMatrix]] = None,
     y_frame: Optional[list[QMatrix]] = None,
 ) -> int:
-    """Orientation sign of the transverse crossing at `at`.
+    """Orientation sign of the transverse crossing at `at`: the sign of
+    det[Y-frame | tau Z, ..., tau^(m-1) Z], columns in symmetric pair-lex
+    coordinates.
 
-    The sign is the determinant sign of the square matrix whose columns
-    are: the point itself, then the Y-frame with one vector dropped against
-    the point, then the X-frame likewise, all in symmetric pair-lex
-    coordinates, corrected by the two drop orientations. Same-sign
-    statements across a family are meaningful; the absolute sign is a
-    convention pinned by the m = 2 reference case.
+    This is the lift convention in closed form. X is oriented by its frame
+    (Z, tau Z, ..., tau^(m-1) Z), whose lifts off the line of Z are the tau
+    columns. Y is oriented by its frame F_0, ..., F_n: writing
+    Z = sum c_j F_j, dropping some F_k with c_k != 0 and putting Z in front
+    gives a determinant c_k (-1)^k times the one above, and the lift's own
+    orientation sign(c_k) (-1)^k cancels that factor. Same-sign statements
+    across a family are meaningful; the absolute sign is a convention
+    pinned by the m = 2 reference case.
     """
     Z = at.Z
     if not X.contains(Z):
         raise ValueError("point does not lie on the flat")
     if not Y.contains(Z):
         raise ValueError("point does not lie on the subspace")
-    # The frames lie in the two solution spaces, whose dimensions add up to
-    # sym_dim + 1. So d != 0 below forces their sum to be all of Sym and
-    # their intersection, the joint kernel, to be the line of Z: the det
-    # check is the transversality check.
-    if x_frame is None:
-        x_frame = default_x_frame(X, Z)
-    elif not all(X.contains(F) for F in x_frame):
-        raise ValueError("x_frame does not lie on the flat")
     if y_frame is None:
         y_frame = default_y_frame(Y)
     elif not all(Y.contains(F) for F in y_frame):
         raise ValueError("y_frame does not lie on the subspace")
-    sx, x_lifts = _oriented_lifts(x_frame, Z)
-    sy, y_lifts = _oriented_lifts(y_frame, Z)
-
-    cols = [vec_sym(Z)] + [vec_sym(B) for B in y_lifts] + [vec_sym(B) for B in x_lifts]
+    # Z is positive definite, so (Z, tau Z, ..., tau^(m-1) Z) is a basis of
+    # X's solution space and the tau columns span a complement of Z in it.
+    # The Y-frame lies in Y's solution space, so with the size check d != 0
+    # says that it is a basis there and that the two spaces meet only in
+    # the line of Z: the det check is the transversality check.
+    cols = [vec_sym(F) for F in y_frame]
+    T = Z
+    for _ in range(X.m - 1):
+        T = X.tau @ T
+        cols.append(vec_sym(T))
     if len(cols) != sym_dim(X.m):
         raise ValueError("frames have the wrong total size")
     d = det(QMatrix.from_columns(cols))
     if d == 0:
         raise ValueError("frames do not span: non-transverse configuration")
-    return sx * sy * sign(d)
+    return sign(d)
 
 
 def apply_isometry(g: QMatrix, Z: SPDPoint) -> SPDPoint:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -173,6 +174,8 @@ def test_pattern_file_shape_errors_exit1(tmp_path, capsys):
         dict(doc, flats=[dict(flat, tau=[["1", "0", "0"]] * 3), *rest]),
         dict(doc, subspaces=[dict(sub, line=["1", "1", "1"]), *others]),
         dict(doc, matrix=[[1, 1]]),
+        dict(doc, matrix=[[0.9, 1.7], [0, -1.2]]),  # floats were truncated
+        dict(doc, matrix=[["1/2", 1], [0, 1]]),
     ]
     for bad in bad_docs:
         path = _write(tmp_path / "bad.json", bad)
@@ -409,6 +412,22 @@ def test_descend_bad_level_before_commutant_exit1(tmp_path):
     assert main(["descend", path, "--level", "4", "--bound", "3"]) == 1
     assert main(["descend", path, "--level", "5:x", "--bound", "3"]) == 1
     assert main(["descend", path, "--level", "5:1:9", "--bound", "3"]) == 1
+
+
+def test_descend_large_prime_level(tmp_path, capsys):
+    path = _write(
+        tmp_path / "in.json",
+        {"tau": [["2", "1"], ["1", "1"]], "rho": [["0", "1"], ["1", "0"]]},
+    )
+    t0 = time.perf_counter()
+    assert main(["descend", path, "--level", str(2**61 - 1), "--bound", "5"]) == 0
+    assert time.perf_counter() - t0 < 5
+    out = capsys.readouterr().out.splitlines()
+    assert json.loads(out[0])["gamma"] == [[1, 0], [0, 1]]
+    assert json.loads(out[-1])["verdicts"]["hits"] == 1  # only the identity
+    # 2^89 - 1 is prime, but past the range where primality is decided
+    assert main(["descend", path, "--level", str(2**89 - 1), "--bound", "5"]) == 1
+    assert "not decided" in capsys.readouterr().err
 
 
 def test_descend_missing_level_exit1(tmp_path):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from flatlink.qkernel import (
+    _is_prime,
     IrredVerdict,
     QMatrix,
     QPoly,
@@ -198,6 +199,22 @@ def test_rational_roots():
     assert rational_roots(QPoly([1, -3, 2])) == [F(1, 2), 1]
     # t^2(t - 5)
     assert rational_roots(QPoly([0, 0, -5, 1])) == [0, 5]
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(-3, 20000) if _is_prime(n) != trial(n)] == []
+    # strong pseudoprimes to the first 4, 5, 6, 7 and 9 prime bases
+    for n in (3215031751, 2152302898747, 3474749660383, 341550071728321,
+              3825123056546413051):
+        assert not _is_prime(n)
+    assert _is_prime(2**61 - 1) and _is_prime(10000000000000061)
+    assert _is_prime(3317044064679887385961813)  # the largest prime in range
+    assert not _is_prime(3317044064679887385961979)  # 17 * 1709 * ...
+    with pytest.raises(ValueError):
+        _is_prime(3317044064679887385961981)  # past the deterministic range
 
 
 def test_irreducible_fixed_cases():
