@@ -359,7 +359,7 @@ def _flat_and_frame(rng, m):
     return flat_from_tau(g @ D @ g.inverse()), g
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_pullback_sign_matches_forward(m):
     rng = random.Random(71 + m)
     hits = rebuilt_flips = 0
@@ -392,7 +392,7 @@ def test_pullback_sign_matches_forward(m):
             )
             rebuilt_flips += rebuilt != hit.sign
     assert hits >= 20
-    if m == 3:  # odd m: only the transported frame gives the forward sign
+    if m % 2:  # odd m: only the transported frame gives the forward sign
         assert rebuilt_flips > 0
     else:
         assert rebuilt_flips == 0

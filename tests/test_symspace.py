@@ -374,6 +374,10 @@ PINNED_SIGNS = {
         "----++--+-++-+--+---++-+--+---+-++-+---+",
         "++++--++-+--+-++-+++--+-++-+++-+--+-+++-",
     ),
+    6: (
+        "+-+-+-++----+++-++++++--+-+--+-+++--+-++",
+        "-+-+-+--++++---+------++-+-++-+---++-+--",
+    ),
 }
 
 
