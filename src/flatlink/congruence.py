@@ -41,7 +41,6 @@ from .symspace import (
     SubspaceY,
     _int_basis,
     _meet,
-    default_y_frame,
     flat_from_tau,
     intersection_sign,
     subspace_from_rho,
@@ -341,14 +340,15 @@ def _evaluator(X: FlatX, Y: SubspaceY):
     are built only for a hit. The reported point is gamma Z' gamma^T,
     primitive because gamma is unimodular. Z -> gamma Z gamma^T has
     det(gamma)^(m+1) = 1 on Sym and carries X's frame (Z', tau Z', ...) to
-    gamma X's at the point, so the sign is taken at Z' with Y's default
-    frame pulled back along with Y: a frame rebuilt from the pulled-back
-    line and plane would flip it for some gamma at odd m.
+    gamma X's at the point, so the sign is taken at Z' on gamma^{-1} Y with
+    Y's orientation bit carried back unchanged: with det gamma = 1 the
+    pulled-back frame relates to (adj(gamma) v, gamma^T w) exactly as Y's
+    frame does to (v, w). A bit recomputed from the pulled-back line and
+    plane would flip the sign for some gamma at odd m.
     """
     m = X.m
     basis = _int_basis(X)
     v, w = _primitive_ints(Y.line), _primitive_ints(Y.plane)
-    y_frame = default_y_frame(Y)
 
     def evaluate(rows: list[list[int]]) -> Optional[SignedHit]:
         adj = _int_adjugate(rows)
@@ -358,10 +358,13 @@ def _evaluator(X: FlatX, Y: SubspaceY):
         if Z is None:
             return None
         gamma, A, Zq = QMatrix(rows), QMatrix(adj), QMatrix(Z)
-        pulled = SubspaceY(rho=A @ Y.rho @ gamma, line=tuple(line), plane=tuple(plane))
-        s = intersection_sign(
-            X, pulled, SPDPoint(Zq), y_frame=[A @ F @ A.transpose() for F in y_frame]
+        pulled = SubspaceY(
+            rho=A @ Y.rho @ gamma,
+            line=tuple(line),
+            plane=tuple(plane),
+            orientation=Y.orientation,
         )
+        s = intersection_sign(X, pulled, SPDPoint(Zq))
         point = SPDPoint(gamma @ Zq @ gamma.transpose())
         return SignedHit(gamma=gamma, point=point, sign=s)
 

@@ -101,10 +101,6 @@ class QMatrix:
         cs = [list(c) for c in cols]
         return cls([[cs[j][i] for j in range(len(cs))] for i in range(len(cs[0]))])
 
-    @classmethod
-    def column(cls, entries: Sequence) -> "QMatrix":
-        return cls([[e] for e in entries])
-
     # -- shape and access
 
     @property
@@ -118,9 +114,6 @@ class QMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
 
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)

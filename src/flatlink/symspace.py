@@ -97,7 +97,7 @@ class SPDPoint:
     def __post_init__(self):
         if not self.Z.is_symmetric():
             raise ValueError("point matrix must be symmetric")
-        if not is_positive_definite(self.Z):
+        if not _leading_minors_positive(_int_rows(self.Z)[0]):
             raise ValueError("point matrix must be positive definite")
 
     @property
@@ -211,13 +211,19 @@ def flat_from_tau(tau: QMatrix) -> FlatX:
 class SubspaceY:
     """Minset of an involution with eigenvalues (-1, ..., -1, 1).
 
-    line is the +1 eigenvector, plane the functional cutting the -1
-    eigenspace, both canonical primitive integer vectors.
+    line is the +1 eigenvector v, plane the functional w cutting the -1
+    eigenspace; `subspace_from_rho` makes both canonical primitive integer
+    vectors. orientation (+1 or -1) orients Y's solution space relative to
+    (v, w), and `intersection_sign` reads it. When Y is moved together with
+    v and w, the bit is carried, not recomputed: at odd m, recomputing it
+    from the moved w depends on the canonical kernel basis of w, and so
+    flips for some moves.
     """
 
     rho: QMatrix
     line: tuple
     plane: tuple
+    orientation: int
 
     def contains(self, Z: QMatrix) -> bool:
         return Z.is_symmetric() and self.rho @ Z @ self.rho.transpose() == Z
@@ -228,6 +234,21 @@ class SubspaceY:
 
 
 def subspace_from_rho(rho: QMatrix) -> SubspaceY:
+    """The subspace of rho, oriented by its frame: v v^T, then
+    u_a u_b^T + u_b u_a^T pair-lex, with U = (u_a) the canonical kernel
+    basis of w.
+
+    The orientation bit is sign(c) sign(v.w), where
+    det[frame | T] = c det[v | T w] for any m - 1 symmetric columns T (see
+    `intersection_sign`). With P = [v | U], the frame is P E P^T for
+    positive multiples E of the unit symmetric matrices at (0, 0) and
+    (a, b), a, b >= 1. Z -> P Z P^T has determinant (det P)^(m+1) on Sym;
+    the E miss exactly the m - 1 pair-lex coordinates (0, j), each behind
+    all m(m-1)/2 of theirs; and P^T w = (v.w) e_0. So
+    sign(c) = (-1)^(m(m-1)^2/2) sign(det P)^m sign(v.w)^(m-1), and the bit
+    is (-1)^(m(m-1)^2/2) sign(det[w | U])^m, because det[x | U] is a fixed
+    multiple of x.w.
+    """
     if not rho.is_square:
         raise ValueError("rho must be square")
     m = rho.nrows
@@ -240,8 +261,14 @@ def subspace_from_rho(rho: QMatrix) -> SubspaceY:
     # w rho = w, so it spans the +1 line of rho^T.
     if len(plus) != 1:
         raise ValueError("rho must have eigenvalue signature (+1, -1^(m-1))")
-    (functional,) = kernel_basis(rho.transpose() - I)
-    return SubspaceY(rho=rho, line=plus[0], plane=functional)
+    (w,) = kernel_basis(rho.transpose() - I)
+    s = sign(det(QMatrix.from_columns([w, *kernel_basis(QMatrix([w]))])))
+    return SubspaceY(
+        rho=rho,
+        line=plus[0],
+        plane=w,
+        orientation=(-1) ** (m * (m - 1) ** 2 // 2) * s**m,
+    )
 
 
 def involution_for_pair(line: Sequence, plane: Sequence) -> QMatrix:
@@ -349,72 +376,39 @@ def intersect(X: FlatX, Y: SubspaceY) -> IntersectionResult:
 # orientation sign
 
 
-def default_y_frame(Y: SubspaceY) -> list[QMatrix]:
-    """Ordered spanning frame of the rho-solution space: the line square
-    first, then symmetrized products of the plane-kernel basis, pair-lex."""
-    m = Y.m
-    v = list(Y.line)
-    w = kernel_basis(QMatrix([Y.plane]))
-    assert len(w) == m - 1
-    frame = [QMatrix([[v[i] * v[j] for j in range(m)] for i in range(m)])]
-    for a in range(m - 1):
-        for b in range(a, m - 1):
-            wa, wb = w[a], w[b]
-            frame.append(
-                QMatrix(
-                    [
-                        [wa[i] * wb[j] + wb[i] * wa[j] for j in range(m)]
-                        for i in range(m)
-                    ]
-                )
-            )
-    return frame
+def intersection_sign(X: FlatX, Y: SubspaceY, at: SPDPoint) -> int:
+    """Orientation sign of the transverse crossing at `at`:
+    Y.orientation * sign det[w | tau^T w | ... | (tau^T)^(m-1) w], with w
+    Y's plane.
 
-
-def intersection_sign(
-    X: FlatX,
-    Y: SubspaceY,
-    at: SPDPoint,
-    y_frame: Optional[list[QMatrix]] = None,
-) -> int:
-    """Orientation sign of the transverse crossing at `at`: the sign of
-    det[Y-frame | tau Z, ..., tau^(m-1) Z], columns in symmetric pair-lex
-    coordinates.
-
-    This is the lift convention in closed form. X is oriented by its frame
-    (Z, tau Z, ..., tau^(m-1) Z), whose lifts off the line of Z are the tau
-    columns. Y is oriented by its frame F_0, ..., F_n: writing
-    Z = sum c_j F_j, dropping some F_k with c_k != 0 and putting Z in front
-    gives a determinant c_k (-1)^k times the one above, and the lift's own
-    orientation sign(c_k) (-1)^k cancels that factor. Same-sign statements
-    across a family are meaningful; the absolute sign is a convention
-    pinned by the m = 2 reference case.
+    X is oriented by its frame (Z, tau Z, ..., tau^(m-1) Z) and Y by the
+    frame of `subspace_from_rho`; the sign is that of det[Y-frame |
+    tau Z, ..., tau^(m-1) Z] in pair-lex coordinates, in closed form.
+    Z -> Z w mod v maps Sym onto Q^m/<v> with kernel Y's space, so the
+    determinant is c det[v | tau Z w | ...] for a constant c of Y. On X,
+    tau^k Z = Z (tau^T)^k, and Z w = lam v with sign(lam) = sign(v.w)
+    because w^T Z w > 0; so the last determinant is
+    det Z / lam * det[w | tau^T w | ...], with det Z > 0. The orientation
+    bit is sign(c) sign(v.w). Same-sign statements across a family are
+    meaningful; the absolute sign is a convention pinned by the m = 2
+    reference case.
     """
     Z = at.Z
     if not X.contains(Z):
         raise ValueError("point does not lie on the flat")
     if not Y.contains(Z):
         raise ValueError("point does not lie on the subspace")
-    if y_frame is None:
-        y_frame = default_y_frame(Y)
-    elif not all(Y.contains(F) for F in y_frame):
-        raise ValueError("y_frame does not lie on the subspace")
-    # Z is positive definite, so (Z, tau Z, ..., tau^(m-1) Z) is a basis of
-    # X's solution space and the tau columns span a complement of Z in it.
-    # The Y-frame lies in Y's solution space, so with the size check d != 0
-    # says that it is a basis there and that the two spaces meet only in
-    # the line of Z: the det check is the transversality check.
-    cols = [vec_sym(F) for F in y_frame]
-    T = Z
+    # c, lam and det Z are all nonzero, so a zero Krylov determinant says
+    # exactly that the frame determinant is zero: that the two solution
+    # spaces meet in more than the line of Z.
+    tt = X.tau.transpose()
+    cols = [Y.plane]
     for _ in range(X.m - 1):
-        T = X.tau @ T
-        cols.append(vec_sym(T))
-    if len(cols) != sym_dim(X.m):
-        raise ValueError("frames have the wrong total size")
+        cols.append(tt.apply(cols[-1]))
     d = det(QMatrix.from_columns(cols))
     if d == 0:
-        raise ValueError("frames do not span: non-transverse configuration")
-    return sign(d)
+        raise ValueError("non-transverse configuration")
+    return Y.orientation * sign(d)
 
 
 def apply_isometry(g: QMatrix, Z: SPDPoint) -> SPDPoint:

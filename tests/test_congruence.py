@@ -383,7 +383,7 @@ def test_pullback_sign_matches_forward(m):
             assert hit.point.Z == res.point.Z
             assert hit.sign == intersection_sign(moved, Y, res.point)
             hits += 1
-            # the sign with a y-frame rebuilt from the pulled-back subspace
+            # the sign with the orientation recomputed on the pulled-back subspace
             ci = c.inverse()
             rebuilt = intersection_sign(
                 X,
@@ -392,7 +392,7 @@ def test_pullback_sign_matches_forward(m):
             )
             rebuilt_flips += rebuilt != hit.sign
     assert hits >= 20
-    if m % 2:  # odd m: only the transported frame gives the forward sign
+    if m % 2:  # odd m: only the carried orientation gives the forward sign
         assert rebuilt_flips > 0
     else:
         assert rebuilt_flips == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from flatlink.symspace import (
     IntersectionKind,
     SPDPoint,
     apply_isometry,
-    default_y_frame,
     flat_from_tau,
     flat_membership_system,
     intersect,
@@ -348,15 +348,13 @@ def test_intersection_sign_swap_flips():
     X = flat_from_tau(QMatrix.diagonal([2, F(1, 2)]))
     Y = subspace_from_rho(QMatrix([[0, 1], [1, 0]]))
     at = intersect(X, Y).point
-    yframe = default_y_frame(Y)
-    yswapped = [yframe[1], yframe[0]]
-    assert intersection_sign(X, Y, at, y_frame=yswapped) == -intersection_sign(
-        X, Y, at
-    )
+    flipped = dataclasses.replace(Y, orientation=-Y.orientation)
+    assert intersection_sign(X, flipped, at) == -intersection_sign(X, Y, at)
 
 
-# Signs of 40 seeded transverse crossings per m, with Y's default frame and
-# with its first two vectors swapped.
+# Signs of 40 seeded transverse crossings per m, with Y's orientation and
+# with it reversed (the Y-frame of the sign convention, and that frame with
+# its first two vectors swapped).
 PINNED_SIGNS = {
     2: (
         "+-+++-+-+-+-+-++--+-+++-+++-+++---++++-+",
@@ -403,9 +401,9 @@ def test_intersection_sign_pinned(m):
         res = intersect(X, Y)
         if res.kind is not IntersectionKind.TRANSVERSE_POINT:
             continue
-        frame = default_y_frame(Y)
         s = intersection_sign(X, Y, res.point)
-        t = intersection_sign(X, Y, res.point, y_frame=[frame[1], frame[0], *frame[2:]])
+        flipped = dataclasses.replace(Y, orientation=-Y.orientation)
+        t = intersection_sign(X, flipped, res.point)
         default += "+-"[s < 0]
         swapped += "+-"[t < 0]
     assert (default, swapped) == PINNED_SIGNS[m]
@@ -440,15 +438,6 @@ def test_intersection_sign_rejects_non_transverse_point():
     assert intersect(X, Y).kernel_dim == 3
     with pytest.raises(ValueError):
         intersection_sign(X, Y, SPDPoint(QMatrix.identity(3)))
-
-
-def test_intersection_sign_rejects_frames_off_their_spaces():
-    X = flat_from_tau(QMatrix.diagonal([2, F(1, 2)]))
-    Y = subspace_from_rho(QMatrix([[0, 1], [1, 0]]))
-    at = intersect(X, Y).point
-    W = QMatrix([[1, 1], [1, 0]])  # off the subspace; the columns still span
-    with pytest.raises(ValueError):
-        intersection_sign(X, Y, at, y_frame=[at.Z, W])
 
 
 def test_apply_isometry():
