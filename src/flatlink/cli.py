@@ -56,7 +56,6 @@ from .symspace import (
     IntersectionKind,
     flat_from_tau,
     intersect,
-    intersection_sign,
     involution_for_pair,
     subspace_from_rho,
 )
@@ -396,10 +395,8 @@ def cmd_intersect(args) -> int:
         "kind": res.kind.value,
         "kernel_dim": res.kernel_dim,
         "point": mat_to_json(res.point.Z) if res.point else None,
-        "sign": None,
+        "sign": res.sign,
     }
-    if res.kind is IntersectionKind.TRANSVERSE_POINT:
-        verdicts["sign"] = intersection_sign(X, Y, res.point)
     _write_text(_canonical(_envelope("Intersect", obj, verdicts)) + "\n", args.out)
     return 0 if res.kind is not IntersectionKind.DEGENERATE else 2
 
@@ -437,7 +434,10 @@ def cmd_pattern(args) -> int:
 def cmd_rationalize(args) -> int:
     _, values = _read(args.input, _read_pattern_to_snap)
     p = build_pattern(*values)
-    snapped, bound = rationalize_pattern(p, denom_bound=args.denoms)
+    try:
+        snapped, bound = rationalize_pattern(p, denom_bound=args.denoms)
+    except OverflowError as e:  # the snap targets are floats
+        raise _CliError(1, f"bad input {args.input}: coordinates too large for floats ({e})")
     doc = pattern_to_json(snapped)
     inputs = {"pattern": pattern_to_json(p), "denoms": args.denoms}
     verdicts = {

@@ -28,9 +28,10 @@ from typing import Optional, Sequence
 from .projlink import ProjPoint
 from .qkernel import (
     QMatrix,
-    _echelon,
+    _int_det,
     _is_prime,
     _primitive_ints,
+    _scaled_ints,
     det,
     kernel_basis,
     rat,
@@ -40,9 +41,9 @@ from .symspace import (
     SPDPoint,
     SubspaceY,
     _int_basis,
+    _krylov_sign,
     _meet,
     flat_from_tau,
-    intersection_sign,
     subspace_from_rho,
 )
 
@@ -276,16 +277,6 @@ def min_level_separate(gamma: QMatrix, p: int) -> int:
 # bounded enumeration
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, in plain integers."""
-    if len(rows) == 2:
-        (a, b), (c, d) = rows
-        return a * d - b * c
-    a = [list(r) for r in rows]
-    pivots, sgn, d = _echelon(a)
-    return sgn * d if len(pivots) == len(a) else 0
-
-
 def _int_adjugate(rows: list[list[int]]) -> list[list[int]]:
     """adj(A) of a square integer matrix: its transposed cofactors."""
     n = len(rows)
@@ -344,11 +335,11 @@ def _evaluator(X: FlatX, Y: SubspaceY):
     Y's orientation bit carried back unchanged: with det gamma = 1 the
     pulled-back frame relates to (adj(gamma) v, gamma^T w) exactly as Y's
     frame does to (v, w). A bit recomputed from the pulled-back line and
-    plane would flip the sign for some gamma at odd m.
+    plane, or a plane negated by `_primitive_ints`, flips signs at odd m.
     """
     m = X.m
     basis = _int_basis(X)
-    v, w = _primitive_ints(Y.line), _primitive_ints(Y.plane)
+    v, w = _primitive_ints(Y.line), _scaled_ints(Y.plane)
 
     def evaluate(rows: list[list[int]]) -> Optional[SignedHit]:
         adj = _int_adjugate(rows)
@@ -357,16 +348,9 @@ def _evaluator(X: FlatX, Y: SubspaceY):
         _, Z = _meet(basis, line, plane)
         if Z is None:
             return None
-        gamma, A, Zq = QMatrix(rows), QMatrix(adj), QMatrix(Z)
-        pulled = SubspaceY(
-            rho=A @ Y.rho @ gamma,
-            line=tuple(line),
-            plane=tuple(plane),
-            orientation=Y.orientation,
-        )
-        s = intersection_sign(X, pulled, SPDPoint(Zq))
-        point = SPDPoint(gamma @ Zq @ gamma.transpose())
-        return SignedHit(gamma=gamma, point=point, sign=s)
+        gamma = QMatrix(rows)
+        point = SPDPoint(gamma @ QMatrix(Z) @ gamma.transpose())
+        return SignedHit(gamma, point, Y.orientation * _krylov_sign(X.tau, plane))
 
     return evaluate
 

@@ -52,7 +52,6 @@ from .symspace import (
     SubspaceY,
     flat_from_tau,
     intersect,
-    intersection_sign,
     involution_for_pair,
     subspace_from_rho,
 )
@@ -145,10 +144,7 @@ def _certify_cell(
         link_str = decision.value
     else:
         link_str = None
-    if res.kind is IntersectionKind.TRANSVERSE_POINT:
-        s = intersection_sign(flat.flat, sub.subspace, res.point)
-        return CellWitness(link=link_str, oracle=res.kind.value, sign=s)
-    return CellWitness(link=link_str, oracle=res.kind.value, sign=None)
+    return CellWitness(link=link_str, oracle=res.kind.value, sign=res.sign)
 
 
 def _certify_pattern(

@@ -50,11 +50,16 @@ def sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
+def _scaled_ints(v: Sequence) -> list[int]:
+    """v (ints or Fractions) times the positive LCM of its denominators."""
+    l = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (l // x.denominator) for x in v]
+
+
 def _primitive_ints(v: Sequence) -> tuple[int, ...]:
     """Coprime integers spanning the line of a rational vector (ints or
     Fractions), first nonzero entry positive."""
-    l = math.lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (l // x.denominator) for x in v]
+    ints = _scaled_ints(v)
     g = math.gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
@@ -236,14 +241,9 @@ def mat_to_json(M: QMatrix) -> list:
 # so every division in it is exact.
 
 
-def _int_rows(M: QMatrix) -> tuple[list[list[int]], list[int]]:
-    """Scale each row to integers; return rows and the row scale factors."""
-    out, scales = [], []
-    for r in M.rows:
-        l = math.lcm(*(x.denominator for x in r))
-        out.append([x.numerator * (l // x.denominator) for x in r])
-        scales.append(l)
-    return out, scales
+def _int_rows(M: QMatrix) -> list[list[int]]:
+    """Each row scaled to integers by a positive factor."""
+    return [_scaled_ints(r) for r in M.rows]
 
 
 def _echelon(a: list[list[int]]) -> tuple[list[int], int, int]:
@@ -291,19 +291,26 @@ def _back_substitute(a: list[list[int]], pivots: list[int], d: int, j: int):
     return y
 
 
+def _int_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix: the signed last pivot."""
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    a = [list(r) for r in rows]
+    pivots, sgn, d = _echelon(a)
+    return sgn * d if len(pivots) == len(a) else 0
+
+
 def det(M: QMatrix) -> Fraction:
-    """Determinant: the signed last pivot over the row scales."""
+    """Determinant: the integer determinant over the row scales."""
     if not M.is_square:
         raise ValueError("determinant of a non-square matrix")
-    a, scales = _int_rows(M)
-    pivots, sgn, d = _echelon(a)
-    if len(pivots) < M.nrows:
-        return _ZERO
-    return Fraction(sgn * d, math.prod(scales))
+    scales = (math.lcm(*(x.denominator for x in r)) for r in M.rows)
+    return Fraction(_int_det(_int_rows(M)), math.prod(scales))
 
 
 def rank(M: QMatrix) -> int:
-    a, _ = _int_rows(M)
+    a = _int_rows(M)
     return len(_echelon(a)[0])
 
 
@@ -314,7 +321,7 @@ def rref_rows(M: QMatrix) -> tuple[list[tuple], list[int]]:
     so the output is the canonical basis of the row space. Column j of the
     form is the pivot block's solution against column j.
     """
-    a, _ = _int_rows(M)
+    a = _int_rows(M)
     pivots, _, d = _echelon(a)
     cols = [_back_substitute(a, pivots, d, j) for j in range(M.ncols)]
     rows = [tuple(Fraction(y[k], d) for y in cols) for k in range(len(pivots))]
@@ -327,7 +334,7 @@ def kernel_basis(M: QMatrix) -> list[tuple]:
     Vectors are primitive integer tuples (first nonzero entry positive),
     ordered by their free-column index in the echelon form.
     """
-    a, _ = _int_rows(M)
+    a = _int_rows(M)
     pivots, _, d = _echelon(a)
     basis = []
     for f in range(M.ncols):
@@ -346,7 +353,7 @@ def solve_unique(M: QMatrix, b: Sequence) -> tuple:
     if len(bs) != M.nrows:
         raise ValueError("right-hand side length mismatch")
     n = M.ncols
-    a, _ = _int_rows(QMatrix([r + (x,) for r, x in zip(M.rows, bs)]))
+    a = _int_rows(QMatrix([r + (x,) for r, x in zip(M.rows, bs)]))
     pivots, _, d = _echelon(a)
     if n in pivots:
         raise ValueError("inconsistent linear system")
@@ -361,7 +368,7 @@ def inverse(M: QMatrix) -> QMatrix:
         raise ValueError("inverse of a non-square matrix")
     n = M.nrows
     I = QMatrix.identity(n)
-    a, _ = _int_rows(QMatrix([r + e for r, e in zip(M.rows, I.rows)]))
+    a = _int_rows(QMatrix([r + e for r, e in zip(M.rows, I.rows)]))
     pivots, _, d = _echelon(a)
     if pivots[-1] >= n:
         raise ValueError("singular matrix has no inverse")

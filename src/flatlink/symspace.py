@@ -29,8 +29,10 @@ from .qkernel import (
     QMatrix,
     _back_substitute,
     _echelon,
+    _int_det,
     _int_rows,
     _primitive_ints,
+    _scaled_ints,
     char_poly,
     det,
     kernel_basis,
@@ -85,7 +87,7 @@ def _leading_minors_positive(Z: list[list[int]]) -> bool:
 def is_positive_definite(M: QMatrix) -> bool:
     """Sylvester's test on M with its rows scaled to integers: positive row
     scales keep the sign of every leading principal minor."""
-    return M.is_symmetric() and _leading_minors_positive(_int_rows(M)[0])
+    return M.is_symmetric() and _leading_minors_positive(_int_rows(M))
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ class SPDPoint:
     def __post_init__(self):
         if not self.Z.is_symmetric():
             raise ValueError("point matrix must be symmetric")
-        if not _leading_minors_positive(_int_rows(self.Z)[0]):
+        if not _leading_minors_positive(_int_rows(self.Z)):
             raise ValueError("point matrix must be positive definite")
 
     @property
@@ -196,10 +198,10 @@ class FlatX:
 def flat_from_tau(tau: QMatrix) -> FlatX:
     if not tau.is_square:
         raise ValueError("tau must be square")
-    if det(tau) == 0:
-        raise ValueError("tau must be invertible")
     m = tau.nrows
     p = char_poly(tau)
+    if p.coeffs[0] == 0:  # p(0) = (-1)^m det tau
+        raise ValueError("tau must be invertible")
     if sturm_distinct_real_roots(p) != m:
         raise ValueError("tau must have m distinct real eigenvalues")
     basis = kernel_basis(flat_membership_system(tau))
@@ -214,7 +216,7 @@ class SubspaceY:
     line is the +1 eigenvector v, plane the functional w cutting the -1
     eigenspace; `subspace_from_rho` makes both canonical primitive integer
     vectors. orientation (+1 or -1) orients Y's solution space relative to
-    (v, w), and `intersection_sign` reads it. When Y is moved together with
+    (v, w), and `intersect` reads it. When Y is moved together with
     v and w, the bit is carried, not recomputed: at odd m, recomputing it
     from the moved w depends on the canonical kernel basis of w, and so
     flips for some moves.
@@ -240,14 +242,19 @@ def subspace_from_rho(rho: QMatrix) -> SubspaceY:
 
     The orientation bit is sign(c) sign(v.w), where
     det[frame | T] = c det[v | T w] for any m - 1 symmetric columns T (see
-    `intersection_sign`). With P = [v | U], the frame is P E P^T for
+    `_krylov_sign`). With P = [v | U], the frame is P E P^T for
     positive multiples E of the unit symmetric matrices at (0, 0) and
     (a, b), a, b >= 1. Z -> P Z P^T has determinant (det P)^(m+1) on Sym;
     the E miss exactly the m - 1 pair-lex coordinates (0, j), each behind
     all m(m-1)/2 of theirs; and P^T w = (v.w) e_0. So
     sign(c) = (-1)^(m(m-1)^2/2) sign(det P)^m sign(v.w)^(m-1), and the bit
     is (-1)^(m(m-1)^2/2) sign(det[w | U])^m, because det[x | U] is a fixed
-    multiple of x.w.
+    multiple of x.w. For the canonical w, with w_p > 0 its first nonzero
+    entry and q entries positive, U's columns are s_f (w_f e_p - w_p e_f),
+    f != p in order, s_f < 0 exactly when w_f <= 0: m - q of them. Adding
+    sum_f (w_f / w_p) (w_f e_p - w_p e_f) to w leaves (|w|^2 / w_p) e_p, so
+    det[w | w_f e_p - w_p e_f] = (|w|^2 / w_p) (-w_p)^(m-1) (-1)^p, and
+    sign det[w | U] = (-1)^(m-1+p) (-1)^(m-q) = (-1)^(p+q-1).
     """
     if not rho.is_square:
         raise ValueError("rho must be square")
@@ -262,7 +269,8 @@ def subspace_from_rho(rho: QMatrix) -> SubspaceY:
     if len(plus) != 1:
         raise ValueError("rho must have eigenvalue signature (+1, -1^(m-1))")
     (w,) = kernel_basis(rho.transpose() - I)
-    s = sign(det(QMatrix.from_columns([w, *kernel_basis(QMatrix([w]))])))
+    p = next(i for i, x in enumerate(w) if x)
+    s = (-1) ** (p + sum(x > 0 for x in w) - 1)  # sign det[w | U]
     return SubspaceY(
         rho=rho,
         line=plus[0],
@@ -301,6 +309,7 @@ class IntersectionResult:
     kind: IntersectionKind
     point: Optional[SPDPoint]
     kernel_dim: int
+    sign: Optional[int] = None  # a TransversePoint's orientation sign: see `_krylov_sign`
 
 
 def _int_basis(X: FlatX) -> list[list[list[int]]]:
@@ -359,8 +368,8 @@ def intersect(X: FlatX, Y: SubspaceY) -> IntersectionResult:
 
     The intersection is one small integer kernel (see `_meet`); a
     one-dimensional kernel whose line carries a PD representative is a
-    transverse intersection point. Higher-dimensional kernels are reported
-    as Degenerate, never perturbed.
+    transverse intersection point, returned with its sign. Higher-
+    dimensional kernels are reported as Degenerate, never perturbed.
     """
     if X.m != Y.m:
         raise ValueError("dimension mismatch")
@@ -369,17 +378,17 @@ def intersect(X: FlatX, Y: SubspaceY) -> IntersectionResult:
         return IntersectionResult(IntersectionKind.DEGENERATE, None, k)
     if Z is None:
         return IntersectionResult(IntersectionKind.EMPTY, None, 1)
-    return IntersectionResult(IntersectionKind.TRANSVERSE_POINT, SPDPoint(QMatrix(Z)), 1)
+    s = Y.orientation * _krylov_sign(X.tau, Y.plane)
+    return IntersectionResult(IntersectionKind.TRANSVERSE_POINT, SPDPoint(QMatrix(Z)), 1, s)
 
 
 # ---------------------------------------------------------------------------
 # orientation sign
 
 
-def intersection_sign(X: FlatX, Y: SubspaceY, at: SPDPoint) -> int:
-    """Orientation sign of the transverse crossing at `at`:
-    Y.orientation * sign det[w | tau^T w | ... | (tau^T)^(m-1) w], with w
-    Y's plane.
+def _krylov_sign(tau: QMatrix, w: Sequence) -> int:
+    """sign det[w | tau^T w | ... | (tau^T)^(m-1) w], with w a plane
+    functional of Y; times Y.orientation, the sign of X crossing Y.
 
     X is oriented by its frame (Z, tau Z, ..., tau^(m-1) Z) and Y by the
     frame of `subspace_from_rho`; the sign is that of det[Y-frame |
@@ -391,24 +400,27 @@ def intersection_sign(X: FlatX, Y: SubspaceY, at: SPDPoint) -> int:
     det Z / lam * det[w | tau^T w | ...], with det Z > 0. The orientation
     bit is sign(c) sign(v.w). Same-sign statements across a family are
     meaningful; the absolute sign is a convention pinned by the m = 2
-    reference case.
+    reference case. w and tau are scaled by positive integers only.
     """
-    Z = at.Z
-    if not X.contains(Z):
-        raise ValueError("point does not lie on the flat")
-    if not Y.contains(Z):
-        raise ValueError("point does not lie on the subspace")
     # c, lam and det Z are all nonzero, so a zero Krylov determinant says
     # exactly that the frame determinant is zero: that the two solution
-    # spaces meet in more than the line of Z.
-    tt = X.tau.transpose()
-    cols = [Y.plane]
-    for _ in range(X.m - 1):
-        cols.append(tt.apply(cols[-1]))
-    d = det(QMatrix.from_columns(cols))
-    if d == 0:
+    # spaces meet in more than the line of Z, which `_meet` has ruled out.
+    m = len(w)
+    t = _scaled_ints([x for r in tau.rows for x in r])  # L tau, row-major
+    cols = [_scaled_ints(w)]
+    for _ in range(m - 1):
+        cols.append([sum(t[i * m + j] * x for i, x in enumerate(cols[-1])) for j in range(m)])
+    return sign(_int_det(cols))  # the Krylov matrix transposed
+
+
+def intersection_sign(X: FlatX, Y: SubspaceY, at: SPDPoint) -> int:
+    """`intersect`'s sign, once `at` is checked to be its point up to positive scale."""
+    res = intersect(X, Y)
+    if res.kind is IntersectionKind.DEGENERATE:
         raise ValueError("non-transverse configuration")
-    return Y.orientation * sign(d)
+    if res.point is None or at.Z != res.point.Z * (at.Z[0, 0] / res.point.Z[0, 0]):
+        raise ValueError("point is not the crossing of the flat and the subspace")
+    return res.sign
 
 
 def apply_isometry(g: QMatrix, Z: SPDPoint) -> SPDPoint:

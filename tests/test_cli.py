@@ -18,7 +18,8 @@ from flatlink.cli import (
 from flatlink.congruence import CongruenceLevel, enumerate_same_sign
 from flatlink.construct import synthesize_pattern
 from flatlink.projlink import Arrangement, LinePlanePair
-from flatlink.qkernel import QMatrix
+from flatlink.qkernel import QMatrix, rat_str
+from flatlink.symspace import involution_for_pair
 
 
 def _write(path, obj):
@@ -182,6 +183,22 @@ def test_pattern_file_shape_errors_exit1(tmp_path, capsys):
         assert main(["rank", path]) == 1
         assert main(["rationalize", path]) == 1
         assert "Traceback" not in capsys.readouterr().err
+    # exact, so rank reads them; the float snap targets cannot hold them
+    arrangement = dict(flat["arrangement"])
+    arrangement["points"] = [[str(10**400), "1"], *arrangement["points"][1:]]
+    rho = involution_for_pair([10**400, 1], [0, 1])  # +1 line [10^400, 1]
+    past_float = [
+        dict(doc, flats=[dict(flat, arrangement=arrangement), *rest]),
+        dict(doc, subspaces=[{"rho": [[rat_str(x) for x in r] for r in rho.rows]}, *others]),
+    ]
+    for bad in past_float:
+        path = _write(tmp_path / "bad.json", bad)
+        assert main(["rank", path]) == 0
+        capsys.readouterr()
+        assert main(["rationalize", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("flatlink: ")
+        assert "Traceback" not in captured.err and captured.out == ""
     # a rationalized pattern keeps no arrangements, so it has no snap targets
     assert main(["rationalize", _write(tmp_path / "p.json", doc)]) == 0
     snapped = _write(tmp_path / "snapped.json", json.loads(capsys.readouterr().out))

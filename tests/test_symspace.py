@@ -13,7 +13,7 @@ from flatlink.projlink import (
     in_general_position,
     link_decision,
 )
-from flatlink.qkernel import QMatrix, det, kernel_basis, rank
+from flatlink.qkernel import QMatrix, det, kernel_basis, rank, sign
 from flatlink.symspace import (
     FlatX,
     IntersectionKind,
@@ -93,6 +93,9 @@ def test_flat_from_tau_rejects():
         flat_from_tau(QMatrix([[0, 1], [0, 0]]))  # singular
     with pytest.raises(ValueError):
         flat_from_tau(QMatrix([[0, -1], [1, 0]]))  # complex eigenvalues
+    # singular with distinct real eigenvalues: only the invertibility check fails
+    with pytest.raises(ValueError, match="invertible"):
+        flat_from_tau(QMatrix.diagonal([0, 1]))
 
 
 def test_solution_dimension_is_m():
@@ -101,6 +104,22 @@ def test_solution_dimension_is_m():
         for _ in range(10):
             tau, _ = rational_frame_flat(rng, m)
             assert len(flat_from_tau(tau).solution_basis) == m
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_orientation_closed_form(m):
+    """The orientation bit against the kernel-basis determinant it replaced."""
+    rng = random.Random(40 + m)
+    for _ in range(40):
+        line = [rng.randint(-3, 3) for _ in range(m)]
+        plane = [rng.choice([0, 0, rng.randint(-4, 4)]) for _ in range(m)]
+        try:
+            Y = subspace_from_rho(involution_for_pair(line, plane))
+        except ValueError:
+            continue
+        w = Y.plane
+        ref = sign(det(QMatrix.from_columns([w, *kernel_basis(QMatrix([w]))])))
+        assert Y.orientation == (-1) ** (m * (m - 1) ** 2 // 2) * ref**m
 
 
 def test_subspace_from_rho_examples():
@@ -379,12 +398,11 @@ PINNED_SIGNS = {
 }
 
 
-@pytest.mark.parametrize("m", sorted(PINNED_SIGNS))
-def test_intersection_sign_pinned(m):
-    """X from a random integer frame F, Y through the PD point F D F^T."""
-    rng = random.Random(100 + m)
-    default, swapped = "", ""
-    while len(default) < 40:
+def _seeded_crossings(m, seed):
+    """Transverse (X, Y, intersect(X, Y)): X from a random integer frame F,
+    Y through the PD point F D F^T."""
+    rng = random.Random(seed)
+    while True:
         try:
             arr = Arrangement([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)])
         except ValueError:
@@ -399,14 +417,37 @@ def test_intersection_sign_pinned(m):
             continue
         X = flat_from_tau(tau_for_arrangement(arr))
         res = intersect(X, Y)
-        if res.kind is not IntersectionKind.TRANSVERSE_POINT:
-            continue
+        if res.kind is IntersectionKind.TRANSVERSE_POINT:
+            yield X, Y, res
+
+
+@pytest.mark.parametrize("m", sorted(PINNED_SIGNS))
+def test_intersection_sign_pinned(m):
+    default, swapped = "", ""
+    for X, Y, res in _seeded_crossings(m, 100 + m):
         s = intersection_sign(X, Y, res.point)
         flipped = dataclasses.replace(Y, orientation=-Y.orientation)
         t = intersection_sign(X, flipped, res.point)
+        assert res.sign == s
+        assert intersect(X, flipped).sign == t
         default += "+-"[s < 0]
         swapped += "+-"[t < 0]
+        if len(default) == 40:
+            break
     assert (default, swapped) == PINNED_SIGNS[m]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_sign_follows_the_stored_plane(m):
+    """The sign is homogeneous of degree m in Y's plane: negating the stored
+    plane flips it at odd m only, so the sign path must not normalise w."""
+    crossings = _seeded_crossings(m, 200 + m)
+    for _ in range(10):
+        X, Y, res = next(crossings)
+        negated = dataclasses.replace(Y, plane=tuple(-x for x in Y.plane))
+        s = intersect(X, negated).sign
+        assert s == intersection_sign(X, negated, res.point)
+        assert s == (-1) ** m * res.sign
 
 
 def test_intersection_sign_invariant_under_centralizer():
