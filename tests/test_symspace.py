@@ -188,6 +188,19 @@ def test_intersect_degenerate():
     assert res.kind is IntersectionKind.DEGENERATE
     assert res.kernel_dim == 3
     assert res.point is None
+    # w misses some eigenlines of tau^T, so its Krylov matrix is singular:
+    # the kernel dimension is m - r, plus 1 when v lies in the span of the
+    # eigenlines w sees
+    E, D = IntersectionKind.EMPTY, IntersectionKind.DEGENERATE
+    for eigenvalues, line, plane, kind, k in [
+        ([1, 2, 3], [1, 1, 1], [1, 0, 0], D, 2),
+        ([1, 2, 3], [1, 1, 1], [1, 1, 0], E, 1),
+        ([1, 2, 3], [1, 1, 0], [1, 1, 0], D, 2),
+        ([1, 2], [1, 1], [1, 0], E, 1),
+    ]:
+        X = flat_from_tau(QMatrix.diagonal(eigenvalues))
+        res = intersect(X, subspace_from_rho(involution_for_pair(line, plane)))
+        assert (res.kind, res.kernel_dim, res.point, res.sign) == (kind, k, None, None)
 
 
 def _joint_system_intersection(X, Y):
@@ -241,6 +254,39 @@ def test_closed_form_intersect_matches_joint_system():
     assert _joint_system_intersection(X, Y) == (IntersectionKind.DEGENERATE, 3, None)
     res = intersect(X, Y)
     assert (res.kind, res.kernel_dim, res.point) == (IntersectionKind.DEGENERATE, 3, None)
+    # lines and planes built from tau's eigenframe: v from some columns of g,
+    # w from some rows of g^{-1} (tau^T's eigenlines), so w's Krylov matrix
+    # is singular whenever w misses an eigenline
+    singular = set()
+    for m in range(2, 6):
+        done = 0
+        while done < 10:
+            tau, g = rational_frame_flat(rng, m)
+            X = flat_from_tau(tau)
+            gi = g.inverse()
+            supports = [
+                {j: rng.choice([-2, -1, 1, 3]) for j in rng.sample(range(m), rng.randint(1, m))}
+                for _ in range(2)
+            ]
+            line = [sum(c * g[i, j] for j, c in supports[0].items()) for i in range(m)]
+            plane = [sum(c * gi[j, i] for j, c in supports[1].items()) for i in range(m)]
+            if done % 4 == 3:  # one side generic
+                if rng.randint(0, 1):
+                    line = [rng.randint(-3, 3) for _ in range(m)]
+                else:
+                    plane = [rng.randint(-3, 3) for _ in range(m)]
+            try:
+                Y = subspace_from_rho(involution_for_pair(line, plane))
+            except ValueError:
+                continue
+            res = intersect(X, Y)
+            point = res.point.Z if res.point is not None else None
+            assert (res.kind, res.kernel_dim, point) == _joint_system_intersection(X, Y)
+            if len(supports[1]) < m and done % 4 != 3:
+                singular.add((m, res.kind))
+            done += 1
+    assert {(m, IntersectionKind.DEGENERATE) for m in range(2, 6)} <= singular
+    assert {(m, IntersectionKind.EMPTY) for m in range(2, 6)} <= singular
 
 
 def test_transverse_point_memberships():
