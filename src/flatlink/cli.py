@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import sys
+from fractions import Fraction
 from typing import Optional
 
 from . import __version__
@@ -172,14 +173,28 @@ def _list(obj, n: int, name: str) -> list:
     return obj
 
 
+def _rat(x) -> Fraction:
+    """A rational entry ("3/4", "5" or 5); JSON true and false are not numbers."""
+    if isinstance(x, bool):
+        raise ValueError(f"{json.dumps(x)} is not a number")
+    return rat(x)
+
+
+def _nonzero(v: tuple, name: str) -> tuple:
+    """v, which names a projective point or plane only when it is not zero."""
+    if not any(v):
+        raise ValueError(f"{name} must not be the zero vector")
+    return v
+
+
 def _vec(entries, n: int, name: str) -> tuple:
-    """Exactly n rationals ("3/4", "5" or 5) from a JSON list."""
-    return tuple(rat(x) for x in _list(entries, n, name))
+    """Exactly n rationals ("3/4", "5" or 5), not all zero, from a JSON list."""
+    return _nonzero(tuple(_rat(x) for x in _list(entries, n, name)), name)
 
 
 def _int(x) -> int:
     """An integer entry: any rational form ("5", 5, "10/2") of an integer."""
-    q = rat(x)
+    q = _rat(x)
     if q.denominator != 1:
         raise ValueError(f"{x!r} is not an integer")
     return q.numerator
@@ -193,15 +208,15 @@ def _mat(rows, name: str, n: Optional[int] = None) -> QMatrix:
         raise ValueError(f"{name} must be at least 2x2")
     if not _sized(rows, n) or not all(_sized(r, n) for r in rows):
         raise ValueError(f"{name} must be {n}x{n}")
-    return QMatrix([[rat(x) for x in r] for r in rows])
+    return QMatrix([[_rat(x) for x in r] for r in rows])
 
 
 def read_points(arr: dict, m: Optional[int] = None) -> tuple:
-    """The points of an arrangement: m points with m coordinates each."""
+    """The points of an arrangement: m nonzero points with m coordinates each."""
     points = _mat(arr["points"], "points", m).rows
     if arr.get("m", len(points)) != len(points):
         raise ValueError("declared m does not match the point count")
-    return points
+    return tuple(_nonzero(p, "a point") for p in points)
 
 
 def read_line_plane(obj: dict, m: int) -> tuple[tuple, tuple]:
@@ -234,7 +249,7 @@ def read_pattern(obj: dict) -> tuple:
     the lists against the declared N.
     """
     N, m = obj["N"], obj["m"]
-    if not (isinstance(N, int) and isinstance(m, int) and N >= 1):
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (N, m)) or N < 1:
         raise ValueError("N and m must be integers, N >= 1")
     flats = [
         (

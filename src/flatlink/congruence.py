@@ -12,8 +12,10 @@ undecided rather than guessing when it is not.
 The deep-congruence machinery behind the same-sign statement (double
 cosets, p-adic identity neighborhoods) is replaced by what it predicts:
 enumerate gamma = I + p^n K inside an entry bound with det = 1, intersect
-each moved flat gamma X with Y (computed as X against the pulled-back
-gamma^{-1} Y, in integers), and report every transverse sign.
+each moved flat gamma X with Y, and report every transverse sign. Each
+crossing is computed as X against the pulled-back gamma^{-1} Y, in integers,
+by the one Krylov solve `intersect` uses (`symspace._cross`), which gives
+the kernel dimension, the point and the sign together.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .qkernel import (
     QMatrix,
     _int_det,
     _is_prime,
-    _primitive_ints,
     _scaled_ints,
     det,
     kernel_basis,
@@ -40,9 +41,7 @@ from .symspace import (
     FlatX,
     SPDPoint,
     SubspaceY,
-    _int_basis,
-    _krylov_sign,
-    _meet,
+    _cross,
     flat_from_tau,
     subspace_from_rho,
 )
@@ -327,9 +326,10 @@ def _evaluator(X: FlatX, Y: SubspaceY):
     It pulls Y back instead of moving X. gamma X and Y meet in
     gamma (X and gamma^{-1} Y), and gamma^{-1} Y has line adj(gamma) v and
     plane gamma^T w (det gamma = 1), so each point costs two integer
-    mat-vecs and one integer kernel for the pulled-back point Z'; matrices
-    are built only for a hit. The reported point is gamma Z' gamma^T,
-    primitive because gamma is unimodular. Z -> gamma Z gamma^T has
+    mat-vecs and one crossing solve (`symspace._cross`) from L tau, built
+    once, and the pulled-back line and plane; matrices are built only for a
+    hit. The reported point is gamma Z' gamma^T, with Z' the pulled-back
+    point, primitive because gamma is unimodular. Z -> gamma Z gamma^T has
     det(gamma)^(m+1) = 1 on Sym and carries X's frame (Z', tau Z', ...) to
     gamma X's at the point, so the sign is taken at Z' on gamma^{-1} Y with
     Y's orientation bit carried back unchanged: with det gamma = 1 the
@@ -338,19 +338,19 @@ def _evaluator(X: FlatX, Y: SubspaceY):
     plane, or a plane negated by `_primitive_ints`, flips signs at odd m.
     """
     m = X.m
-    basis = _int_basis(X)
-    v, w = _primitive_ints(Y.line), _scaled_ints(Y.plane)
+    t = _scaled_ints([x for r in X.tau.rows for x in r])
+    v, w = _scaled_ints(Y.line), _scaled_ints(Y.plane)
 
     def evaluate(rows: list[list[int]]) -> Optional[SignedHit]:
         adj = _int_adjugate(rows)
         line = [sum(a * x for a, x in zip(r, v)) for r in adj]
         plane = [sum(rows[i][j] * w[i] for i in range(m)) for j in range(m)]
-        _, Z = _meet(basis, line, plane)
+        _, Z, s = _cross(t, line, plane)
         if Z is None:
             return None
         gamma = QMatrix(rows)
         point = SPDPoint(gamma @ QMatrix(Z) @ gamma.transpose())
-        return SignedHit(gamma, point, Y.orientation * _krylov_sign(X.tau, plane))
+        return SignedHit(gamma, point, Y.orientation * s)
 
     return evaluate
 

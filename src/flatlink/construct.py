@@ -252,7 +252,6 @@ class _BaseEntry:
 
 
 _BASE_CACHE: dict[int, list[_BaseEntry]] = {}
-_BASE_ITERS: dict[int, object] = {}
 _MAX_ENTRY_BOUND = 5
 _BASE_SCAN = 40  # base matrices tried per rationalized tau
 _MAX_ROUNDS = 6  # denominator-bound rounds of rationalize_pattern
@@ -272,13 +271,14 @@ def _symmetric_candidates(m: int):
             yield QMatrix(rows)
 
 
-def _base_stream(m: int, count: int) -> list[_BaseEntry]:
-    """First `count` certified-irreducible base matrices for size m."""
-    cache = _BASE_CACHE.setdefault(m, [])
-    it = _BASE_ITERS.setdefault(m, _symmetric_candidates(m))
-    while len(cache) < count:
-        tau0 = next(it, None)
-        if tau0 is None:
+def _base_stream(m: int) -> list[_BaseEntry]:
+    """The first `_BASE_SCAN` certified-irreducible base matrices for size m,
+    computed once per m."""
+    if m in _BASE_CACHE:
+        return _BASE_CACHE[m]
+    entries = []
+    for tau0 in _symmetric_candidates(m):
+        if len(entries) == _BASE_SCAN:
             break
         p = char_poly(tau0)
         if sturm_distinct_real_roots(p) != m:
@@ -289,8 +289,9 @@ def _base_stream(m: int, count: int) -> list[_BaseEntry]:
         evals, evecs = np.linalg.eigh(np.array(tau0.to_lists(), dtype=float))
         order = np.argsort(evals)
         frame = tuple(map(tuple, evecs[:, order].T.tolist()))
-        cache.append(_BaseEntry(tau0=tau0, cert=cert, frame=frame))
-    return cache[:count]
+        entries.append(_BaseEntry(tau0=tau0, cert=cert, frame=frame))
+    _BASE_CACHE[m] = entries
+    return entries
 
 
 def _snap(x, bound: int) -> Fraction:
@@ -334,7 +335,7 @@ def rationalize_tau(
     if abs(np.linalg.det(T)) < 1e-9 * max(1.0, float(np.abs(T).max())) ** m:
         raise ValueError("target frame is degenerate")
 
-    entries = _base_stream(m, _BASE_SCAN)
+    entries = _base_stream(m)
     if not entries:
         raise SynthesisBudgetError(
             f"no integer symmetric base with certified irreducible "

@@ -717,26 +717,28 @@ def _gf_mul(a, b, p):
     return _gf_trim(out)
 
 
-def _gf_mod(a, f, p):
+def _gf_full_div(a, b, p):
+    """Quotient and remainder of a by b over GF(p), b with a nonzero lead."""
     a = a[:]
-    df = len(f) - 1
-    inv_lead = pow(f[-1], p - 2, p)
-    while len(a) - 1 >= df:
+    q = [0] * max(0, len(a) - len(b) + 1)
+    inv_lead = pow(b[-1], p - 2, p)
+    while len(a) >= len(b):
         if a[-1] == 0:
             a.pop()
             continue
         c = a[-1] * inv_lead % p
-        k = len(a) - 1 - df
-        for i, y in enumerate(f):
+        k = len(a) - len(b)
+        q[k] = c
+        for i, y in enumerate(b):
             a[k + i] = (a[k + i] - c * y) % p
         a.pop()
-    return _gf_trim(a)
+    return _gf_trim(q), _gf_trim(a)
 
 
 def _gf_gcd(a, b, p):
     a, b = _gf_trim(a[:]), _gf_trim(b[:])
     while b:
-        a, b = b, _gf_mod(a, b, p)
+        a, b = b, _gf_full_div(a, b, p)[1]
     if a:
         inv = pow(a[-1], p - 2, p)
         a = [x * inv % p for x in a]
@@ -745,11 +747,11 @@ def _gf_gcd(a, b, p):
 
 def _gf_powmod(base, e, f, p):
     result = [1]
-    base = _gf_mod(base[:], f, p)
+    base = _gf_full_div(base, f, p)[1]
     while e:
         if e & 1:
-            result = _gf_mod(_gf_mul(result, base, p), f, p)
-        base = _gf_mod(_gf_mul(base, base, p), f, p)
+            result = _gf_full_div(_gf_mul(result, base, p), f, p)[1]
+        base = _gf_full_div(_gf_mul(base, base, p), f, p)[1]
         e >>= 1
     return result
 
@@ -788,25 +790,8 @@ def _gf_factor_degrees(f: list[int], p: int) -> Optional[tuple[int, ...]]:
             q, r = _gf_full_div(rest, g, p)
             assert not r
             rest = q
-            h = _gf_mod(h, rest, p) if len(rest) - 1 >= 1 else h
+            h = _gf_full_div(h, rest, p)[1] if len(rest) - 1 >= 1 else h
     return tuple(sorted(degrees))
-
-
-def _gf_full_div(a, b, p):
-    a = a[:]
-    q = [0] * max(0, len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] * inv_lead % p
-        k = len(a) - len(b)
-        q[k] = c
-        for i, y in enumerate(b):
-            a[k + i] = (a[k + i] - c * y) % p
-        a.pop()
-    return _gf_trim(q), _gf_trim(a)
 
 
 class IrredVerdict(Enum):
@@ -845,12 +830,15 @@ def _monic_factor_search(ints: tuple[int, ...], degrees: set[int]) -> Optional[Q
     return None
 
 
-def irreducible_over_Q(p: QPoly, prime_budget: int = 25) -> IrredCertificate:
+_PRIME_BUDGET = 25  # usable primes tried by irreducible_over_Q
+
+
+def irreducible_over_Q(p: QPoly) -> IrredCertificate:
     """Certified irreducibility test over Q.
 
     Order of attack: squarefree check (a repeated factor is already a witness),
     rational-root scan, then factor-degree patterns of reductions modulo the
-    first `prime_budget` usable primes (those dividing neither the leading
+    first `_PRIME_BUDGET` usable primes (those dividing neither the leading
     coefficient nor the discriminant). Inconclusive is a legal outcome.
     """
     if p.is_zero or p.degree < 1:
@@ -873,9 +861,9 @@ def irreducible_over_Q(p: QPoly, prime_budget: int = 25) -> IrredCertificate:
     examined = 0
     for q in primes():
         examined += 1
-        if examined > 50 * prime_budget + 200:
+        if examined > 50 * _PRIME_BUDGET + 200:
             break
-        if used >= prime_budget:
+        if used >= _PRIME_BUDGET:
             break
         if ints[-1] % q == 0:
             continue

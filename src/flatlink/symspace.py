@@ -8,8 +8,10 @@ The maximal flat attached to a regular tau is the PD part of the linear
 space {Z symmetric : tau Z = Z tau^T}; the geodesic subspace attached to an
 involution rho with eigenvalues (-1, ..., -1, 1) is the PD part of
 {Z : rho Z rho^T = Z}. Both memberships are linear, so intersection is an
-exact kernel computation and transversality is a rank statement; `intersect`
-solves it in the flat's own coordinates, as one m x (m+1) integer kernel.
+exact kernel computation and transversality is a rank statement. `intersect`
+needs neither system: the crossing Z solves K^T Z = J^T, with K and J the
+Krylov matrices of Y's plane under tau^T and of Y's line under tau, and one
+m x 2m integer echelon gives the kernel dimension, the point and the sign.
 This route never consults the projective linking criterion; it is the module
 the criterion is tested against.
 
@@ -29,9 +31,7 @@ from .qkernel import (
     QMatrix,
     _back_substitute,
     _echelon,
-    _int_det,
     _int_rows,
-    _primitive_ints,
     _scaled_ints,
     char_poly,
     det,
@@ -142,7 +142,7 @@ def flat_membership_system(tau: QMatrix) -> QMatrix:
 def subspace_membership_system(rho: QMatrix) -> QMatrix:
     """System whose kernel is {Z symmetric : rho Z rho^T = Z}.
 
-    `intersect` does not need it (see `_meet`); it is the reference the
+    `intersect` does not need it (see `_cross`); it is the reference the
     closed form is checked against.
 
     Row (i, j), i <= j, holds the coefficients of
@@ -170,7 +170,7 @@ class FlatX:
     """Maximal flat: PD part of the m-dimensional space {Z : tau Z = Z tau^T}.
 
     solution_basis is the canonical kernel basis of the membership system in
-    symmetric pair-lex coordinates.
+    symmetric pair-lex coordinates; `intersect` reads only tau.
     """
 
     tau: QMatrix
@@ -216,7 +216,8 @@ class SubspaceY:
     line is the +1 eigenvector v, plane the functional w cutting the -1
     eigenspace; `subspace_from_rho` makes both canonical primitive integer
     vectors. orientation (+1 or -1) orients Y's solution space relative to
-    (v, w), and `intersect` reads it. When Y is moved together with
+    (v, w); a crossing's sign is this bit times sign det[w | tau^T w | ...]
+    (see `_cross`). When Y is moved together with
     v and w, the bit is carried, not recomputed: at odd m, recomputing it
     from the moved w depends on the canonical kernel basis of w, and so
     flips for some moves.
@@ -242,7 +243,7 @@ def subspace_from_rho(rho: QMatrix) -> SubspaceY:
 
     The orientation bit is sign(c) sign(v.w), where
     det[frame | T] = c det[v | T w] for any m - 1 symmetric columns T (see
-    `_krylov_sign`). With P = [v | U], the frame is P E P^T for
+    `_cross`). With P = [v | U], the frame is P E P^T for
     positive multiples E of the unit symmetric matrices at (0, 0) and
     (a, b), a, b >= 1. Z -> P Z P^T has determinant (det P)^(m+1) on Sym;
     the E miss exactly the m - 1 pair-lex coordinates (0, j), each behind
@@ -309,108 +310,92 @@ class IntersectionResult:
     kind: IntersectionKind
     point: Optional[SPDPoint]
     kernel_dim: int
-    sign: Optional[int] = None  # a TransversePoint's orientation sign: see `_krylov_sign`
+    sign: Optional[int] = None  # a TransversePoint's orientation sign: see `_cross`
 
 
-def _int_basis(X: FlatX) -> list[list[list[int]]]:
-    """The flat's basis matrices, each scaled to primitive integers."""
-    m = X.m
-    out = []
-    for B in X.solution_basis:
-        ints = _primitive_ints([x for r in B.rows for x in r])
-        out.append([list(ints[i * m : (i + 1) * m]) for i in range(m)])
-    return out
+def _cross(
+    t: Sequence[int], v: Sequence[int], w: Sequence[int]
+) -> tuple[int, Optional[list[list[int]]], Optional[int]]:
+    """X ∩ Y in plain integers, from t = L tau row-major (L > 0 the LCM of
+    tau's denominators) and Y's +1 line v and plane functional w, both
+    scaled to integers, w by a positive factor only.
 
+    Y is {Z symmetric : Z w parallel to v}. tau has distinct eigenvalues, so
+    every Z with tau Z = Z tau^T is symmetric (Taussky and Zassenhaus), and
+    then Z (tau^T)^k w = tau^k Z w. So the crossing with Z w = v solves
+    K^T Z = J^T, with K = [w | A^T w | ... | (A^T)^(m-1) w] and
+    J = [v | A v | ... | A^(m-1) v] for A = L tau: the powers of L cancel.
+    One echelon of the m x 2m integer rows [K^T | J^T] decides it. Let r be
+    its number of pivots among the first m columns.
 
-def _meet(
-    basis: list[list[list[int]]], line: Sequence[int], plane: Sequence[int]
-) -> tuple[int, Optional[list[list[int]]]]:
-    """X ∩ Y in plain integers, from the flat's basis B_1..B_m and the
-    subspace's +1 line v and plane functional w.
+    In tau's eigenbasis x_i the points of X are Z = sum a_i x_i x_i^T, and
+    Z w = lam v reads a_i w_i = lam v_i, with w_i = x_i . w and v_i the
+    coordinates of v; r = #{i : w_i != 0}. Every a_i with w_i = 0 is free,
+    and lam is free exactly when v_i vanishes wherever w_i does, that is
+    when J's rows obey K's linear relations and the echelon has no pivot
+    past column m. (a, lam) -> Z is injective, so the kernel dimension of
+    the joint membership systems is m - r + (len(pivots) == r). When r < m
+    it is 1 only with lam = 0, where Z w = 0 and Z is singular: Empty.
 
-    Y is {Z symmetric : Z w parallel to v}: its solution space is
-    Sym^2(v) + Sym^2(ker w), which Z w maps into the line of v. So
-    Z = sum c_k B_k lies on Y exactly when (c, lam) is in the kernel of the
-    m x (m+1) matrix with columns B_k w and -v. (c, lam) -> Z is injective,
-    so this kernel has the dimension of the joint membership kernel.
+    When r = m, back-substitution gives d Z with d the last pivot, and
+    det K = (permutation sign) d. X is oriented by its frame
+    (Z, tau Z, ..., tau^(m-1) Z) and Y by the frame of `subspace_from_rho`;
+    the crossing sign is that of det[Y-frame | tau Z, ..., tau^(m-1) Z] in
+    pair-lex coordinates. Z -> Z w mod v maps Sym onto Q^m/<v> with kernel
+    Y's space, so that determinant is c det[v | tau Z w | ...] for a
+    constant c of Y. On X, tau^k Z w = Z (tau^T)^k w, and Z w = lam v with
+    sign(lam) = sign(v.w) because w^T Z w > 0; so the last determinant is
+    det Z / lam * det K / L^(m(m-1)/2), with det Z > 0. The orientation bit
+    is sign(c) sign(v.w), so the crossing sign is Y.orientation sign(det K).
+    Same-sign statements across a family are meaningful; the absolute sign
+    is a convention pinned by the m = 2 reference case.
 
-    Returns that dimension and, when it is 1 and the line meets the PD
-    cone, the primitive integer point with Z[0][0] > 0; else None.
+    Returns the kernel dimension; when it is 1 and the line meets the PD
+    cone, the primitive integer point with Z[0][0] > 0, else None; and with
+    the point, sign(det K).
     """
-    m = len(line)
-    a = [
-        [sum(B[i][j] * plane[j] for j in range(m)) for B in basis] + [-line[i]]
-        for i in range(m)
-    ]
-    pivots, _, d = _echelon(a)
-    k = m + 1 - len(pivots)
-    if k != 1:
-        return k, None
-    f = next(c for c in range(m + 1) if c not in pivots)
-    sol = dict(zip(pivots, _back_substitute(a, pivots, d, f)))
-    sol[f] = -d
-    c = [sol.get(t, 0) for t in range(m)]
-    Z = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            Z[i][j] = Z[j][i] = sum(ck * B[i][j] for ck, B in zip(c, basis))
-    g = math.gcd(*(x for r in Z for x in r))
+    m = len(w)
+    A = [t[i * m : (i + 1) * m] for i in range(m)]
+    At = list(zip(*A))
+    K, J = [list(w)], [list(v)]
+    for _ in range(m - 1):
+        K.append([sum(a * x for a, x in zip(col, K[-1])) for col in At])
+        J.append([sum(a * x for a, x in zip(row, J[-1])) for row in A])
+    a = [k + j for k, j in zip(K, J)]
+    pivots, sgn, d = _echelon(a)
+    r = sum(c < m for c in pivots)
+    if r < m:
+        return m - r + (len(pivots) == r), None, None
+    # column j of d Z; Z is symmetric, so these are also its rows
+    Z = [_back_substitute(a, pivots, d, m + j) for j in range(m)]
+    g = math.gcd(*(x for row in Z for x in row))
     if Z[0][0] < 0:  # a PD matrix has a positive (0, 0) entry
         g = -g
-    Z = [[x // g for x in r] for r in Z]
+    Z = [[x // g for x in row] for row in Z]
     if not _leading_minors_positive(Z):  # the kernel line misses the PD cone
-        return 1, None
-    return 1, Z
+        return 1, None, None
+    return 1, Z, sgn * sign(d)
 
 
 def intersect(X: FlatX, Y: SubspaceY) -> IntersectionResult:
     """Exact intersection of the two PD solution sets.
 
-    The intersection is one small integer kernel (see `_meet`); a
+    The intersection is one small integer system (see `_cross`); a
     one-dimensional kernel whose line carries a PD representative is a
     transverse intersection point, returned with its sign. Higher-
     dimensional kernels are reported as Degenerate, never perturbed.
     """
     if X.m != Y.m:
         raise ValueError("dimension mismatch")
-    k, Z = _meet(_int_basis(X), _primitive_ints(Y.line), _primitive_ints(Y.plane))
+    t = _scaled_ints([x for r in X.tau.rows for x in r])
+    k, Z, s = _cross(t, _scaled_ints(Y.line), _scaled_ints(Y.plane))
     if k != 1:
         return IntersectionResult(IntersectionKind.DEGENERATE, None, k)
     if Z is None:
         return IntersectionResult(IntersectionKind.EMPTY, None, 1)
-    s = Y.orientation * _krylov_sign(X.tau, Y.plane)
-    return IntersectionResult(IntersectionKind.TRANSVERSE_POINT, SPDPoint(QMatrix(Z)), 1, s)
-
-
-# ---------------------------------------------------------------------------
-# orientation sign
-
-
-def _krylov_sign(tau: QMatrix, w: Sequence) -> int:
-    """sign det[w | tau^T w | ... | (tau^T)^(m-1) w], with w a plane
-    functional of Y; times Y.orientation, the sign of X crossing Y.
-
-    X is oriented by its frame (Z, tau Z, ..., tau^(m-1) Z) and Y by the
-    frame of `subspace_from_rho`; the sign is that of det[Y-frame |
-    tau Z, ..., tau^(m-1) Z] in pair-lex coordinates, in closed form.
-    Z -> Z w mod v maps Sym onto Q^m/<v> with kernel Y's space, so the
-    determinant is c det[v | tau Z w | ...] for a constant c of Y. On X,
-    tau^k Z = Z (tau^T)^k, and Z w = lam v with sign(lam) = sign(v.w)
-    because w^T Z w > 0; so the last determinant is
-    det Z / lam * det[w | tau^T w | ...], with det Z > 0. The orientation
-    bit is sign(c) sign(v.w). Same-sign statements across a family are
-    meaningful; the absolute sign is a convention pinned by the m = 2
-    reference case. w and tau are scaled by positive integers only.
-    """
-    # c, lam and det Z are all nonzero, so a zero Krylov determinant says
-    # exactly that the frame determinant is zero: that the two solution
-    # spaces meet in more than the line of Z, which `_meet` has ruled out.
-    m = len(w)
-    t = _scaled_ints([x for r in tau.rows for x in r])  # L tau, row-major
-    cols = [_scaled_ints(w)]
-    for _ in range(m - 1):
-        cols.append([sum(t[i * m + j] * x for i, x in enumerate(cols[-1])) for j in range(m)])
-    return sign(_int_det(cols))  # the Krylov matrix transposed
+    return IntersectionResult(
+        IntersectionKind.TRANSVERSE_POINT, SPDPoint(QMatrix(Z)), 1, Y.orientation * s
+    )
 
 
 def intersection_sign(X: FlatX, Y: SubspaceY, at: SPDPoint) -> int:

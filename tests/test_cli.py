@@ -34,6 +34,16 @@ LINKED_INPUT = {
 }
 
 
+# a one-cell pattern that `rank` accepts
+SMALL_PATTERN = {
+    "N": 1,
+    "m": 2,
+    "flats": [{"tau": [["2", "1"], ["1", "1"]]}],
+    "subspaces": [{"rho": [["0", "1"], ["1", "0"]]}],
+    "matrix": [[1]],
+}
+
+
 def _last_json(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     return json.loads(out[-1])
@@ -152,6 +162,18 @@ def test_intersect_malformed_exit1(tmp_path):
         # tau and rho of different sizes
         ("descend", {"tau": [["2", "1"], ["1", "1"]],
                      "rho": [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]]}),
+        # JSON booleans are not numbers
+        ("intersect", {"tau": [[True, 0], [0, 2]], "rho": [[0, 1], [1, 0]]}),
+        ("link", dict(LINKED_INPUT, arrangement={
+            "m": 2, "points": [[True, False], [False, True]]})),
+        ("rank", dict(SMALL_PATTERN, N=True)),
+        ("rank", dict(SMALL_PATTERN, matrix=[[True]])),
+        # a zero vector names no point or plane
+        ("intersect", {"tau": [["2", "1"], ["1", "1"]], "line": ["0", "0"], "plane": ["1", "1"]}),
+        ("intersect", {"tau": [["2", "1"], ["1", "1"]], "line": ["1", "1"], "plane": [0, "0/3"]}),
+        ("link", dict(LINKED_INPUT, line=["0", "0"])),
+        ("link", dict(LINKED_INPUT, plane=["0", "0"])),
+        ("link", dict(LINKED_INPUT, arrangement={"m": 2, "points": [["0", "0"], ["0", "1"]]})),
     ],
 )
 def test_shape_errors_exit1(tmp_path, capsys, command, obj):
@@ -162,6 +184,11 @@ def test_shape_errors_exit1(tmp_path, capsys, command, obj):
     assert captured.err.startswith("flatlink: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_small_pattern_ranks(tmp_path, capsys):
+    assert main(["rank", _write(tmp_path / "in.json", SMALL_PATTERN)]) == 0
+    assert _last_json(capsys)["verdicts"] == {"N": 1, "m": 2, "rank": 1}
 
 
 def test_pattern_file_shape_errors_exit1(tmp_path, capsys):
