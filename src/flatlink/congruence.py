@@ -32,6 +32,7 @@ from .qkernel import (
     QMatrix,
     _int_det,
     _is_prime,
+    _primitive_ints,
     _scaled_ints,
     det,
     kernel_basis,
@@ -339,7 +340,7 @@ def _evaluator(X: FlatX, Y: SubspaceY):
     """
     m = X.m
     t = _scaled_ints([x for r in X.tau.rows for x in r])
-    v, w = _scaled_ints(Y.line), _scaled_ints(Y.plane)
+    v, w = _primitive_ints(Y.line), _scaled_ints(Y.plane)
 
     def evaluate(rows: list[list[int]]) -> Optional[SignedHit]:
         adj = _int_adjugate(rows)

@@ -32,6 +32,7 @@ from .qkernel import (
     _back_substitute,
     _echelon,
     _int_rows,
+    _primitive_ints,
     _scaled_ints,
     char_poly,
     det,
@@ -388,7 +389,7 @@ def intersect(X: FlatX, Y: SubspaceY) -> IntersectionResult:
     if X.m != Y.m:
         raise ValueError("dimension mismatch")
     t = _scaled_ints([x for r in X.tau.rows for x in r])
-    k, Z, s = _cross(t, _scaled_ints(Y.line), _scaled_ints(Y.plane))
+    k, Z, s = _cross(t, _primitive_ints(Y.line), _scaled_ints(Y.plane))
     if k != 1:
         return IntersectionResult(IntersectionKind.DEGENERATE, None, k)
     if Z is None:
