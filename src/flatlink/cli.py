@@ -58,6 +58,7 @@ from .symspace import (
     flat_from_tau,
     intersect,
     involution_for_pair,
+    subspace_from_pair,
     subspace_from_rho,
 )
 
@@ -241,12 +242,25 @@ def _read_descend(obj: dict):
     return tau, _mat(obj["rho"], "rho", tau.nrows)
 
 
+_LINKS = {d.value for d in LinkDecision} | {None}
+# the signs a certificate cell may carry, by its oracle verdict
+_SIGNS = {k.value: (None,) for k in IntersectionKind} | {"TransversePoint": (1, -1)}
+
+
+def _cell(w: dict) -> CellWitness:
+    c = CellWitness(link=w["link"], oracle=w["oracle"], sign=w["sign"])
+    signed = c.sign in _SIGNS.get(c.oracle, ()) and not isinstance(c.sign, (bool, float))
+    if c.link not in _LINKS or not signed:  # JSON true and 1.0 equal 1, but are no signs
+        raise ValueError(f"bad certificate cell {json.dumps(w)}")
+    return c
+
+
 def read_pattern(obj: dict) -> tuple:
     """(N, m, flats, subspaces, matrix, certificate) of a pattern document.
 
     flats holds (tau, points or None), subspaces (rho, (line, plane) or
     None); every matrix and vector is checked against the declared m, and
-    the lists against the declared N.
+    the lists and any certificate against the declared N.
     """
     N, m = obj["N"], obj["m"]
     if not all(isinstance(x, int) and not isinstance(x, bool) for x in (N, m)) or N < 1:
@@ -262,13 +276,15 @@ def read_pattern(obj: dict) -> tuple:
         (_mat(rec["rho"], "rho", m), read_line_plane(rec, m) if "line" in rec else None)
         for rec in _list(obj["subspaces"], N, "subspaces")
     ]
+    if any(pair and involution_for_pair(*pair) != rho for rho, pair in subspaces):
+        raise ValueError("a subspace's line and plane do not give its rho")
     matrix = tuple(
         tuple(_int(x) for x in _list(row, N, "a row of matrix"))
         for row in _list(obj["matrix"], N, "matrix")
     )
+    rows = _list(obj["certificate"], N, "certificate") if "certificate" in obj else []
     certificate = tuple(
-        tuple(CellWitness(link=w["link"], oracle=w["oracle"], sign=w["sign"]) for w in row)
-        for row in obj.get("certificate", [])
+        tuple(_cell(w) for w in _list(row, N, "a row of certificate")) for row in rows
     )
     return N, m, flats, subspaces, matrix, certificate
 
@@ -404,7 +420,7 @@ def cmd_link(args) -> int:
 def cmd_intersect(args) -> int:
     obj, (tau, rho, pair) = _read(args.input, _read_intersect)
     X = flat_from_tau(tau)
-    Y = subspace_from_rho(rho if pair is None else involution_for_pair(*pair))
+    Y = subspace_from_rho(rho) if pair is None else subspace_from_pair(*pair)
     res = intersect(X, Y)
     verdicts = {
         "kind": res.kind.value,

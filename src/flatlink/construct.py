@@ -52,8 +52,7 @@ from .symspace import (
     SubspaceY,
     flat_from_tau,
     intersect,
-    involution_for_pair,
-    subspace_from_rho,
+    subspace_from_pair,
 )
 
 
@@ -186,7 +185,7 @@ def _pattern_coordinates(N: int, m: int, thinness: Fraction, rotation: Fraction)
         pair = LinePlanePair(line, plane)
         subspaces.append(
             PatternSubspace(
-                subspace=subspace_from_rho(involution_for_pair(line, plane)),
+                subspace=subspace_from_pair(line, plane),
                 pair=pair,
             )
         )
@@ -381,9 +380,9 @@ def rationalize_pair(
     target_line: Sequence,
     target_plane: Sequence,
     denom_bound: int = 64,
-) -> tuple[LinePlanePair, QMatrix]:
+) -> tuple[LinePlanePair, SubspaceY]:
     """Snap a (line, plane functional) target to bounded denominators and
-    return the pair with its exact involution."""
+    return the pair with its subspace."""
     line = [_snap(x, denom_bound) for x in target_line]
     plane = [_snap(x, denom_bound) for x in target_plane]
     if all(x == 0 for x in line) or all(x == 0 for x in plane):
@@ -391,8 +390,7 @@ def rationalize_pair(
     if sum(a * b for a, b in zip(line, plane)) == 0:
         raise GeneralPositionError("snapped line lies inside the snapped plane")
     pair = LinePlanePair(line, plane)
-    rho = involution_for_pair(pair.line.rep, pair.plane.functional)
-    return pair, rho
+    return pair, subspace_from_pair(pair.line.rep, pair.plane.functional)
 
 
 def rationalize_pattern(
@@ -446,10 +444,8 @@ def rationalize_pattern(
                 )
             subspaces = []
             for line_t, plane_t in pair_targets:
-                pair, rho = rationalize_pair(line_t, plane_t, denom_bound=bound)
-                subspaces.append(
-                    PatternSubspace(subspace=subspace_from_rho(rho), pair=pair)
-                )
+                pair, Y = rationalize_pair(line_t, plane_t, denom_bound=bound)
+                subspaces.append(PatternSubspace(subspace=Y, pair=pair))
             certified = _certify_pattern(flats, subspaces)
         except (GeneralPositionError, ValueError):
             certified = None

@@ -8,10 +8,10 @@ The maximal flat attached to a regular tau is the PD part of the linear
 space {Z symmetric : tau Z = Z tau^T}; the geodesic subspace attached to an
 involution rho with eigenvalues (-1, ..., -1, 1) is the PD part of
 {Z : rho Z rho^T = Z}. Both memberships are linear, so intersection is an
-exact kernel computation and transversality is a rank statement. `intersect`
-needs neither system: the crossing Z solves K^T Z = J^T, with K and J the
-Krylov matrices of Y's plane under tau^T and of Y's line under tau, and one
-m x 2m integer echelon gives the kernel dimension, the point and the sign.
+exact kernel computation, against which the tests hold `intersect`. A flat
+is its tau, a subspace its line v and plane w, and the crossing Z solves
+K^T Z = J^T for the Krylov matrices K of w under tau^T and J of v under
+tau: one m x 2m integer echelon gives the kernel dimension, point and sign.
 This route never consults the projective linking criterion; it is the module
 the criterion is tested against.
 
@@ -35,8 +35,6 @@ from .qkernel import (
     _primitive_ints,
     _scaled_ints,
     char_poly,
-    det,
-    kernel_basis,
     rat,
     sign,
     sturm_distinct_real_roots,
@@ -103,10 +101,6 @@ class SPDPoint:
         if not _leading_minors_positive(_int_rows(self.Z)):
             raise ValueError("point matrix must be positive definite")
 
-    @property
-    def m(self) -> int:
-        return self.Z.nrows
-
 
 # ---------------------------------------------------------------------------
 # membership systems
@@ -168,14 +162,10 @@ def subspace_membership_system(rho: QMatrix) -> QMatrix:
 
 @dataclass(frozen=True)
 class FlatX:
-    """Maximal flat: PD part of the m-dimensional space {Z : tau Z = Z tau^T}.
-
-    solution_basis is the canonical kernel basis of the membership system in
-    symmetric pair-lex coordinates; `intersect` reads only tau.
-    """
+    """Maximal flat: PD part of the m-dimensional space {Z : tau Z = Z tau^T}
+    (the kernel of `flat_membership_system(tau)`), stored as its tau alone."""
 
     tau: QMatrix
-    solution_basis: tuple[QMatrix, ...]
 
     def contains(self, Z: QMatrix) -> bool:
         return (
@@ -187,60 +177,56 @@ class FlatX:
         return self.tau.nrows
 
     def transport(self, g: QMatrix) -> "FlatX":
-        """The flat of g tau g^{-1}, with the basis carried along as g B g^T."""
-        gi = g.inverse()
-        gt = g.transpose()
-        return FlatX(
-            tau=g @ self.tau @ gi,
-            solution_basis=tuple(g @ B @ gt for B in self.solution_basis),
-        )
+        """The flat of g tau g^{-1}, which is regular semisimple as tau is."""
+        return FlatX(g @ self.tau @ g.inverse())
 
 
 def flat_from_tau(tau: QMatrix) -> FlatX:
     if not tau.is_square:
         raise ValueError("tau must be square")
-    m = tau.nrows
     p = char_poly(tau)
     if p.coeffs[0] == 0:  # p(0) = (-1)^m det tau
         raise ValueError("tau must be invertible")
-    if sturm_distinct_real_roots(p) != m:
+    if sturm_distinct_real_roots(p) != tau.nrows:
         raise ValueError("tau must have m distinct real eigenvalues")
-    basis = kernel_basis(flat_membership_system(tau))
-    assert len(basis) == m  # regular semisimple: one dimension per eigenline
-    return FlatX(tau=tau, solution_basis=tuple(unvec_sym(v, m) for v in basis))
+    return FlatX(tau)
 
 
 @dataclass(frozen=True)
 class SubspaceY:
-    """Minset of an involution with eigenvalues (-1, ..., -1, 1).
+    """Minset of the involution rho with eigenvalues (-1, ..., -1, 1).
 
-    line is the +1 eigenvector v, plane the functional w cutting the -1
-    eigenspace; `subspace_from_rho` makes both canonical primitive integer
-    vectors. orientation (+1 or -1) orients Y's solution space relative to
+    Y is its line, the +1 eigenvector v, and its plane, the functional w
+    cutting out the -1 eigenspace, both canonical primitive integer vectors
+    (see `subspace_from_pair`); rho = 2 v w^T / (w.v) - I is derived from
+    them. orientation (+1 or -1) orients Y's solution space relative to
     (v, w); a crossing's sign is this bit times sign det[w | tau^T w | ...]
-    (see `_cross`). When Y is moved together with
-    v and w, the bit is carried, not recomputed: at odd m, recomputing it
-    from the moved w depends on the canonical kernel basis of w, and so
-    flips for some moves.
+    (see `_cross`). When Y is moved together with v and w, the bit is
+    carried, not recomputed: at odd m, recomputing it from the moved w
+    depends on the canonical kernel basis of w, and so flips for some moves.
     """
 
-    rho: QMatrix
     line: tuple
     plane: tuple
     orientation: int
 
+    @property
+    def rho(self) -> QMatrix:
+        return involution_for_pair(self.line, self.plane)
+
     def contains(self, Z: QMatrix) -> bool:
-        return Z.is_symmetric() and self.rho @ Z @ self.rho.transpose() == Z
+        rho = self.rho
+        return Z.is_symmetric() and rho @ Z @ rho.transpose() == Z
 
     @property
     def m(self) -> int:
-        return self.rho.nrows
+        return len(self.line)
 
 
-def subspace_from_rho(rho: QMatrix) -> SubspaceY:
-    """The subspace of rho, oriented by its frame: v v^T, then
-    u_a u_b^T + u_b u_a^T pair-lex, with U = (u_a) the canonical kernel
-    basis of w.
+def subspace_from_pair(line: Sequence, plane: Sequence) -> SubspaceY:
+    """The subspace of `involution_for_pair(line, plane)`, oriented by its
+    frame: v v^T, then u_a u_b^T + u_b u_a^T pair-lex, with v and w the
+    primitive line and plane and U = (u_a) the canonical kernel basis of w.
 
     The orientation bit is sign(c) sign(v.w), where
     det[frame | T] = c det[v | T w] for any m - 1 symmetric columns T (see
@@ -258,38 +244,45 @@ def subspace_from_rho(rho: QMatrix) -> SubspaceY:
     det[w | w_f e_p - w_p e_f] = (|w|^2 / w_p) (-w_p)^(m-1) (-1)^p, and
     sign det[w | U] = (-1)^(m-1+p) (-1)^(m-q) = (-1)^(p+q-1).
     """
+    v, w, _ = _pair(line, plane)
+    v, w = _primitive_ints(v), _primitive_ints(w)
+    m = len(w)
+    p = next(i for i, x in enumerate(w) if x)
+    s = (-1) ** (p + sum(x > 0 for x in w) - 1)  # sign det[w | U]
+    bit = (-1) ** (m * (m - 1) ** 2 // 2) * s**m
+    return SubspaceY(tuple(map(Fraction, v)), tuple(map(Fraction, w)), bit)
+
+
+def subspace_from_rho(rho: QMatrix) -> SubspaceY:
+    """The subspace of rho. With rho^2 = I, (rho + I) / 2 projects onto the
+    +1 space; at rank 1 it is v w^T / (w.v): columns span v, rows span w."""
     if not rho.is_square:
         raise ValueError("rho must be square")
     m = rho.nrows
     I = QMatrix.identity(m)
     if rho @ rho != I:
         raise ValueError("rho must be an involution")
-    plus = kernel_basis(rho - I)
-    # rho^2 = I splits Q^m into the two eigenspaces, so a +1 line leaves a
-    # -1 space of dimension m - 1. The functional w cutting it out satisfies
-    # w rho = w, so it spans the +1 line of rho^T.
-    if len(plus) != 1:
+    if rho.trace() != 2 - m:  # the rank of (rho + I) / 2 is its trace
         raise ValueError("rho must have eigenvalue signature (+1, -1^(m-1))")
-    (w,) = kernel_basis(rho.transpose() - I)
-    p = next(i for i, x in enumerate(w) if x)
-    s = (-1) ** (p + sum(x > 0 for x in w) - 1)  # sign det[w | U]
-    return SubspaceY(
-        rho=rho,
-        line=plus[0],
-        plane=w,
-        orientation=(-1) ** (m * (m - 1) ** 2 // 2) * s**m,
-    )
+    P = rho + I
+    i, j = next((i, j) for i in range(m) for j in range(m) if P[i, j])
+    return subspace_from_pair(P.col(j), P.rows[i])
+
+
+def _pair(line: Sequence, plane: Sequence) -> tuple[list, list, Fraction]:
+    """line and plane as rationals, with their product, which is not zero."""
+    if len(line) != len(plane):
+        raise ValueError("dimension mismatch")
+    v, u = [rat(x) for x in line], [rat(x) for x in plane]
+    uv = sum(a * b for a, b in zip(u, v))
+    if uv == 0:  # also when either is zero
+        raise ValueError("line lies inside the plane")
+    return v, u, uv
 
 
 def involution_for_pair(line: Sequence, plane: Sequence) -> QMatrix:
     """The involution fixing `line` and negating the kernel of `plane`."""
-    if len(line) != len(plane):
-        raise ValueError("dimension mismatch")
-    v = [rat(x) for x in line]
-    u = [rat(x) for x in plane]
-    uv = sum(a * b for a, b in zip(u, v))
-    if uv == 0:
-        raise ValueError("line lies inside the plane")
+    v, u, uv = _pair(line, plane)
     m = len(v)
     return QMatrix(
         [[2 * v[i] * u[j] / uv - (1 if i == j else 0) for j in range(m)] for i in range(m)]
@@ -340,7 +333,7 @@ def _cross(
 
     When r = m, back-substitution gives d Z with d the last pivot, and
     det K = (permutation sign) d. X is oriented by its frame
-    (Z, tau Z, ..., tau^(m-1) Z) and Y by the frame of `subspace_from_rho`;
+    (Z, tau Z, ..., tau^(m-1) Z) and Y by the frame of `subspace_from_pair`;
     the crossing sign is that of det[Y-frame | tau Z, ..., tau^(m-1) Z] in
     pair-lex coordinates. Z -> Z w mod v maps Sym onto Q^m/<v> with kernel
     Y's space, so that determinant is c det[v | tau Z w | ...] for a
@@ -407,11 +400,3 @@ def intersection_sign(X: FlatX, Y: SubspaceY, at: SPDPoint) -> int:
     if res.point is None or at.Z != res.point.Z * (at.Z[0, 0] / res.point.Z[0, 0]):
         raise ValueError("point is not the crossing of the flat and the subspace")
     return res.sign
-
-
-def apply_isometry(g: QMatrix, Z: SPDPoint) -> SPDPoint:
-    """Model action of GL_m: Z -> g Z g^T (exact)."""
-    if det(g) == 0:
-        raise ValueError("g must be invertible")
-    return SPDPoint(g @ Z.Z @ g.transpose())
-

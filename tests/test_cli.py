@@ -233,6 +233,49 @@ def test_pattern_file_shape_errors_exit1(tmp_path, capsys):
     assert main(["rationalize", snapped]) == 1
 
 
+def _set(path, value):
+    """An edit of a pattern document: the entry at path set to value."""
+
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(_set(("certificate", 0), []), id="short-row"),
+        pytest.param(_set(("certificate",), []), id="no-rows"),
+        pytest.param(_set(("certificate", 0, 0, "link"), "maybe"), id="link-maybe"),
+        pytest.param(_set(("certificate", 0, 0, "oracle"), 7), id="oracle-7"),
+        pytest.param(_set(("certificate", 0, 0, "sign"), "x"), id="sign-x"),
+        pytest.param(_set(("certificate", 0, 0, "sign"), True), id="sign-true"),
+        # cell (0, 0) is a TransversePoint, cell (1, 0) Empty
+        pytest.param(_set(("certificate", 0, 0, "sign"), None), id="transverse-unsigned"),
+        pytest.param(_set(("certificate", 1, 0, "sign"), 1), id="empty-signed"),
+        # a plane that does not give the record's rho
+        pytest.param(_set(("subspaces", 0, "plane"), ["1", "1"]), id="pair-not-rho"),
+    ],
+)
+def test_pattern_certificate_and_pair_checked_exit1(tmp_path, capsys, edit):
+    assert main(["pattern", "2", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["certificate"][0][0]["oracle"] == "TransversePoint"
+    assert doc["certificate"][1][0]["oracle"] == "Empty"
+    edit(doc)
+    path = _write(tmp_path / "bad.json", doc)
+    for command in ("rank", "rationalize"):
+        assert main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("flatlink: bad input ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 def test_pattern_json_roundtrip():
     p = synthesize_pattern(2, 2)
     blob = json.dumps(pattern_to_json(p), sort_keys=True)

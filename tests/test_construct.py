@@ -143,12 +143,12 @@ def test_rationalize_tau_degenerate_target():
 
 
 def test_rationalize_pair_examples():
-    pair, rho = rationalize_pair([1.0, 1.0], [1.0, 1.0])
+    pair, Y = rationalize_pair([1.0, 1.0], [1.0, 1.0])
     assert pair.line.rep == (1, 1)
-    assert rho == QMatrix([[0, 1], [1, 0]])
+    assert Y.rho == QMatrix([[0, 1], [1, 0]])
 
-    pair, rho = rationalize_pair([1, 0, 0], [1, 0, 0])
-    assert rho == QMatrix.diagonal([1, -1, -1])
+    pair, Y = rationalize_pair([1, 0, 0], [1, 0, 0])
+    assert Y.rho == QMatrix.diagonal([1, -1, -1])
 
     pair, _ = rationalize_pair([1.0, math.sqrt(2)], [1.0, 0.0], denom_bound=100)
     x, y = pair.line.rep

@@ -18,13 +18,13 @@ from flatlink.symspace import (
     FlatX,
     IntersectionKind,
     SPDPoint,
-    apply_isometry,
     flat_from_tau,
     flat_membership_system,
     intersect,
     intersection_sign,
     involution_for_pair,
     is_positive_definite,
+    subspace_from_pair,
     subspace_from_rho,
     subspace_membership_system,
     sym_dim,
@@ -52,6 +52,11 @@ def rational_frame_flat(rng, m):
     return tau, g
 
 
+def flat_basis(tau):
+    """The flat's canonical basis, from the reference membership system."""
+    return [unvec_sym(v, tau.nrows) for v in kernel_basis(flat_membership_system(tau))]
+
+
 def test_sym_coordinate_order():
     assert sym_pairs(3) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
     M = QMatrix([[1, 2, 3], [2, 4, 5], [3, 5, 6]])
@@ -68,20 +73,21 @@ def test_pd_checks():
 
 def test_flat_from_tau_diagonal():
     X = flat_from_tau(QMatrix.diagonal([2, F(1, 2)]))
-    assert X.solution_basis == (
+    assert flat_basis(X.tau) == [
         QMatrix([[1, 0], [0, 0]]),
         QMatrix([[0, 0], [0, 1]]),
-    )
+    ]
 
 
 def test_flat_from_tau_symmetric_case():
     tau = QMatrix([[2, 1], [1, 1]])
     X = flat_from_tau(tau)
-    assert len(X.solution_basis) == 2
+    basis = flat_basis(X.tau)
+    assert len(basis) == 2
     # solution space is span{I, tau}: check both memberships and the dimension
     assert X.contains(QMatrix.identity(2))
     assert X.contains(tau)
-    vecs = [vec_sym(B) for B in X.solution_basis]
+    vecs = [vec_sym(B) for B in basis]
     assert rank(QMatrix(vecs + [vec_sym(QMatrix.identity(2))])) == 2
     assert rank(QMatrix(vecs + [vec_sym(tau)])) == 2
 
@@ -103,7 +109,7 @@ def test_solution_dimension_is_m():
     for m in (2, 3, 4):
         for _ in range(10):
             tau, _ = rational_frame_flat(rng, m)
-            assert len(flat_from_tau(tau).solution_basis) == m
+            assert len(flat_basis(flat_from_tau(tau).tau)) == m
 
 
 @pytest.mark.parametrize("m", range(2, 8))
@@ -131,12 +137,46 @@ def test_subspace_from_rho_examples():
     assert Y3.line == (1, 0, 0)
     assert Y3.plane == (1, 0, 0)
 
-    with pytest.raises(ValueError):
-        subspace_from_rho(QMatrix.identity(3))
-    with pytest.raises(ValueError):
-        subspace_from_rho(QMatrix.diagonal([1, 1, -1]))
-    with pytest.raises(ValueError):
-        subspace_from_rho(QMatrix([[1, 1], [0, 1]]))
+    g = QMatrix([[1, 2, 0], [0, 1, 1], [1, 0, 1]])
+    for rho in (
+        QMatrix.identity(3),
+        QMatrix.diagonal([1, 1, -1]),
+        QMatrix([[1, 1], [0, 1]]),
+        -QMatrix.identity(2),
+        -QMatrix.identity(3),
+        QMatrix.identity(2),
+        g @ QMatrix.diagonal([1, -1, 1]) @ g.inverse(),  # (+1, +1, -1), not diagonal
+        QMatrix([[0, 2], [1, 0]]),  # squares to 2 I
+        QMatrix([[1, 0, 0], [0, -1, 0]]),
+    ):
+        with pytest.raises(ValueError):
+            subspace_from_rho(rho)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_subspace_from_pair_matches_rho(m):
+    """The closed form against the rho route and against the eigenvector
+    kernels of rho, with line and plane given at negative and non-integer
+    scales."""
+    rng = random.Random(70 + m)
+    I = QMatrix.identity(m)
+    done = 0
+    while done < 30:
+        line = [rng.randint(-4, 4) for _ in range(m)]
+        plane = [rng.choice([0, rng.randint(-4, 4)]) for _ in range(m)]
+        try:
+            rho = involution_for_pair(line, plane)
+        except ValueError:
+            continue
+        (v,) = kernel_basis(rho - I)
+        (w,) = kernel_basis(rho.transpose() - I)
+        a = F(-rng.randint(1, 6), 7)
+        b = F(rng.choice([-1, 1]) * rng.randint(1, 4), 5)
+        Y = subspace_from_pair([a * x for x in line], [b * x for x in plane])
+        assert Y == subspace_from_rho(rho)
+        assert (Y.line, Y.plane) == (v, w)
+        assert Y.rho == rho
+        done += 1
 
 
 def test_involution_for_pair():
@@ -146,14 +186,17 @@ def test_involution_for_pair():
     Y = subspace_from_rho(rho)
     assert Y.line == (1, 1)
     assert Y.plane == (2, -1)
-    with pytest.raises(ValueError):
-        involution_for_pair([1, 0], [0, 1])
+    for line, plane in (([1, 0], [0, 1]), ([0, 0], [1, 1]), ([1, 1], [0, 0])):
+        for build in (involution_for_pair, subspace_from_pair):
+            with pytest.raises(ValueError, match="inside the plane"):
+                build(line, plane)
 
 
 def test_involution_for_pair_rejects_dimension_mismatch():
     for line, plane in (([1, 1], [1, 1, 5]), ([1, 1, 1], [1, 1])):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            involution_for_pair(line, plane)
+        for build in (involution_for_pair, subspace_from_pair):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                build(line, plane)
 
 
 def test_intersect_transverse_identity():
@@ -229,8 +272,9 @@ def test_closed_form_intersect_matches_joint_system():
                 )
                 if det(g) == 0:
                     continue
+                moved = [g @ B @ g.transpose() for B in flat_basis(X.tau)]
                 X, frame = X.transport(g), g @ frame
-                if all(x.denominator == 1 for B in X.solution_basis for r in B.rows for x in r):
+                if all(x.denominator == 1 for B in moved for r in B.rows for x in r):
                     continue
             plane = [rng.randint(-3, 3) for _ in range(m)]
             if done % 3:  # Y through a PD point of X: Z w is parallel to v
@@ -323,9 +367,9 @@ def test_equivariance_of_flats():
         g = rnd_invertible(rng, m)
         Xg = flat_from_tau(g @ tau @ g.inverse())
         gt = g.transpose()
-        for B in X.solution_basis:
+        for B in flat_basis(X.tau):
             assert Xg.contains(g @ B @ gt)
-        for B in Xg.solution_basis:
+        for B in flat_basis(Xg.tau):
             assert X.contains(g.inverse() @ B @ g.inverse().transpose())
 
 
@@ -337,8 +381,15 @@ def test_transport_matches_recomputation():
     Xt = X.transport(g)
     Xr = flat_from_tau(g @ tau @ g.inverse())
     assert Xt.tau == Xr.tau
-    for B in Xt.solution_basis:
-        assert Xr.contains(B)
+    gt = g.transpose()
+    for B in flat_basis(tau):
+        assert Xr.contains(g @ B @ gt)
+        assert Xt.contains(g @ B @ gt)
+    for m in range(2, 6):
+        for _ in range(4):
+            tau, _ = rational_frame_flat(rng, m)
+            g = rnd_invertible(rng, m)
+            assert flat_from_tau(tau).transport(g) == flat_from_tau(g @ tau @ g.inverse())
 
 
 def test_membership_systems_match_their_definition():
@@ -372,7 +423,7 @@ def test_dimension_bookkeeping():
     rng = random.Random(43)
     for m in (2, 3, 4):
         tau, _ = rational_frame_flat(rng, m)
-        assert len(flat_from_tau(tau).solution_basis) == m  # contains the anchor too
+        assert len(flat_basis(flat_from_tau(tau).tau)) == m  # contains the anchor too
         rho = involution_for_pair([1] * m, [1] + [0] * (m - 1))
         ker = kernel_basis(subspace_membership_system(rho))
         assert len(ker) == 1 + m * (m - 1) // 2
@@ -506,7 +557,7 @@ def test_intersection_sign_invariant_under_centralizer():
     a = QMatrix([[2, 1], [1, 2]])
     assert a @ Y.rho == Y.rho @ a
     Xa = X.transport(a)
-    ata = apply_isometry(a, at)
+    ata = SPDPoint(a @ at.Z @ a.transpose())
     assert intersect(Xa, Y).kind is IntersectionKind.TRANSVERSE_POINT
     assert intersection_sign(Xa, Y, ata) == s0
 
@@ -525,17 +576,3 @@ def test_intersection_sign_rejects_non_transverse_point():
     assert intersect(X, Y).kernel_dim == 3
     with pytest.raises(ValueError):
         intersection_sign(X, Y, SPDPoint(QMatrix.identity(3)))
-
-
-def test_apply_isometry():
-    Z = SPDPoint(QMatrix.diagonal([1, 2]))
-    assert apply_isometry(QMatrix.identity(2), Z).Z == Z.Z
-    perm = QMatrix([[0, 1], [1, 0]])
-    assert apply_isometry(perm, Z).Z == QMatrix.diagonal([2, 1])
-    rng = random.Random(61)
-    for _ in range(10):
-        g = rnd_invertible(rng, 3)
-        W = apply_isometry(g, SPDPoint(QMatrix.diagonal([1, 2, 3])))
-        assert is_positive_definite(W.Z)
-    with pytest.raises(ValueError):
-        apply_isometry(QMatrix([[0, 0], [0, 0]]), Z)
