@@ -39,6 +39,8 @@ from .qkernel import (
     IrredCertificate,
     IrredVerdict,
     QMatrix,
+    _scaled_ints,
+    _solve_square,
     char_poly,
     det,
     irreducible_over_Q,
@@ -120,9 +122,22 @@ def pattern_rank(p: Union[Pattern, Sequence[Sequence[int]]]) -> int:
 
 def tau_for_arrangement(arr: Arrangement) -> QMatrix:
     """A rational matrix whose eigenlines are the frame points, with
-    eigenvalue k+1 on column k (ascending along the frame order)."""
-    F = arr.frame_matrix()
-    return F @ QMatrix.diagonal(list(range(1, arr.m + 1))) @ F.inverse()
+    eigenvalue k+1 on column k (ascending along the frame order).
+
+    This is F D F^-1 for the frame matrix F and D = diag(1, ..., m), in
+    integers: F D F^-1 does not change when a column of F is scaled, so
+    each column is scaled to integers, giving G. One fraction-free pass
+    over [G | I] and m back-substitutions give d G^-1 in integers, d the
+    last pivot, and tau = G D (d G^-1) / d.
+    """
+    m = arr.m
+    G = list(zip(*(_scaled_ints(c) for c in arr.frame_matrix().columns())))
+    a = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(G)]
+    d, adj = _solve_square(a, m)  # adj: the columns of d G^-1
+    GD = [[g * (k + 1) for k, g in enumerate(r)] for r in G]
+    return QMatrix(
+        [[Fraction(sum(x * y for x, y in zip(r, c)), d) for c in adj] for r in GD]
+    )
 
 
 def _certify_cell(
@@ -363,8 +378,14 @@ def rationalize_tau(
         raise SynthesisBudgetError("no invertible snapped conjugator found")
     dist, entry, g = best
     tau = g @ entry.tau0 @ g.inverse()
-    count = sturm_distinct_real_roots(char_poly(tau))
-    assert count == m  # similar to the base matrix
+    p = char_poly(tau)
+    count = sturm_distinct_real_roots(p)
+    # tau is similar to the base, so both facts the certificate states about
+    # the base (irreducible, m real roots) must hold for tau's polynomial
+    if p != char_poly(entry.tau0) or count != m:
+        raise ArithmeticError(
+            f"rationalized tau is not similar to its base (Sturm count {count}, m={m})"
+        )
     return RationalizedTau(
         tau=tau,
         base=entry.tau0,

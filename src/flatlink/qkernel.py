@@ -246,6 +246,12 @@ def _int_rows(M: QMatrix) -> list[list[int]]:
     return [_scaled_ints(r) for r in M.rows]
 
 
+def _int_matrix(M: QMatrix) -> tuple[int, list[list[int]]]:
+    """L > 0, the LCM of all of M's denominators, and L M in integers."""
+    L = math.lcm(*(x.denominator for r in M.rows for x in r))
+    return L, [[x.numerator * (L // x.denominator) for x in r] for r in M.rows]
+
+
 def _echelon(a: list[list[int]]) -> tuple[list[int], int, int]:
     """In-place fraction-free row echelon.
 
@@ -362,6 +368,15 @@ def solve_unique(M: QMatrix, b: Sequence) -> tuple:
     return tuple(Fraction(y, d) for y in _back_substitute(a, pivots, d, n))
 
 
+def _solve_square(a: list[list[int]], n: int) -> tuple[int, list[list[int]]]:
+    """For the n x 2n integer rows a = [G | S]: the last pivot d and the
+    columns of d G^-1 S, from one pass and n back-substitutions."""
+    pivots, _, d = _echelon(a)
+    if pivots[-1] >= n:
+        raise ValueError("singular matrix has no inverse")
+    return d, [_back_substitute(a, pivots, d, n + j) for j in range(n)]
+
+
 def inverse(M: QMatrix) -> QMatrix:
     """Inverse from one pass over [M | I] and n back-substitutions."""
     if not M.is_square:
@@ -369,28 +384,35 @@ def inverse(M: QMatrix) -> QMatrix:
     n = M.nrows
     I = QMatrix.identity(n)
     a = _int_rows(QMatrix([r + e for r, e in zip(M.rows, I.rows)]))
-    pivots, _, d = _echelon(a)
-    if pivots[-1] >= n:
-        raise ValueError("singular matrix has no inverse")
-    cols = [_back_substitute(a, pivots, d, n + j) for j in range(n)]
+    d, cols = _solve_square(a, n)
     return QMatrix([[Fraction(y[i], d) for y in cols] for i in range(n)])
 
 
 def char_poly(M: QMatrix) -> "QPoly":
-    """Monic characteristic polynomial det(t·I − M), by Faddeev–LeVerrier."""
+    """Monic characteristic polynomial det(t·I − M), by Faddeev–LeVerrier
+    in integers.
+
+    With L > 0 the LCM of M's denominators, A = L M is an integer matrix,
+    and det(t I − M) = L^(−n) det(L t I − A). Faddeev–LeVerrier on A gives
+    the coefficients c_k of t^(n−k) in det(t I − A), all integers, so each
+    division −tr(...) / k in it is exact. The coefficient of t^(n−k) in
+    det(t I − M) is then c_k / L^k.
+    """
     if not M.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = M.nrows
-    I = QMatrix.identity(n)
-    coeffs = [_ONE]  # c_0 = 1 for t^n
-    A = M
-    c = -A.trace()
-    coeffs.append(c)
-    for k in range(2, n + 1):
-        A = M @ (A + c * I)
-        c = -A.trace() / k
-        coeffs.append(c)
-    return QPoly(list(reversed(coeffs)))
+    L, A = _int_matrix(M)
+    coeffs = [1]  # c_0 = 1 for t^n
+    B = A  # B_k = A B_(k-1) + c_(k-1) A, c_k = −tr(B_k) / k
+    for k in range(1, n + 1):
+        if k > 1:
+            c, cols = coeffs[-1], list(zip(*B))
+            B = [
+                [sum(a * b for a, b in zip(r, col)) + c * x for col, x in zip(cols, r)]
+                for r in A
+            ]
+        coeffs.append(-sum(B[i][i] for i in range(n)) // k)
+    return QPoly([Fraction(c, L**k) for k, c in reversed(list(enumerate(coeffs)))])
 
 
 # ---------------------------------------------------------------------------

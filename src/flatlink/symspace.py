@@ -31,6 +31,7 @@ from .qkernel import (
     QMatrix,
     _back_substitute,
     _echelon,
+    _int_matrix,
     _int_rows,
     _primitive_ints,
     _scaled_ints,
@@ -255,18 +256,30 @@ def subspace_from_pair(line: Sequence, plane: Sequence) -> SubspaceY:
 
 def subspace_from_rho(rho: QMatrix) -> SubspaceY:
     """The subspace of rho. With rho^2 = I, (rho + I) / 2 projects onto the
-    +1 space; at rank 1 it is v w^T / (w.v): columns span v, rows span w."""
+    +1 space; at rank 1 it is v w^T / (w.v): columns span v, rows span w.
+
+    The checks run in integers on R = d rho, d > 0 the LCM of rho's
+    denominators: rho^2 = I is R R = d^2 I, and tr rho = 2 - m is
+    tr R = (2 - m) d. Then R + d I = d (rho + I) supplies v and w."""
     if not rho.is_square:
         raise ValueError("rho must be square")
     m = rho.nrows
-    I = QMatrix.identity(m)
-    if rho @ rho != I:
+    d, R = _int_matrix(rho)
+    cols = list(zip(*R))
+    dd = d * d
+    if any(
+        sum(a * b for a, b in zip(r, c)) != (dd if i == j else 0)
+        for i, r in enumerate(R)
+        for j, c in enumerate(cols)
+    ):
         raise ValueError("rho must be an involution")
-    if rho.trace() != 2 - m:  # the rank of (rho + I) / 2 is its trace
+    # the rank of (rho + I) / 2 is its trace
+    if sum(R[i][i] for i in range(m)) != (2 - m) * d:
         raise ValueError("rho must have eigenvalue signature (+1, -1^(m-1))")
-    P = rho + I
-    i, j = next((i, j) for i in range(m) for j in range(m) if P[i, j])
-    return subspace_from_pair(P.col(j), P.rows[i])
+    for i in range(m):
+        R[i][i] += d
+    i, j = next((i, j) for i in range(m) for j in range(m) if R[i][j])
+    return subspace_from_pair([r[j] for r in R], R[i])
 
 
 def _pair(line: Sequence, plane: Sequence) -> tuple[list, list, Fraction]:

@@ -121,6 +121,17 @@ def test_rationalize_tau_matched_frame():
     assert char_poly(rt.tau) == char_poly(rt.base)
 
 
+def test_rationalize_tau_recheck_raises(monkeypatch):
+    """The re-check of the snapped tau is a raised error, so it also holds
+    under python -O; a wrong Sturm count must never reach a certificate."""
+    import flatlink.construct as construct
+
+    construct._base_stream(2)  # the base library is built with the real count
+    monkeypatch.setattr(construct, "sturm_distinct_real_roots", lambda p: p.degree - 1)
+    with pytest.raises(ArithmeticError, match="not similar to its base"):
+        rationalize_tau(_float_frame([[2, 1], [1, 1]]), denom_bound=1)
+
+
 def test_rationalize_tau_axes_target():
     rt = rationalize_tau([[1.0, 0.0], [0.0, 1.0]], denom_bound=64)
     # rational axes are never an eigenframe of an irreducible base
@@ -228,3 +239,41 @@ def test_snapped_cells_recheck_against_oracle():
                 else IntersectionKind.EMPTY
             )
             assert res.kind is want
+
+
+class _RationalFrame:
+    """The two attributes of an Arrangement that tau_for_arrangement reads,
+    with rational columns: an Arrangement's columns are primitive integers
+    already, so only this frame shows that every column gets scaled."""
+
+    def __init__(self, columns):
+        self.m = len(columns)
+        self._F = QMatrix.from_columns(columns)
+
+    def frame_matrix(self):
+        return self._F
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_tau_for_arrangement_matches_fraction_conjugation(m):
+    rng = random.Random(1000 + m)
+    D = QMatrix.diagonal(range(1, m + 1))
+    frames = []
+    while len(frames) < 8:
+        pts = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(m)]
+        try:
+            frames.append(Arrangement(pts))
+        except (ValueError, GeneralPositionError):
+            continue
+    for arr in frames[:4]:  # the same lines at rational, per-column scales
+        scales = [
+            Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 9))
+            for _ in range(m)
+        ]
+        cols = [
+            [s * x for x in c] for s, c in zip(scales, arr.frame_matrix().columns())
+        ]
+        frames.append(_RationalFrame(cols))
+    for arr in frames:
+        F = arr.frame_matrix()
+        assert tau_for_arrangement(arr) == F @ D @ F.inverse()

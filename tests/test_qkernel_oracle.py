@@ -160,3 +160,24 @@ def test_inverse_matches_sympy(M):
 def test_char_poly_matches_sympy(M):
     want = _sym(M).charpoly().all_coeffs()  # descending, monic
     assert char_poly(M).coeffs == tuple(_frac(x) for x in reversed(want))
+
+
+# denominators up to 2^40, drawn per entry, so the LCM that char_poly
+# scales by is far larger than any one of them
+wide_rationals = st.builds(
+    Fraction, st.integers(-(2**20), 2**20), st.integers(1, 2**40)
+)
+
+
+@_SETTINGS
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(wide_rationals, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_char_poly_matches_sympy_wide_denominators(rows):
+    M = QMatrix(rows)
+    want = _sym(M).charpoly().all_coeffs()
+    assert char_poly(M).coeffs == tuple(_frac(x) for x in reversed(want))

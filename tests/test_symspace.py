@@ -153,6 +153,41 @@ def test_subspace_from_rho_examples():
             subspace_from_rho(rho)
 
 
+@pytest.mark.parametrize("m", range(2, 6))
+def test_subspace_from_rho_rejects_near_involutions(m):
+    """A rational involution is accepted; moving one off-diagonal entry by a
+    small amount keeps the trace but not rho^2 = I, and is rejected."""
+    rng = random.Random(300 + m)
+    eps = F(1, 2**20)
+    while True:
+        v = [F(rng.randint(1, 7), rng.randint(1, 5)) for _ in range(m)]
+        w = [
+            F(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5))
+            for _ in range(m)
+        ]
+        if sum(a * b for a, b in zip(v, w)) not in (0, 1, -1, 2, -2):
+            break
+    rho = involution_for_pair(v, w)
+    assert any(x.denominator > 1 for r in rho.rows for x in r)
+    assert subspace_from_rho(rho).rho == rho
+    near = []
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                rows = rho.to_lists()
+                rows[i][j] += eps
+                near.append(QMatrix(rows))
+    if m >= 3:
+        # diag(1, -1, ..., -1) - (eps/2) E_12 squares to I + eps E_12 exactly
+        rows = QMatrix.diagonal([1] + [-1] * (m - 1)).to_lists()
+        rows[1][2] = -eps / 2
+        near.append(QMatrix(rows))
+    for X in near:
+        assert X.trace() == 2 - m and X @ X != QMatrix.identity(m)
+        with pytest.raises(ValueError, match="involution"):
+            subspace_from_rho(X)
+
+
 @pytest.mark.parametrize("m", range(2, 7))
 def test_subspace_from_pair_matches_rho(m):
     """The closed form against the rho route and against the eigenvector
