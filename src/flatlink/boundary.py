@@ -1,11 +1,11 @@
-"""Flag parametrization of the sphere at infinity and associated subspaces.
+"""Flags, block decompositions and their associated subspaces.
 
-A unit-speed geodesic ray leaving the basepoint in direction Z (symmetric,
-trace zero) converges to a boundary point recorded here as the descending
-eigenvalue list of Z together with the flag of partial sums of eigenspaces.
-The unit normalization sum(lambda_i^2) = 1 is kept symbolic: the direction
-matrix is stored unnormalized and its squared norm recorded, since the scale
-never enters any predicate.
+Points of the sphere at infinity are recorded by flags of rational
+subspaces. This module decides when a subspace is associated with a
+direct-sum decomposition (spanned by its intersections with the blocks),
+when a matrix preserves a flag, and which subspaces are associated with
+both of two decompositions; `sphere_dim` gives a decomposition sphere's
+dimension by the join rule.
 
 Subspaces are rational and canonicalized by the reduced echelon basis of
 their row space, so equality is literal equality of generator matrices.
@@ -14,23 +14,9 @@ their row space, so equality is literal equality of generator matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
-from .qkernel import (
-    QMatrix,
-    QPoly,
-    char_poly,
-    det,
-    isolate_real_roots,
-    kernel_basis,
-    poly_gcd,
-    rank,
-    rational_roots,
-    rref_rows,
-)
+from .qkernel import QMatrix, det, kernel_basis, rank, rref_rows
 
 
 def canonical_subspace(generators: QMatrix) -> QMatrix:
@@ -110,147 +96,6 @@ class DecompSphere:
         if not ds or any(d < 1 for d in ds):
             raise ValueError("need r >= 1 positive block sizes")
         object.__setattr__(self, "dims", ds)
-
-
-# an eigenvalue entry is an exact rational, or (squarefree factor, isolating
-# interval) when irrational
-EigenEntry = Union[Fraction, tuple[QPoly, tuple[Fraction, Fraction]]]
-
-
-@dataclass(frozen=True)
-class BoundaryPoint:
-    direction: QMatrix
-    eigenvalues: tuple[EigenEntry, ...]
-    multiplicities: tuple[int, ...]
-    flag: Optional[Flag]
-    norm_squared: Fraction
-    exact: bool
-    float_flag: tuple = ()
-
-    def __post_init__(self):
-        if self.exact:
-            s = sum(
-                (l * k for l, k in zip(self.eigenvalues, self.multiplicities)),
-                Fraction(0),
-            )
-            assert s == 0
-
-
-def _squarefree_decomposition(p: QPoly) -> list[tuple[QPoly, int]]:
-    """Yun's algorithm: [(q, k)] with the q squarefree, coprime, p ~ prod q^k."""
-    a = poly_gcd(p, p.derivative())
-    if a.degree < 1:
-        return [(p.monic(), 1)]
-    b = p.divmod(a)[0]
-    c = p.derivative().divmod(a)[0]
-    d = c - b.derivative()
-    out = []
-    i = 1
-    while b.degree >= 1:
-        ai = poly_gcd(b, d)
-        if ai.degree >= 1:
-            out.append((ai, i))
-        b = b.divmod(ai)[0] if ai.degree >= 1 else b
-        c = d.divmod(ai)[0] if ai.degree >= 1 else d
-        d = c - b.derivative()
-        i += 1
-    return out
-
-
-def direction_to_boundary(Zdir: QMatrix, exact: bool = True) -> BoundaryPoint:
-    """Boundary point of the ray in direction Zdir.
-
-    With exact=True (default) the characteristic polynomial must split over
-    Q; eigenvalues come out as exact rationals and the flag as exact partial
-    sums of eigenspaces. With exact=False irrational eigenvalues are
-    returned as (squarefree factor, isolating interval) certificates and the
-    flag as floating-point generators, tagged exact=False.
-    """
-    if not Zdir.is_symmetric():
-        raise ValueError("direction must be symmetric")
-    if Zdir.trace() != 0:
-        raise ValueError("direction must have trace zero")
-    m = Zdir.nrows
-    if all(x == 0 for row in Zdir.rows for x in row):
-        raise ValueError("direction must be nonzero")
-    p = char_poly(Zdir)
-    norm_sq = sum(
-        (Zdir[i, j] * Zdir[j, i] for i in range(m) for j in range(m)),
-        Fraction(0),
-    )
-
-    sf_parts = _squarefree_decomposition(p)
-    roots = rational_roots(p)
-    rational_mult = {}
-    for r in roots:
-        for q, k in sf_parts:
-            if q.eval(r) == 0:
-                rational_mult[r] = k
-    if sum(rational_mult.values()) == m:
-        # rational split: fully exact
-        desc = sorted(rational_mult, reverse=True)
-        eigenspaces = [
-            QMatrix.from_columns(
-                kernel_basis(Zdir - QMatrix.diagonal([lam] * m))
-            )
-            for lam in desc
-        ]
-        partial: list[QMatrix] = []
-        acc: list[QMatrix] = []
-        for E in eigenspaces[:-1]:
-            acc.append(E)
-            partial.append(sum_subspaces(acc))
-        return BoundaryPoint(
-            direction=Zdir,
-            eigenvalues=tuple(desc),
-            multiplicities=tuple(rational_mult[l] for l in desc),
-            flag=Flag(partial),
-            norm_squared=norm_sq,
-            exact=True,
-        )
-
-    if exact:
-        raise ValueError(
-            "characteristic polynomial does not split over Q; "
-            "call with exact=False for certified intervals"
-        )
-
-    # certified intervals for every distinct eigenvalue, descending
-    sf = sf_parts[0][0]
-    for q, _ in sf_parts[1:]:
-        sf = sf * q
-    intervals = isolate_real_roots(sf)
-    entries: list[EigenEntry] = []
-    mults: list[int] = []
-    for lo, hi in reversed(intervals):
-        hit_rat = next((r for r in roots if lo < r <= hi), None)
-        factor, mult = next(
-            (q, k)
-            for q, k in sf_parts
-            if (hit_rat is not None and q.eval(hit_rat) == 0)
-            or (hit_rat is None and q.eval(lo) * q.eval(hi) < 0)
-        )
-        if hit_rat is not None:
-            entries.append(hit_rat)
-        else:
-            entries.append((factor, (lo, hi)))
-        mults.append(mult)
-
-    evals, evecs = np.linalg.eigh(np.array(Zdir.to_lists(), dtype=float))
-    order = np.argsort(evals)[::-1]  # descending, grouped by certified intervals
-    cum = np.cumsum(mults)[:-1]
-    float_flag = tuple(
-        tuple(map(tuple, evecs[:, order[:k]].T.tolist())) for k in cum
-    )
-    return BoundaryPoint(
-        direction=Zdir,
-        eigenvalues=tuple(entries),
-        multiplicities=tuple(mults),
-        flag=None,
-        norm_squared=norm_sq,
-        exact=False,
-        float_flag=float_flag,
-    )
 
 
 def sphere_dim(d: Union[DecompSphere, Sequence[int]]) -> int:

@@ -151,7 +151,8 @@ def ptoq_solve(gamma: QMatrix, tau: QMatrix, rho: QMatrix) -> PtoqResult:
     def finish(a: QMatrix) -> PtoqResult:
         a = _normalize_on_fixed_line(a, rho)
         b = a.inverse() @ gamma
-        assert b @ tau == tau @ b  # guaranteed by the system
+        if b @ tau != tau @ b:  # guaranteed by the system
+            raise ArithmeticError("a^-1 gamma does not commute with tau")
         return PtoqResult("solved", Decomposition(a=a, b=b), d)
 
     for a in basis:
@@ -257,22 +258,6 @@ def min_level_v(v: Sequence, p: int) -> int:
     return 1 + min(_vp(2 * x, p) for x in rep if x != 0)
 
 
-def min_level_separate(gamma: QMatrix, p: int) -> int:
-    """Least n with gamma not congruent to I mod p^n."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    _require_integer(gamma)
-    m = gamma.nrows
-    diffs = [
-        int(gamma[i, j] - (1 if i == j else 0))
-        for i in range(m)
-        for j in range(m)
-    ]
-    if all(x == 0 for x in diffs):
-        raise ValueError("gamma is the identity")
-    return 1 + min(_vp(x, p) for x in diffs if x != 0)
-
-
 # ---------------------------------------------------------------------------
 # bounded enumeration
 
@@ -374,7 +359,8 @@ def enumerate_same_sign(
         raise CommutantError("joint commutant of (tau, rho) is not scalar")
     X = flat_from_tau(tau)
     Y = subspace_from_rho(rho)
-    q = level.modulus
+    # every q > bound + 1 walks the same ball, and p^(bit_length + 1) is such a q
+    q = level.p ** min(level.n, entry_bound.bit_length() + 1)
     evaluate = _evaluator(X, Y)
     hits = [
         h for h in map(evaluate, _det_one_points(X.m, q, entry_bound)) if h is not None

@@ -176,16 +176,6 @@ def in_general_position(arr: Arrangement, lp: LinePlanePair) -> bool:
     return lp.plane.eval(lp.line) != 0  # Arrangement/pair invariants imply the rest
 
 
-def hyperplane_V(arr: Arrangement, i: int) -> ProjHyperplane:
-    """The hyperplane through every frame point except L_i (i is 1-based)."""
-    if not 1 <= i <= arr.m:
-        raise IndexError(f"i must be in 1..{arr.m}")
-    rows = [p.rep for k, p in enumerate(arr.points, start=1) if k != i]
-    ker = kernel_basis(QMatrix(rows))
-    assert len(ker) == 1  # frame independence leaves exactly one functional
-    return ProjHyperplane(ker[0])
-
-
 def simplex_of(arr: Arrangement, L: ProjPoint) -> SignVector:
     """Sign vector of the open simplex (vertex set L_1..L_m) containing L."""
     cs = frame_coefficients(arr, L)

@@ -810,7 +810,8 @@ def _gf_factor_degrees(f: list[int], p: int) -> Optional[tuple[int, ...]]:
         if deg_g > 0:
             degrees.extend([d] * (deg_g // d))
             q, r = _gf_full_div(rest, g, p)
-            assert not r
+            if r:
+                raise ArithmeticError(f"gcd over GF({p}) does not divide its input")
             rest = q
             h = _gf_full_div(h, rest, p)[1] if len(rest) - 1 >= 1 else h
     return tuple(sorted(degrees))

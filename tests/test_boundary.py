@@ -4,12 +4,10 @@ from fractions import Fraction
 import pytest
 
 from flatlink.boundary import (
-    BoundaryPoint,
     DecompSphere,
     Flag,
     canonical_subspace,
     common_associated_subspaces,
-    direction_to_boundary,
     flag_preserved_by,
     intersect_subspaces,
     is_associated,
@@ -25,7 +23,7 @@ from flatlink.projlink import (
     common_flags,
     in_general_position,
 )
-from flatlink.qkernel import QMatrix, QPoly, det, kernel_basis
+from flatlink.qkernel import QMatrix, det, kernel_basis
 
 F = Fraction
 
@@ -62,57 +60,6 @@ def test_flag_invariants():
         Flag([span((1, 0), (0, 1))])  # full space listed
     with pytest.raises(ValueError):
         Flag([span((1, 0, 0), (0, 1, 0)), span((1, 0, 0))])  # decreasing
-
-
-def test_direction_to_boundary_diagonal():
-    bp = direction_to_boundary(QMatrix.diagonal([1, -1]))
-    assert bp.exact
-    assert bp.eigenvalues == (1, -1)
-    assert bp.multiplicities == (1, 1)
-    assert bp.norm_squared == 2
-    assert bp.flag.subspaces == (span((1, 0)),)
-
-    bp3 = direction_to_boundary(QMatrix.diagonal([1, 0, -1]))
-    assert bp3.eigenvalues == (1, 0, -1)
-    assert bp3.flag.subspaces == (span((1, 0, 0)), span((1, 0, 0), (0, 1, 0)))
-
-
-def test_direction_to_boundary_offdiagonal():
-    bp = direction_to_boundary(QMatrix([[0, 1], [1, 0]]))
-    assert bp.eigenvalues == (1, -1)
-    assert same_subspace(bp.flag.subspaces[0], span((1, 1)))
-
-
-def test_direction_to_boundary_multiplicity():
-    bp = direction_to_boundary(QMatrix.diagonal([1, 1, -2]))
-    assert bp.eigenvalues == (1, -2)
-    assert bp.multiplicities == (2, 1)
-    assert bp.flag.dims == (2,)
-
-
-def test_direction_to_boundary_rejects():
-    with pytest.raises(ValueError):
-        direction_to_boundary(QMatrix([[1, 0], [0, 1]]))  # trace 2
-    with pytest.raises(ValueError):
-        direction_to_boundary(QMatrix([[0, 1], [0, 0]]))  # not symmetric
-    with pytest.raises(ValueError):
-        direction_to_boundary(QMatrix([[0, 0], [0, 0]]))  # zero
-
-
-def test_direction_to_boundary_irrational():
-    # [[1,1],[1,-1]] has eigenvalues +-sqrt(2): exact mode refuses
-    Z = QMatrix([[1, 1], [1, -1]])
-    with pytest.raises(ValueError):
-        direction_to_boundary(Z)
-    bp = direction_to_boundary(Z, exact=False)
-    assert not bp.exact
-    assert bp.flag is None
-    assert len(bp.eigenvalues) == 2
-    (q1, (lo1, hi1)), (q2, (lo2, hi2)) = bp.eigenvalues
-    assert q1 == QPoly([-2, 0, 1]) and q2 == q1
-    assert lo1 >= hi2  # descending, half-open intervals may share an endpoint
-    assert q1.eval(lo1) * q1.eval(hi1) < 0
-    assert len(bp.float_flag) == 1
 
 
 def test_sphere_dim():

@@ -481,6 +481,22 @@ def test_descend_explicit_level_exponent(tmp_path):
     assert lines[-1]["verdicts"]["hits"] == 1  # only the identity fits
 
 
+@pytest.mark.parametrize("bound", [0, 1, 10, 30])
+def test_descend_huge_level_exponent(tmp_path, capsys, bound):
+    # every modulus past bound + 1 walks the same ball, so p^n is never built
+    path = _write(
+        tmp_path / "in.json",
+        {"tau": [["2", "1"], ["1", "1"]], "rho": [["0", "1"], ["1", "0"]]},
+    )
+    args = ["descend", path, "--bound", str(bound), "--level"]
+    assert main(args + ["5:2"]) == 0
+    small = capsys.readouterr().out.splitlines()[:-1]
+    t0 = time.perf_counter()
+    assert main(args + ["5:100000000"]) == 0
+    assert time.perf_counter() - t0 < 5
+    assert capsys.readouterr().out.splitlines()[:-1] == small
+
+
 def test_descend_commutant_exit4(tmp_path):
     path = _write(
         tmp_path / "in.json",

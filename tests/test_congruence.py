@@ -13,7 +13,6 @@ from flatlink.congruence import (
     Orientation,
     decomposition_valid,
     enumerate_same_sign,
-    min_level_separate,
     min_level_v,
     orientation_on_L,
     ptoq_solve,
@@ -55,6 +54,17 @@ def test_ptoq_gamma_in_rho_commutant():
     assert decomposition_valid(res.decomposition, RHO2, TAU2, RHO2)
     # normalized representative fixes the line of rho pointwise
     assert res.decomposition.a.apply((1, 1)) == (Fraction(1), Fraction(1))
+
+
+def test_ptoq_commutation_fault_raises(monkeypatch):
+    # a normalizer that breaks [a, rho] = 1 leaves a^-1 gamma off tau's
+    # commutant; the check must hold under python -O too
+    monkeypatch.setattr(
+        "flatlink.congruence._normalize_on_fixed_line",
+        lambda a, rho: QMatrix([[1, 1], [0, 1]]),
+    )
+    with pytest.raises(ArithmeticError):
+        ptoq_solve(QMatrix.identity(2), TAU2, RHO2)
 
 
 def _random_involution(rng, m):
@@ -172,40 +182,6 @@ def test_min_level_v_is_minimal():
         doubled = [2 * x for x in ProjPoint(v).rep]
         assert any(x % p**n != 0 for x in doubled)
         assert all(x % p ** (n - 1) == 0 for x in doubled)
-
-
-def _unit_plus(i, j, c):
-    rows = [[1 if a == b else 0 for b in range(2)] for a in range(2)]
-    rows[i][j] += c
-    return QMatrix(rows)
-
-
-def test_min_level_separate():
-    assert min_level_separate(_unit_plus(0, 1, 5), 5) == 2
-    assert min_level_separate(_unit_plus(0, 1, 1), 5) == 1
-    assert min_level_separate(_unit_plus(1, 0, 25), 5) == 3
-    with pytest.raises(ValueError):
-        min_level_separate(QMatrix.identity(3), 5)
-
-
-def test_min_level_separate_is_minimal():
-    rng = random.Random(5)
-    for _ in range(20):
-        p = rng.choice([2, 3, 5])
-        rows = [
-            [(1 if i == j else 0) + rng.randint(-2, 2) * p ** rng.randint(0, 2)
-             for j in range(3)]
-            for i in range(3)
-        ]
-        gamma = QMatrix(rows)
-        if gamma == QMatrix.identity(3):
-            continue
-        n = min_level_separate(gamma, p)
-        diffs = [
-            int(gamma[i, j] - (1 if i == j else 0)) for i in range(3) for j in range(3)
-        ]
-        assert any(x % p**n != 0 for x in diffs)
-        assert all(x % p ** (n - 1) == 0 for x in diffs)
 
 
 def test_scalar_commutant_check():

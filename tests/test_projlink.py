@@ -11,7 +11,6 @@ from flatlink.projlink import (
     ProjHyperplane,
     ProjPoint,
     common_flags,
-    hyperplane_V,
     in_general_position,
     link_decision,
     plane_meets_simplex,
@@ -19,7 +18,7 @@ from flatlink.projlink import (
     transform_arrangement,
     transform_pair,
 )
-from flatlink.qkernel import QMatrix, det, kernel_basis, solve_unique
+from flatlink.qkernel import QMatrix, det, kernel_basis
 
 
 def std_frame(m):
@@ -78,37 +77,6 @@ def test_in_general_position_examples():
 
     # plane through a frame point
     assert not in_general_position(arr, LinePlanePair([1, 1], [1, 0]))
-
-
-def test_hyperplane_V():
-    assert hyperplane_V(std_frame(3), 1) == ProjHyperplane([1, 0, 0])
-    assert hyperplane_V(std_frame(2), 2) == ProjHyperplane([0, 1])
-    arr = Arrangement([[1, 0, 0], [0, 1, 0], [1, 1, 1]])
-    # through e_1 and e_2 only: the coordinate plane x_3 = 0
-    assert hyperplane_V(arr, 3) == ProjHyperplane([0, 0, 1])
-    with pytest.raises(IndexError):
-        hyperplane_V(arr, 0)
-    with pytest.raises(IndexError):
-        hyperplane_V(arr, 4)
-
-
-def test_hyperplane_V_vanishing_property():
-    rng = random.Random(5)
-    for _ in range(30):
-        m = rng.randint(2, 5)
-        try:
-            arr = Arrangement(
-                [[rng.randint(-4, 4) for _ in range(m)] for _ in range(m)]
-            )
-        except GeneralPositionError:
-            continue
-        for i in range(1, m + 1):
-            V = hyperplane_V(arr, i)
-            for k, p in enumerate(arr.points, start=1):
-                if k == i:
-                    assert V.eval(p) != 0
-                else:
-                    assert V.eval(p) == 0
 
 
 def test_simplex_of():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from flatlink.qkernel import (
+    _gf_gcd,
     _is_prime,
     IrredVerdict,
     QMatrix,
@@ -241,6 +242,18 @@ def test_irreducible_fixed_cases():
     # linear is irreducible
     c = irreducible_over_Q(QPoly([7, 2]))
     assert c.verdict is IrredVerdict.IRREDUCIBLE
+
+
+def test_gf_factor_degrees_division_fault_raises(monkeypatch):
+    # t^2 - 6 = (t - 1)(t + 1) mod 5, the first usable prime; a gcd that is
+    # not a divisor of its input must not feed a factor pattern
+    def bad_gcd(a, b, p):
+        g = _gf_gcd(a, b, p)
+        return g if len(g) < 2 else [2, 1]  # t + 2 divides neither factor
+
+    monkeypatch.setattr("flatlink.qkernel._gf_gcd", bad_gcd)
+    with pytest.raises(ArithmeticError):
+        irreducible_over_Q(QPoly([-6, 0, 1]))
 
 
 def test_irreducible_known_quartics():
