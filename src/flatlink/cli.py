@@ -286,6 +286,10 @@ def read_pattern(obj: dict) -> tuple:
     certificate = tuple(
         tuple(_cell(w) for w in _list(row, N, "a row of certificate")) for row in rows
     )
+    if certificate and matrix != tuple(
+        tuple(w.sign or 0 for w in row) for row in certificate
+    ):
+        raise ValueError("matrix does not match the certificate's signs")
     return N, m, flats, subspaces, matrix, certificate
 
 

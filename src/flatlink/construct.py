@@ -39,6 +39,7 @@ from .qkernel import (
     IrredCertificate,
     IrredVerdict,
     QMatrix,
+    QPoly,
     _scaled_ints,
     _solve_square,
     char_poly,
@@ -261,6 +262,7 @@ def certify_pattern_stability(p: Pattern, snapped: Pattern) -> bool:
 @dataclass(frozen=True)
 class _BaseEntry:
     tau0: QMatrix
+    poly: QPoly  # characteristic polynomial of tau0
     cert: IrredCertificate
     frame: tuple  # eigenvector columns, ascending eigenvalues (floats)
 
@@ -269,6 +271,7 @@ _BASE_CACHE: dict[int, list[_BaseEntry]] = {}
 _MAX_ENTRY_BOUND = 5
 _BASE_SCAN = 40  # base matrices tried per rationalized tau
 _MAX_ROUNDS = 6  # denominator-bound rounds of rationalize_pattern
+_TIE = 1e-9  # relative margin by which a later base must beat the best
 
 
 def _symmetric_candidates(m: int):
@@ -303,7 +306,7 @@ def _base_stream(m: int) -> list[_BaseEntry]:
         evals, evecs = np.linalg.eigh(np.array(tau0.to_lists(), dtype=float))
         order = np.argsort(evals)
         frame = tuple(map(tuple, evecs[:, order].T.tolist()))
-        entries.append(_BaseEntry(tau0=tau0, cert=cert, frame=frame))
+        entries.append(_BaseEntry(tau0=tau0, poly=p, cert=cert, frame=frame))
     _BASE_CACHE[m] = entries
     return entries
 
@@ -363,15 +366,17 @@ def rationalize_tau(
                 F0[:, j] = -F0[:, j]
         g_float = T @ F0.T
         g_float = g_float / float(np.abs(g_float).max())
-        g = QMatrix([[_snap(x, denom_bound) for x in row] for row in g_float.tolist()])
+        rows = [[_snap(x, denom_bound) for x in row] for row in g_float.tolist()]
+        achieved = np.array(rows, dtype=float) @ F0
+        dist = _column_sin_distance(achieved, T)
+        # a later base must beat the best by more than rounding: among bases
+        # tied in exact arithmetic the first in scan order wins
+        if best is not None and dist >= best[0] * (1 - _TIE):
+            continue
+        g = QMatrix(rows)
         if det(g) == 0:
             continue
-        achieved = np.array(
-            [[float(x) for x in row] for row in g.to_lists()], dtype=float
-        ) @ F0
-        dist = _column_sin_distance(achieved, T)
-        if best is None or dist < best[0]:
-            best = (dist, entry, g)
+        best = (dist, entry, g)
         if dist < 1e-12:
             break
     if best is None:
@@ -382,7 +387,7 @@ def rationalize_tau(
     count = sturm_distinct_real_roots(p)
     # tau is similar to the base, so both facts the certificate states about
     # the base (irreducible, m real roots) must hold for tau's polynomial
-    if p != char_poly(entry.tau0) or count != m:
+    if p != entry.poly or count != m:
         raise ArithmeticError(
             f"rationalized tau is not similar to its base (Sturm count {count}, m={m})"
         )

@@ -259,6 +259,8 @@ def _set(path, value):
         pytest.param(_set(("certificate", 1, 0, "sign"), 1), id="empty-signed"),
         # a plane that does not give the record's rho
         pytest.param(_set(("subspaces", 0, "plane"), ["1", "1"]), id="pair-not-rho"),
+        # the certificate's signs are [[-1, -1], [null, -1]]
+        pytest.param(_set(("matrix",), [[1, 1], [1, 1]]), id="matrix-not-certificate"),
     ],
 )
 def test_pattern_certificate_and_pair_checked_exit1(tmp_path, capsys, edit):
