@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .projlink import (
     Arrangement,
     GeneralPositionError,
@@ -264,7 +262,7 @@ class _BaseEntry:
     tau0: QMatrix
     poly: QPoly  # characteristic polynomial of tau0
     cert: IrredCertificate
-    frame: tuple  # eigenvector columns, ascending eigenvalues (floats)
+    frame: tuple  # unit eigenvectors, ascending eigenvalues (floats)
 
 
 _BASE_CACHE: dict[int, list[_BaseEntry]] = {}
@@ -303,12 +301,41 @@ def _base_stream(m: int) -> list[_BaseEntry]:
         cert = irreducible_over_Q(p)
         if cert.verdict is not IrredVerdict.IRREDUCIBLE:
             continue
-        evals, evecs = np.linalg.eigh(np.array(tau0.to_lists(), dtype=float))
-        order = np.argsort(evals)
-        frame = tuple(map(tuple, evecs[:, order].T.tolist()))
+        frame = tuple(map(tuple, _eigh(tau0.to_lists())[1]))
         entries.append(_BaseEntry(tau0=tau0, poly=p, cert=cert, frame=frame))
     _BASE_CACHE[m] = entries
     return entries
+
+
+def _eigh(a: Sequence[Sequence]) -> tuple[list[float], list[list[float]]]:
+    """Eigenvalues of a symmetric matrix in ascending order, and unit
+    eigenvectors in the same order, by the cyclic Jacobi method (Golub &
+    Van Loan, Matrix Computations, 8.5): sweeps of plane rotations, each
+    zeroing one off-diagonal entry, until the off-diagonal part is below
+    rounding."""
+    n = len(a)
+    a = [[float(x) for x in row] for row in a]
+    v = [[float(i == j) for j in range(n)] for i in range(n)]
+    total = sum(x * x for row in a for x in row)
+    pairs = list(itertools.combinations(range(n), 2))
+    for _ in range(50):
+        if sum(a[p][q] ** 2 for p, q in pairs) <= 1e-32 * total:
+            break
+        for p, q in pairs:
+            if a[p][q] == 0.0:
+                continue
+            theta = (a[q][q] - a[p][p]) / (2 * a[p][q])
+            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+            c = 1 / math.hypot(t, 1.0)
+            s = t * c
+            for row in itertools.chain(a, v):  # columns p, q of a and v
+                row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+            a[p], a[q] = (
+                [c * x - s * y for x, y in zip(a[p], a[q])],
+                [s * x + c * y for x, y in zip(a[p], a[q])],
+            )
+    order = sorted(range(n), key=lambda k: a[k][k])
+    return [a[k][k] for k in order], [[row[k] for row in v] for k in order]
 
 
 def _snap(x, bound: int) -> Fraction:
@@ -316,20 +343,20 @@ def _snap(x, bound: int) -> Fraction:
     return f.limit_denominator(bound)
 
 
-def _column_sin_distance(A: np.ndarray, B: np.ndarray) -> float:
-    """Max over columns of the sine of the angle between the spanned lines.
+def _column_sin_distance(A: Sequence[Sequence], B: Sequence[Sequence]) -> float:
+    """Max over paired vectors of the sine of the angle between their lines.
 
     Computed from the projection residual, not 1 - cos^2, so nearly
-    parallel columns report ~1e-16 rather than ~1e-8.
+    parallel vectors report ~1e-16 rather than ~1e-8.
     """
     worst = 0.0
-    for j in range(A.shape[1]):
-        u, v = A[:, j], B[:, j]
-        nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    for u, v in zip(A, B):
+        nu, nv = math.hypot(*u), math.hypot(*v)
         if nu == 0.0 or nv == 0.0:
             return 1.0
-        r = u - v * (float(np.dot(v, u)) / (nv * nv))
-        worst = max(worst, min(1.0, float(np.linalg.norm(r)) / nu))
+        c = sum(x * y for x, y in zip(v, u)) / (nv * nv)
+        r = math.hypot(*(x - y * c for x, y in zip(u, v)))
+        worst = max(worst, min(1.0, r / nu))
     return worst
 
 
@@ -348,8 +375,9 @@ def rationalize_tau(
     rounded upper bound.
     """
     m = len(target_frame)
-    T = np.array([[float(x) for x in v] for v in target_frame], dtype=float).T
-    if abs(np.linalg.det(T)) < 1e-9 * max(1.0, float(np.abs(T).max())) ** m:
+    T = [[float(x) for x in v] for v in target_frame]
+    scale = max(1.0, max(abs(x) for v in T for x in v))
+    if abs(det(QMatrix([[Fraction(x) for x in v] for v in T]))) < 1e-9 * scale**m:
         raise ValueError("target frame is degenerate")
 
     entries = _base_stream(m)
@@ -360,14 +388,22 @@ def rationalize_tau(
         )
     best = None
     for entry in entries:
-        F0 = np.array(entry.frame, dtype=float).T  # orthonormal columns
-        for j in range(m):  # align eigh's arbitrary column signs with the target
-            if float(np.dot(T[:, j], F0[:, j])) < 0:
-                F0[:, j] = -F0[:, j]
-        g_float = T @ F0.T
-        g_float = g_float / float(np.abs(g_float).max())
-        rows = [[_snap(x, denom_bound) for x in row] for row in g_float.tolist()]
-        achieved = np.array(rows, dtype=float) @ F0
+        # align the eigenvectors' arbitrary signs with the targets
+        F0 = [
+            f if sum(x * y for x, y in zip(t, f)) >= 0 else [-x for x in f]
+            for t, f in zip(T, entry.frame)
+        ]
+        # g = T F0^T, with T and F0 holding the vectors as columns
+        g_float = [
+            [sum(t[r] * f[c] for t, f in zip(T, F0)) for c in range(m)]
+            for r in range(m)
+        ]
+        top = max(abs(x) for row in g_float for x in row)
+        rows = [[_snap(x / top, denom_bound) for x in row] for row in g_float]
+        g_snapped = [[float(x) for x in row] for row in rows]
+        achieved = [
+            [sum(x * y for x, y in zip(row, f)) for row in g_snapped] for f in F0
+        ]
         dist = _column_sin_distance(achieved, T)
         # a later base must beat the best by more than rounding: among bases
         # tied in exact arithmetic the first in scan order wins

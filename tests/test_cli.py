@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import flatlink
 from flatlink.cli import (
     arrangement_to_json,
     build_pattern,
@@ -610,3 +615,28 @@ def test_golden_stdout(tmp_path, capsys):
             paths[name] = str(tmp_path / "pattern22.json")
             (tmp_path / "pattern22.json").write_text(out)
     assert got == {name: digest for name, _, _, digest in GOLDEN}
+
+
+def test_commands_run_without_numpy(tmp_path):
+    """numpy is a test-only oracle: the commands that snap and descend run
+    with its import blocked."""
+    pattern = tmp_path / "pattern.json"
+    flat_and_rho = {"tau": [["2", "1"], ["1", "1"]], "rho": [["0", "1"], ["1", "0"]]}
+    pair = _write(tmp_path / "in.json", flat_and_rho)
+    script = f"""
+import sys
+sys.modules["numpy"] = None
+from flatlink.cli import main
+codes = [
+    main(["pattern", "2", "3", "--out", {str(pattern)!r}]),
+    main(["rationalize", {str(pattern)!r}]),
+    main(["descend", {pair!r}, "--level", "5", "--bound", "10"]),
+]
+sys.exit(max(codes))
+"""
+    src = str(Path(flatlink.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

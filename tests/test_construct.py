@@ -1,10 +1,12 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from flatlink import construct
 from flatlink.construct import (
     Pattern,
     SynthesisBudgetError,
@@ -17,7 +19,13 @@ from flatlink.construct import (
     tau_for_arrangement,
 )
 from flatlink.projlink import Arrangement, GeneralPositionError
-from flatlink.qkernel import IrredVerdict, QMatrix, char_poly, rat
+from flatlink.qkernel import (
+    IrredVerdict,
+    QMatrix,
+    char_poly,
+    rat,
+    sturm_distinct_real_roots,
+)
 from flatlink.symspace import intersect, IntersectionKind
 
 
@@ -103,11 +111,60 @@ def test_tau_for_arrangement_eigenstructure():
 
 
 def _float_frame(M):
-    import numpy as np
+    return construct._eigh(M)[1]
 
-    evals, evecs = np.linalg.eigh(np.array(M, dtype=float))
-    order = np.argsort(evals)
-    return [list(evecs[:, j]) for j in order]
+
+def _eigh_cases(m):
+    """The base library for m <= 5. _base_stream(6) scans over a minute of
+    candidates, so m = 6 takes the first 40 with 6 distinct real
+    eigenvalues instead."""
+    if m < 6:
+        return [e.tau0 for e in construct._base_stream(m)]
+    simple = (
+        M
+        for M in construct._symmetric_candidates(m)
+        if sturm_distinct_real_roots(char_poly(M)) == m
+    )
+    return list(itertools.islice(simple, 40))
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_eigh_matches_numpy(m):
+    np = pytest.importorskip("numpy")
+    for M in _eigh_cases(m):
+        values, vectors = construct._eigh(M.to_lists())
+        W, V = np.linalg.eigh(np.array(M.to_lists(), dtype=float))
+        assert np.abs(np.array(values) - W).max() <= 1e-12
+        for v, u in zip(vectors, V.T):  # eigenvectors agree up to sign
+            v = np.array(v) if np.dot(v, u) >= 0 else -np.array(v)
+            assert np.abs(v - u).max() <= 1e-12
+        gram = np.array(vectors) @ np.array(vectors).T
+        assert np.abs(gram - np.eye(m)).max() <= 1e-12
+
+
+def _pattern_targets(p):
+    frames = (pf.arrangement.frame_matrix() for pf in p.flats)
+    return [[[float(F[r, c]) for r in range(p.m)] for c in range(p.m)] for F in frames]
+
+
+def test_rationalize_tau_ties_go_to_scan_order(monkeypatch):
+    """Bases tied in exact arithmetic: the first in scan order wins, and
+    rounding-sized changes to the distances do not move the choice."""
+    targets = _pattern_targets(synthesize_pattern(8, 3, rotation="1/2"))
+    bases = [e.tau0 for e in construct._base_stream(3)]
+    chosen = [bases.index(rationalize_tau(t).base) for t in targets]
+    # flat 3 ties bases 1, 7, 11, 13, 21, 27, 36 and 38, flat 6 bases 6 and
+    # 25; the distances agree to 1e-57 in 60-digit arithmetic
+    assert chosen[3] == 1 and chosen[6] == 6
+    real = construct._column_sin_distance
+    for sign in (1, -1):
+        flips = itertools.cycle((sign, -sign))
+        monkeypatch.setattr(
+            construct,
+            "_column_sin_distance",
+            lambda A, B: real(A, B) * (1 + next(flips) * 1e-15),
+        )
+        assert [bases.index(rationalize_tau(t).base) for t in targets] == chosen
 
 
 def test_rationalize_tau_matched_frame():
