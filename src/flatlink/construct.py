@@ -24,6 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .projlink import (
@@ -338,9 +339,37 @@ def _eigh(a: Sequence[Sequence]) -> tuple[list[float], list[list[float]]]:
     return [a[k][k] for k in order], [[row[k] for row in v] for k in order]
 
 
+def _snap_ratio(x: float, bound: int) -> tuple[int, int]:
+    """The numerator and denominator of Fraction(x).limit_denominator(bound),
+    in ints: walk the continued-fraction convergents of x's exact ratio n/D
+    and return the nearer of the last convergent p1/q1 with q1 <= bound and
+    the best semiconvergent, the convergent on a tie. The semiconvergent is
+    1/(q1 (q0 + k q1)) from p1/q1, and x is d/(q1 D) from it, hence the test.
+    """
+    n, D = x.as_integer_ratio()
+    if bound < 1:
+        raise ValueError("max_denominator should be at least 1")
+    if D <= bound:
+        return n, D
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    d = D
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (bound - q0) // q1
+    if 2 * d * (q0 + k * q1) <= D:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def _snap(x, bound: int) -> Fraction:
-    f = x if isinstance(x, Fraction) else Fraction(float(x))
-    return f.limit_denominator(bound)
+    if isinstance(x, Fraction):
+        return x.limit_denominator(bound)
+    return Fraction(*_snap_ratio(float(x), bound))
 
 
 def _column_sin_distance(A: Sequence[Sequence], B: Sequence[Sequence]) -> float:
@@ -354,7 +383,7 @@ def _column_sin_distance(A: Sequence[Sequence], B: Sequence[Sequence]) -> float:
         nu, nv = math.hypot(*u), math.hypot(*v)
         if nu == 0.0 or nv == 0.0:
             return 1.0
-        c = sum(x * y for x, y in zip(v, u)) / (nv * nv)
+        c = sum(map(mul, v, u)) / (nv * nv)
         r = math.hypot(*(x - y * c for x, y in zip(u, v)))
         worst = max(worst, min(1.0, r / nu))
     return worst
@@ -372,7 +401,9 @@ def rationalize_tau(
     columns, which is what keeps orientation data stable). The conjugator
     is snapped to denominators <= denom_bound, so tau = g tau0 g^{-1} holds
     exactly while the frame distance is a float-measured, rationally
-    rounded upper bound.
+    rounded upper bound. The scan snaps in ints; only a base that becomes
+    the best gets a Fraction conjugator. Raises ValueError when the target
+    is degenerate or every snapped conjugator is singular at this bound.
     """
     m = len(target_frame)
     T = [[float(x) for x in v] for v in target_frame]
@@ -386,37 +417,38 @@ def rationalize_tau(
             f"no integer symmetric base with certified irreducible "
             f"characteristic polynomial found for m={m}"
         )
+    T_rows = list(zip(*T))  # the rows of the matrix with columns T
     best = None
     for entry in entries:
         # align the eigenvectors' arbitrary signs with the targets
         F0 = [
-            f if sum(x * y for x, y in zip(t, f)) >= 0 else [-x for x in f]
+            f if sum(map(mul, t, f)) >= 0 else [-x for x in f]
             for t, f in zip(T, entry.frame)
         ]
         # g = T F0^T, with T and F0 holding the vectors as columns
-        g_float = [
-            [sum(t[r] * f[c] for t, f in zip(T, F0)) for c in range(m)]
-            for r in range(m)
-        ]
+        F0_rows = list(zip(*F0))
+        g_float = [[sum(map(mul, t, f)) for f in F0_rows] for t in T_rows]
         top = max(abs(x) for row in g_float for x in row)
-        rows = [[_snap(x / top, denom_bound) for x in row] for row in g_float]
-        g_snapped = [[float(x) for x in row] for row in rows]
-        achieved = [
-            [sum(x * y for x, y in zip(row, f)) for row in g_snapped] for f in F0
-        ]
+        ratios = [[_snap_ratio(x / top, denom_bound) for x in row] for row in g_float]
+        # int true division is correctly rounded: float(Fraction(p, q))
+        g_snapped = [[p / q for p, q in row] for row in ratios]
+        achieved = [[sum(map(mul, row, f)) for row in g_snapped] for f in F0]
         dist = _column_sin_distance(achieved, T)
         # a later base must beat the best by more than rounding: among bases
         # tied in exact arithmetic the first in scan order wins
         if best is not None and dist >= best[0] * (1 - _TIE):
             continue
-        g = QMatrix(rows)
+        g = QMatrix([[Fraction(p, q) for p, q in row] for row in ratios])
         if det(g) == 0:
             continue
         best = (dist, entry, g)
         if dist < 1e-12:
             break
     if best is None:
-        raise SynthesisBudgetError("no invertible snapped conjugator found")
+        # a failed round: rationalize_pattern retries with a larger bound
+        raise ValueError(
+            f"no invertible snapped conjugator at denominator bound {denom_bound}"
+        )
     dist, entry, g = best
     tau = g @ entry.tau0 @ g.inverse()
     p = char_poly(tau)

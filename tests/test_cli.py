@@ -452,6 +452,40 @@ def test_rationalize_cmd(tmp_path, capsys):
     assert all("rationalized" in f for f in snapped["flats"])
 
 
+@pytest.mark.parametrize("shape", [("2", "3"), ("4", "4")])
+@pytest.mark.parametrize("denoms", ["1", "2"])
+def test_rationalize_small_denoms(shape, denoms, tmp_path, capsys):
+    # at these bounds every snapped conjugator of some flat is singular: that
+    # round fails and the bound grows (it used to exit 3 at once)
+    pat = tmp_path / "p.json"
+    assert main(["pattern", *shape, "--out", str(pat)]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "snapped.json")
+    assert main(["rationalize", str(pat), "--denoms", denoms, "--out", out]) == 0
+    verdicts = _last_json(capsys)["verdicts"]
+    assert verdicts["stable"] is True
+    assert verdicts["denom_bound"] > int(denoms)
+    assert verdicts["matrix"] == json.loads(pat.read_text())["matrix"]
+
+
+def test_rationalize_exit3_when_every_round_fails(tmp_path, capsys, monkeypatch):
+    from flatlink import construct
+
+    pat = tmp_path / "p.json"
+    assert main(["pattern", "2", "2", "--out", str(pat)]) == 0
+    capsys.readouterr()
+    bounds = []
+
+    def singular(target, denom_bound):
+        bounds.append(denom_bound)
+        raise ValueError("no invertible snapped conjugator")
+
+    monkeypatch.setattr(construct, "rationalize_tau", singular)
+    assert main(["rationalize", str(pat), "--denoms", "1"]) == 3
+    assert "did not restabilize" in capsys.readouterr().err
+    assert bounds == [4**k for k in range(construct._MAX_ROUNDS)]
+
+
 def test_descend_cmd(tmp_path):
     path = _write(
         tmp_path / "in.json",

@@ -23,6 +23,7 @@ from flatlink.qkernel import (
     IrredVerdict,
     QMatrix,
     char_poly,
+    det,
     rat,
     sturm_distinct_real_roots,
 )
@@ -167,6 +168,74 @@ def test_rationalize_tau_ties_go_to_scan_order(monkeypatch):
         assert [bases.index(rationalize_tau(t).base) for t in targets] == chosen
 
 
+def _reference_sin_distance(A, B):
+    """construct._column_sin_distance with generator sums."""
+    worst = 0.0
+    for u, v in zip(A, B):
+        nu, nv = math.hypot(*u), math.hypot(*v)
+        if nu == 0.0 or nv == 0.0:
+            return 1.0
+        c = sum(x * y for x, y in zip(v, u)) / (nv * nv)
+        r = math.hypot(*(x - y * c for x, y in zip(u, v)))
+        worst = max(worst, min(1.0, r / nu))
+    return worst
+
+
+def _fraction_snap_scan(target, denom_bound):
+    """rationalize_tau's base scan with every conjugator entry snapped by
+    Fraction(float).limit_denominator and every sum a generator sum: the
+    chosen (distance, base, conjugator), or None when all are singular."""
+    m = len(target)
+    T = [[float(x) for x in v] for v in target]
+    best = None
+    for entry in construct._base_stream(m):
+        F0 = [
+            f if sum(x * y for x, y in zip(t, f)) >= 0 else [-x for x in f]
+            for t, f in zip(T, entry.frame)
+        ]
+        g_float = [
+            [sum(t[r] * f[c] for t, f in zip(T, F0)) for c in range(m)]
+            for r in range(m)
+        ]
+        top = max(abs(x) for row in g_float for x in row)
+        rows = [
+            [Fraction(x / top).limit_denominator(denom_bound) for x in row]
+            for row in g_float
+        ]
+        g_snapped = [[float(x) for x in row] for row in rows]
+        achieved = [
+            [sum(x * y for x, y in zip(row, f)) for row in g_snapped] for f in F0
+        ]
+        dist = _reference_sin_distance(achieved, T)
+        if best is not None and dist >= best[0] * (1 - construct._TIE):
+            continue
+        g = QMatrix(rows)
+        if det(g) == 0:
+            continue
+        best = (dist, entry.tau0, g)
+        if dist < 1e-12:
+            break
+    return best
+
+
+@pytest.mark.parametrize("denom_bound", [64, 1024])
+@pytest.mark.parametrize("m", range(2, 6))
+def test_rationalize_tau_matches_fraction_snap_scan(m, denom_bound):
+    rng = random.Random(3000 + m)
+    targets = [
+        [[rng.uniform(-3, 3) for _ in range(m)] for _ in range(m)] for _ in range(5)
+    ]
+    targets += _pattern_targets(synthesize_pattern(3, m))  # exact ties
+    targets.append(_float_frame(construct._base_stream(m)[2].tau0.to_lists()))
+    for target in targets:
+        dist, base, g = _fraction_snap_scan(target, denom_bound)
+        rt = rationalize_tau(target, denom_bound=denom_bound)
+        assert rt.base == base
+        assert rt.conjugator == g
+        assert rt.tau == g @ base @ g.inverse()
+        assert rt.frame_distance == Fraction(math.ceil(dist * 10**9), 10**9)
+
+
 def test_rationalize_tau_matched_frame():
     # the target is an exact eigenframe of a small integer symmetric matrix,
     # so some base in the library shares it and the distance collapses
@@ -257,6 +326,26 @@ def test_rationalize_pattern_rejects_bound_below_one():
     # a bound of 0 never grows (4 * 0): it used to spend every round failing
     with pytest.raises(ValueError):
         rationalize_pattern(synthesize_pattern(1, 2), denom_bound=0)
+
+
+def test_rationalize_pattern_retries_singular_rounds():
+    """At bound 1 every snapped conjugator of flat 0 of `pattern 2 3` is
+    singular. That is a failed round (ValueError), and the bound grows."""
+    p = synthesize_pattern(2, 3)
+    target = _pattern_targets(p)[0]
+    assert _fraction_snap_scan(target, 1) is None
+    with pytest.raises(ValueError, match="no invertible snapped conjugator"):
+        rationalize_tau(target, denom_bound=1)
+    snapped, bound = rationalize_pattern(p, denom_bound=1)
+    assert certify_pattern_stability(p, snapped) and bound == 16
+
+
+def test_rationalize_pattern_empty_base_library_fails_at_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(construct, "_base_stream", lambda m: calls.append(m) or [])
+    with pytest.raises(SynthesisBudgetError, match="no integer symmetric base"):
+        rationalize_pattern(synthesize_pattern(2, 2))
+    assert calls == [2]
 
 
 def test_rationalize_pattern_with_noise():
