@@ -39,6 +39,7 @@ from .qkernel import (
     IrredVerdict,
     QMatrix,
     QPoly,
+    _int_det,
     _scaled_ints,
     _solve_square,
     char_poly,
@@ -60,6 +61,10 @@ from .symspace import (
 
 class SynthesisBudgetError(RuntimeError):
     """A retry or search budget ran out before certification succeeded."""
+
+
+class DegenerateFrameError(ValueError):
+    """A rationalization target frame is degenerate: no bound can fix it."""
 
 
 RETRY_BUDGET = 32
@@ -268,13 +273,15 @@ class _BaseEntry:
 
 _BASE_CACHE: dict[int, list[_BaseEntry]] = {}
 _MAX_ENTRY_BOUND = 5
+_BASE_BUDGET = 100_000  # candidates scanned per m before the library stops
 _BASE_SCAN = 40  # base matrices tried per rationalized tau
 _MAX_ROUNDS = 6  # denominator-bound rounds of rationalize_pattern
 _TIE = 1e-9  # relative margin by which a later base must beat the best
 
 
-def _symmetric_candidates(m: int):
-    """Integer symmetric matrices, ordered by max entry size then lex."""
+def _symmetric_int_rows(m: int):
+    """Integer symmetric matrices as row lists, ordered by max entry size
+    then lex."""
     pairs = [(i, j) for i in range(m) for j in range(i, m)]
     for B in range(1, _MAX_ENTRY_BOUND + 1):
         for upper in itertools.product(range(-B, B + 1), repeat=len(pairs)):
@@ -284,26 +291,51 @@ def _symmetric_candidates(m: int):
             for (i, j), x in zip(pairs, upper):
                 rows[i][j] = x
                 rows[j][i] = x
-            yield QMatrix(rows)
+            yield rows
+
+
+def _symmetric_candidates(m: int):
+    """The candidates of `_symmetric_int_rows`, as QMatrix."""
+    return map(QMatrix, _symmetric_int_rows(m))
 
 
 def _base_stream(m: int) -> list[_BaseEntry]:
-    """The first `_BASE_SCAN` certified-irreducible base matrices for size m,
-    computed once per m."""
+    """The first `_BASE_SCAN` certified-irreducible base matrices for size m
+    among the first `_BASE_BUDGET` candidates, computed once per m. When
+    the budget runs out first the library is shorter, possibly empty.
+
+    A base is nonsingular, has an irreducible characteristic polynomial and
+    has m real roots. The checks run cheapest first, and accept exactly what
+    the conjunction in any order accepts:
+    1. the integer det must be nonzero. A singular candidate has the root 0,
+       so irreducible_over_Q would call it Reducible for every m >= 2;
+    2. char_poly, then irreducible_over_Q must certify IRREDUCIBLE;
+    3. Sturm's count of distinct real roots must be m. It is: a real
+       symmetric matrix has only real eigenvalues, and an irreducible
+       polynomial is squarefree. So any other count is an arithmetic fault
+       and raises ArithmeticError.
+    """
     if m in _BASE_CACHE:
         return _BASE_CACHE[m]
     entries = []
-    for tau0 in _symmetric_candidates(m):
-        if len(entries) == _BASE_SCAN:
-            break
-        p = char_poly(tau0)
-        if sturm_distinct_real_roots(p) != m:
+    for rows in itertools.islice(_symmetric_int_rows(m), _BASE_BUDGET):
+        if _int_det(rows) == 0:
             continue
+        tau0 = QMatrix(rows)
+        p = char_poly(tau0)
         cert = irreducible_over_Q(p)
         if cert.verdict is not IrredVerdict.IRREDUCIBLE:
             continue
-        frame = tuple(map(tuple, _eigh(tau0.to_lists())[1]))
+        count = sturm_distinct_real_roots(p)
+        if count != m:
+            raise ArithmeticError(
+                f"symmetric base with irreducible polynomial has Sturm count "
+                f"{count}, m={m}"
+            )
+        frame = tuple(map(tuple, _eigh(rows)[1]))
         entries.append(_BaseEntry(tau0=tau0, poly=p, cert=cert, frame=frame))
+        if len(entries) == _BASE_SCAN:
+            break
     _BASE_CACHE[m] = entries
     return entries
 
@@ -402,20 +434,22 @@ def rationalize_tau(
     is snapped to denominators <= denom_bound, so tau = g tau0 g^{-1} holds
     exactly while the frame distance is a float-measured, rationally
     rounded upper bound. The scan snaps in ints; only a base that becomes
-    the best gets a Fraction conjugator. Raises ValueError when the target
-    is degenerate or every snapped conjugator is singular at this bound.
+    the best gets a Fraction conjugator. Raises DegenerateFrameError (a
+    ValueError) when the target is degenerate, and ValueError when every
+    snapped conjugator is singular at this bound.
     """
     m = len(target_frame)
     T = [[float(x) for x in v] for v in target_frame]
     scale = max(1.0, max(abs(x) for v in T for x in v))
     if abs(det(QMatrix([[Fraction(x) for x in v] for v in T]))) < 1e-9 * scale**m:
-        raise ValueError("target frame is degenerate")
+        raise DegenerateFrameError("target frame is degenerate")
 
     entries = _base_stream(m)
     if not entries:
         raise SynthesisBudgetError(
             f"no integer symmetric base with certified irreducible "
-            f"characteristic polynomial found for m={m}"
+            f"characteristic polynomial found for m={m} among the first "
+            f"{_BASE_BUDGET} candidates"
         )
     T_rows = list(zip(*T))  # the rows of the matrix with columns T
     best = None
@@ -502,7 +536,8 @@ def rationalize_pattern(
     are certified by the oracle alone: the snapped tau has an irreducible
     characteristic polynomial, so there is no rational eigenframe to hand
     to the projective criterion. Returns the snapped pattern and the bound
-    that certified.
+    that certified. A degenerate target frame raises DegenerateFrameError
+    in the first round; any other failed round is retried.
     """
     if denom_bound < 1:
         raise ValueError("denom_bound must be >= 1")
@@ -541,6 +576,8 @@ def rationalize_pattern(
                 pair, Y = rationalize_pair(line_t, plane_t, denom_bound=bound)
                 subspaces.append(PatternSubspace(subspace=Y, pair=pair))
             certified = _certify_pattern(flats, subspaces)
+        except DegenerateFrameError:
+            raise  # no bound fixes the target: fail now, not after every round
         except (GeneralPositionError, ValueError):
             certified = None
         if certified is not None:

@@ -486,6 +486,32 @@ def test_rationalize_exit3_when_every_round_fails(tmp_path, capsys, monkeypatch)
     assert bounds == [4**k for k in range(construct._MAX_ROUNDS)]
 
 
+def test_rationalize_m7_exits3_in_seconds(tmp_path):
+    """At m = 7 the first 100,000 symmetric candidates are singular: the
+    base library stops at its budget, empty, and rationalize exits 3. The
+    scan used to run without end, so it runs in a subprocess with a gate."""
+    pattern = tmp_path / "p7.json"
+    script = f"""
+import sys
+from flatlink.cli import main
+assert main(["pattern", "2", "7", "--out", {str(pattern)!r}]) == 0
+sys.exit(main(["rationalize", {str(pattern)!r}]))
+"""
+    src = str(Path(flatlink.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    t0 = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert time.perf_counter() - t0 < 60
+    assert done.returncode == 3, done.stderr
+    assert "no integer symmetric base" in done.stderr
+
+
 def test_descend_cmd(tmp_path):
     path = _write(
         tmp_path / "in.json",

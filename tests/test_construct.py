@@ -143,6 +143,60 @@ def test_eigh_matches_numpy(m):
         assert np.abs(gram - np.eye(m)).max() <= 1e-12
 
 
+def _sturm_first_scan(m):
+    """_base_stream's scan with the checks in their earlier order: Sturm
+    count first, then irreducibility, on every candidate."""
+    entries = []
+    for tau0 in construct._symmetric_candidates(m):
+        if len(entries) == construct._BASE_SCAN:
+            break
+        p = char_poly(tau0)
+        if sturm_distinct_real_roots(p) != m:
+            continue
+        cert = construct.irreducible_over_Q(p)
+        if cert.verdict is not IrredVerdict.IRREDUCIBLE:
+            continue
+        frame = tuple(map(tuple, construct._eigh(tau0.to_lists())[1]))
+        entries.append((tau0, p, cert, frame))
+    return entries
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_base_stream_matches_sturm_first_scan(m):
+    got = [(e.tau0, e.poly, e.cert, e.frame) for e in construct._base_stream(m)]
+    assert got == _sturm_first_scan(m)
+    assert len(got) == construct._BASE_SCAN
+
+
+def test_base_stream_budget(monkeypatch):
+    """The scan stops after _BASE_BUDGET candidates and caches what it found;
+    an empty library is a budget failure of rationalize_tau."""
+    first = construct._base_stream(3)[0]
+    candidates = construct._symmetric_candidates(3)
+    k = next(k for k, M in enumerate(candidates) if M == first.tau0)
+    target = _float_frame(first.tau0.to_lists())
+    for budget, found in ((k, []), (k + 1, [first])):
+        monkeypatch.setattr(construct, "_BASE_CACHE", {})
+        monkeypatch.setattr(construct, "_BASE_BUDGET", budget)
+        assert construct._base_stream(3) == found
+        assert construct._BASE_CACHE == {3: found}
+    assert rationalize_tau(target, denom_bound=64).base == first.tau0
+    monkeypatch.setattr(construct, "_BASE_CACHE", {})
+    monkeypatch.setattr(construct, "_BASE_BUDGET", k)
+    with pytest.raises(SynthesisBudgetError, match="no integer symmetric base"):
+        rationalize_tau(target, denom_bound=64)
+
+
+def test_base_stream_sturm_fault_raises(monkeypatch):
+    """Sturm no longer filters: an irreducible symmetric base with a count
+    other than m is an arithmetic fault, never a skipped candidate."""
+    monkeypatch.setattr(construct, "_BASE_CACHE", {})
+    monkeypatch.setattr(construct, "sturm_distinct_real_roots", lambda p: p.degree - 1)
+    with pytest.raises(ArithmeticError, match="Sturm count 1, m=2"):
+        construct._base_stream(2)
+    assert construct._BASE_CACHE == {}
+
+
 def _pattern_targets(p):
     frames = (pf.arrangement.frame_matrix() for pf in p.flats)
     return [[[float(F[r, c]) for r in range(p.m)] for c in range(p.m)] for F in frames]
@@ -346,6 +400,26 @@ def test_rationalize_pattern_empty_base_library_fails_at_once(monkeypatch):
     with pytest.raises(SynthesisBudgetError, match="no integer symmetric base"):
         rationalize_pattern(synthesize_pattern(2, 2))
     assert calls == [2]
+
+
+def test_rationalize_pattern_degenerate_frame_fails_in_first_round(monkeypatch):
+    """No bound fixes a degenerate target, so it is not retried: the error
+    is a ValueError (exit 2 on the CLI), raised in the first round."""
+    p = synthesize_pattern(2, 2)
+    frames = _pattern_targets(p)
+    frames[1] = [[1.0, 0.0], [1.0, 0.0]]
+    bounds = []
+    real = construct.rationalize_tau
+
+    def spy(target, denom_bound):
+        bounds.append(denom_bound)
+        return real(target, denom_bound=denom_bound)
+
+    monkeypatch.setattr(construct, "rationalize_tau", spy)
+    with pytest.raises(construct.DegenerateFrameError, match="degenerate"):
+        rationalize_pattern(p, frame_noise=frames)
+    assert issubclass(construct.DegenerateFrameError, ValueError)
+    assert bounds == [64, 64]  # flat 0, then flat 1 fails
 
 
 def test_rationalize_pattern_with_noise():
