@@ -7,8 +7,14 @@ when a matrix preserves a flag, and which subspaces are associated with
 both of two decompositions; `sphere_dim` gives a decomposition sphere's
 dimension by the join rule.
 
+Association is a dimension count. The blocks U_i form a direct sum, so the
+spaces V ∩ U_i are independent, and V is spanned by them exactly when
+sum_i dim(V ∩ U_i) = dim V, with dim(V ∩ U) = dim V + dim U - rank[V | U].
+So it takes ranks only, and no intersection is built.
+
 Subspaces are rational and canonicalized by the reduced echelon basis of
-their row space, so equality is literal equality of generator matrices.
+their row space, so equality is literal equality of generator matrices,
+and a canonical generator matrix has as many columns as its dimension.
 """
 
 from __future__ import annotations
@@ -17,6 +23,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .qkernel import QMatrix, det, kernel_basis, rank, rref_rows
+
+
+def _hstack(parts: Sequence[QMatrix]) -> QMatrix:
+    """The columns of all parts side by side: [A | B | ...]."""
+    if len({p.nrows for p in parts}) != 1:
+        raise ValueError("subspaces of different ambient dimensions")
+    return QMatrix([sum(rows, ()) for rows in zip(*(p.rows for p in parts))])
 
 
 def canonical_subspace(generators: QMatrix) -> QMatrix:
@@ -37,28 +50,15 @@ def same_subspace(a: QMatrix, b: QMatrix) -> bool:
 
 def intersect_subspaces(a: QMatrix, b: QMatrix) -> Optional[QMatrix]:
     """Intersection of two column spans; None when it is zero."""
-    cols_a = [a.col(j) for j in range(a.ncols)]
-    cols_b = [tuple(-x for x in b.col(j)) for j in range(b.ncols)]
-    ker = kernel_basis(QMatrix.from_columns(cols_a + cols_b))
-    gens = []
-    for v in ker:
-        coeffs = v[: a.ncols]
-        vec = tuple(
-            sum(c * col[i] for c, col in zip(coeffs, cols_a))
-            for i in range(a.nrows)
-        )
-        if any(x != 0 for x in vec):
-            gens.append(vec)
+    images = (a.apply(v[: a.ncols]) for v in kernel_basis(_hstack([a, -b])))
+    gens = [vec for vec in images if any(vec)]
     if not gens:
         return None
     return canonical_subspace(QMatrix.from_columns(gens))
 
 
 def sum_subspaces(parts: Sequence[QMatrix]) -> QMatrix:
-    cols = []
-    for p in parts:
-        cols.extend(p.col(j) for j in range(p.ncols))
-    return canonical_subspace(QMatrix.from_columns(cols))
+    return canonical_subspace(_hstack(parts))
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,11 @@ class Flag:
 
     def __init__(self, subspaces: Sequence[QMatrix]):
         canon = tuple(canonical_subspace(s) for s in subspaces)
-        dims = [subspace_dim(s) for s in canon]
+        dims = [s.ncols for s in canon]
         if any(d2 <= d1 for d1, d2 in zip(dims, dims[1:])):
             raise ValueError("flag dimensions must strictly increase")
         for small, big in zip(canon, canon[1:]):
-            joined = sum_subspaces([small, big])
-            if subspace_dim(joined) != subspace_dim(big):
+            if rank(_hstack([small, big])) != big.ncols:
                 raise ValueError("flag subspaces must be nested")
         if canon and dims[-1] == canon[-1].nrows:
             raise ValueError("the full space is not listed in a proper flag")
@@ -82,7 +81,7 @@ class Flag:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(subspace_dim(s) for s in self.subspaces)
+        return tuple(s.ncols for s in self.subspaces)
 
 
 @dataclass(frozen=True)
@@ -114,18 +113,20 @@ def sphere_dim(d: Union[DecompSphere, Sequence[int]]) -> int:
 
 
 def is_associated(V: QMatrix, arrangement: Sequence[QMatrix]) -> bool:
-    """Is V spanned by its intersections with the decomposition blocks?"""
-    m = V.nrows
+    """Is V spanned by its intersections with the decomposition blocks?
+
+    By the dimension count sum_i dim(V ∩ U_i) = dim V, with
+    dim(V ∩ U) = dim V + dim U - rank[V | U]. A zero V is not associated.
+    """
     blocks = list(arrangement)
-    if sum(subspace_dim(U) for U in blocks) != m or subspace_dim(
-        sum_subspaces(blocks)
-    ) != m:
+    dims = [rank(U) for U in blocks]
+    if sum(dims) != V.nrows or rank(_hstack(blocks)) != V.nrows:
         raise ValueError("blocks must form a direct-sum decomposition")
-    parts = [intersect_subspaces(V, U) for U in blocks]
-    gens = [p for p in parts if p is not None]
-    if not gens:
+    d = rank(V)
+    if d == 0:
         return False
-    return subspace_dim(sum_subspaces(gens)) == subspace_dim(V)
+    meets = sum(d + du - rank(_hstack([V, U])) for U, du in zip(blocks, dims))
+    return meets == d
 
 
 def flag_preserved_by(tau: QMatrix, flag: Flag) -> bool:
@@ -133,12 +134,7 @@ def flag_preserved_by(tau: QMatrix, flag: Flag) -> bool:
     if det(tau) == 0:
         raise ValueError("tau must be invertible")
     for S in flag.subspaces:
-        image = tau @ S
-        stacked = QMatrix.from_columns(
-            [S.col(j) for j in range(S.ncols)]
-            + [image.col(j) for j in range(image.ncols)]
-        )
-        if rank(stacked) != subspace_dim(S):
+        if rank(_hstack([S, tau @ S])) != S.ncols:
             return False
     return True
 
@@ -164,7 +160,7 @@ def common_associated_subspaces(
             C = intersect_subspaces(A, B)
             if C is None:
                 continue
-            if subspace_dim(C) >= 2:
+            if C.ncols >= 2:
                 # a shared plane carries infinitely many common lines
                 raise ValueError("degenerate configuration: blocks share a plane")
             pool.append(C)
@@ -177,15 +173,15 @@ def common_associated_subspaces(
     for i in range(len(candidates)):
         for j in range(i + 1, len(candidates)):
             S = sum_subspaces([candidates[i], candidates[j]])
-            if S.rows not in seen and subspace_dim(S) < m:
+            if S.rows not in seen and S.ncols < m:
                 seen.add(S.rows)
                 candidates.append(S)
 
     out = []
     for S in candidates:
-        if not 1 <= subspace_dim(S) < m:
+        if not 1 <= S.ncols < m:
             continue
         if is_associated(S, dec_a) and is_associated(S, dec_b):
             out.append(S)
-    out.sort(key=lambda S: (subspace_dim(S), S.rows))
+    out.sort(key=lambda S: (S.ncols, S.rows))
     return out

@@ -272,7 +272,6 @@ class _BaseEntry:
 
 
 _BASE_CACHE: dict[int, list[_BaseEntry]] = {}
-_MAX_ENTRY_BOUND = 5
 _BASE_BUDGET = 100_000  # candidates scanned per m before the library stops
 _BASE_SCAN = 40  # base matrices tried per rationalized tau
 _MAX_ROUNDS = 6  # denominator-bound rounds of rationalize_pattern
@@ -281,9 +280,9 @@ _TIE = 1e-9  # relative margin by which a later base must beat the best
 
 def _symmetric_int_rows(m: int):
     """Integer symmetric matrices as row lists, ordered by max entry size
-    then lex."""
+    then lex. The stream is endless; its callers cap it."""
     pairs = [(i, j) for i in range(m) for j in range(i, m)]
-    for B in range(1, _MAX_ENTRY_BOUND + 1):
+    for B in itertools.count(1):
         for upper in itertools.product(range(-B, B + 1), repeat=len(pairs)):
             if max(abs(x) for x in upper) != B:
                 continue

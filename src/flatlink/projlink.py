@@ -8,7 +8,9 @@ nothing in this module perturbs its input.
 The linking criterion: writing L = sum c_j L_j and d_j = P(L_j), the sphere
 spanned by the frame links the (line, hyperplane) sphere iff the products
 sign(c_j) * d_j all have one strict sign, i.e. iff P misses the open simplex
-with vertex set {L_1, ..., L_m} that contains L.
+with vertex set {L_1, ..., L_m} that contains L. A zero product is a
+degenerate configuration. So one solve for c and m evaluations of P decide
+both general position and the link.
 """
 
 from __future__ import annotations
@@ -121,27 +123,6 @@ class LinePlanePair:
         return self.line.dim
 
 
-@dataclass(frozen=True)
-class SignVector:
-    """Open-simplex label: m signs, canonicalized so the first entry is +1."""
-
-    signs: tuple[int, ...]
-
-    def __init__(self, signs: Sequence[int]):
-        ss = tuple(int(s) for s in signs)
-        if any(s not in (1, -1) for s in ss):
-            raise ValueError("signs must be +1 or -1")
-        if ss and ss[0] == -1:
-            ss = tuple(-s for s in ss)
-        object.__setattr__(self, "signs", ss)
-
-    def __iter__(self):
-        return iter(self.signs)
-
-    def __len__(self):
-        return len(self.signs)
-
-
 class LinkDecision(Enum):
     LINKED = "Linked"
     NOT_LINKED = "NotLinked"
@@ -158,56 +139,34 @@ def frame_coefficients(arr: Arrangement, L: ProjPoint) -> tuple[Fraction, ...]:
     return solve_unique(arr.frame_matrix(), L.rep)
 
 
+def _signed_vertex_values(arr: Arrangement, lp: LinePlanePair) -> list[Fraction]:
+    """sign(c_j) * P(L_j) for L = sum c_j L_j, from one frame solve.
+
+    The signed vertices sign(c_j) L_j span the open simplex containing L. A
+    zero value means L lies on a wall (c_j = 0) or P passes through a vertex.
+    """
+    cs = frame_coefficients(arr, lp.line)
+    return [sign(c) * lp.plane.eval(p) for c, p in zip(cs, arr.points)]
+
+
 def in_general_position(arr: Arrangement, lp: LinePlanePair) -> bool:
     """True iff every determinant the linking criterion consults is nonzero.
 
     Concretely: the frame is independent (Arrangement invariant), L avoids
     every hyperplane spanned by m-1 frame points (all coefficients c_j
-    nonzero), and P misses L and every frame point. A hyperplane together
-    with any point it misses already spans, so no further check is needed.
+    nonzero), and P misses L (LinePlanePair invariant) and every frame
+    point. That is: every signed vertex value is nonzero.
     """
-    if lp.dim != arr.m:
-        raise ValueError("dimension mismatch")
-    cs = frame_coefficients(arr, lp.line)
-    if any(c == 0 for c in cs):
-        return False
-    if any(lp.plane.eval(p) == 0 for p in arr.points):
-        return False
-    return lp.plane.eval(lp.line) != 0  # Arrangement/pair invariants imply the rest
-
-
-def simplex_of(arr: Arrangement, L: ProjPoint) -> SignVector:
-    """Sign vector of the open simplex (vertex set L_1..L_m) containing L."""
-    cs = frame_coefficients(arr, L)
-    if any(c == 0 for c in cs):
-        raise GeneralPositionError("point lies on a wall hyperplane V_i")
-    return SignVector([sign(c) for c in cs])
-
-
-def plane_meets_simplex(
-    P: ProjHyperplane, arr: Arrangement, sigma: SignVector
-) -> bool:
-    """Does P meet the closed simplex labeled by sigma other than trivially?
-
-    Evaluates P on the signed vertices sigma_j * L_j; P misses the open
-    simplex iff those values all share one strict sign.
-    """
-    if len(sigma) != arr.m:
-        raise ValueError("sign vector length mismatch")
-    vals = [s * P.eval(p) for s, p in zip(sigma, arr.points)]
-    if any(v == 0 for v in vals):
-        raise GeneralPositionError("plane passes through a vertex")
-    return not (all(v > 0 for v in vals) or all(v < 0 for v in vals))
+    return all(_signed_vertex_values(arr, lp))
 
 
 def link_decision(arr: Arrangement, lp: LinePlanePair) -> LinkDecision:
-    """Linked iff the plane misses the open simplex containing the line."""
-    if not in_general_position(arr, lp):
+    """Linked iff the plane misses the open simplex containing the line,
+    that is, iff the signed vertex values all have one strict sign."""
+    signs = {sign(v) for v in _signed_vertex_values(arr, lp)}
+    if 0 in signs:
         raise GeneralPositionError("configuration is not in general position")
-    sigma = simplex_of(arr, lp.line)
-    if plane_meets_simplex(lp.plane, arr, sigma):
-        return LinkDecision.NOT_LINKED
-    return LinkDecision.LINKED
+    return LinkDecision.LINKED if len(signs) == 1 else LinkDecision.NOT_LINKED
 
 
 def common_flags(arr: Arrangement, lp: LinePlanePair) -> tuple[ProjPoint, ProjHyperplane]:

@@ -30,12 +30,19 @@ _ONE = Fraction(1)
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like '3/4' or '5', and Fractions to Fraction."""
+    """Coerce ints, strings like '3/4', '5' or '0.25', and Fractions to
+    Fraction.
+
+    Exponent notation is refused: Fraction would expand '1e3000000' into a
+    three-million-digit integer, so a short string could take unbounded time.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if "e" in x or "E" in x:
+            raise ValueError(f"{x!r}: exponent notation is not accepted")
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from flatlink import boundary
 from flatlink.boundary import (
     DecompSphere,
     Flag,
@@ -88,6 +89,59 @@ def test_is_associated():
     assert is_associated(span((1, 0, 0), (0, 1, 0)), lines)
     with pytest.raises(ValueError):
         is_associated(span((1, 0, 0)), lines[:2])  # not a decomposition
+    # redundant columns inside a block are fine; overlapping blocks are not
+    blocks = [span((1, 0, 0), (2, 0, 0)), span((0, 1, 0), (0, 0, 1), (0, 1, 1))]
+    assert is_associated(span((1, 0, 0), (0, 1, 1)), blocks)
+    assert not is_associated(span((1, 1, 0)), blocks)
+    assert not is_associated(span((0, 0, 0)), blocks)  # a zero V
+    with pytest.raises(ValueError):
+        is_associated(span((1, 0, 0)), [span((1, 0, 0), (0, 1, 0)), span((0, 1, 0), (0, 0, 1))])
+    with pytest.raises(ValueError):
+        is_associated(span((0, 0, 0)), [span((1, 0, 0)), span((2, 0, 0)), span((0, 1, 0))])
+
+
+def _span_of_intersections(V, blocks):
+    """The definition is_associated used to compute, kept as a reference: V
+    is the span of its intersections with the blocks, built as subspaces."""
+    parts = [P for P in (intersect_subspaces(V, U) for U in blocks) if P is not None]
+    return bool(parts) and subspace_dim(sum_subspaces(parts)) == subspace_dim(V)
+
+
+def _redundant(rng, U):
+    """U with one more column, a combination of its own."""
+    extra = U.apply([rng.randint(-2, 2) for _ in range(U.ncols)])
+    return QMatrix.from_columns(U.columns() + [extra])
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_is_associated_matches_span_of_intersections(m, monkeypatch):
+    rng = random.Random(1900 + m)
+    cases = []
+    for _ in range(60):
+        blocks = _random_decomposition(rng, m)
+        blocks = [_redundant(rng, U) if rng.random() < 0.3 else U for U in blocks]
+        k = rng.randint(1, m)
+        cols = []
+        for _ in range(k):
+            if rng.random() < 0.6:  # a vector inside one block
+                U = rng.choice(blocks)
+                cols.append(U.apply([rng.randint(-2, 2) for _ in range(U.ncols)]))
+            else:
+                cols.append(tuple(rng.randint(-2, 2) for _ in range(m)))
+        if rng.random() < 0.3:  # a dependent column
+            cols.append(tuple(a - b for a, b in zip(cols[0], cols[-1])))
+        cases.append((QMatrix.from_columns(cols), blocks))
+    cases.append((QMatrix.from_columns([(0,) * m]), _random_decomposition(rng, m)))
+    expected = [_span_of_intersections(V, blocks) for V, blocks in cases]
+    assert True in expected and False in expected
+
+    def forbidden(*args):
+        raise AssertionError("is_associated builds no subspace")
+
+    monkeypatch.setattr(boundary, "intersect_subspaces", forbidden)
+    monkeypatch.setattr(boundary, "canonical_subspace", forbidden)
+    assert [is_associated(V, blocks) for V, blocks in cases] == expected
+    assert expected[-1] is False  # the zero V
 
 
 def test_flag_preserved_by():

@@ -384,10 +384,22 @@ def _assert_parse_error(argv, capsys):
         ["pattern", "2", "2", "--rotation", "0"],  # was exit 2
         ["pattern", "2", "2", "--rotation=-1/2"],  # was exit 2
         ["pattern", "2", "2", "--retries", "0"],  # was exit 3
+        ["pattern", "2", "2", "--thinness", "1e3000000"],  # used to run for minutes
+        ["pattern", "2", "2", "--rotation", "1E-2"],
     ],
 )
 def test_pattern_out_of_range_options_exit1(argv, capsys):
     _assert_parse_error(argv, capsys)
+
+
+def test_exponent_notation_in_input_exit1(tmp_path, capsys):
+    # an entry in exponent notation is a parse error, refused before Fraction
+    # expands it (this input used to exit 0)
+    obj = {"tau": [["1e300000", "1"], ["1", "1"]], "rho": [["0", "1"], ["1", "0"]]}
+    assert main(["intersect", _write(tmp_path / "in.json", obj)]) == 1
+    captured = capsys.readouterr()
+    assert "exponent notation" in captured.err
+    assert captured.out == ""
 
 
 def test_rationalize_denoms_zero_exit1(tmp_path, capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from flatlink import projlink
 from flatlink.projlink import (
     Arrangement,
     GeneralPositionError,
@@ -11,14 +12,13 @@ from flatlink.projlink import (
     ProjHyperplane,
     ProjPoint,
     common_flags,
+    frame_coefficients,
     in_general_position,
     link_decision,
-    plane_meets_simplex,
-    simplex_of,
     transform_arrangement,
     transform_pair,
 )
-from flatlink.qkernel import QMatrix, det, kernel_basis
+from flatlink.qkernel import QMatrix, det, kernel_basis, sign
 
 
 def std_frame(m):
@@ -79,42 +79,89 @@ def test_in_general_position_examples():
     assert not in_general_position(arr, LinePlanePair([1, 1], [1, 0]))
 
 
-def test_simplex_of():
-    arr = std_frame(2)
-    assert simplex_of(arr, ProjPoint([1, 1])).signs == (1, 1)
-    assert simplex_of(arr, ProjPoint([1, -1])).signs == (1, -1)
-    assert simplex_of(std_frame(3), ProjPoint([1, 2, 3])).signs == (1, 1, 1)
-    # canonicalization folds antipodal labels together
-    assert simplex_of(arr, ProjPoint([-1, 1])).signs == (1, -1)
-    with pytest.raises(GeneralPositionError):
-        simplex_of(arr, ProjPoint([1, 0]))
-
-
-def test_plane_meets_simplex():
-    arr = std_frame(2)
-    sigma = simplex_of(arr, ProjPoint([1, 1]))
-    assert not plane_meets_simplex(ProjHyperplane([1, 1]), arr, sigma)
-    assert plane_meets_simplex(ProjHyperplane([2, -1]), arr, sigma)
-    arr3 = std_frame(3)
-    sigma3 = simplex_of(arr3, ProjPoint([1, 1, 1]))
-    assert not plane_meets_simplex(ProjHyperplane([1, 1, 1]), arr3, sigma3)
-    with pytest.raises(GeneralPositionError):
-        plane_meets_simplex(ProjHyperplane([1, 0]), arr, sigma)
+LINKED, NOT_LINKED = LinkDecision.LINKED, LinkDecision.NOT_LINKED
 
 
 def test_link_decision_fixed_cases():
-    arr = std_frame(2)
-    assert link_decision(arr, LinePlanePair([1, 1], [1, 1])) is LinkDecision.LINKED
-    assert (
-        link_decision(arr, LinePlanePair([1, 1], [2, -1])) is LinkDecision.NOT_LINKED
-    )
-    arr3 = std_frame(3)
-    assert (
-        link_decision(arr3, LinePlanePair([1, 1, 1], [1, 1, 1]))
-        is LinkDecision.LINKED
-    )
-    with pytest.raises(GeneralPositionError):
-        link_decision(arr, LinePlanePair([1, 1], [1, 0]))
+    cases = [
+        # m = 2: L in the simplex with signs (1, 1), then (1, -1)
+        ([1, 1], [1, 1], LINKED),
+        ([1, 1], [2, -1], NOT_LINKED),
+        ([1, -1], [1, -1], LINKED),
+        ([-1, 1], [1, -1], LINKED),  # the same projective point
+        ([1, -1], [1, 2], NOT_LINKED),
+        ([1, 0], [1, 1], GeneralPositionError),  # line on a wall
+        ([1, 1], [1, 0], GeneralPositionError),  # plane through a vertex
+        # m = 3
+        ([1, 1, 1], [1, 1, 1], LINKED),
+        ([1, 2, 3], [1, 1, 1], LINKED),
+        ([1, 1, 1], [1, 1, -1], NOT_LINKED),
+        ([1, 1, 0], [1, 1, 1], GeneralPositionError),
+        ([1, 1, 1], [1, 1, 0], GeneralPositionError),
+    ]
+    for line, plane, expected in cases:
+        arr, lp = std_frame(len(line)), LinePlanePair(line, plane)
+        if expected is GeneralPositionError:
+            assert not in_general_position(arr, lp)
+            with pytest.raises(GeneralPositionError):
+                link_decision(arr, lp)
+        else:
+            assert in_general_position(arr, lp)
+            assert link_decision(arr, lp) is expected
+
+
+def _sign_vector_route(arr, lp):
+    """The sign-vector route link_decision replaced, kept as a reference:
+    the general-position test, the canonical sign vector of the simplex
+    containing L, then P on the signed vertices, each from its own solve."""
+    if any(c == 0 for c in frame_coefficients(arr, lp.line)) or any(
+        lp.plane.eval(p) == 0 for p in arr.points
+    ):
+        raise GeneralPositionError("configuration is not in general position")
+    sigma = [sign(c) for c in frame_coefficients(arr, lp.line)]
+    sigma = [s * sigma[0] for s in sigma]  # first entry +1
+    vals = [s * lp.plane.eval(p) for s, p in zip(sigma, arr.points)]
+    return LINKED if all(v > 0 for v in vals) or all(v < 0 for v in vals) else NOT_LINKED
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_link_decision_matches_sign_vector_route(m):
+    # entries in [-2, 2] put many lines on walls and planes through vertices
+    rng = random.Random(1700 + m)
+    seen = set()
+    for _ in range(300):
+        try:
+            arr = Arrangement([[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)])
+            lp = LinePlanePair(
+                [rng.randint(-2, 2) for _ in range(m)],
+                [rng.randint(-2, 2) for _ in range(m)],
+            )
+        except ValueError:
+            continue
+        try:
+            expected = _sign_vector_route(arr, lp)
+        except GeneralPositionError:
+            expected = GeneralPositionError
+        assert in_general_position(arr, lp) is (expected is not GeneralPositionError)
+        if expected is GeneralPositionError:
+            with pytest.raises(GeneralPositionError):
+                link_decision(arr, lp)
+        else:
+            assert link_decision(arr, lp) is expected
+        seen.add(expected)
+    assert seen == {LINKED, NOT_LINKED, GeneralPositionError}
+
+
+def test_link_decision_solves_for_the_frame_once(monkeypatch):
+    calls = []
+
+    def counted(arr, L):
+        calls.append(L)
+        return frame_coefficients(arr, L)
+
+    monkeypatch.setattr(projlink, "frame_coefficients", counted)
+    assert link_decision(std_frame(3), LinePlanePair([1, 2, 3], [1, 1, 1])) is LINKED
+    assert len(calls) == 1
 
 
 def test_common_flags_fixed_cases():

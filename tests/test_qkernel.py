@@ -34,7 +34,16 @@ def test_rat_parsing():
     assert rat("3/4") == F(3, 4)
     assert rat("5") == 5
     assert rat(F(7, 2)) == F(7, 2)
+    assert rat("0.25") == F(1, 4)
+    assert rat("-1.5") == F(-3, 2)
     assert rat_str(F(-3, 4)) == "-3/4"
+
+
+@pytest.mark.parametrize("text", ["1e3", "2E-1", "1.5e2", "1e10000000"])
+def test_rat_refuses_exponent_notation(text):
+    # Fraction would expand the last into a ten-million-digit integer
+    with pytest.raises(ValueError, match="exponent notation"):
+        rat(text)
     assert rat_str(F(6, 3)) == "2"
 
 
