@@ -82,6 +82,42 @@ def test_in_general_position_examples():
 LINKED, NOT_LINKED = LinkDecision.LINKED, LinkDecision.NOT_LINKED
 
 
+def test_simplex_of():
+    # the open simplex containing L is labelled by the signs of L's frame
+    # coefficients, up to one overall sign
+    def simplex_of(arr, L):
+        signs = tuple(sign(c) for c in frame_coefficients(arr, L))
+        return signs if signs[0] > 0 else tuple(-s for s in signs)
+
+    arr = std_frame(2)
+    assert simplex_of(arr, ProjPoint([1, 1])) == (1, 1)
+    assert simplex_of(arr, ProjPoint([1, -1])) == (1, -1)
+    assert simplex_of(std_frame(3), ProjPoint([1, 2, 3])) == (1, 1, 1)
+    # antipodal representatives name the same point, hence the same simplex
+    assert simplex_of(arr, ProjPoint([-1, 1])) == (1, -1)
+    # and a negative first coefficient flips the label: (1, -3) = -L_1 + 2 L_2
+    skew = Arrangement([[1, 1], [1, -1]])
+    assert frame_coefficients(skew, ProjPoint([1, -3])) == (-1, 2)
+    assert simplex_of(skew, ProjPoint([1, -3])) == (1, -1)
+    # a point on a wall lies in no open simplex
+    assert 0 in (sign(c) for c in frame_coefficients(arr, ProjPoint([1, 0])))
+    with pytest.raises(GeneralPositionError):
+        link_decision(arr, LinePlanePair([1, 0], [1, 1]))
+
+
+def test_plane_meets_simplex():
+    # P meets the open simplex containing L exactly when the pair is NotLinked
+    arr = std_frame(2)
+    assert link_decision(arr, LinePlanePair([1, 1], [1, 1])) is LINKED
+    assert link_decision(arr, LinePlanePair([1, 1], [2, -1])) is NOT_LINKED
+    arr3 = std_frame(3)
+    assert link_decision(arr3, LinePlanePair([1, 1, 1], [1, 1, 1])) is LINKED
+    # a plane through a vertex of the simplex
+    assert not in_general_position(arr, LinePlanePair([1, 1], [1, 0]))
+    with pytest.raises(GeneralPositionError):
+        link_decision(arr, LinePlanePair([1, 1], [1, 0]))
+
+
 def test_link_decision_fixed_cases():
     cases = [
         # m = 2: L in the simplex with signs (1, 1), then (1, -1)
