@@ -31,6 +31,8 @@ from .congruence import (
     CommutantError,
     CongruenceLevel,
     SignedHit,
+    descent_modulus,
+    det_one_walk_size,
     enumerate_same_sign,
     min_level_v,
 )
@@ -49,8 +51,7 @@ from .projlink import (
     GeneralPositionError,
     LinePlanePair,
     LinkDecision,
-    frame_coefficients,
-    link_decision,
+    link_evidence,
 )
 from .qkernel import IrredCertificate, QMatrix, kernel_basis, mat_to_json, rat, rat_str
 from .symspace import (
@@ -409,9 +410,7 @@ def cmd_link(args) -> int:
     obj, (points, (line, plane)) = _read(args.input, _read_link)
     arr = Arrangement(points)
     pair = LinePlanePair(line, plane)
-    decision = link_decision(arr, pair)
-    coeffs = frame_coefficients(arr, pair.line)
-    values = [pair.plane.eval(pt) for pt in arr.points]
+    decision, coeffs, values = link_evidence(arr, pair)
     verdicts = {
         "linked": decision is LinkDecision.LINKED,
         "frame_coefficients": [rat_str(c) for c in coeffs],
@@ -495,6 +494,11 @@ def cmd_rank(args) -> int:
     return 0
 
 
+# the longest det-1 walk a descent may start: at m = 2 and q = 5 that is
+# bound 2,499, whose descent evaluates about half a million det-1 points
+_DESCENT_WALK_BUDGET = 1_000_000
+
+
 def cmd_descend(args) -> int:
     obj, (tau, rho) = _read(args.input, _read_descend)
     p, n = _parse_level(args.level)
@@ -506,6 +510,13 @@ def cmd_descend(args) -> int:
             # below rejects it (commutant first, exit 4; else exit 2)
             n = 1
     level = CongruenceLevel(p, n)
+    walk = det_one_walk_size(tau.nrows, descent_modulus(level, args.bound), args.bound)
+    if walk > _DESCENT_WALK_BUDGET:
+        raise _CliError(
+            1,
+            f"--bound {args.bound} at level {p}:{n} walks {walk:,} row choices, "
+            f"over the budget of {_DESCENT_WALK_BUDGET:,}; lower the bound or raise n",
+        )
     hits = enumerate_same_sign(tau, rho, level, entry_bound=args.bound)
     signs = {h.sign for h in hits}
     lines = [_canonical(signed_hit_to_json(h)) for h in hits]

@@ -21,6 +21,7 @@ the kernel dimension, the point and the sign together.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -278,32 +279,96 @@ def _int_adjugate(rows: list[list[int]]) -> list[list[int]]:
     ]
 
 
+def _first_row_cofactors(rows: list[tuple[int, ...]]) -> list[int]:
+    """C with det([c] + rows) = c . C for every first row c."""
+    if len(rows) == 1:
+        ((a, b),) = rows
+        return [b, -a]
+    return [
+        (-1) ** j * _int_det([r[:j] + r[j + 1 :] for r in rows])
+        for j in range(len(rows) + 1)
+    ]
+
+
+def _det_one_ranges(q: int, bound: int) -> tuple[range, range]:
+    """The k with 1 + q k, and with q k, inside [-bound, bound]."""
+    return (
+        range(-((bound + 1) // q), (bound - 1) // q + 1),
+        range(-(bound // q), bound // q + 1),
+    )
+
+
+def det_one_walk_size(m: int, q: int, bound: int) -> int:
+    """How many (rows 1..m-1, k_2..k_{m-1}) choices `_det_one_points` walks.
+
+    Each choice costs one divisibility test and, when it passes, one
+    interval of solutions; so this is the descent's cost before its hits.
+    """
+    diag, off = (len(r) for r in _det_one_ranges(q, bound))
+    return diag ** (m - 1) * off ** ((m - 1) ** 2 + m - 2)
+
+
+def descent_modulus(level: CongruenceLevel, entry_bound: int) -> int:
+    """The modulus a descent walks: p^n, capped where the ball stops shrinking.
+
+    Every q > bound + 1 walks the same ball, {I} or nothing, and
+    p^(bit_length + 1) is such a q.
+    """
+    return level.p ** min(level.n, entry_bound.bit_length() + 1)
+
+
 def _det_one_points(m: int, q: int, bound: int):
     """Every integer gamma = I mod q with entries in [-bound, bound] and det 1.
 
-    det is linear in gamma_00: writing gamma = [[gamma_00, top^T], [left, M]],
-    det = gamma_00 C + R with C = det M and R = -top^T adj(M) left. So every
-    other entry is walked and gamma_00 = (1 - R) / C is solved, with adj(M)
-    built once per trailing minor. C is a minor of a matrix = I mod q, so
-    C = 1 mod q and is never 0; R = 0 mod q, so an exact quotient is
-    = 1 mod q and only its size needs checking.
+    Needs q >= 2. det is linear in gamma's first row: det = sum_j gamma_0j C_j
+    with C the cofactors of rows 1..m-1. So those rows are walked, C is
+    computed once per row set, and the first row is solved for. Rows
+    1..m-1 are [0 | I] mod q, so C_0 = 1 mod q (never 0) and C_j = 0 mod q
+    for j >= 1. Writing gamma_00 = 1 + q k_0 and gamma_0j = q k_j, det = 1
+    reads sum_j k_j C_j = (1 - C_0) / q, an exact division.
+
+    Extended Euclid on (C_0, C_1) runs once per row set: with g their gcd,
+    it inverts C_1 / g modulo w = |C_0| / g. Each walked k_2..k_{m-1} then
+    leaves C_0 k_0 + C_1 k_1 = r. If g does not divide r there is nothing;
+    otherwise the k_1 form one residue class mod w, each with one exact
+    k_0, and the box clips them to an interval. When C_1 = 0, w = 1: k_0
+    is one exact quotient and k_1 runs over its whole range. The walk is
+    `det_one_walk_size` long, one factor of 2B/q + 1 shorter than walking
+    every entry but one.
     """
-    diag = range(1 - q * ((bound + 1) // q), bound + 1, q)
-    off = range(-q * (bound // q), bound + 1, q)
-    n = m - 1
-    for entries in itertools.product(
-        *(diag if i == j else off for i in range(n) for j in range(n))
-    ):
-        minor = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
-        C = _int_det(minor)
-        adj = _int_adjugate(minor)
-        for top in itertools.product(off, repeat=n):
-            ta = [sum(t * r[j] for t, r in zip(top, adj)) for j in range(n)]
-            for left in itertools.product(off, repeat=n):
-                R = -sum(x * y for x, y in zip(ta, left))
-                g00, rem = divmod(1 - R, C)
-                if rem == 0 and -bound <= g00 <= bound:
-                    yield [[g00, *top]] + [[x, *r] for x, r in zip(left, minor)]
+    diag_k, off_k = _det_one_ranges(q, bound)
+    diag = [1 + q * k for k in diag_k]
+    off = [q * k for k in off_k]
+    cells = [diag if i == j else off for i in range(1, m) for j in range(m)]
+    tails = [(ks, [q * k for k in ks]) for ks in itertools.product(off_k, repeat=m - 2)]
+    for entries in itertools.product(*cells):
+        rows = [entries[i * m : (i + 1) * m] for i in range(m - 1)]
+        C = _first_row_cofactors(rows)
+        g = math.gcd(C[0], C[1])
+        # C_0 k_0 + C_1 k_1 = r reads w k_0 + u k_1 = e r / g, with w > 0
+        e = 1 if C[0] > 0 else -1
+        w, u = e * C[0] // g, e * C[1] // g
+        inv = pow(u, -1, w)
+        rhs = (1 - C[0]) // q
+        for ks, tail in tails:
+            r = rhs - sum(k * c for k, c in zip(ks, C[2:]))
+            if r % g:
+                continue
+            s = e * r // g
+            # k_1 = s inv (mod w) makes k_0 = (s - u k_1) / w exact; k_1 is
+            # bounded by off_k, and u k_1 by k_0 in diag_k
+            lo, hi = off_k[0], off_k[-1]
+            a, b = s - w * diag_k[-1], s - w * diag_k[0]
+            if u > 0:
+                lo, hi = max(lo, -(-a // u)), min(hi, b // u)
+            elif u < 0:
+                lo, hi = max(lo, -(b // -u)), min(hi, -a // -u)
+            elif not a <= 0 <= b:
+                continue
+            lo += (s * inv - lo) % w
+            for k1 in range(lo, hi + 1, w):
+                first = [1 + q * ((s - u * k1) // w), q * k1, *tail]
+                yield [first] + [list(row) for row in rows]
 
 
 def _evaluator(X: FlatX, Y: SubspaceY):
@@ -359,8 +424,7 @@ def enumerate_same_sign(
         raise CommutantError("joint commutant of (tau, rho) is not scalar")
     X = flat_from_tau(tau)
     Y = subspace_from_rho(rho)
-    # every q > bound + 1 walks the same ball, and p^(bit_length + 1) is such a q
-    q = level.p ** min(level.n, entry_bound.bit_length() + 1)
+    q = descent_modulus(level, entry_bound)
     evaluate = _evaluator(X, Y)
     hits = [
         h for h in map(evaluate, _det_one_points(X.m, q, entry_bound)) if h is not None

@@ -139,14 +139,17 @@ def frame_coefficients(arr: Arrangement, L: ProjPoint) -> tuple[Fraction, ...]:
     return solve_unique(arr.frame_matrix(), L.rep)
 
 
-def _signed_vertex_values(arr: Arrangement, lp: LinePlanePair) -> list[Fraction]:
-    """sign(c_j) * P(L_j) for L = sum c_j L_j, from one frame solve.
-
-    The signed vertices sign(c_j) L_j span the open simplex containing L. A
-    zero value means L lies on a wall (c_j = 0) or P passes through a vertex.
-    """
+def link_evidence(
+    arr: Arrangement, lp: LinePlanePair
+) -> tuple[LinkDecision, tuple[Fraction, ...], list[Fraction]]:
+    """The link decision with what it is read from, from one frame solve:
+    the frame coefficients c of L and the plane values P(L_j)."""
     cs = frame_coefficients(arr, lp.line)
-    return [sign(c) * lp.plane.eval(p) for c, p in zip(cs, arr.points)]
+    values = [lp.plane.eval(p) for p in arr.points]
+    signs = {sign(c) * sign(v) for c, v in zip(cs, values)}
+    if 0 in signs:
+        raise GeneralPositionError("configuration is not in general position")
+    return (LinkDecision.LINKED if len(signs) == 1 else LinkDecision.NOT_LINKED), cs, values
 
 
 def in_general_position(arr: Arrangement, lp: LinePlanePair) -> bool:
@@ -155,18 +158,21 @@ def in_general_position(arr: Arrangement, lp: LinePlanePair) -> bool:
     Concretely: the frame is independent (Arrangement invariant), L avoids
     every hyperplane spanned by m-1 frame points (all coefficients c_j
     nonzero), and P misses L (LinePlanePair invariant) and every frame
-    point. That is: every signed vertex value is nonzero.
+    point.
     """
-    return all(_signed_vertex_values(arr, lp))
+    cs = frame_coefficients(arr, lp.line)
+    return all(c != 0 and lp.plane.eval(p) != 0 for c, p in zip(cs, arr.points))
 
 
 def link_decision(arr: Arrangement, lp: LinePlanePair) -> LinkDecision:
-    """Linked iff the plane misses the open simplex containing the line,
-    that is, iff the signed vertex values all have one strict sign."""
-    signs = {sign(v) for v in _signed_vertex_values(arr, lp)}
-    if 0 in signs:
-        raise GeneralPositionError("configuration is not in general position")
-    return LinkDecision.LINKED if len(signs) == 1 else LinkDecision.NOT_LINKED
+    """Linked iff the plane misses the open simplex containing the line.
+
+    The signed vertices sign(c_j) L_j, for L = sum c_j L_j, span that
+    simplex, so this is: the signed vertex values sign(c_j) P(L_j) all have
+    one strict sign. A zero value means L lies on a wall (c_j = 0) or P
+    passes through a vertex, and raises GeneralPositionError.
+    """
+    return link_evidence(arr, lp)[0]
 
 
 def common_flags(arr: Arrangement, lp: LinePlanePair) -> tuple[ProjPoint, ProjHyperplane]:

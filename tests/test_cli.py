@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import flatlink
+from flatlink import cli, projlink
 from flatlink.cli import (
     arrangement_to_json,
     build_pattern,
@@ -22,7 +23,7 @@ from flatlink.cli import (
 )
 from flatlink.congruence import CongruenceLevel, enumerate_same_sign
 from flatlink.construct import synthesize_pattern
-from flatlink.projlink import Arrangement, LinePlanePair
+from flatlink.projlink import Arrangement, LinePlanePair, frame_coefficients
 from flatlink.qkernel import QMatrix, rat_str
 from flatlink.symspace import involution_for_pair
 
@@ -69,6 +70,21 @@ def test_link_not_linked(tmp_path, capsys):
     path = _write(tmp_path / "in.json", obj)
     assert main(["link", path]) == 0
     assert _last_json(capsys)["verdicts"]["linked"] is False
+
+
+def test_link_solves_for_the_frame_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(arr, L):
+        calls.append(L)
+        return frame_coefficients(arr, L)
+
+    monkeypatch.setattr(projlink, "frame_coefficients", counted)
+    assert main(["link", _write(tmp_path / "in.json", LINKED_INPUT)]) == 0
+    assert len(calls) == 1
+    verdicts = _last_json(capsys)["verdicts"]
+    assert verdicts["frame_coefficients"] == ["1", "1"]
+    assert verdicts["plane_values"] == ["1", "1"]
 
 
 def test_link_degenerate_exit2(tmp_path):
@@ -574,6 +590,29 @@ def test_descend_huge_level_exponent(tmp_path, capsys, bound):
     assert main(args + ["5:100000000"]) == 0
     assert time.perf_counter() - t0 < 5
     assert capsys.readouterr().out.splitlines()[:-1] == small
+
+
+C7_INPUT = {"tau": [["2", "1"], ["1", "1"]], "rho": [["0", "1"], ["1", "0"]]}
+
+
+def test_descend_walk_over_budget_exit1(tmp_path, capsys, monkeypatch):
+    # bound 100000 walks 1.6e9 row choices: refused before any is walked
+    path = _write(tmp_path / "in.json", C7_INPUT)
+    t0 = time.perf_counter()
+    assert main(["descend", path, "--level", "5:1", "--bound", "100000"]) == 1
+    assert time.perf_counter() - t0 < 5
+    assert "1,600,040,000" in capsys.readouterr().err
+    assert main(["descend", path, "--level", "5:1", "--bound", "400"]) == 0
+    assert _last_json(capsys)["verdicts"]["hits"] == 3
+    # the budget is inclusive: bound 30 at q = 5 walks 12 x 13 = 156 rows
+    monkeypatch.setattr(cli, "_DESCENT_WALK_BUDGET", 156)
+    assert main(["descend", path, "--level", "5:1", "--bound", "30"]) == 0
+    monkeypatch.setattr(cli, "_DESCENT_WALK_BUDGET", 155)
+    assert main(["descend", path, "--level", "5:1", "--bound", "30"]) == 1
+    assert "156" in capsys.readouterr().err
+    # the walk uses the capped modulus: 5:100000 at bound 30 walks q = 5^6
+    monkeypatch.setattr(cli, "_DESCENT_WALK_BUDGET", 1)
+    assert main(["descend", path, "--level", "5:100000", "--bound", "30"]) == 0
 
 
 def test_descend_commutant_exit4(tmp_path):

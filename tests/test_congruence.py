@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -303,6 +304,21 @@ def test_enumerate_matches_brute_force(pair, level, bound):
 def test_det_one_points_are_the_det_one_ball(m, q, bound):
     want = sorted(rows for rows in _ball(m, q, bound) if _plain_det(rows) == 1)
     assert sorted(_det_one_points(m, q, bound)) == want
+
+
+def test_deep_descent_criterion_7_in_seconds():
+    """The criterion-7 pair at level (5, 1), bound 400: 13,297 det-1 points,
+    three hits, one sign. Walking every entry but one took 4-5 s on a
+    2-vCPU Xeon VM."""
+    t0 = time.perf_counter()
+    hits = enumerate_same_sign(TAU2, RHO2, CongruenceLevel(5, 1), entry_bound=400)
+    assert time.perf_counter() - t0 < 3
+    assert [[[int(x) for x in r] for r in h.gamma.rows] for h in hits] == [
+        [[1, 0], [0, 1]],
+        [[-89, -55], [-55, -34]],
+        [[-34, 55], [55, -89]],
+    ]
+    assert [h.sign for h in hits] == [1, 1, 1]
 
 
 def test_enumerate_rejects_negative_bound():
