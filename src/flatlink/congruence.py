@@ -13,15 +13,19 @@ The deep-congruence machinery behind the same-sign statement (double
 cosets, p-adic identity neighborhoods) is replaced by what it predicts:
 enumerate gamma = I + p^n K inside an entry bound with det = 1, intersect
 each moved flat gamma X with Y, and report every transverse sign. Each
-crossing is computed as X against the pulled-back gamma^{-1} Y, in integers,
-by the one Krylov solve `intersect` uses (`symspace._cross`), which gives
-the kernel dimension, the point and the sign together.
+crossing is decided as X against the pulled-back gamma^{-1} Y, in integers.
+The Hankel moment form of the pulled-back line and plane
+(`symspace._moment_definite`) is definite exactly when they cross
+transversely, so it rules out the misses, nearly every point, without an
+echelon; a point whose form is definite runs the one Krylov solve
+`intersect` uses (`symspace._cross`), which gives the point and the sign.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -44,6 +48,8 @@ from .symspace import (
     SPDPoint,
     SubspaceY,
     _cross,
+    _moment_definite,
+    _moment_powers,
     flat_from_tau,
     subspace_from_rho,
 )
@@ -376,9 +382,14 @@ def _evaluator(X: FlatX, Y: SubspaceY):
 
     It pulls Y back instead of moving X. gamma X and Y meet in
     gamma (X and gamma^{-1} Y), and gamma^{-1} Y has line adj(gamma) v and
-    plane gamma^T w (det gamma = 1), so each point costs two integer
-    mat-vecs and one crossing solve (`symspace._cross`) from L tau, built
-    once, and the pulled-back line and plane; matrices are built only for a
+    plane gamma^T w (det gamma = 1). Each point costs two integer mat-vecs
+    and the moment form of the pulled-back line and plane
+    (`symspace._moment_definite`: 2m - 1 integer dot products against the
+    powers of L tau, built once, and one m x m fraction-free pass). The
+    form is definite exactly when the crossing is a transverse point, so
+    only then does the point run the crossing solve (`symspace._cross`),
+    which stays the only source of the point and the sign; a definite form
+    without a point raises ArithmeticError. Matrices are built only for a
     hit. The reported point is gamma Z' gamma^T, with Z' the pulled-back
     point, primitive because gamma is unimodular. Z -> gamma Z gamma^T has
     det(gamma)^(m+1) = 1 on Sym and carries X's frame (Z', tau Z', ...) to
@@ -388,17 +399,19 @@ def _evaluator(X: FlatX, Y: SubspaceY):
     frame does to (v, w). A bit recomputed from the pulled-back line and
     plane, or a plane negated by `_primitive_ints`, flips signs at odd m.
     """
-    m = X.m
     t = _scaled_ints([x for r in X.tau.rows for x in r])
+    powers = _moment_powers(t)
     v, w = _primitive_ints(Y.line), _scaled_ints(Y.plane)
 
     def evaluate(rows: list[list[int]]) -> Optional[SignedHit]:
         adj = _int_adjugate(rows)
-        line = [sum(a * x for a, x in zip(r, v)) for r in adj]
-        plane = [sum(rows[i][j] * w[i] for i in range(m)) for j in range(m)]
+        line = [sum(map(operator.mul, r, v)) for r in adj]
+        plane = [sum(map(operator.mul, c, w)) for c in zip(*rows)]
+        if not _moment_definite(powers, line, plane):
+            return None
         _, Z, s = _cross(t, line, plane)
         if Z is None:
-            return None
+            raise ArithmeticError("definite moment form, but no crossing point")
         gamma = QMatrix(rows)
         point = SPDPoint(gamma @ QMatrix(Z) @ gamma.transpose())
         return SignedHit(gamma, point, Y.orientation * s)

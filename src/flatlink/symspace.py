@@ -12,6 +12,9 @@ exact kernel computation, against which the tests hold `intersect`. A flat
 is its tau, a subspace its line v and plane w, and the crossing Z solves
 K^T Z = J^T for the Krylov matrices K of w under tau^T and J of v under
 tau: one m x 2m integer echelon gives the kernel dimension, point and sign.
+Whether that point exists is also decided, without the echelon, by the
+definiteness of the m x m Hankel moment form of v and w under tau
+(`_moment_definite`), which the congruence descent tests first.
 This route never consults the projective linking criterion; it is the module
 the criterion is tested against.
 
@@ -22,6 +25,7 @@ with i <= j throughout.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -382,6 +386,46 @@ def _cross(
     if not _leading_minors_positive(Z):  # the kernel line misses the PD cone
         return 1, None, None
     return 1, Z, sgn * sign(d)
+
+
+def _moment_powers(t: Sequence[int]) -> list[list[int]]:
+    """A^0, ..., A^(2m-2) for A = t (m x m, row-major), each row-major: the
+    matrices of `_moment_definite`, built once per flat."""
+    m = math.isqrt(len(t))
+    cols = [t[j::m] for j in range(m)]
+    P = [[int(i == j) for i in range(m) for j in range(m)]]
+    for _ in range(2 * m - 2):
+        rows = [P[-1][i * m : (i + 1) * m] for i in range(m)]
+        P.append([sum(map(operator.mul, r, c)) for r in rows for c in cols])
+    return P
+
+
+def _moment_definite(
+    powers: list[list[int]], v: Sequence[int], w: Sequence[int]
+) -> bool:
+    """Whether `_cross(t, v, w)` returns a point, without its echelon:
+    `powers` is `_moment_powers(t)`.
+
+    This is the Hankel (moment) form of Hermite's root-separation method
+    (Krein and Naimark, 1936). With A = L tau, s_k = w . A^k v and H the
+    m x m Hankel matrix [s_(j+k)]: in tau's eigenbasis x_i, with w_i and
+    v_i as in `_cross`, s_k = sum_i mu_i n_i^k for the nodes n_i, A's
+    eigenvalues, and mu_i = w_i v_i. So H = V^T diag(mu) V with
+    V = [n_i^j], real and invertible because the nodes are real and
+    distinct, and by Sylvester's law of inertia H is definite exactly when
+    every mu_i is nonzero and all share one sign. That is `_cross`'s condition for a point: r = m (every
+    w_i nonzero) and a_i = lam v_i / w_i of one strict sign for some lam,
+    that is v_i / w_i, or v_i w_i, all nonzero of one sign. The sign of a
+    definite H is that of s_0 = w . v, so H is definite exactly when
+    sign(s_0) H passes Sylvester's test, one fraction-free pass without
+    pivoting.
+    """
+    m = len(v)
+    o = [a * b for a in w for b in v]
+    s = [sum(map(operator.mul, P, o)) for P in powers]
+    if s[0] < 0:
+        s = [-x for x in s]
+    return _leading_minors_positive([s[j : j + m] for j in range(m)])
 
 
 def intersect(X: FlatX, Y: SubspaceY) -> IntersectionResult:

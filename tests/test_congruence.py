@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from flatlink import congruence, symspace
 from flatlink.congruence import (
     CommutantError,
     CongruenceLevel,
@@ -264,10 +265,14 @@ def _brute_force_hits(tau, rho, q, bound):
     return sorted(hits, key=key)
 
 
-# seeded pairs: linked with hits of both signs, disjoint with two hits, and
-# an m = 3 pair with a scalar commutant (its bound-5 ball has 5,832 points)
+# seeded pairs: linked with hits of both signs, disjoint with two hits, a
+# pair whose stored line and plane have v . w < 0, so that every moment form
+# of its descent is negative definite (s_0 = w . v is the same for every
+# pulled-back pair), and an m = 3 pair with a scalar commutant (its bound-5
+# ball has 5,832 points)
 LINKED = (QMatrix([[-4, 2], [1, 4]]), involution_for_pair((1, -1), (1, -3)))
 DISJOINT = (QMatrix([[-1, -1], [-4, 3]]), involution_for_pair((3, 1), (-2, -1)))
+NEGATIVE = (QMatrix([[-4, 3], [1, -1]]), involution_for_pair((-3, 2), (0, -1)))
 M3 = (
     QMatrix([[8, 2, 0], [2, -2, -4], [0, -4, -2]]),
     involution_for_pair((0, -3, -1), (1, 3, -1)),
@@ -283,15 +288,19 @@ M3 = (
         ((TAU2, RHO2), (5, 2), 30),
         (LINKED, (5, 1), 20),
         (DISJOINT, (5, 1), 20),
+        (NEGATIVE, (5, 1), 20),
         (M3, (5, 1), 5),
     ],
-    ids=["c7-b6", "c7-b12", "c7-b30", "c7-5:2-b30", "linked-b20", "disjoint-b20", "m3-b5"],
+    ids=[
+        "c7-b6", "c7-b12", "c7-b30", "c7-5:2-b30", "linked-b20", "disjoint-b20",
+        "negative-b20", "m3-b5",
+    ],
 )
 def test_enumerate_matches_brute_force(pair, level, bound):
     tau, rho = pair
     level = CongruenceLevel(*level)
     hits = enumerate_same_sign(tau, rho, level, entry_bound=bound)
-    got = [([[int(x) for x in r] for r in h.gamma.rows], h.sign) for h in hits]
+    got = _gammas_and_signs(hits)
     assert got == _brute_force_hits(tau, rho, level.modulus, bound)
     assert got  # every case has a hit to compare
 
@@ -306,6 +315,17 @@ def test_det_one_points_are_the_det_one_ball(m, q, bound):
     assert sorted(_det_one_points(m, q, bound)) == want
 
 
+C7_B400_HITS = [
+    ([[1, 0], [0, 1]], 1),
+    ([[-89, -55], [-55, -34]], 1),
+    ([[-34, 55], [55, -89]], 1),
+]
+
+
+def _gammas_and_signs(hits):
+    return [([[int(x) for x in r] for r in h.gamma.rows], h.sign) for h in hits]
+
+
 def test_deep_descent_criterion_7_in_seconds():
     """The criterion-7 pair at level (5, 1), bound 400: 13,297 det-1 points,
     three hits, one sign. Walking every entry but one took 4-5 s on a
@@ -313,12 +333,43 @@ def test_deep_descent_criterion_7_in_seconds():
     t0 = time.perf_counter()
     hits = enumerate_same_sign(TAU2, RHO2, CongruenceLevel(5, 1), entry_bound=400)
     assert time.perf_counter() - t0 < 3
-    assert [[[int(x) for x in r] for r in h.gamma.rows] for h in hits] == [
-        [[1, 0], [0, 1]],
-        [[-89, -55], [-55, -34]],
-        [[-34, 55], [55, -89]],
+    assert _gammas_and_signs(hits) == C7_B400_HITS
+
+
+def test_descent_solves_a_crossing_once_per_hit(monkeypatch):
+    """The moment form rules out every miss, so `_cross` runs only on the
+    three hits of the bound-400 descent, each with a definite form."""
+    calls = []
+
+    def counted(t, v, w):
+        assert symspace._moment_definite(symspace._moment_powers(t), v, w)
+        calls.append(1)
+        return symspace._cross(t, v, w)
+
+    monkeypatch.setattr(congruence, "_cross", counted)
+    hits = enumerate_same_sign(TAU2, RHO2, CongruenceLevel(5, 1), entry_bound=400)
+    assert _gammas_and_signs(hits) == C7_B400_HITS
+    assert len(calls) == 3
+
+
+def test_definite_form_without_a_crossing_raises(monkeypatch):
+    monkeypatch.setattr(congruence, "_cross", lambda t, v, w: (1, None, None))
+    evaluate = _evaluator(flat_from_tau(TAU2), subspace_from_rho(RHO2))
+    with pytest.raises(ArithmeticError):
+        evaluate([[1, 0], [0, 1]])
+
+
+def test_m3_mixed_sign_descent():
+    """M3 at level (5, 1), bound 10: six hits, one of them of sign -1."""
+    hits = enumerate_same_sign(*M3, CongruenceLevel(5, 1), entry_bound=10)
+    assert _gammas_and_signs(hits) == [
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1),
+        ([[1, -5, 5], [0, 1, 0], [0, 0, 1]], -1),
+        ([[1, 0, 0], [0, 1, 0], [-5, 0, 1]], 1),
+        ([[1, 0, 0], [5, 1, 0], [5, 0, 1]], 1),
+        ([[1, 0, 0], [0, 1, 0], [-10, 0, 1]], 1),
+        ([[1, 0, 0], [5, 1, 0], [10, 0, 1]], 1),
     ]
-    assert [h.sign for h in hits] == [1, 1, 1]
 
 
 def test_enumerate_rejects_negative_bound():

@@ -13,11 +13,21 @@ from flatlink.projlink import (
     in_general_position,
     link_decision,
 )
-from flatlink.qkernel import QMatrix, det, kernel_basis, rank, sign
+from flatlink.qkernel import (
+    QMatrix,
+    _primitive_ints,
+    _scaled_ints,
+    det,
+    kernel_basis,
+    rank,
+    sign,
+)
 from flatlink.symspace import (
     FlatX,
     IntersectionKind,
     SPDPoint,
+    _moment_definite,
+    _moment_powers,
     flat_from_tau,
     flat_membership_system,
     intersect,
@@ -611,3 +621,73 @@ def test_intersection_sign_rejects_non_transverse_point():
     assert intersect(X, Y).kernel_dim == 3
     with pytest.raises(ValueError):
         intersection_sign(X, Y, SPDPoint(QMatrix.identity(3)))
+
+
+# ---------------------------------------------------------------------------
+# the moment form against intersect
+
+
+def _moment_draw(rng, m, kind):
+    """(tau, line, plane) of one of five kinds, or None when Y is undefined.
+
+    tau = g S g^-1 with S symmetric, so g p(S) g^T lies on its flat for
+    every polynomial p. kind 0: generic line and plane; 1: Y through a PD
+    point of the flat; 2: the plane kills an eigenvector (column of g), so
+    some mu_i = 0; 3: the line is an eigenline; 4: S a symmetric integer
+    matrix, whose eigenvalues are usually irrational, and Y through a PD
+    point.
+    """
+    plane = [rng.randint(-3, 3) for _ in range(m)]
+    line = [rng.randint(-3, 3) for _ in range(m)]
+    if kind < 4:
+        tau, g = rational_frame_flat(rng, m)
+        P = g @ QMatrix.diagonal([rng.randint(1, 5) for _ in range(m)]) @ g.transpose()
+    else:
+        R = QMatrix([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)])
+        S = R + R.transpose()
+        g = rnd_invertible(rng, m)
+        tau = g @ S @ g.inverse()
+        try:
+            flat_from_tau(tau)
+        except ValueError:  # a repeated eigenvalue
+            return None
+        P = g @ (S @ S + QMatrix.identity(m) * rng.randint(1, 4)) @ g.transpose()
+    j = rng.randrange(m)
+    e = [g[i, j] for i in range(m)]
+    if kind == 2:  # w . e = 0
+        ee, re = sum(x * x for x in e), sum(a * b for a, b in zip(plane, e))
+        plane = [ee * a - re * b for a, b in zip(plane, e)]
+    if kind in (1, 2, 4):
+        line = P.apply(plane)
+    if kind == 3:
+        line = e
+    if sum(a * b for a, b in zip(line, plane)) == 0:
+        return None
+    return tau, line, plane
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_moment_form_decides_transverse(m):
+    """The moment form is definite exactly when `intersect` finds a
+    transverse point. Each draw is tried with the line and its negative,
+    so every transverse draw gives one positive and one negative definite
+    form; a plane killing an eigenvector (some mu_i = 0) and a line on an
+    eigenline are never transverse."""
+    rng = random.Random(401 + m)
+    transverse_draws = draws = 0
+    while draws < 150:
+        kind = draws % 5
+        drawn = _moment_draw(rng, m, kind)
+        if drawn is None:
+            continue
+        tau, line, plane = drawn
+        draws += 1
+        Y = subspace_from_rho(involution_for_pair(line, plane))
+        transverse = intersect(flat_from_tau(tau), Y).kind is IntersectionKind.TRANSVERSE_POINT
+        powers = _moment_powers(_scaled_ints([x for r in tau.rows for x in r]))
+        v, w = _primitive_ints(Y.line), _scaled_ints(Y.plane)
+        assert _moment_definite(powers, v, w) is transverse
+        assert _moment_definite(powers, [-x for x in v], w) is transverse
+        assert not (transverse and kind in (2, 3))
+        transverse_draws += transverse
+    assert 20 <= transverse_draws <= draws - 20
