@@ -37,6 +37,8 @@ from .congruence import (
     min_level_v,
 )
 from .construct import (
+    DENOM_BOUND,
+    RETRY_BUDGET,
     CellWitness,
     Pattern,
     PatternFlat,
@@ -677,14 +679,14 @@ def _build_parser() -> _Parser:
     sp.add_argument("m", type=_int_at_least(2))
     sp.add_argument("--thinness", default="1/4", type=_positive_rational)
     sp.add_argument("--rotation", default="1/2", type=_positive_rational)
-    sp.add_argument("--retries", type=_int_at_least(1), default=32)
+    sp.add_argument("--retries", type=_int_at_least(1), default=RETRY_BUDGET)
     sp.add_argument("--svg", default=None)
     common(sp)
     sp.set_defaults(fn=cmd_pattern)
 
     sp = sub.add_parser("rationalize", help="snap a pattern to certified rationals")
     sp.add_argument("input")
-    sp.add_argument("--denoms", type=_int_at_least(1), default=64)
+    sp.add_argument("--denoms", type=_int_at_least(1), default=DENOM_BOUND)
     common(sp)
     sp.set_defaults(fn=cmd_rationalize)
 

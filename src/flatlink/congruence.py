@@ -35,7 +35,9 @@ from typing import Optional, Sequence
 from .projlink import ProjPoint
 from .qkernel import (
     QMatrix,
+    _conjugate,
     _int_det,
+    _int_matrix,
     _is_prime,
     _primitive_ints,
     _scaled_ints,
@@ -85,7 +87,6 @@ class Decomposition:
 class PtoqResult:
     kind: str  # "solved" | "no_solution" | "undecided"
     decomposition: Optional[Decomposition]
-    kernel_dim: int
 
 
 @dataclass(frozen=True)
@@ -141,18 +142,17 @@ def ptoq_solve(gamma: QMatrix, tau: QMatrix, rho: QMatrix) -> PtoqResult:
     Deterministic: the random kernel combinations are drawn from a fixed
     seed. When the certified grid would be too large and no invertible
     element was found, the result is undecided, never a silent NoSolution.
+    A singular gamma raises ValueError.
     """
     m = gamma.nrows
     if not (gamma.is_square and tau.nrows == m and rho.nrows == m):
         raise ValueError("inputs must be square of equal size")
-    if det(gamma) == 0:
-        raise ValueError("gamma must be invertible")
-    gi = gamma.inverse()
-    rows = _intertwine_rows(tau, gamma @ tau @ gi) + _intertwine_rows(rho, rho)
+    moved = _conjugate(_int_matrix(gamma)[1], *_int_matrix(tau))
+    rows = _intertwine_rows(tau, moved) + _intertwine_rows(rho, rho)
     ker = kernel_basis(QMatrix(rows))
     d = len(ker)
     if d == 0:
-        return PtoqResult("no_solution", None, 0)
+        return PtoqResult("no_solution", None)
     basis = [_unflatten(v, m) for v in ker]
 
     def finish(a: QMatrix) -> PtoqResult:
@@ -160,7 +160,7 @@ def ptoq_solve(gamma: QMatrix, tau: QMatrix, rho: QMatrix) -> PtoqResult:
         b = a.inverse() @ gamma
         if b @ tau != tau @ b:  # guaranteed by the system
             raise ArithmeticError("a^-1 gamma does not commute with tau")
-        return PtoqResult("solved", Decomposition(a=a, b=b), d)
+        return PtoqResult("solved", Decomposition(a=a, b=b))
 
     for a in basis:
         if det(a) != 0:
@@ -174,12 +174,12 @@ def ptoq_solve(gamma: QMatrix, tau: QMatrix, rho: QMatrix) -> PtoqResult:
     # det on the kernel span is a polynomial of degree <= m in each of the
     # d coefficients; vanishing on {0..m}^d forces it to vanish identically
     if (m + 1) ** d > _GRID_LIMIT:
-        return PtoqResult("undecided", None, d)
+        return PtoqResult("undecided", None)
     for coeffs in itertools.product(range(m + 1), repeat=d):
         a = _combine(basis, coeffs)
         if det(a) != 0:
             return finish(a)
-    return PtoqResult("no_solution", None, d)
+    return PtoqResult("no_solution", None)
 
 
 def _combine(basis: list[QMatrix], coeffs: Sequence[int]) -> QMatrix:

@@ -39,9 +39,10 @@ from .qkernel import (
     IrredVerdict,
     QMatrix,
     QPoly,
+    _conjugate,
     _int_det,
+    _int_matrix,
     _scaled_ints,
-    _solve_square,
     char_poly,
     det,
     irreducible_over_Q,
@@ -68,6 +69,7 @@ class DegenerateFrameError(ValueError):
 
 
 RETRY_BUDGET = 32
+DENOM_BOUND = 64  # first denominator bound of a rationalization
 
 
 @dataclass(frozen=True)
@@ -129,20 +131,13 @@ def tau_for_arrangement(arr: Arrangement) -> QMatrix:
     """A rational matrix whose eigenlines are the frame points, with
     eigenvalue k+1 on column k (ascending along the frame order).
 
-    This is F D F^-1 for the frame matrix F and D = diag(1, ..., m), in
-    integers: F D F^-1 does not change when a column of F is scaled, so
-    each column is scaled to integers, giving G. One fraction-free pass
-    over [G | I] and m back-substitutions give d G^-1 in integers, d the
-    last pivot, and tau = G D (d G^-1) / d.
+    This is F D F^-1 for the frame matrix F and D = diag(1, ..., m). As D is
+    diagonal, scaling a column of F leaves F D F^-1 unchanged, so each column
+    is scaled to integers, giving G, and tau = G D G^-1 (`_conjugate`).
     """
     m = arr.m
     G = list(zip(*(_scaled_ints(c) for c in arr.frame_matrix().columns())))
-    a = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(G)]
-    d, adj = _solve_square(a, m)  # adj: the columns of d G^-1
-    GD = [[g * (k + 1) for k, g in enumerate(r)] for r in G]
-    return QMatrix(
-        [[Fraction(sum(x * y for x, y in zip(r, c)), d) for c in adj] for r in GD]
-    )
+    return _conjugate(G, 1, [[(k + 1) * (j == k) for j in range(m)] for k in range(m)])
 
 
 def _certify_cell(
@@ -266,6 +261,7 @@ def certify_pattern_stability(p: Pattern, snapped: Pattern) -> bool:
 @dataclass(frozen=True)
 class _BaseEntry:
     tau0: QMatrix
+    det: int  # of tau0
     poly: QPoly  # characteristic polynomial of tau0
     cert: IrredCertificate
     frame: tuple  # unit eigenvectors, ascending eigenvalues (floats)
@@ -293,11 +289,6 @@ def _symmetric_int_rows(m: int):
             yield rows
 
 
-def _symmetric_candidates(m: int):
-    """The candidates of `_symmetric_int_rows`, as QMatrix."""
-    return map(QMatrix, _symmetric_int_rows(m))
-
-
 def _base_stream(m: int) -> list[_BaseEntry]:
     """The first `_BASE_SCAN` certified-irreducible base matrices for size m
     among the first `_BASE_BUDGET` candidates, computed once per m. When
@@ -318,7 +309,8 @@ def _base_stream(m: int) -> list[_BaseEntry]:
         return _BASE_CACHE[m]
     entries = []
     for rows in itertools.islice(_symmetric_int_rows(m), _BASE_BUDGET):
-        if _int_det(rows) == 0:
+        d = _int_det(rows)
+        if d == 0:
             continue
         tau0 = QMatrix(rows)
         p = char_poly(tau0)
@@ -332,7 +324,7 @@ def _base_stream(m: int) -> list[_BaseEntry]:
                 f"{count}, m={m}"
             )
         frame = tuple(map(tuple, _eigh(rows)[1]))
-        entries.append(_BaseEntry(tau0=tau0, poly=p, cert=cert, frame=frame))
+        entries.append(_BaseEntry(tau0=tau0, det=d, poly=p, cert=cert, frame=frame))
         if len(entries) == _BASE_SCAN:
             break
     _BASE_CACHE[m] = entries
@@ -422,7 +414,7 @@ def _column_sin_distance(A: Sequence[Sequence], B: Sequence[Sequence]) -> float:
 
 def rationalize_tau(
     target_frame: Sequence[Sequence],
-    denom_bound: int = 64,
+    denom_bound: int = DENOM_BOUND,
 ) -> RationalizedTau:
     """Rational tau with certified irreducible characteristic polynomial
     whose eigenframe approximates the target frame.
@@ -483,7 +475,7 @@ def rationalize_tau(
             f"no invertible snapped conjugator at denominator bound {denom_bound}"
         )
     dist, entry, g = best
-    tau = g @ entry.tau0 @ g.inverse()
+    tau = _conjugate(_int_matrix(g)[1], *_int_matrix(entry.tau0))
     p = char_poly(tau)
     count = sturm_distinct_real_roots(p)
     # tau is similar to the base, so both facts the certificate states about
@@ -499,14 +491,14 @@ def rationalize_tau(
         irred=entry.cert,
         sturm_count=count,
         frame_distance=Fraction(math.ceil(dist * 10**9), 10**9),
-        unit_base_det=det(entry.tau0) == 1,
+        unit_base_det=entry.det == 1,
     )
 
 
 def rationalize_pair(
     target_line: Sequence,
     target_plane: Sequence,
-    denom_bound: int = 64,
+    denom_bound: int = DENOM_BOUND,
 ) -> tuple[LinePlanePair, SubspaceY]:
     """Snap a (line, plane functional) target to bounded denominators and
     return the pair with its subspace."""
@@ -522,7 +514,7 @@ def rationalize_pair(
 
 def rationalize_pattern(
     p: Pattern,
-    denom_bound: int = 64,
+    denom_bound: int = DENOM_BOUND,
     frame_noise: Optional[Sequence[Sequence[Sequence[float]]]] = None,
     pair_noise: Optional[Sequence[tuple]] = None,
 ) -> tuple[Pattern, int]:
@@ -540,26 +532,16 @@ def rationalize_pattern(
     """
     if denom_bound < 1:
         raise ValueError("denom_bound must be >= 1")
-    targets = []
-    for i, pf in enumerate(p.flats):
-        if frame_noise is not None:
-            targets.append(frame_noise[i])
-        else:
-            F = pf.arrangement.frame_matrix()
-            targets.append(
-                [[float(F[r, c]) for r in range(p.m)] for c in range(p.m)]
-            )
-    pair_targets = []
-    for j, ps in enumerate(p.subspaces):
-        if pair_noise is not None:
-            pair_targets.append(pair_noise[j])
-        else:
-            pair_targets.append(
-                (
-                    [float(x) for x in ps.subspace.line],
-                    [float(x) for x in ps.subspace.plane],
-                )
-            )
+    targets = [
+        frame_noise[i] if frame_noise is not None
+        else [list(map(float, c)) for c in pf.arrangement.frame_matrix().columns()]
+        for i, pf in enumerate(p.flats)
+    ]
+    pair_targets = [
+        pair_noise[j] if pair_noise is not None
+        else (list(map(float, ps.subspace.line)), list(map(float, ps.subspace.plane)))
+        for j, ps in enumerate(p.subspaces)
+    ]
 
     bound = denom_bound
     for _ in range(_MAX_ROUNDS):

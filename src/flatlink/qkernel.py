@@ -5,8 +5,8 @@ positive. Matrices are immutable row-major tuples of Fractions. All
 elimination is one fraction-free (Bareiss) forward pass on integer-scaled
 rows, so intermediate entries stay minors of the input instead of blowing
 up, followed where needed by one integer back-substitution whose divisions
-are exact by Cramer's rule: det, rank, kernel_basis, rref_rows, solve_unique
-and inverse are all read off that pass.
+are exact by Cramer's rule: det, rank, kernel_basis, rref_rows, solve_unique,
+inverse and the similarity G A G^-1 (`_conjugate`) are all read off that pass.
 Polynomials are ascending coefficient tuples over Fractions.
 
 Real-root counting is by Sturm chains with exact rational arithmetic.
@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 Rat = Fraction
@@ -375,9 +376,11 @@ def solve_unique(M: QMatrix, b: Sequence) -> tuple:
     return tuple(Fraction(y, d) for y in _back_substitute(a, pivots, d, n))
 
 
-def _solve_square(a: list[list[int]], n: int) -> tuple[int, list[list[int]]]:
-    """For the n x 2n integer rows a = [G | S]: the last pivot d and the
-    columns of d G^-1 S, from one pass and n back-substitutions."""
+def _solve_square(G: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """For a square integer G: the last pivot d and the columns of d G^-1,
+    from one pass over [G | I] and n back-substitutions."""
+    n = len(G)
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(G)]
     pivots, _, d = _echelon(a)
     if pivots[-1] >= n:
         raise ValueError("singular matrix has no inverse")
@@ -385,14 +388,23 @@ def _solve_square(a: list[list[int]], n: int) -> tuple[int, list[list[int]]]:
 
 
 def inverse(M: QMatrix) -> QMatrix:
-    """Inverse from one pass over [M | I] and n back-substitutions."""
+    """M^-1 = L (L M)^-1, L the LCM of M's denominators, by `_solve_square`."""
     if not M.is_square:
         raise ValueError("inverse of a non-square matrix")
-    n = M.nrows
-    I = QMatrix.identity(n)
-    a = _int_rows(QMatrix([r + e for r, e in zip(M.rows, I.rows)]))
-    d, cols = _solve_square(a, n)
-    return QMatrix([[Fraction(y[i], d) for y in cols] for i in range(n)])
+    L, A = _int_matrix(M)
+    d, cols = _solve_square(A)
+    return QMatrix([[Fraction(L * y[i], d) for y in cols] for i in range(M.nrows)])
+
+
+def _conjugate(G: list[list[int]], L: int, A: list[list[int]]) -> QMatrix:
+    """G A G^-1 / L for square integer G, A and L > 0; a rational M enters as
+    `_int_matrix(M)`, a rational g as any integer multiple. G A (d G^-1) is
+    in integers, so the one division is by d L. Singular G: ValueError."""
+    d, adj = _solve_square(G)
+    cols = list(zip(*A))
+    GA = [[sum(map(mul, r, c)) for c in cols] for r in G]
+    dL = d * L
+    return QMatrix([[Fraction(sum(map(mul, r, c)), dL) for c in adj] for r in GA])
 
 
 def char_poly(M: QMatrix) -> "QPoly":

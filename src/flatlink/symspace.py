@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 from .qkernel import (
     QMatrix,
     _back_substitute,
+    _conjugate,
     _echelon,
     _int_matrix,
     _int_rows,
@@ -183,7 +184,7 @@ class FlatX:
 
     def transport(self, g: QMatrix) -> "FlatX":
         """The flat of g tau g^{-1}, which is regular semisimple as tau is."""
-        return FlatX(g @ self.tau @ g.inverse())
+        return FlatX(_conjugate(_int_matrix(g)[1], *_int_matrix(self.tau)))
 
 
 def flat_from_tau(tau: QMatrix) -> FlatX:

@@ -710,6 +710,8 @@ GOLDEN = [
      "92b9039efc630e995f6a96579d040cf54913dca1f8fc41eb08d30bebb25609db"),
     ("rationalize", ["rationalize", "{pattern22}"], 0,
      "1bb8b95e80fc623872ba5a80900eeead057e06d3c4177a1e3148e14f9d7fd300"),
+    ("rationalize43", ["rationalize", "{pattern43}"], 0,
+     "9b8c1eacd9907ac1d3afd4987ce0196ebcd2c060c572bd22f1d45cd482620099"),
     ("descend", ["descend", "{descend}", "--level", "5", "--bound", "6"], 0,
      "11fab1e9bb9605607b02e97f1dcb71e02331d1fd69f15619f26ae4282b4f6429"),
 ]
@@ -722,9 +724,9 @@ def test_golden_stdout(tmp_path, capsys):
         assert main([a.format(**paths) for a in argv]) == code, name
         out = capsys.readouterr().out
         got[name] = hashlib.sha256(out.encode()).hexdigest()
-        if name == "pattern22":  # the document rank and rationalize read
-            paths[name] = str(tmp_path / "pattern22.json")
-            (tmp_path / "pattern22.json").write_text(out)
+        if name in ("pattern22", "pattern43"):  # documents later rows read
+            paths[name] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(out)
     assert got == {name: digest for name, _, _, digest in GOLDEN}
 
 

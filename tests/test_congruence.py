@@ -50,6 +50,11 @@ def test_ptoq_identity():
     assert res.decomposition.b == QMatrix.identity(2)
 
 
+def test_ptoq_singular_gamma_raises():
+    with pytest.raises(ValueError):
+        ptoq_solve(QMatrix([[1, 2], [2, 4]]), TAU2, RHO2)
+
+
 def test_ptoq_gamma_in_rho_commutant():
     res = ptoq_solve(RHO2, TAU2, RHO2)
     assert res.kind == "solved"

@@ -123,7 +123,7 @@ def _eigh_cases(m):
         return [e.tau0 for e in construct._base_stream(m)]
     simple = (
         M
-        for M in construct._symmetric_candidates(m)
+        for M in map(QMatrix, construct._symmetric_int_rows(m))
         if sturm_distinct_real_roots(char_poly(M)) == m
     )
     return list(itertools.islice(simple, 40))
@@ -147,7 +147,7 @@ def _sturm_first_scan(m):
     """_base_stream's scan with the checks in their earlier order: Sturm
     count first, then irreducibility, on every candidate."""
     entries = []
-    for tau0 in construct._symmetric_candidates(m):
+    for tau0 in map(QMatrix, construct._symmetric_int_rows(m)):
         if len(entries) == construct._BASE_SCAN:
             break
         p = char_poly(tau0)
@@ -166,13 +166,14 @@ def test_base_stream_matches_sturm_first_scan(m):
     got = [(e.tau0, e.poly, e.cert, e.frame) for e in construct._base_stream(m)]
     assert got == _sturm_first_scan(m)
     assert len(got) == construct._BASE_SCAN
+    assert all(e.det == det(e.tau0) for e in construct._base_stream(m))
 
 
 def test_base_stream_budget(monkeypatch):
     """The scan stops after _BASE_BUDGET candidates and caches what it found;
     an empty library is a budget failure of rationalize_tau."""
     first = construct._base_stream(3)[0]
-    candidates = construct._symmetric_candidates(3)
+    candidates = map(QMatrix, construct._symmetric_int_rows(3))
     k = next(k for k, M in enumerate(candidates) if M == first.tau0)
     target = _float_frame(first.tau0.to_lists())
     for budget, found in ((k, []), (k + 1, [first])):

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from flatlink.qkernel import (
+    _conjugate,
     _gf_gcd,
+    _int_matrix,
     _is_prime,
     IrredVerdict,
     QMatrix,
@@ -124,6 +126,37 @@ def test_solve_and_inverse():
         solve_unique(QMatrix([[1, 2], [2, 4]]), [1, 0])
     with pytest.raises(ValueError):
         solve_unique(QMatrix([[1, 2], [2, 4]]), [1, 1])
+
+
+def _random_rational_matrix(rng, m, bits):
+    def entry():
+        return Fraction(rng.choice((-1, 1)) * rng.getrandbits(bits), rng.randint(1, 30))
+
+    return QMatrix([[entry() for _ in range(m)] for _ in range(m)])
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_conjugate_matches_fraction_conjugation(m):
+    """_conjugate on _int_matrix forms equals the Fraction product
+    g M g^-1, for small and 200-bit numerators and a derogatory M (an
+    eigenvalue 3/2 of geometric multiplicity 2, off the axes); g M = tau g
+    checks it without any inverse. A singular g is a ValueError."""
+    rng = random.Random(500 + m)
+    h = _random_rational_matrix(rng, m, 8)
+    D = QMatrix.diagonal([Fraction(3, 2)] * 2 + list(range(1, m - 1)))
+    derogatory = h @ D @ h.inverse()
+    for bits in (4, 200):
+        g = _random_rational_matrix(rng, m, bits)
+        assert det(g) != 0
+        assert g @ g.inverse() == QMatrix.identity(m)
+        for M in (_random_rational_matrix(rng, m, bits), derogatory):
+            tau = _conjugate(_int_matrix(g)[1], *_int_matrix(M))
+            assert tau == g @ M @ g.inverse()
+            assert tau @ g == g @ M
+    rows = [list(r) for r in _random_rational_matrix(rng, m, 200).rows]
+    rows[-1] = [Fraction(3, 7) * x for x in rows[0]]
+    with pytest.raises(ValueError):
+        _conjugate(_int_matrix(QMatrix(rows))[1], *_int_matrix(derogatory))
 
 
 def test_char_poly_fixed():
