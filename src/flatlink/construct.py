@@ -43,6 +43,7 @@ from .qkernel import (
     _int_det,
     _int_matrix,
     _scaled_ints,
+    _times_inverse,
     char_poly,
     det,
     irreducible_over_Q,
@@ -133,11 +134,12 @@ def tau_for_arrangement(arr: Arrangement) -> QMatrix:
 
     This is F D F^-1 for the frame matrix F and D = diag(1, ..., m). As D is
     diagonal, scaling a column of F leaves F D F^-1 unchanged, so each column
-    is scaled to integers, giving G, and tau = G D G^-1 (`_conjugate`).
+    is scaled to integers, giving G; G D is G with column k times k + 1, and
+    tau = (G D) G^-1 (`_times_inverse`).
     """
-    m = arr.m
     G = list(zip(*(_scaled_ints(c) for c in arr.frame_matrix().columns())))
-    return _conjugate(G, 1, [[(k + 1) * (j == k) for j in range(m)] for k in range(m)])
+    GD = [[(k + 1) * x for k, x in enumerate(r)] for r in G]
+    return _times_inverse(GD, G, 1)
 
 
 def _certify_cell(
@@ -549,9 +551,10 @@ def rationalize_pattern(
             flats = []
             for tgt in targets:
                 rt = rationalize_tau(tgt, denom_bound=bound)
-                flats.append(
-                    PatternFlat(flat=flat_from_tau(rt.tau), rationalized=rt)
-                )
+                # not flat_from_tau: rationalize_tau has certified tau's
+                # polynomial IRREDUCIBLE of degree m >= 2 with a Sturm count
+                # of m, so tau is invertible with m distinct real eigenvalues
+                flats.append(PatternFlat(flat=FlatX(rt.tau), rationalized=rt))
             subspaces = []
             for line_t, plane_t in pair_targets:
                 pair, Y = rationalize_pair(line_t, plane_t, denom_bound=bound)

@@ -22,12 +22,13 @@ from typing import Sequence
 
 from .qkernel import (
     QMatrix,
+    _back_substitute,
+    _echelon,
     _primitive_ints,
     inverse,
     kernel_basis,
     rat,
     sign,
-    solve_unique,
 )
 
 
@@ -133,10 +134,16 @@ class LinkDecision(Enum):
 
 
 def frame_coefficients(arr: Arrangement, L: ProjPoint) -> tuple[Fraction, ...]:
-    """Coefficients c with L = sum c_j L_j (in the canonical representatives)."""
-    if L.dim != arr.m:
+    """Coefficients c with L = sum c_j L_j (in the canonical representatives),
+    from one echelon of the integer rows [L_1 ... L_m | L]. The frame is
+    independent (an Arrangement invariant), so columns 0..m-1 are the pivots
+    and back-substitution gives d c, d the last pivot."""
+    m = arr.m
+    if L.dim != m:
         raise ValueError("dimension mismatch")
-    return solve_unique(arr.frame_matrix(), L.rep)
+    a = [list(r) + [x] for r, x in zip(zip(*(p.rep for p in arr.points)), L.rep)]
+    pivots, _, d = _echelon(a)
+    return tuple(Fraction(y, d) for y in _back_substitute(a, pivots, d, m))
 
 
 def link_evidence(

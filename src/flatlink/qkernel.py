@@ -6,10 +6,15 @@ elimination is one fraction-free (Bareiss) forward pass on integer-scaled
 rows, so intermediate entries stay minors of the input instead of blowing
 up, followed where needed by one integer back-substitution whose divisions
 are exact by Cramer's rule: det, rank, kernel_basis, rref_rows, solve_unique,
-inverse and the similarity G A G^-1 (`_conjugate`) are all read off that pass.
-Polynomials are ascending coefficient tuples over Fractions.
+inverse and the similarity G A G^-1 (`_conjugate`, by `_times_inverse`) are
+all read off that pass.
+Polynomials are ascending coefficient tuples over Fractions; the private
+integer helpers (`_int_char_poly`, the Sturm chain) use ascending int lists.
 
-Real-root counting is by Sturm chains with exact rational arithmetic.
+Real-root counting is by Sturm chains in integers: primitive
+pseudo-remainder sequences, whose members are positive multiples of the
+rational Sturm chain's, so they show the same signs everywhere and count the
+same roots (`_sturm_chain`).
 Irreducibility over Q is certified, not factored: rational-root test plus
 factor-degree patterns of reductions modulo small primes. `Inconclusive` is a
 legal verdict; no Zassenhaus/van Hoeij style factorization is attempted.
@@ -396,42 +401,55 @@ def inverse(M: QMatrix) -> QMatrix:
     return QMatrix([[Fraction(L * y[i], d) for y in cols] for i in range(M.nrows)])
 
 
-def _conjugate(G: list[list[int]], L: int, A: list[list[int]]) -> QMatrix:
-    """G A G^-1 / L for square integer G, A and L > 0; a rational M enters as
-    `_int_matrix(M)`, a rational g as any integer multiple. G A (d G^-1) is
-    in integers, so the one division is by d L. Singular G: ValueError."""
+def _times_inverse(B: list[list[int]], G: list[list[int]], L: int) -> QMatrix:
+    """B G^-1 / L for integer B and square integer G with as many columns,
+    and L > 0. B (d G^-1) is in integers, so the one division is by d L.
+    Singular G: ValueError."""
     d, adj = _solve_square(G)
-    cols = list(zip(*A))
-    GA = [[sum(map(mul, r, c)) for c in cols] for r in G]
     dL = d * L
-    return QMatrix([[Fraction(sum(map(mul, r, c)), dL) for c in adj] for r in GA])
+    return QMatrix([[Fraction(sum(map(mul, r, c)), dL) for c in adj] for r in B])
+
+
+def _conjugate(G: list[list[int]], L: int, A: list[list[int]]) -> QMatrix:
+    """G A G^-1 / L for square integer G, A and L > 0, by `_times_inverse`;
+    a rational M enters as `_int_matrix(M)`, a rational g as any integer
+    multiple."""
+    cols = list(zip(*A))
+    return _times_inverse([[sum(map(mul, r, c)) for c in cols] for r in G], G, L)
+
+
+def _int_char_poly(A: list[list[int]]) -> list[int]:
+    """Ascending integer coefficients of det(t I - A) for a square integer A,
+    by Faddeev–LeVerrier: with c_0 = 1 the coefficient of t^n,
+    B_1 = A, B_k = A B_(k-1) + c_(k-1) A and c_k = -tr(B_k) / k is the
+    coefficient of t^(n-k). Every c_k is an integer, so each division is
+    exact."""
+    n = len(A)
+    coeffs = [1]
+    B = A
+    for k in range(1, n + 1):
+        if k > 1:
+            c, cols = coeffs[-1], list(zip(*B))
+            B = [
+                [sum(map(mul, r, col)) + c * x for col, x in zip(cols, r)]
+                for r in A
+            ]
+        coeffs.append(-sum(B[i][i] for i in range(n)) // k)
+    return coeffs[::-1]
 
 
 def char_poly(M: QMatrix) -> "QPoly":
-    """Monic characteristic polynomial det(t·I − M), by Faddeev–LeVerrier
-    in integers.
+    """Monic characteristic polynomial det(t·I − M), from `_int_char_poly`.
 
     With L > 0 the LCM of M's denominators, A = L M is an integer matrix,
-    and det(t I − M) = L^(−n) det(L t I − A). Faddeev–LeVerrier on A gives
-    the coefficients c_k of t^(n−k) in det(t I − A), all integers, so each
-    division −tr(...) / k in it is exact. The coefficient of t^(n−k) in
-    det(t I − M) is then c_k / L^k.
+    and det(t I − M) = L^(−n) det(L t I − A): the coefficient of t^k in
+    det(t I − A) divided by L^(n−k) is that of t^k in det(t I − M).
     """
     if not M.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = M.nrows
     L, A = _int_matrix(M)
-    coeffs = [1]  # c_0 = 1 for t^n
-    B = A  # B_k = A B_(k-1) + c_(k-1) A, c_k = −tr(B_k) / k
-    for k in range(1, n + 1):
-        if k > 1:
-            c, cols = coeffs[-1], list(zip(*B))
-            B = [
-                [sum(a * b for a, b in zip(r, col)) + c * x for col, x in zip(cols, r)]
-                for r in A
-            ]
-        coeffs.append(-sum(B[i][i] for i in range(n)) // k)
-    return QPoly([Fraction(c, L**k) for k, c in reversed(list(enumerate(coeffs)))])
+    return QPoly([Fraction(c, L ** (n - k)) for k, c in enumerate(_int_char_poly(A))])
 
 
 # ---------------------------------------------------------------------------
@@ -582,12 +600,63 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
 # Sturm chains
 
 
-def _sturm_chain(p: QPoly) -> list[QPoly]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree >= 1:
-        chain.append(-(chain[-2] % chain[-1]))
-    if chain[-1].is_zero:
-        chain.pop()
+def _neg_prem(f: list[int], g: list[int]) -> list[int]:
+    """-r for the primitive pseudo-remainder r of f by g (ascending integer
+    coefficients, deg f >= deg g, g nonzero): r is a positive multiple of the
+    rational remainder of f by g, and [] when that is zero.
+
+    Dividing by -g instead of g leaves the remainder unchanged, so g is
+    taken with a positive leading coefficient lc. Each step cancels the top
+    term c of the running remainder by r <- (lc/h) r - (c/h) t^k g,
+    h = gcd(lc, c): the multiplier lc/h is positive. Divisions by the content
+    keep the result primitive (Collins' primitive PRS, Basu, Pollack and
+    Roy, Algorithms in Real Algebraic Geometry, ch. 8)."""
+    if g[-1] < 0:
+        g = [-c for c in g]
+    lc, dg = g[-1], len(g) - 1
+    r = list(f)
+    for k in range(len(r) - 1 - dg, -1, -1):
+        c = r.pop()
+        if c:
+            h = math.gcd(lc, c)
+            a, b = lc // h, c // h
+            if a != 1:
+                r = [a * x for x in r]
+            for i, y in enumerate(g[:-1]):
+                r[k + i] -= b * y
+    while r and r[-1] == 0:
+        r.pop()
+    if not r:
+        return r
+    h = -math.gcd(*r)
+    return [x // h for x in r]
+
+
+def _sturm_chain(p: Sequence[int]) -> list[list[int]]:
+    """Sturm chain of a nonzero integer polynomial p (ascending coefficients),
+    by primitive pseudo-remainders: p, p' over its content, then
+    -prem(p_(k-1), p_k) over its content while the last member has degree
+    >= 1; a zero remainder is dropped, so a p with repeated roots ends at a
+    multiple of the gcd of p and p'.
+
+    Each member is a positive multiple of the member p_(k+1) = -(p_(k-1) mod
+    p_k) of the rational chain: the pseudo-remainder is a positive multiple
+    of the remainder (see `_neg_prem`), and the remainder by a positive
+    multiple of p_k is the remainder by p_k. So every member has the sign of
+    its rational counterpart at +-infinity and at every rational point, and
+    the chain counts as the rational one does. Coefficients stay integers,
+    and contents are divided out as they appear, instead of the rational
+    chain's reduced fractions at every step.
+    """
+    chain = [list(p)]
+    dp = [k * c for k, c in enumerate(p)][1:]  # [] for constant p
+    g = math.gcd(*dp)
+    q = [c // g for c in dp]
+    while q:
+        chain.append(q)
+        if len(q) == 1:
+            break
+        q = _neg_prem(chain[-2], q)
     return chain
 
 
@@ -596,8 +665,14 @@ def _variations(signs: Iterable[int]) -> int:
     return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
 
 
-def _sign_at_neg_inf(q: QPoly) -> int:
-    return sign(q.lead) * (-1) ** (q.degree & 1)
+def _sturm_count(p: Sequence[int]) -> int:
+    """Number of distinct real roots of an integer polynomial of degree >= 1
+    (ascending coefficients): the sign variations of its Sturm chain at
+    -infinity, sign(lead) (-1)^degree, less those at +infinity."""
+    chain = _sturm_chain(p)
+    v_lo = _variations((1 if q[-1] > 0 else -1) * (-1) ** (len(q) - 1) for q in chain)
+    v_hi = _variations(1 if q[-1] > 0 else -1 for q in chain)
+    return v_lo - v_hi
 
 
 def sturm_distinct_real_roots(p: QPoly) -> int:
@@ -606,16 +681,24 @@ def sturm_distinct_real_roots(p: QPoly) -> int:
         raise ValueError("zero polynomial has no root count")
     if p.degree == 0:
         return 0
-    chain = _sturm_chain(p)
-    v_lo = _variations(_sign_at_neg_inf(q) for q in chain)
-    v_hi = _variations(sign(q.lead) for q in chain)
-    return v_lo - v_hi
+    return _sturm_count(p.primitive_int())
 
 
-def _roots_in(chain: list[QPoly], lo: Fraction, hi: Fraction) -> int:
+def _sign_at(q: list[int], x: Fraction) -> int:
+    """sign q(x) for x = a/b, b > 0: that of b^n q(a/b), n = deg q, by
+    integer Horner."""
+    a, b = x.numerator, x.denominator
+    acc, bk = 0, 1
+    for c in reversed(q):
+        acc = acc * a + c * bk
+        bk *= b
+    return (acc > 0) - (acc < 0)
+
+
+def _roots_in(chain: list[list[int]], lo: Fraction, hi: Fraction) -> int:
     """Distinct roots in the half-open interval (lo, hi]."""
-    v_lo = _variations(sign(q.eval(lo)) for q in chain)
-    v_hi = _variations(sign(q.eval(hi)) for q in chain)
+    v_lo = _variations(_sign_at(q, lo) for q in chain)
+    v_hi = _variations(_sign_at(q, hi) for q in chain)
     return v_lo - v_hi
 
 
@@ -634,7 +717,7 @@ def isolate_real_roots(p: QPoly) -> list[tuple[Fraction, Fraction]]:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return []
-    chain = _sturm_chain(p)
+    chain = _sturm_chain(p.primitive_int())
     B = cauchy_root_bound(p)
     out: list[tuple[Fraction, Fraction]] = []
 
@@ -645,9 +728,9 @@ def isolate_real_roots(p: QPoly) -> list[tuple[Fraction, Fraction]]:
             out.append((lo, hi))
             return
         mid = (lo + hi) / 2
-        # avoid landing on a root of any chain member at the cut point
+        # Sturm's theorem needs only that the cut point is not a root of p
         k = 3
-        while p.eval(mid) == 0:
+        while _sign_at(chain[0], mid) == 0:
             mid += (hi - lo) / k
             k += 2
         left = _roots_in(chain, lo, mid)

@@ -36,14 +36,14 @@ from .qkernel import (
     _back_substitute,
     _conjugate,
     _echelon,
+    _int_char_poly,
     _int_matrix,
     _int_rows,
     _primitive_ints,
     _scaled_ints,
-    char_poly,
+    _sturm_count,
     rat,
     sign,
-    sturm_distinct_real_roots,
 )
 
 
@@ -188,12 +188,16 @@ class FlatX:
 
 
 def flat_from_tau(tau: QMatrix) -> FlatX:
+    """The flat of a regular tau, checked in integers on A = L tau (L > 0 the
+    LCM of tau's denominators): A's eigenvalues are L times tau's, so p(t) =
+    det(t I - A) has p(0) = 0 exactly when tau is singular, and as many
+    distinct real roots as tau's characteristic polynomial."""
     if not tau.is_square:
         raise ValueError("tau must be square")
-    p = char_poly(tau)
-    if p.coeffs[0] == 0:  # p(0) = (-1)^m det tau
+    p = _int_char_poly(_int_matrix(tau)[1])
+    if p[0] == 0:  # p(0) = (-1)^m det A
         raise ValueError("tau must be invertible")
-    if sturm_distinct_real_roots(p) != tau.nrows:
+    if _sturm_count(p) != tau.nrows:
         raise ValueError("tau must have m distinct real eigenvalues")
     return FlatX(tau)
 
@@ -287,23 +291,29 @@ def subspace_from_rho(rho: QMatrix) -> SubspaceY:
     return subspace_from_pair([r[j] for r in R], R[i])
 
 
-def _pair(line: Sequence, plane: Sequence) -> tuple[list, list, Fraction]:
-    """line and plane as rationals, with their product, which is not zero."""
+def _pair(line: Sequence, plane: Sequence) -> tuple[list[int], list[int], int]:
+    """line and plane scaled to integers by positive factors, with their
+    product, which is not zero."""
     if len(line) != len(plane):
         raise ValueError("dimension mismatch")
-    v, u = [rat(x) for x in line], [rat(x) for x in plane]
-    uv = sum(a * b for a, b in zip(u, v))
+    v = _scaled_ints([rat(x) for x in line])
+    u = _scaled_ints([rat(x) for x in plane])
+    uv = sum(map(operator.mul, u, v))
     if uv == 0:  # also when either is zero
         raise ValueError("line lies inside the plane")
     return v, u, uv
 
 
 def involution_for_pair(line: Sequence, plane: Sequence) -> QMatrix:
-    """The involution fixing `line` and negating the kernel of `plane`."""
+    """The involution fixing `line` and negating the kernel of `plane`:
+    2 v u^T / (u.v) - I, unchanged when v and u are scaled, so each entry is
+    one fraction of the integer-scaled v and u."""
     v, u, uv = _pair(line, plane)
-    m = len(v)
     return QMatrix(
-        [[2 * v[i] * u[j] / uv - (1 if i == j else 0) for j in range(m)] for i in range(m)]
+        [
+            [Fraction(2 * a * b - (uv if i == j else 0), uv) for j, b in enumerate(u)]
+            for i, a in enumerate(v)
+        ]
     )
 
 

@@ -27,7 +27,7 @@ from flatlink.qkernel import (
     rat,
     sturm_distinct_real_roots,
 )
-from flatlink.symspace import intersect, IntersectionKind
+from flatlink.symspace import flat_from_tau, intersect, IntersectionKind
 
 
 def test_single_cell_pattern():
@@ -371,6 +371,8 @@ def test_rationalize_pattern_roundtrip():
     for pf in snapped.flats:
         assert pf.rationalized is not None
         assert pf.rationalized.irred.verdict is IrredVerdict.IRREDUCIBLE
+        # built without flat_from_tau; its checks must still pass
+        assert flat_from_tau(pf.flat.tau) == pf.flat
     for row in snapped.certificate:
         for w in row:
             assert w.link is None  # oracle-only certification after the snap
@@ -446,11 +448,15 @@ def test_rationalize_pattern_with_noise():
         )
     snapped, _ = rationalize_pattern(p, frame_noise=frames, pair_noise=pairs)
     assert certify_pattern_stability(p, snapped)
+    for pf in snapped.flats:
+        assert flat_from_tau(pf.flat.tau) == pf.flat
 
 
 def test_snapped_cells_recheck_against_oracle():
     p = synthesize_pattern(2, 3)
     snapped, _ = rationalize_pattern(p)
+    for pf in snapped.flats:
+        assert flat_from_tau(pf.flat.tau) == pf.flat
     for i in range(p.N):
         for j in range(p.N):
             res = intersect(snapped.flats[i].flat, snapped.subspaces[j].subspace)

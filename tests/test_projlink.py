@@ -18,7 +18,7 @@ from flatlink.projlink import (
     transform_arrangement,
     transform_pair,
 )
-from flatlink.qkernel import QMatrix, det, kernel_basis, sign
+from flatlink.qkernel import QMatrix, det, kernel_basis, sign, solve_unique
 
 
 def std_frame(m):
@@ -116,6 +116,36 @@ def test_plane_meets_simplex():
     assert not in_general_position(arr, LinePlanePair([1, 1], [1, 0]))
     with pytest.raises(GeneralPositionError):
         link_decision(arr, LinePlanePair([1, 1], [1, 0]))
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_frame_coefficients_match_solve_unique(m):
+    """One integer echelon of [L_1 ... L_m | L] gives the rational solve of
+    the frame matrix against L, including zero coefficients (L on a wall)."""
+    rng = random.Random(2300 + m)
+    done = 0
+    while done < 60:
+        try:
+            arr = Arrangement(
+                [[rng.randint(-9, 9) for _ in range(m)] for _ in range(m)]
+            )
+        except ValueError:  # a zero point, or a dependent frame
+            continue
+        if done % 3 == 0:  # a combination of fewer than m frame points
+            k = rng.randrange(1, m)
+            cs = [rng.randint(-3, 3) for _ in range(k)]
+            L = [sum(c * p.rep[i] for c, p in zip(cs, arr.points)) for i in range(m)]
+        else:
+            L = [rng.randint(-9, 9) for _ in range(m)]
+        if not any(L):
+            continue
+        L = ProjPoint(L)
+        got = frame_coefficients(arr, L)
+        assert got == solve_unique(arr.frame_matrix(), L.rep)
+        assert all(type(c) is Fraction for c in got)
+        done += 1
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        frame_coefficients(arr, ProjPoint([1] * (m + 1)))
 
 
 def test_link_decision_fixed_cases():

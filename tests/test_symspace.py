@@ -17,6 +17,7 @@ from flatlink.qkernel import (
     QMatrix,
     _primitive_ints,
     _scaled_ints,
+    char_poly,
     det,
     kernel_basis,
     rank,
@@ -112,6 +113,85 @@ def test_flat_from_tau_rejects():
     # singular with distinct real eigenvalues: only the invertibility check fails
     with pytest.raises(ValueError, match="invertible"):
         flat_from_tau(QMatrix.diagonal([0, 1]))
+
+
+def _fraction_route_verdict(tau):
+    """flat_from_tau's verdict by the rational route it replaced: char_poly,
+    then the Sturm count of the rational chain (Fraction division)."""
+    if not tau.is_square:
+        return "tau must be square"
+    p = char_poly(tau)
+    if p.coeffs[0] == 0:
+        return "tau must be invertible"
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero and chain[-1].degree >= 1:
+        chain.append(-(chain[-2] % chain[-1]))
+    if chain[-1].is_zero:
+        chain.pop()
+
+    def variations(signs):
+        seq = [x for x in signs if x != 0]
+        return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
+
+    count = variations(sign(q.lead) * (-1) ** (q.degree & 1) for q in chain) - (
+        variations(sign(q.lead) for q in chain)
+    )
+    if count != tau.nrows:
+        return "tau must have m distinct real eigenvalues"
+    return None
+
+
+def _flat_from_tau_verdict(tau):
+    try:
+        X = flat_from_tau(tau)
+    except ValueError as e:
+        return str(e)
+    assert X == FlatX(tau)
+    return None
+
+
+def _verdict_draws(rng, m):
+    """Random, symmetric, derogatory (a repeated eigenvalue, moved off the
+    axes), singular and nonsquare tau, some with rational entries."""
+    def q():
+        return F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
+
+    out = []
+    for _ in range(12):
+        out.append(QMatrix([[q() for _ in range(m)] for _ in range(m)]))
+        S = [[q() for _ in range(m)] for _ in range(m)]
+        out.append(QMatrix([[S[min(i, j)][max(i, j)] for j in range(m)] for i in range(m)]))
+        g = rnd_invertible(rng, m)
+        vals = [q() for _ in range(m)]
+        vals[rng.randrange(m)] = vals[rng.randrange(m)]  # sometimes repeated
+        if rng.random() < 0.5:
+            vals[0] = vals[-1]
+        out.append(g @ QMatrix.diagonal(vals) @ g.inverse())
+        vals[rng.randrange(m)] = 0
+        out.append(g @ QMatrix.diagonal(vals) @ g.inverse())
+        rows = [[q() for _ in range(m)] for _ in range(m)]
+        rows[-1] = [2 * x for x in rows[0]]  # singular, random otherwise
+        out.append(QMatrix(rows))
+    out.append(QMatrix([[q() for _ in range(m + 1)] for _ in range(m)]))
+    return out
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_flat_from_tau_matches_fraction_route(m):
+    """The integer checks on A = L tau give the verdicts, in the same order
+    and with the same messages, as char_poly and the rational Sturm chain."""
+    rng = random.Random(2100 + m)
+    seen = set()
+    for tau in _verdict_draws(rng, m):
+        want = _fraction_route_verdict(tau)
+        assert _flat_from_tau_verdict(tau) == want, tau
+        seen.add(want)
+    assert seen == {
+        None,
+        "tau must be square",
+        "tau must be invertible",
+        "tau must have m distinct real eigenvalues",
+    }
 
 
 def test_solution_dimension_is_m():
@@ -242,6 +322,37 @@ def test_involution_for_pair_rejects_dimension_mismatch():
         for build in (involution_for_pair, subspace_from_pair):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 build(line, plane)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_involution_for_pair_matches_fraction_formula(m):
+    """One fraction per entry of the integer-scaled line and plane equals
+    2 v_i u_j / (u.v) - delta_ij on the inputs as given: ints, Fractions and
+    strings, either sign of u.v."""
+    rng = random.Random(2200 + m)
+
+    def entry():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rng.randint(-7, 7)
+        x = F(rng.randint(-7, 7), rng.randint(1, 12))
+        return x if kind == 1 else str(x)
+
+    done = 0
+    while done < 40:
+        line, plane = [entry() for _ in range(m)], [entry() for _ in range(m)]
+        v, u = [F(x) for x in line], [F(x) for x in plane]
+        uv = sum(a * b for a, b in zip(u, v))
+        if uv == 0:
+            continue
+        want = QMatrix(
+            [[2 * v[i] * u[j] / uv - (1 if i == j else 0) for j in range(m)] for i in range(m)]
+        )
+        rho = involution_for_pair(line, plane)
+        assert rho == want
+        assert all(type(x) is F for r in rho.rows for x in r)
+        assert rho @ rho == QMatrix.identity(m)
+        done += 1
 
 
 def test_intersect_transverse_identity():
