@@ -343,7 +343,7 @@ def pair_to_json(lp: LinePlanePair) -> dict:
 
 
 def _irreducible_to_json(cert: IrredCertificate) -> dict:
-    # only certified-irreducible bases are written, so the witness is the
+    # only certified-irreducible taus are written, so the witness is the
     # prime whose reduction stays irreducible, or None
     return {
         "verdict": cert.verdict.value,
@@ -361,12 +361,9 @@ def pattern_to_json(p: Pattern) -> dict:
         if pf.rationalized is not None:
             rt = pf.rationalized
             rec["rationalized"] = {
-                "base": mat_to_json(rt.base),
-                "conjugator": mat_to_json(rt.conjugator),
                 "irreducible": _irreducible_to_json(rt.irred),
                 "sturm_count": rt.sturm_count,
                 "frame_distance": str(rt.frame_distance),
-                "unit_base_det": rt.unit_base_det,
             }
         flats.append(rec)
     subs = []

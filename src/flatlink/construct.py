@@ -11,20 +11,21 @@ arithmetic: every cell is decided by both the projective criterion and the
 symmetric-space oracle and the two must agree.
 
 Rationalization snaps float targets to bounded-denominator rationals. A
-library of small integer symmetric base matrices with certified irreducible
-characteristic polynomials is scanned; the base eigenframe (ascending
-eigenvalue order) is transported onto the target frame by an exactly
-rational conjugator, index-pairing the columns so that orientation data
-survive the snap. Floats enter nowhere else.
+flat closes up into a compact torus in the quotient when its tau has a
+characteristic polynomial irreducible over Q with m real roots. So each
+target frame is snapped column by column, its exact tau (eigenvalue k + 1
+on column k, as for an arrangement) is perturbed by E / k for a fixed
+integer matrix E with irreducible characteristic polynomial and the round's
+denominator bound k, and the perturbed tau is kept only when the Sturm
+count m and irreducibility are certified. The
+frame order fixes the eigenvalue order, so orientation data survive the
+snap. Floats enter nowhere else.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Optional, Sequence, Union
 
 from .projlink import (
@@ -38,10 +39,6 @@ from .qkernel import (
     IrredCertificate,
     IrredVerdict,
     QMatrix,
-    QPoly,
-    _conjugate,
-    _int_det,
-    _int_matrix,
     _scaled_ints,
     _times_inverse,
     char_poly,
@@ -85,12 +82,9 @@ class CellWitness:
 @dataclass(frozen=True)
 class RationalizedTau:
     tau: QMatrix
-    base: QMatrix
-    conjugator: QMatrix
     irred: IrredCertificate
     sturm_count: int
     frame_distance: Fraction
-    unit_base_det: bool
 
 
 @dataclass(frozen=True)
@@ -128,18 +122,23 @@ def pattern_rank(p: Union[Pattern, Sequence[Sequence[int]]]) -> int:
     return rank(QMatrix(rows))
 
 
-def tau_for_arrangement(arr: Arrangement) -> QMatrix:
-    """A rational matrix whose eigenlines are the frame points, with
-    eigenvalue k+1 on column k (ascending along the frame order).
-
-    This is F D F^-1 for the frame matrix F and D = diag(1, ..., m). As D is
-    diagonal, scaling a column of F leaves F D F^-1 unchanged, so each column
-    is scaled to integers, giving G; G D is G with column k times k + 1, and
-    tau = (G D) G^-1 (`_times_inverse`).
+def _frame_tau(columns: Sequence[Sequence]) -> QMatrix:
+    """F D F^-1 for the matrix F with these columns (ints or Fractions) and
+    D = diag(1, ..., m): eigenvalue k + 1 on column k. As D is diagonal,
+    scaling a column of F leaves F D F^-1 unchanged, so each column is
+    scaled to integers, giving G; G D is G with column k times k + 1, and
+    tau = (G D) G^-1 (`_times_inverse`). A singular F raises ValueError.
     """
-    G = list(zip(*(_scaled_ints(c) for c in arr.frame_matrix().columns())))
+    G = list(zip(*map(_scaled_ints, columns)))
     GD = [[(k + 1) * x for k, x in enumerate(r)] for r in G]
     return _times_inverse(GD, G, 1)
+
+
+def tau_for_arrangement(arr: Arrangement) -> QMatrix:
+    """A rational matrix whose eigenlines are the frame points, with
+    eigenvalue k+1 on point k (ascending along the frame order):
+    `_frame_tau` of the points' primitive integer representatives."""
+    return _frame_tau([p.rep for p in arr.points])
 
 
 def _certify_cell(
@@ -257,111 +256,10 @@ def certify_pattern_stability(p: Pattern, snapped: Pattern) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# base-matrix library for rationalization
+# rationalization by exact perturbation
 
 
-@dataclass(frozen=True)
-class _BaseEntry:
-    tau0: QMatrix
-    det: int  # of tau0
-    poly: QPoly  # characteristic polynomial of tau0
-    cert: IrredCertificate
-    frame: tuple  # unit eigenvectors, ascending eigenvalues (floats)
-
-
-_BASE_CACHE: dict[int, list[_BaseEntry]] = {}
-_BASE_BUDGET = 100_000  # candidates scanned per m before the library stops
-_BASE_SCAN = 40  # base matrices tried per rationalized tau
 _MAX_ROUNDS = 6  # denominator-bound rounds of rationalize_pattern
-_TIE = 1e-9  # relative margin by which a later base must beat the best
-
-
-def _symmetric_int_rows(m: int):
-    """Integer symmetric matrices as row lists, ordered by max entry size
-    then lex. The stream is endless; its callers cap it."""
-    pairs = [(i, j) for i in range(m) for j in range(i, m)]
-    for B in itertools.count(1):
-        for upper in itertools.product(range(-B, B + 1), repeat=len(pairs)):
-            if max(abs(x) for x in upper) != B:
-                continue
-            rows = [[0] * m for _ in range(m)]
-            for (i, j), x in zip(pairs, upper):
-                rows[i][j] = x
-                rows[j][i] = x
-            yield rows
-
-
-def _base_stream(m: int) -> list[_BaseEntry]:
-    """The first `_BASE_SCAN` certified-irreducible base matrices for size m
-    among the first `_BASE_BUDGET` candidates, computed once per m. When
-    the budget runs out first the library is shorter, possibly empty.
-
-    A base is nonsingular, has an irreducible characteristic polynomial and
-    has m real roots. The checks run cheapest first, and accept exactly what
-    the conjunction in any order accepts:
-    1. the integer det must be nonzero. A singular candidate has the root 0,
-       so irreducible_over_Q would call it Reducible for every m >= 2;
-    2. char_poly, then irreducible_over_Q must certify IRREDUCIBLE;
-    3. Sturm's count of distinct real roots must be m. It is: a real
-       symmetric matrix has only real eigenvalues, and an irreducible
-       polynomial is squarefree. So any other count is an arithmetic fault
-       and raises ArithmeticError.
-    """
-    if m in _BASE_CACHE:
-        return _BASE_CACHE[m]
-    entries = []
-    for rows in itertools.islice(_symmetric_int_rows(m), _BASE_BUDGET):
-        d = _int_det(rows)
-        if d == 0:
-            continue
-        tau0 = QMatrix(rows)
-        p = char_poly(tau0)
-        cert = irreducible_over_Q(p)
-        if cert.verdict is not IrredVerdict.IRREDUCIBLE:
-            continue
-        count = sturm_distinct_real_roots(p)
-        if count != m:
-            raise ArithmeticError(
-                f"symmetric base with irreducible polynomial has Sturm count "
-                f"{count}, m={m}"
-            )
-        frame = tuple(map(tuple, _eigh(rows)[1]))
-        entries.append(_BaseEntry(tau0=tau0, det=d, poly=p, cert=cert, frame=frame))
-        if len(entries) == _BASE_SCAN:
-            break
-    _BASE_CACHE[m] = entries
-    return entries
-
-
-def _eigh(a: Sequence[Sequence]) -> tuple[list[float], list[list[float]]]:
-    """Eigenvalues of a symmetric matrix in ascending order, and unit
-    eigenvectors in the same order, by the cyclic Jacobi method (Golub &
-    Van Loan, Matrix Computations, 8.5): sweeps of plane rotations, each
-    zeroing one off-diagonal entry, until the off-diagonal part is below
-    rounding."""
-    n = len(a)
-    a = [[float(x) for x in row] for row in a]
-    v = [[float(i == j) for j in range(n)] for i in range(n)]
-    total = sum(x * x for row in a for x in row)
-    pairs = list(itertools.combinations(range(n), 2))
-    for _ in range(50):
-        if sum(a[p][q] ** 2 for p, q in pairs) <= 1e-32 * total:
-            break
-        for p, q in pairs:
-            if a[p][q] == 0.0:
-                continue
-            theta = (a[q][q] - a[p][p]) / (2 * a[p][q])
-            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-            c = 1 / math.hypot(t, 1.0)
-            s = t * c
-            for row in itertools.chain(a, v):  # columns p, q of a and v
-                row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
-            a[p], a[q] = (
-                [c * x - s * y for x, y in zip(a[p], a[q])],
-                [s * x + c * y for x, y in zip(a[p], a[q])],
-            )
-    order = sorted(range(n), key=lambda k: a[k][k])
-    return [a[k][k] for k in order], [[row[k] for row in v] for k in order]
 
 
 def _snap_ratio(x: float, bound: int) -> tuple[int, int]:
@@ -397,103 +295,74 @@ def _snap(x, bound: int) -> Fraction:
     return Fraction(*_snap_ratio(float(x), bound))
 
 
-def _column_sin_distance(A: Sequence[Sequence], B: Sequence[Sequence]) -> float:
-    """Max over paired vectors of the sine of the angle between their lines.
+def _perturbation(m: int) -> list[list[int]]:
+    """The fixed integer E of `rationalize_tau`: the companion matrix of
+    x^m - 2, which sends e_j to e_(j+1) and e_(m-1) to 2 e_0.
 
-    Computed from the projection residual, not 1 - cos^2, so nearly
-    parallel vectors report ~1e-16 rather than ~1e-8.
-    """
-    worst = 0.0
-    for u, v in zip(A, B):
-        nu, nv = math.hypot(*u), math.hypot(*v)
-        if nu == 0.0 or nv == 0.0:
-            return 1.0
-        c = sum(map(mul, v, u)) / (nv * nv)
-        r = math.hypot(*(x - y * c for x, y in zip(u, v)))
-        worst = max(worst, min(1.0, r / nu))
-    return worst
+    x^m - 2 is irreducible (Eisenstein at 2), and that makes the polynomial
+    det(x - tau_target - t E) irreducible over Q(t) for every tau_target:
+    it is t^m det(y - E - s tau_target) with y = x / t and s = 1 / t, monic
+    in y over Q[s], so a factorization over Q(s) would lie in Q[s][y]
+    (Gauss's lemma) and give one of x^m - 2 at s = 0. By Hilbert
+    irreducibility a frame's tau is then reducible only for t = 1/k in a
+    thin set, not at every k as with an E that has a rational invariant
+    line: the symmetric tridiagonal E with diagonal 1, 2, 3 and off-diagonal
+    1 sends (1, 1, -1) to twice itself, so a snapped frame with that column
+    j has the rational eigenvalue j + 1 + 2/k at every k."""
+    return [
+        [2 if (i, j) == (0, m - 1) else int(i == j + 1) for j in range(m)]
+        for i in range(m)
+    ]
 
 
 def rationalize_tau(
     target_frame: Sequence[Sequence],
     denom_bound: int = DENOM_BOUND,
 ) -> RationalizedTau:
-    """Rational tau with certified irreducible characteristic polynomial
-    whose eigenframe approximates the target frame.
+    """Rational tau near the target frame whose characteristic polynomial is
+    certified irreducible over Q with m real roots, so that its flat closes
+    up into a compact torus.
 
-    target_frame is a list of m vectors (the desired eigenlines, in order;
-    they are index-paired with the base eigenframe's ascending-eigenvalue
-    columns, which is what keeps orientation data stable). The conjugator
-    is snapped to denominators <= denom_bound, so tau = g tau0 g^{-1} holds
-    exactly while the frame distance is a float-measured, rationally
-    rounded upper bound. The scan snaps in ints; only a base that becomes
-    the best gets a Fraction conjugator. Raises DegenerateFrameError (a
-    ValueError) when the target is degenerate, and ValueError when every
-    snapped conjugator is singular at this bound.
+    target_frame is a list of m vectors, the desired eigenlines in order.
+    Each is divided by its largest entry and snapped to denominators
+    <= denom_bound; tau_target = `_frame_tau` of the snapped columns has
+    eigenvalue k + 1 on column k, and tau = tau_target + E / denom_bound,
+    with E the integer `_perturbation(m)`. frame_distance is the largest
+    entry of E / denom_bound, 2 / denom_bound exactly. Raises
+    DegenerateFrameError (a ValueError) when the target is degenerate, and
+    ValueError, a failed round of `rationalize_pattern`, when the snapped
+    frame is singular or when tau's polynomial does not have m Sturm roots
+    and an IRREDUCIBLE certificate.
     """
     m = len(target_frame)
     T = [[float(x) for x in v] for v in target_frame]
     scale = max(1.0, max(abs(x) for v in T for x in v))
     if abs(det(QMatrix([[Fraction(x) for x in v] for v in T]))) < 1e-9 * scale**m:
         raise DegenerateFrameError("target frame is degenerate")
-
-    entries = _base_stream(m)
-    if not entries:
-        raise SynthesisBudgetError(
-            f"no integer symmetric base with certified irreducible "
-            f"characteristic polynomial found for m={m} among the first "
-            f"{_BASE_BUDGET} candidates"
-        )
-    T_rows = list(zip(*T))  # the rows of the matrix with columns T
-    best = None
-    for entry in entries:
-        # align the eigenvectors' arbitrary signs with the targets
-        F0 = [
-            f if sum(map(mul, t, f)) >= 0 else [-x for x in f]
-            for t, f in zip(T, entry.frame)
-        ]
-        # g = T F0^T, with T and F0 holding the vectors as columns
-        F0_rows = list(zip(*F0))
-        g_float = [[sum(map(mul, t, f)) for f in F0_rows] for t in T_rows]
-        top = max(abs(x) for row in g_float for x in row)
-        ratios = [[_snap_ratio(x / top, denom_bound) for x in row] for row in g_float]
-        # int true division is correctly rounded: float(Fraction(p, q))
-        g_snapped = [[p / q for p, q in row] for row in ratios]
-        achieved = [[sum(map(mul, row, f)) for row in g_snapped] for f in F0]
-        dist = _column_sin_distance(achieved, T)
-        # a later base must beat the best by more than rounding: among bases
-        # tied in exact arithmetic the first in scan order wins
-        if best is not None and dist >= best[0] * (1 - _TIE):
-            continue
-        g = QMatrix([[Fraction(p, q) for p, q in row] for row in ratios])
-        if det(g) == 0:
-            continue
-        best = (dist, entry, g)
-        if dist < 1e-12:
-            break
-    if best is None:
-        # a failed round: rationalize_pattern retries with a larger bound
-        raise ValueError(
-            f"no invertible snapped conjugator at denominator bound {denom_bound}"
-        )
-    dist, entry, g = best
-    tau = _conjugate(_int_matrix(g)[1], *_int_matrix(entry.tau0))
+    columns = []
+    for v in T:
+        top = max(map(abs, v))
+        columns.append([_snap(x / top, denom_bound) for x in v])
+    tau = _frame_tau(columns) + Fraction(1, denom_bound) * QMatrix(_perturbation(m))
     p = char_poly(tau)
+    # Sturm first: a wrong count fails the round without the irreducibility
+    # test, whose rational-root scan is slow on a reducible polynomial
     count = sturm_distinct_real_roots(p)
-    # tau is similar to the base, so both facts the certificate states about
-    # the base (irreducible, m real roots) must hold for tau's polynomial
-    if p != entry.poly or count != m:
-        raise ArithmeticError(
-            f"rationalized tau is not similar to its base (Sturm count {count}, m={m})"
+    if count != m:
+        raise ValueError(
+            f"perturbed tau has {count} real roots, m={m}, "
+            f"at denominator bound {denom_bound}"
+        )
+    irred = irreducible_over_Q(p)
+    if irred.verdict is not IrredVerdict.IRREDUCIBLE:
+        raise ValueError(
+            f"perturbed tau is {irred.verdict.value} at denominator bound {denom_bound}"
         )
     return RationalizedTau(
         tau=tau,
-        base=entry.tau0,
-        conjugator=g,
-        irred=entry.cert,
+        irred=irred,
         sturm_count=count,
-        frame_distance=Fraction(math.ceil(dist * 10**9), 10**9),
-        unit_base_det=entry.det == 1,
+        frame_distance=Fraction(2, denom_bound),
     )
 
 
@@ -536,7 +405,7 @@ def rationalize_pattern(
         raise ValueError("denom_bound must be >= 1")
     targets = [
         frame_noise[i] if frame_noise is not None
-        else [list(map(float, c)) for c in pf.arrangement.frame_matrix().columns()]
+        else [list(map(float, q.rep)) for q in pf.arrangement.points]
         for i, pf in enumerate(p.flats)
     ]
     pair_targets = [

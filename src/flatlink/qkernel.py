@@ -15,8 +15,8 @@ Real-root counting is by Sturm chains in integers: primitive
 pseudo-remainder sequences, whose members are positive multiples of the
 rational Sturm chain's, so they show the same signs everywhere and count the
 same roots (`_sturm_chain`).
-Irreducibility over Q is certified, not factored: rational-root test plus
-factor-degree patterns of reductions modulo small primes. `Inconclusive` is a
+Irreducibility over Q is certified, not factored: factor-degree patterns of
+reductions modulo small primes, then a rational-root test. `Inconclusive` is a
 legal verdict; no Zassenhaus/van Hoeij style factorization is attempted.
 """
 
@@ -962,23 +962,28 @@ def irreducible_over_Q(p: QPoly) -> IrredCertificate:
     """Certified irreducibility test over Q.
 
     Order of attack: squarefree check (a repeated factor is already a witness),
-    rational-root scan, then factor-degree patterns of reductions modulo the
-    first `_PRIME_BUDGET` usable primes (those dividing neither the leading
-    coefficient nor the discriminant). Inconclusive is a legal outcome.
+    factor-degree patterns of reductions modulo the first `_PRIME_BUDGET`
+    usable primes (those dividing neither the leading coefficient nor the
+    discriminant), then the rational-root scan. Inconclusive is a legal
+    outcome.
+
+    The squarefree witness is the last member of the integer Sturm chain,
+    a multiple of gcd(p, p') (`_sturm_chain`), made primitive. The patterns
+    come before the scan, which is the costly step on large coefficients,
+    and this gives the certificates of the scan-first order: a rational root
+    r/s of the primitive p has s | lead, so it is a root modulo every usable
+    prime, every pattern has a linear factor, and the loop cannot certify a
+    p of degree > 1 that the scan would call Reducible.
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("irreducibility requires a nonconstant polynomial")
     ints = p.primitive_int()
     deg = len(ints) - 1
-    pq = QPoly(ints)
 
-    g = poly_gcd(pq, pq.derivative())
-    if g.degree >= 1:
-        return IrredCertificate(IrredVerdict.REDUCIBLE, QPoly(g.primitive_int()), ())
-
-    roots = rational_roots(pq)
-    if roots and deg > 1:  # a linear polynomial has its root and is irreducible
-        return IrredCertificate(IrredVerdict.REDUCIBLE, roots[0], ())
+    g = _sturm_chain(ints)[-1]
+    if len(g) > 1:
+        witness = QPoly(QPoly(g).primitive_int())
+        return IrredCertificate(IrredVerdict.REDUCIBLE, witness, ())
 
     patterns: list[tuple[int, tuple[int, ...]]] = []
     allowed = frozenset(range(deg + 1))
@@ -1002,6 +1007,10 @@ def irreducible_over_Q(p: QPoly) -> IrredCertificate:
         allowed &= _subset_sums(degs)
         if not (allowed & frozenset(range(1, deg))):
             return IrredCertificate(IrredVerdict.IRREDUCIBLE, None, tuple(patterns))
+
+    roots = rational_roots(p)
+    if roots and deg > 1:  # a linear polynomial has its root and is irreducible
+        return IrredCertificate(IrredVerdict.REDUCIBLE, roots[0], ())
 
     if deg <= 3:
         # linear, or no rational root: any factorization would be linear

@@ -4,11 +4,13 @@ Every test prints a single PASS line with its measured scale; tolerances
 and instance counts are pinned here and must not be loosened.
 """
 
+import functools
 import random
 import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from flatlink.boundary import (
     DecompSphere,
@@ -58,6 +60,7 @@ from flatlink.symspace import (
     involution_for_pair,
     subspace_from_rho,
 )
+from test_construct import assert_irreducible_in_sympy, perturbed_reference
 
 
 def _rand_q(rng):
@@ -213,9 +216,12 @@ def test_criterion_4_associated_iff_preserved():
     print(f"PASS criterion-4: {checked} flags, zero counterexamples")
 
 
-def test_criterion_5_rationalization_survives_snapping():
+@functools.cache
+def _criterion_5_snaps():
+    """Criterion 5's 100 random patterns: (pattern, float frames, snapped
+    pattern, bound) each."""
     rng = random.Random(5005)
-    stable = 0
+    runs = []
     for _ in range(100):
         N = rng.randint(1, 3)
         m = rng.choice([2, 3])
@@ -240,11 +246,19 @@ def test_criterion_5_rationalization_survives_snapping():
             )
             for ps in p.subspaces
         ]
-        snapped, _ = rationalize_pattern(p, frame_noise=frames, pair_noise=pairs)
+        snapped, bound = rationalize_pattern(p, frame_noise=frames, pair_noise=pairs)
+        runs.append((p, frames, snapped, bound))
+    return runs
+
+
+def test_criterion_5_rationalization_survives_snapping():
+    stable = 0
+    for p, frames, snapped, bound in _criterion_5_snaps():
         assert snapped.matrix == p.matrix
-        for pf in snapped.flats:
+        for pf, frame in zip(snapped.flats, frames):
             assert pf.rationalized.irred.verdict is IrredVerdict.IRREDUCIBLE
-            assert pf.rationalized.sturm_count == m
+            assert pf.rationalized.sturm_count == p.m
+            assert pf.flat.tau == perturbed_reference(frame, bound)
         stable += 1
 
     # Sturm counter against a floating eigensolver, 1e-8 clustering
@@ -271,6 +285,17 @@ def test_criterion_5_rationalization_survives_snapping():
         f"PASS criterion-5: {stable}/100 patterns stable under snapping; "
         "200 Sturm counts match the eigensolver"
     )
+
+
+def test_criterion_5_snapped_taus_irreducible_in_sympy():
+    """Every tau criterion 5 accepts is irreducible over Q by an independent
+    factorization."""
+    count = 0
+    for _, _, snapped, _ in _criterion_5_snaps():
+        for pf in snapped.flats:
+            assert_irreducible_in_sympy(pf.flat.tau)
+            count += 1
+    print(f"PASS criterion-5 oracle: {count} snapped taus irreducible in sympy")
 
 
 def _random_involution_data(rng, m):

@@ -483,8 +483,8 @@ def test_rationalize_cmd(tmp_path, capsys):
 @pytest.mark.parametrize("shape", [("2", "3"), ("4", "4")])
 @pytest.mark.parametrize("denoms", ["1", "2"])
 def test_rationalize_small_denoms(shape, denoms, tmp_path, capsys):
-    # at these bounds every snapped conjugator of some flat is singular: that
-    # round fails and the bound grows (it used to exit 3 at once)
+    # at these bounds the snapped frame of some flat is singular: that round
+    # fails and the bound grows (it used to exit 3 at once)
     pat = tmp_path / "p.json"
     assert main(["pattern", *shape, "--out", str(pat)]) == 0
     capsys.readouterr()
@@ -514,17 +514,19 @@ def test_rationalize_exit3_when_every_round_fails(tmp_path, capsys, monkeypatch)
     assert bounds == [4**k for k in range(construct._MAX_ROUNDS)]
 
 
-def test_rationalize_m7_exits3_in_seconds(tmp_path):
-    """At m = 7 the first 100,000 symmetric candidates are singular: the
-    base library stops at its budget, empty, and rationalize exits 3. The
-    scan used to run without end, so it runs in a subprocess with a gate."""
-    pattern = tmp_path / "p7.json"
-    script = f"""
-import sys
-from flatlink.cli import main
-assert main(["pattern", "2", "7", "--out", {str(pattern)!r}]) == 0
-sys.exit(main(["rationalize", {str(pattern)!r}]))
-"""
+def test_rationalize_m7_m8_exit0_in_seconds(tmp_path):
+    """`pattern 2 7` and `pattern 2 8` rationalize (exit 0), every flat with
+    an Irreducible certificate and m Sturm roots. A base-matrix scan used to
+    find nothing at m >= 7, so this runs in a subprocess with a gate."""
+    outs = {m: tmp_path / f"r{m}.json" for m in (7, 8)}
+    script = "import sys\nfrom flatlink.cli import main\ncodes = []\n"
+    for m, out in outs.items():
+        pattern = str(tmp_path / f"p{m}.json")
+        script += (
+            f"codes.append(main(['pattern', '2', '{m}', '--out', {pattern!r}]))\n"
+            f"codes.append(main(['rationalize', {pattern!r}, '--out', {str(out)!r}]))\n"
+        )
+    script += "sys.exit(max(codes))\n"
     src = str(Path(flatlink.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     t0 = time.perf_counter()
@@ -535,9 +537,14 @@ sys.exit(main(["rationalize", {str(pattern)!r}]))
         text=True,
         timeout=120,
     )
-    assert time.perf_counter() - t0 < 60
-    assert done.returncode == 3, done.stderr
-    assert "no integer symmetric base" in done.stderr
+    assert time.perf_counter() - t0 < 30
+    assert done.returncode == 0, done.stderr
+    for m, out in outs.items():
+        doc = json.loads(out.read_text())
+        assert doc["m"] == m and len(doc["flats"]) == 2
+        for flat in doc["flats"]:
+            assert flat["rationalized"]["irreducible"]["verdict"] == "Irreducible"
+            assert flat["rationalized"]["sturm_count"] == m
 
 
 def test_descend_cmd(tmp_path):
@@ -709,9 +716,9 @@ GOLDEN = [
     ("rank", ["rank", "{pattern22}"], 0,
      "92b9039efc630e995f6a96579d040cf54913dca1f8fc41eb08d30bebb25609db"),
     ("rationalize", ["rationalize", "{pattern22}"], 0,
-     "1bb8b95e80fc623872ba5a80900eeead057e06d3c4177a1e3148e14f9d7fd300"),
+     "58f79990b6c08ce026f2ddbbbefb17fcb50df5f56d53f5908860829988db7a59"),
     ("rationalize43", ["rationalize", "{pattern43}"], 0,
-     "9b8c1eacd9907ac1d3afd4987ce0196ebcd2c060c572bd22f1d45cd482620099"),
+     "9996953dc2659090ae072be9f5cf0da518cbb12ac9ee47894eb9d7d045e65600"),
     ("descend", ["descend", "{descend}", "--level", "5", "--bound", "6"], 0,
      "11fab1e9bb9605607b02e97f1dcb71e02331d1fd69f15619f26ae4282b4f6429"),
 ]

@@ -1,15 +1,13 @@
 import dataclasses
-import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from flatlink import construct
 from flatlink.construct import (
-    Pattern,
-    SynthesisBudgetError,
     certify_pattern_stability,
     pattern_rank,
     rationalize_pair,
@@ -18,16 +16,22 @@ from flatlink.construct import (
     synthesize_pattern,
     tau_for_arrangement,
 )
-from flatlink.projlink import Arrangement, GeneralPositionError
+from flatlink.projlink import Arrangement, GeneralPositionError, LinePlanePair
 from flatlink.qkernel import (
     IrredVerdict,
     QMatrix,
     char_poly,
     det,
+    irreducible_over_Q,
     rat,
     sturm_distinct_real_roots,
 )
-from flatlink.symspace import flat_from_tau, intersect, IntersectionKind
+from flatlink.symspace import (
+    IntersectionKind,
+    flat_from_tau,
+    intersect,
+    subspace_from_pair,
+)
 
 
 def test_single_cell_pattern():
@@ -111,222 +115,284 @@ def test_tau_for_arrangement_eigenstructure():
         assert tau.apply(col) == tuple(rat(k + 1) * x for x in col)
 
 
-def _float_frame(M):
-    return construct._eigh(M)[1]
-
-
-def _eigh_cases(m):
-    """The base library for m <= 5. _base_stream(6) scans over a minute of
-    candidates, so m = 6 takes the first 40 with 6 distinct real
-    eigenvalues instead."""
-    if m < 6:
-        return [e.tau0 for e in construct._base_stream(m)]
-    simple = (
-        M
-        for M in map(QMatrix, construct._symmetric_int_rows(m))
-        if sturm_distinct_real_roots(char_poly(M)) == m
-    )
-    return list(itertools.islice(simple, 40))
-
-
-@pytest.mark.parametrize("m", range(2, 7))
-def test_eigh_matches_numpy(m):
-    np = pytest.importorskip("numpy")
-    for M in _eigh_cases(m):
-        values, vectors = construct._eigh(M.to_lists())
-        W, V = np.linalg.eigh(np.array(M.to_lists(), dtype=float))
-        assert np.abs(np.array(values) - W).max() <= 1e-12
-        for v, u in zip(vectors, V.T):  # eigenvectors agree up to sign
-            v = np.array(v) if np.dot(v, u) >= 0 else -np.array(v)
-            assert np.abs(v - u).max() <= 1e-12
-        gram = np.array(vectors) @ np.array(vectors).T
-        assert np.abs(gram - np.eye(m)).max() <= 1e-12
-
-
-def _sturm_first_scan(m):
-    """_base_stream's scan with the checks in their earlier order: Sturm
-    count first, then irreducibility, on every candidate."""
-    entries = []
-    for tau0 in map(QMatrix, construct._symmetric_int_rows(m)):
-        if len(entries) == construct._BASE_SCAN:
-            break
-        p = char_poly(tau0)
-        if sturm_distinct_real_roots(p) != m:
-            continue
-        cert = construct.irreducible_over_Q(p)
-        if cert.verdict is not IrredVerdict.IRREDUCIBLE:
-            continue
-        frame = tuple(map(tuple, construct._eigh(tau0.to_lists())[1]))
-        entries.append((tau0, p, cert, frame))
-    return entries
-
-
-@pytest.mark.parametrize("m", range(2, 6))
-def test_base_stream_matches_sturm_first_scan(m):
-    got = [(e.tau0, e.poly, e.cert, e.frame) for e in construct._base_stream(m)]
-    assert got == _sturm_first_scan(m)
-    assert len(got) == construct._BASE_SCAN
-    assert all(e.det == det(e.tau0) for e in construct._base_stream(m))
-
-
-def test_base_stream_budget(monkeypatch):
-    """The scan stops after _BASE_BUDGET candidates and caches what it found;
-    an empty library is a budget failure of rationalize_tau."""
-    first = construct._base_stream(3)[0]
-    candidates = map(QMatrix, construct._symmetric_int_rows(3))
-    k = next(k for k, M in enumerate(candidates) if M == first.tau0)
-    target = _float_frame(first.tau0.to_lists())
-    for budget, found in ((k, []), (k + 1, [first])):
-        monkeypatch.setattr(construct, "_BASE_CACHE", {})
-        monkeypatch.setattr(construct, "_BASE_BUDGET", budget)
-        assert construct._base_stream(3) == found
-        assert construct._BASE_CACHE == {3: found}
-    assert rationalize_tau(target, denom_bound=64).base == first.tau0
-    monkeypatch.setattr(construct, "_BASE_CACHE", {})
-    monkeypatch.setattr(construct, "_BASE_BUDGET", k)
-    with pytest.raises(SynthesisBudgetError, match="no integer symmetric base"):
-        rationalize_tau(target, denom_bound=64)
-
-
-def test_base_stream_sturm_fault_raises(monkeypatch):
-    """Sturm no longer filters: an irreducible symmetric base with a count
-    other than m is an arithmetic fault, never a skipped candidate."""
-    monkeypatch.setattr(construct, "_BASE_CACHE", {})
-    monkeypatch.setattr(construct, "sturm_distinct_real_roots", lambda p: p.degree - 1)
-    with pytest.raises(ArithmeticError, match="Sturm count 1, m=2"):
-        construct._base_stream(2)
-    assert construct._BASE_CACHE == {}
-
-
 def _pattern_targets(p):
     frames = (pf.arrangement.frame_matrix() for pf in p.flats)
     return [[[float(F[r, c]) for r in range(p.m)] for c in range(p.m)] for F in frames]
 
 
-def test_rationalize_tau_ties_go_to_scan_order(monkeypatch):
-    """Bases tied in exact arithmetic: the first in scan order wins, and
-    rounding-sized changes to the distances do not move the choice."""
-    targets = _pattern_targets(synthesize_pattern(8, 3, rotation="1/2"))
-    bases = [e.tau0 for e in construct._base_stream(3)]
-    chosen = [bases.index(rationalize_tau(t).base) for t in targets]
-    # flat 3 ties bases 1, 7, 11, 13, 21, 27, 36 and 38, flat 6 bases 6 and
-    # 25; the distances agree to 1e-57 in 60-digit arithmetic
-    assert chosen[3] == 1 and chosen[6] == 6
-    real = construct._column_sin_distance
-    for sign in (1, -1):
-        flips = itertools.cycle((sign, -sign))
-        monkeypatch.setattr(
-            construct,
-            "_column_sin_distance",
-            lambda A, B: real(A, B) * (1 + next(flips) * 1e-15),
-        )
-        assert [bases.index(rationalize_tau(t).base) for t in targets] == chosen
+def _E(m):
+    """The companion matrix of x^m - 2: e_j -> e_(j+1), e_(m-1) -> 2 e_0."""
+    rows = [[0] * m for _ in range(m)]
+    for j in range(m - 1):
+        rows[j + 1][j] = 1
+    rows[0][m - 1] = 2
+    return QMatrix(rows)
 
 
-def _reference_sin_distance(A, B):
-    """construct._column_sin_distance with generator sums."""
-    worst = 0.0
-    for u, v in zip(A, B):
-        nu, nv = math.hypot(*u), math.hypot(*v)
-        if nu == 0.0 or nv == 0.0:
-            return 1.0
-        c = sum(x * y for x, y in zip(v, u)) / (nv * nv)
-        r = math.hypot(*(x - y * c for x, y in zip(u, v)))
-        worst = max(worst, min(1.0, r / nu))
-    return worst
+def _tridiagonal_E(m):
+    """Symmetric tridiagonal, diagonal 1..m, off-diagonal entries 1: a
+    perturbation with a rational invariant line, since at m = 3 it sends
+    (1, 1, -1) to twice itself."""
+    return QMatrix(
+        [
+            [i + 1 if i == j else int(abs(i - j) == 1) for j in range(m)]
+            for i in range(m)
+        ]
+    )
 
 
-def _fraction_snap_scan(target, denom_bound):
-    """rationalize_tau's base scan with every conjugator entry snapped by
-    Fraction(float).limit_denominator and every sum a generator sum: the
-    chosen (distance, base, conjugator), or None when all are singular."""
+def _reference_target_tau(target, k):
+    """The exact tau rationalize_tau perturbs, by Fraction arithmetic: each
+    column over its largest entry, snapped by Fraction.limit_denominator,
+    then F D F^-1 with D = diag(1..m) and a Fraction inverse."""
+    cols = []
+    for v in target:
+        top = max(abs(float(x)) for x in v)
+        cols.append([Fraction(float(x) / top).limit_denominator(k) for x in v])
+    F = QMatrix.from_columns(cols)
+    return F @ QMatrix.diagonal(range(1, len(target) + 1)) @ F.inverse()
+
+
+def perturbed_reference(target, k):
+    """The tau rationalize_tau returns at bound k when the round certifies."""
+    return _reference_target_tau(target, k) + _E(len(target)) * Fraction(1, k)
+
+
+def assert_irreducible_in_sympy(tau):
+    """sympy's factorization, independent of qkernel, finds the
+    characteristic polynomial of tau irreducible over Q."""
+    sympy = pytest.importorskip("sympy")
+    coeffs = [
+        sympy.Rational(c.numerator, c.denominator)
+        for c in reversed(char_poly(tau).coeffs)
+    ]
+    _, factors = sympy.Poly(coeffs, sympy.Symbol("t"), domain="QQ").factor_list()
+    assert len(factors) == 1 and factors[0][1] == 1
+
+
+def assert_exact_perturbation(rt, target, k):
     m = len(target)
-    T = [[float(x) for x in v] for v in target]
-    best = None
-    for entry in construct._base_stream(m):
-        F0 = [
-            f if sum(x * y for x, y in zip(t, f)) >= 0 else [-x for x in f]
-            for t, f in zip(T, entry.frame)
-        ]
-        g_float = [
-            [sum(t[r] * f[c] for t, f in zip(T, F0)) for c in range(m)]
-            for r in range(m)
-        ]
-        top = max(abs(x) for row in g_float for x in row)
-        rows = [
-            [Fraction(x / top).limit_denominator(denom_bound) for x in row]
-            for row in g_float
-        ]
-        g_snapped = [[float(x) for x in row] for row in rows]
-        achieved = [
-            [sum(x * y for x, y in zip(row, f)) for row in g_snapped] for f in F0
-        ]
-        dist = _reference_sin_distance(achieved, T)
-        if best is not None and dist >= best[0] * (1 - construct._TIE):
-            continue
-        g = QMatrix(rows)
-        if det(g) == 0:
-            continue
-        best = (dist, entry.tau0, g)
-        if dist < 1e-12:
-            break
-    return best
+    assert rt.tau - _reference_target_tau(target, k) == _E(m) * Fraction(1, k)
+    assert rt.frame_distance == Fraction(2, k)
+    assert rt.irred.verdict is IrredVerdict.IRREDUCIBLE
+    assert rt.sturm_count == m == sturm_distinct_real_roots(char_poly(rt.tau))
 
 
 @pytest.mark.parametrize("denom_bound", [64, 1024])
 @pytest.mark.parametrize("m", range(2, 6))
 def test_rationalize_tau_matches_fraction_snap_scan(m, denom_bound):
+    """rationalize_tau against the Fraction reference: the columns snapped
+    one by one, F D F^-1, plus E / denom_bound."""
     rng = random.Random(3000 + m)
     targets = [
         [[rng.uniform(-3, 3) for _ in range(m)] for _ in range(m)] for _ in range(5)
     ]
-    targets += _pattern_targets(synthesize_pattern(3, m))  # exact ties
-    targets.append(_float_frame(construct._base_stream(m)[2].tau0.to_lists()))
-    for target in targets:
-        dist, base, g = _fraction_snap_scan(target, denom_bound)
-        rt = rationalize_tau(target, denom_bound=denom_bound)
-        assert rt.base == base
-        assert rt.conjugator == g
-        assert rt.tau == g @ base @ g.inverse()
-        assert rt.frame_distance == Fraction(math.ceil(dist * 10**9), 10**9)
+    pattern_targets = _pattern_targets(synthesize_pattern(3, m))
+    certified = 0
+    for target in targets + pattern_targets:
+        try:
+            rt = rationalize_tau(target, denom_bound=denom_bound)
+        except ValueError:  # a failed round; it must be one the reference sees
+            assert target not in pattern_targets
+            p = char_poly(perturbed_reference(target, denom_bound))
+            assert (
+                irreducible_over_Q(p).verdict is not IrredVerdict.IRREDUCIBLE
+                or sturm_distinct_real_roots(p) != m
+            )
+            continue
+        assert_exact_perturbation(rt, target, denom_bound)
+        certified += 1
+    assert certified >= len(targets) - 1 + len(pattern_targets)
 
 
 def test_rationalize_tau_matched_frame():
-    # the target is an exact eigenframe of a small integer symmetric matrix,
-    # so some base in the library shares it and the distance collapses
-    rt = rationalize_tau(_float_frame([[2, 1], [1, 1]]), denom_bound=1)
-    assert rt.tau == rt.conjugator @ rt.base @ rt.conjugator.inverse()
-    assert rt.irred.verdict is IrredVerdict.IRREDUCIBLE
-    assert rt.sturm_count == 2
-    assert rt.frame_distance < Fraction(1, 10**6)
-    assert char_poly(rt.tau) == char_poly(rt.base)
+    # an exact rational frame: the snap keeps it, so tau_target has exactly
+    # these eigenlines, F diag(1, 2) F^-1 for F = [[2, -1], [1, 2]]
+    target = [[2.0, 1.0], [-1.0, 2.0]]
+    rt = rationalize_tau(target, denom_bound=64)
+    assert_exact_perturbation(rt, target, 64)
+    target_tau = QMatrix([[6, -2], [-2, 9]]) * Fraction(1, 5)
+    assert rt.tau == target_tau + _E(2) * Fraction(1, 64)
 
 
 def test_rationalize_tau_recheck_raises(monkeypatch):
-    """The re-check of the snapped tau is a raised error, so it also holds
-    under python -O; a wrong Sturm count must never reach a certificate."""
-    import flatlink.construct as construct
-
-    construct._base_stream(2)  # the base library is built with the real count
+    """A Sturm count other than m, or a verdict other than Irreducible, is a
+    raised ValueError (a failed round), so it also holds under python -O; a
+    wrong count must never reach a certificate."""
+    target = [[1.0, 0.0], [0.0, 1.0]]
     monkeypatch.setattr(construct, "sturm_distinct_real_roots", lambda p: p.degree - 1)
-    with pytest.raises(ArithmeticError, match="not similar to its base"):
-        rationalize_tau(_float_frame([[2, 1], [1, 1]]), denom_bound=1)
+    with pytest.raises(ValueError, match="1 real roots, m=2"):
+        rationalize_tau(target, denom_bound=64)
+    monkeypatch.undo()
+    inconclusive = construct.IrredCertificate(IrredVerdict.INCONCLUSIVE, None, ())
+    monkeypatch.setattr(construct, "irreducible_over_Q", lambda p: inconclusive)
+    with pytest.raises(ValueError, match="Inconclusive at denominator bound 64"):
+        rationalize_tau(target, denom_bound=64)
 
 
 def test_rationalize_tau_axes_target():
     rt = rationalize_tau([[1.0, 0.0], [0.0, 1.0]], denom_bound=64)
-    # rational axes are never an eigenframe of an irreducible base
-    assert rt.frame_distance > 0
-    assert rt.irred.verdict is IrredVerdict.IRREDUCIBLE
-    assert rt.tau == rt.conjugator @ rt.base @ rt.conjugator.inverse()
+    # diag(1, 2) + E/64 with E = [[0, 2], [1, 0]]
+    assert rt.tau == QMatrix([[1, "1/32"], ["1/64", 2]])
+    assert_exact_perturbation(rt, [[1.0, 0.0], [0.0, 1.0]], 64)
+
+
+def _rationalize_first_round(target, k):
+    """rationalize_tau at bounds k, 4k, ... as rationalize_pattern runs
+    them: the first round that certifies."""
+    for r in range(construct._MAX_ROUNDS):
+        try:
+            return rationalize_tau(target, denom_bound=k * 4**r), k * 4**r
+        except ValueError:
+            continue
+    raise AssertionError("no round certified")
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_eigh_matches_numpy(m):
+    """The target is numpy's orthonormal eigh frame of an integer symmetric
+    matrix: tau's eigenlines, by numpy's eig, are that frame up to sign,
+    with eigenvalues near 1..m, within a multiple of 1/k."""
+    np = pytest.importorskip("numpy")
+    rng = random.Random(4000 + m)
+    for _ in range(4):
+        S = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                S[i][j] = S[j][i] = rng.randint(-4, 4)
+        W, V = np.linalg.eigh(np.array(S, dtype=float))
+        if np.diff(W).min() < 1e-3:  # a repeated eigenvalue has no frame
+            continue
+        target = V.T.tolist()
+        rt, k = _rationalize_first_round(target, 1024)
+        assert_exact_perturbation(rt, target, k)
+        tol = 20 * m / k
+        values, vectors = np.linalg.eig(
+            np.array([[float(rt.tau[i, j]) for j in range(m)] for i in range(m)])
+        )
+        assert np.abs(values.imag).max() == 0
+        order = np.argsort(values.real)
+        assert np.abs(values.real[order] - np.arange(1, m + 1)).max() <= tol
+        for v, u in zip(vectors.real[:, order].T, V.T):  # agree up to sign
+            v = v / np.linalg.norm(v)
+            v = v if np.dot(v, u) >= 0 else -v
+            assert np.abs(v - u).max() <= tol
 
 
 def test_rationalize_tau_m3_small_base():
-    rt = rationalize_tau(_float_frame([[3, 1, 0], [1, 2, 1], [0, 1, 1]]))
-    assert rt.sturm_count == 3
-    assert all(
-        abs(rt.base[i, j]) <= 3 for i in range(3) for j in range(3)
+    """At m = 3, on the orthonormal eigenframe V of a small symmetric
+    matrix, the exact tau that E / k perturbs is near V diag(1, 2, 3) V^T:
+    nearly symmetric, with entries at most 3."""
+    np = pytest.importorskip("numpy")
+    V = np.linalg.eigh(np.array([[2, 1, 1], [1, 3, 0], [1, 0, 1]], dtype=float))[1]
+    target = V.T.tolist()
+    rt = rationalize_tau(target)
+    k = construct.DENOM_BOUND
+    assert_exact_perturbation(rt, target, k)
+    base = rt.tau - _E(3) * Fraction(1, k)
+    cells = [(i, j) for i in range(3) for j in range(3)]
+    assert all(abs(base[i, j]) <= 3 + Fraction(1, 16) for i, j in cells)
+    assert all(abs(base[i, j] - base[j, i]) <= Fraction(1, 16) for i, j in cells)
+
+
+def _one_cell_pattern(points, line, plane):
+    """A certified 1 x 1 pattern on the arrangement of these points."""
+    arr = Arrangement(points)
+    flat = construct.PatternFlat(
+        flat=flat_from_tau(tau_for_arrangement(arr)), arrangement=arr
     )
+    sub = construct.PatternSubspace(
+        subspace=subspace_from_pair(line, plane), pair=LinePlanePair(line, plane)
+    )
+    matrix, cert = construct._certify_pattern([flat], [sub])
+    return construct.Pattern(
+        N=1, m=len(points), flats=(flat,), subspaces=(sub,), matrix=matrix,
+        certificate=cert,
+    )
+
+
+def _rationalize_in_seconds(p, **kw):
+    start = time.perf_counter()
+    snapped, bound = rationalize_pattern(p, **kw)
+    assert time.perf_counter() - start < 5
+    assert certify_pattern_stability(p, snapped)
+    return snapped, bound
+
+
+@pytest.mark.parametrize("j", range(3))
+def test_rationalize_pattern_on_invariant_line_of_tridiagonal_E(j):
+    """The tridiagonal E sends (1, 1, -1) to twice itself, so with it an
+    m = 3 arrangement with that point as column j has the rational
+    eigenvalue j + 1 + 2/k at every bound k and fails every round. E has
+    no rational invariant line, and the pattern certifies in the first
+    round."""
+    points = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    points[j] = [1, 1, -1]
+    p = _one_cell_pattern(points, [2, 1, 2], [1, 1, 1])
+    target = _pattern_targets(p)[0]
+    for k in (64, 256, 1024):
+        tri = _reference_target_tau(target, k) + _tridiagonal_E(3) * Fraction(1, k)
+        assert det(tri - QMatrix.diagonal([j + 1 + Fraction(2, k)] * 3)) == 0
+    rationalize_tau(target, denom_bound=64)  # fails fast, before later rounds
+    snapped, bound = _rationalize_in_seconds(p)
+    assert bound == 64
+    assert_exact_perturbation(snapped.flats[0].rationalized, target, 64)
+    assert_irreducible_in_sympy(snapped.flats[0].flat.tau)
+
+
+def test_rationalize_pattern_on_reversed_tridiagonal_E_eigenframe():
+    """The orthonormal eigenframe of [[3, 1, 0], [1, 2, 1], [0, 1, 1]], the
+    tridiagonal E with its rows and columns reversed, snaps at every bound
+    to a frame that S: x -> (-x_2, x_1, -x_0) maps to itself reversed, and
+    S E' S = 4 - E' for the tridiagonal E'. So with E' the perturbed tau is
+    similar to (4 + 4/k) - itself, its middle eigenvalue is 2 + 2/k, and
+    every round fails. Through rationalize_pattern, as the frame target of
+    a pattern on nearby integer points, E certifies it."""
+    np = pytest.importorskip("numpy")
+    V = np.linalg.eigh(np.array([[3, 1, 0], [1, 2, 1], [0, 1, 1]], dtype=float))[1]
+    frame = V.T.tolist()
+    S = QMatrix([[0, 0, -1], [0, 1, 0], [-1, 0, 0]])
+    assert S @ _tridiagonal_E(3) @ S == QMatrix.diagonal([4] * 3) - _tridiagonal_E(3)
+    for k in (64, 256, 1024):
+        tri = _reference_target_tau(frame, k) + _tridiagonal_E(3) * Fraction(1, k)
+        assert det(tri - QMatrix.diagonal([2 + Fraction(2, k)] * 3)) == 0
+    points = [[round(56 * x / max(map(abs, v))) for x in v] for v in frame]
+    p = _one_cell_pattern(points, [2, 1, 2], [1, 1, 1])
+    rationalize_tau(frame, denom_bound=64)  # fails fast, before later rounds
+    snapped, bound = _rationalize_in_seconds(p, frame_noise=[frame])
+    assert bound == 64
+    assert_exact_perturbation(snapped.flats[0].rationalized, frame, 64)
+    assert_irreducible_in_sympy(snapped.flats[0].flat.tau)
+
+
+def test_rationalize_tau_commuting_perturbation_case():
+    """At m = 2 the frame (1, -1), (1, 1) is the eigenframe of the all-ones
+    matrix, so an all-ones perturbation commutes with tau_target and leaves
+    a rational eigenvector: the polynomial is reducible at every bound.
+    E = [[0, 2], [1, 0]], with polynomial x^2 - 2, has no rational
+    eigenvector."""
+    target = [[1.0, -1.0], [1.0, 1.0]]
+    for k in (64, 256, 1024):
+        ones = _reference_target_tau(target, k) + QMatrix([[1, 1], [1, 1]]) * Fraction(
+            1, k
+        )
+        assert irreducible_over_Q(char_poly(ones)).verdict is IrredVerdict.REDUCIBLE
+        assert_exact_perturbation(rationalize_tau(target, denom_bound=k), target, k)
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 2), (8, 3), (5, 4), (3, 5), (2, 6), (2, 7), (2, 8)]
+)
+def test_pattern_shapes_rationalize_to_exact_perturbations(shape):
+    """What `flatlink pattern N m | rationalize` accepts: every tau is its
+    frame's exact tau plus E/k, and sympy factors its polynomial as
+    irreducible."""
+    p = synthesize_pattern(*shape)
+    snapped, bound = rationalize_pattern(p)
+    assert snapped.matrix == p.matrix
+    for pf, target in zip(snapped.flats, _pattern_targets(p)):
+        assert_exact_perturbation(pf.rationalized, target, bound)
+        assert_irreducible_in_sympy(pf.flat.tau)
 
 
 def test_rationalize_tau_degenerate_target():
@@ -386,23 +452,41 @@ def test_rationalize_pattern_rejects_bound_below_one():
 
 
 def test_rationalize_pattern_retries_singular_rounds():
-    """At bound 1 every snapped conjugator of flat 0 of `pattern 2 3` is
-    singular. That is a failed round (ValueError), and the bound grows."""
+    """At bound 1 the snapped frame of flat 0 of `pattern 2 3` is singular
+    (its pinched pair collapses onto one column). That is a failed round
+    (ValueError), and the bound grows."""
     p = synthesize_pattern(2, 3)
     target = _pattern_targets(p)[0]
-    assert _fraction_snap_scan(target, 1) is None
-    with pytest.raises(ValueError, match="no invertible snapped conjugator"):
+    assert det(QMatrix.from_columns(
+        [[Fraction(x / max(map(abs, v))).limit_denominator(1) for x in v]
+         for v in target]
+    )) == 0
+    with pytest.raises(ValueError, match="singular"):
         rationalize_tau(target, denom_bound=1)
     snapped, bound = rationalize_pattern(p, denom_bound=1)
-    assert certify_pattern_stability(p, snapped) and bound == 16
+    # bounds 1, 4 and 16 fail; 64 certifies
+    assert certify_pattern_stability(p, snapped) and bound == 64
 
 
-def test_rationalize_pattern_empty_base_library_fails_at_once(monkeypatch):
-    calls = []
-    monkeypatch.setattr(construct, "_base_stream", lambda m: calls.append(m) or [])
-    with pytest.raises(SynthesisBudgetError, match="no integer symmetric base"):
-        rationalize_pattern(synthesize_pattern(2, 2))
-    assert calls == [2]
+def test_rationalize_pattern_failed_round_grows_bound(monkeypatch):
+    """A tau that is not certified in a round fails the round: the next
+    round runs every flat again at 4 times the bound."""
+    p = synthesize_pattern(2, 2)
+    bounds = []
+    real = construct.irreducible_over_Q
+
+    def first_round_inconclusive(poly):
+        bounds.append(len(bounds))
+        if len(bounds) == 2:  # flat 1 in the first round
+            return construct.IrredCertificate(IrredVerdict.INCONCLUSIVE, None, ())
+        return real(poly)
+
+    monkeypatch.setattr(construct, "irreducible_over_Q", first_round_inconclusive)
+    snapped, bound = rationalize_pattern(p, denom_bound=64)
+    assert bound == 256 and len(bounds) == 4
+    assert certify_pattern_stability(p, snapped)
+    for pf, target in zip(snapped.flats, _pattern_targets(p)):
+        assert_exact_perturbation(pf.rationalized, target, 256)
 
 
 def test_rationalize_pattern_degenerate_frame_fails_in_first_round(monkeypatch):
@@ -468,19 +552,6 @@ def test_snapped_cells_recheck_against_oracle():
             assert res.kind is want
 
 
-class _RationalFrame:
-    """The two attributes of an Arrangement that tau_for_arrangement reads,
-    with rational columns: an Arrangement's columns are primitive integers
-    already, so only this frame shows that every column gets scaled."""
-
-    def __init__(self, columns):
-        self.m = len(columns)
-        self._F = QMatrix.from_columns(columns)
-
-    def frame_matrix(self):
-        return self._F
-
-
 @pytest.mark.parametrize("m", range(2, 7))
 def test_tau_for_arrangement_matches_fraction_conjugation(m):
     rng = random.Random(1000 + m)
@@ -492,7 +563,13 @@ def test_tau_for_arrangement_matches_fraction_conjugation(m):
             frames.append(Arrangement(pts))
         except (ValueError, GeneralPositionError):
             continue
-    for arr in frames[:4]:  # the same lines at rational, per-column scales
+    for arr in frames:
+        F = arr.frame_matrix()
+        assert tau_for_arrangement(arr) == F @ D @ F.inverse()
+    # the same lines at rational, per-column scales: an Arrangement's points
+    # are primitive integers already, so only these show that every column
+    # gets scaled
+    for arr in frames[:4]:
         scales = [
             Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 9))
             for _ in range(m)
@@ -500,7 +577,5 @@ def test_tau_for_arrangement_matches_fraction_conjugation(m):
         cols = [
             [s * x for x in c] for s, c in zip(scales, arr.frame_matrix().columns())
         ]
-        frames.append(_RationalFrame(cols))
-    for arr in frames:
-        F = arr.frame_matrix()
-        assert tau_for_arrangement(arr) == F @ D @ F.inverse()
+        F = QMatrix.from_columns(cols)
+        assert construct._frame_tau(cols) == F @ D @ F.inverse()
