@@ -12,6 +12,19 @@ spaces V ∩ U_i are independent, and V is spanned by them exactly when
 sum_i dim(V ∩ U_i) = dim V, with dim(V ∩ U) = dim V + dim U - rank[V | U].
 So it takes ranks only, and no intersection is built.
 
+Every decision is an integer rank. A subspace is carried as its columns,
+each scaled to integers by a positive factor (which changes no span), and
+the rank of several subspaces together is one fraction-free echelon pass
+(`qkernel._echelon`) over all their vectors. `flag_preserved_by` maps those
+vectors by L·tau, L > 0 the LCM of tau's denominators, in integers. A
+decomposition is validated once per call (`_decomposition`), whichever of
+`is_associated` and `common_associated_subspaces` takes it.
+
+Malformed input is a `ValueError`: an empty decomposition, blocks or
+subspaces of different ambient dimensions, blocks that do not form a direct
+sum, and a non-square, singular or wrongly sized tau. The common-subspace
+search raises these, and a zero block, before it builds any candidate.
+
 Subspaces are rational and canonicalized by the reduced echelon basis of
 their row space, so equality is literal equality of generator matrices,
 and a canonical generator matrix has as many columns as its dimension.
@@ -20,24 +33,74 @@ and a canonical generator matrix has as many columns as its dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Union
 
-from .qkernel import QMatrix, det, kernel_basis, rank, rref_rows
+from .qkernel import (
+    QMatrix,
+    _back_substitute,
+    _echelon,
+    _int_det,
+    _int_matrix,
+    _scaled_ints,
+    rank,
+)
+
+Vectors = list[list[int]]
 
 
-def _hstack(parts: Sequence[QMatrix]) -> QMatrix:
-    """The columns of all parts side by side: [A | B | ...]."""
-    if len({p.nrows for p in parts}) != 1:
+def _columns(M: QMatrix) -> Vectors:
+    """M's columns, each scaled to integers by a positive factor."""
+    return [_scaled_ints(c) for c in zip(*M.rows)]
+
+
+def _rank(*parts: Vectors) -> int:
+    """Dimension of the span of all the parts' vectors together."""
+    return len(_echelon([list(v) for p in parts for v in p])[0])
+
+
+def _one_ambient(parts: Sequence[QMatrix]) -> int:
+    ms = {p.nrows for p in parts}
+    if len(ms) != 1:
         raise ValueError("subspaces of different ambient dimensions")
-    return QMatrix([sum(rows, ()) for rows in zip(*(p.rows for p in parts))])
+    return ms.pop()
+
+
+def _reduced(a: Vectors, pivots: list[int], d: int) -> tuple[QMatrix, Vectors]:
+    """From `_echelon`'s output on some vectors: the canonical generator
+    matrix of their span and its columns times |d| in integers.
+
+    Coordinate i of the k-th reduced echelon vector is y[k] / d, where y
+    solves the pivot block against column i (`_back_substitute`).
+    """
+    if not pivots:
+        raise ValueError("zero subspace has no generator matrix")
+    ys = [_back_substitute(a, pivots, d, i) for i in range(len(a[0]))]
+    s = 1 if d > 0 else -1
+    vecs = [[s * y[k] for y in ys] for k in range(len(pivots))]
+    return QMatrix([[Fraction(x, d) for x in y] for y in ys]), vecs
+
+
+def _canonical(vecs: Vectors) -> tuple[QMatrix, Vectors]:
+    a = [list(v) for v in vecs]
+    pivots, _, d = _echelon(a)
+    return _reduced(a, pivots, d)
+
+
+def _intersection(A: Vectors, B: Vectors) -> Vectors:
+    """Integer vectors spanning span A ∩ span B, by Zassenhaus' rule: the
+    rows (a, a) and (b, 0) span {(a + b, a)}, whose echelon rows with a
+    zero left half carry a basis of the intersection on their right."""
+    m = len(A[0])
+    a = [v + v for v in A] + [w + [0] * m for w in B]
+    pivots = _echelon(a)[0]
+    return [a[k][m:] for k, p in enumerate(pivots) if p >= m]
 
 
 def canonical_subspace(generators: QMatrix) -> QMatrix:
     """Canonical column-generator matrix of the span of the given columns."""
-    rows, _ = rref_rows(generators.transpose())
-    if not rows:
-        raise ValueError("zero subspace has no generator matrix")
-    return QMatrix(rows).transpose()
+    return _canonical(_columns(generators))[0]
 
 
 def subspace_dim(generators: QMatrix) -> int:
@@ -50,15 +113,14 @@ def same_subspace(a: QMatrix, b: QMatrix) -> bool:
 
 def intersect_subspaces(a: QMatrix, b: QMatrix) -> Optional[QMatrix]:
     """Intersection of two column spans; None when it is zero."""
-    images = (a.apply(v[: a.ncols]) for v in kernel_basis(_hstack([a, -b])))
-    gens = [vec for vec in images if any(vec)]
-    if not gens:
-        return None
-    return canonical_subspace(QMatrix.from_columns(gens))
+    _one_ambient([a, b])
+    gens = _intersection(_columns(a), _columns(b))
+    return _canonical(gens)[0] if gens else None
 
 
 def sum_subspaces(parts: Sequence[QMatrix]) -> QMatrix:
-    return canonical_subspace(_hstack(parts))
+    _one_ambient(parts)
+    return _canonical([v for p in parts for v in _columns(p)])[0]
 
 
 @dataclass(frozen=True)
@@ -68,16 +130,19 @@ class Flag:
     subspaces: tuple[QMatrix, ...]
 
     def __init__(self, subspaces: Sequence[QMatrix]):
-        canon = tuple(canonical_subspace(s) for s in subspaces)
-        dims = [s.ncols for s in canon]
+        subspaces = list(subspaces)
+        if subspaces:
+            _one_ambient(subspaces)
+        canon = [_canonical(_columns(s)) for s in subspaces]
+        dims = [S.ncols for S, _ in canon]
         if any(d2 <= d1 for d1, d2 in zip(dims, dims[1:])):
             raise ValueError("flag dimensions must strictly increase")
-        for small, big in zip(canon, canon[1:]):
-            if rank(_hstack([small, big])) != big.ncols:
+        for (_, small), (big, big_vecs) in zip(canon, canon[1:]):
+            if _rank(small, big_vecs) != big.ncols:
                 raise ValueError("flag subspaces must be nested")
-        if canon and dims[-1] == canon[-1].nrows:
+        if canon and dims[-1] == canon[-1][0].nrows:
             raise ValueError("the full space is not listed in a proper flag")
-        object.__setattr__(self, "subspaces", canon)
+        object.__setattr__(self, "subspaces", tuple(S for S, _ in canon))
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -112,29 +177,56 @@ def sphere_dim(d: Union[DecompSphere, Sequence[int]]) -> int:
     return total
 
 
+def _decomposition(arrangement: Sequence[QMatrix]) -> tuple[int, list[tuple[Vectors, int]]]:
+    """The ambient dimension m and each block's integer columns with its
+    dimension, once the blocks are checked to form a direct sum of Q^m:
+    their dimensions add up to m and together they span it."""
+    arrangement = list(arrangement)
+    if not arrangement:
+        raise ValueError("a decomposition needs at least one block")
+    m = _one_ambient(arrangement)
+    blocks = [_columns(U) for U in arrangement]
+    dims = [_rank(U) for U in blocks]
+    if sum(dims) != m or _rank(*blocks) != m:
+        raise ValueError("blocks must form a direct-sum decomposition")
+    return m, list(zip(blocks, dims))
+
+
+def _associated(vecs: Vectors, d: int, blocks: list[tuple[Vectors, int]]) -> bool:
+    """The dimension count for a nonzero span of dimension d."""
+    return sum(d + du - _rank(vecs, U) for U, du in blocks) == d
+
+
 def is_associated(V: QMatrix, arrangement: Sequence[QMatrix]) -> bool:
     """Is V spanned by its intersections with the decomposition blocks?
 
     By the dimension count sum_i dim(V ∩ U_i) = dim V, with
     dim(V ∩ U) = dim V + dim U - rank[V | U]. A zero V is not associated.
     """
-    blocks = list(arrangement)
-    dims = [rank(U) for U in blocks]
-    if sum(dims) != V.nrows or rank(_hstack(blocks)) != V.nrows:
-        raise ValueError("blocks must form a direct-sum decomposition")
-    d = rank(V)
-    if d == 0:
-        return False
-    meets = sum(d + du - rank(_hstack([V, U])) for U, du in zip(blocks, dims))
-    return meets == d
+    m, blocks = _decomposition(arrangement)
+    if V.nrows != m:
+        raise ValueError("subspaces of different ambient dimensions")
+    vecs = _columns(V)
+    d = _rank(vecs)
+    return d > 0 and _associated(vecs, d, blocks)
 
 
 def flag_preserved_by(tau: QMatrix, flag: Flag) -> bool:
-    """Does tau map every flag subspace onto itself?"""
-    if det(tau) == 0:
+    """Does tau map every flag subspace onto itself?
+
+    Decided for L·tau in integers, L > 0, which maps each span as tau does.
+    """
+    if not tau.is_square:
+        raise ValueError("tau must be square")
+    _, A = _int_matrix(tau)
+    if _int_det(A) == 0:
         raise ValueError("tau must be invertible")
+    if flag.subspaces and flag.subspaces[0].nrows != len(A):
+        raise ValueError("tau and the flag act on different dimensions")
     for S in flag.subspaces:
-        if rank(_hstack([S, tau @ S])) != S.ncols:
+        vecs = _columns(S)
+        images = [[sum(map(mul, r, v)) for r in A] for v in vecs]
+        if _rank(vecs, images) != S.ncols:
             return False
     return True
 
@@ -151,37 +243,44 @@ def common_associated_subspaces(
     between distinct blocks means infinitely many common subspaces and is
     rejected.
     """
-    m = dec_a[0].nrows
-    pool: list[QMatrix] = []
-    for U in list(dec_a) + list(dec_b):
-        pool.append(canonical_subspace(U))
-    for A in dec_a:
-        for B in dec_b:
-            C = intersect_subspaces(A, B)
-            if C is None:
-                continue
-            if C.ncols >= 2:
+    m, blocks_a = _decomposition(dec_a)
+    m_b, blocks_b = _decomposition(dec_b)
+    if m_b != m:
+        raise ValueError("decompositions of different ambient dimensions")
+    if any(du == 0 for _, du in blocks_a + blocks_b):
+        raise ValueError("zero subspace has no generator matrix")
+    pool = [_canonical(U) for U, _ in blocks_a + blocks_b]
+    for A, _ in blocks_a:
+        for B, _ in blocks_b:
+            gens = _intersection(A, B)
+            if len(gens) >= 2:
                 # a shared plane carries infinitely many common lines
                 raise ValueError("degenerate configuration: blocks share a plane")
-            pool.append(C)
+            if gens:
+                pool.append(_canonical(gens))
     seen = set()
     candidates = []
-    for S in pool:
+    for S, vecs in pool:
         if S.rows not in seen:
             seen.add(S.rows)
-            candidates.append(S)
+            candidates.append((S, vecs))
     for i in range(len(candidates)):
         for j in range(i + 1, len(candidates)):
-            S = sum_subspaces([candidates[i], candidates[j]])
-            if S.rows not in seen and S.ncols < m:
+            a = [list(v) for v in candidates[i][1] + candidates[j][1]]
+            pivots, _, d = _echelon(a)
+            if len(pivots) == m:  # the whole space is no candidate
+                continue
+            S, vecs = _reduced(a, pivots, d)
+            if S.rows not in seen:
                 seen.add(S.rows)
-                candidates.append(S)
+                candidates.append((S, vecs))
 
-    out = []
-    for S in candidates:
-        if not 1 <= S.ncols < m:
-            continue
-        if is_associated(S, dec_a) and is_associated(S, dec_b):
-            out.append(S)
+    out = [
+        S
+        for S, vecs in candidates
+        if S.ncols < m
+        and _associated(vecs, S.ncols, blocks_a)
+        and _associated(vecs, S.ncols, blocks_b)
+    ]
     out.sort(key=lambda S: (S.ncols, S.rows))
     return out

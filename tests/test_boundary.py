@@ -154,6 +154,50 @@ def test_flag_preserved_by():
         flag_preserved_by(QMatrix([[0, 0, 0], [0, 1, 0], [0, 0, 1]]), f)
 
 
+_LINES = [span((1, 0, 0)), span((0, 1, 0)), span((0, 0, 1))]
+
+
+@pytest.mark.parametrize(
+    "dec_a, dec_b",
+    [
+        ([], _LINES),  # an empty decomposition
+        (_LINES, []),
+        ([span((1, 0)), span((0, 1))], _LINES),  # mixed ambient dimensions
+        ([span((1, 0, 0)), span((0, 1, 0), (0, 0, 1)), span((1, 0))], _LINES),
+        ([span((1, 0, 0), (0, 1, 0)), span((0, 1, 0), (0, 0, 1))], _LINES),  # not a direct sum
+        (_LINES, _LINES[:2]),
+        ([span((1, 0, 0)), span((0, 0, 0)), span((0, 1, 0), (0, 0, 1))], _LINES),  # a zero block
+    ],
+)
+def test_common_associated_subspaces_rejects_malformed(dec_a, dec_b, monkeypatch):
+    """A ValueError, raised before any candidate is built."""
+
+    def forbidden(*args):
+        raise AssertionError("a candidate was built")
+
+    monkeypatch.setattr(boundary, "_reduced", forbidden)
+    monkeypatch.setattr(boundary, "_intersection", forbidden)
+    with pytest.raises(ValueError):
+        common_associated_subspaces(dec_a, dec_b)
+
+
+@pytest.mark.parametrize(
+    "tau, match",
+    [
+        (QMatrix([[1, 0, 0], [0, 1, 0]]), "square"),
+        (QMatrix([[1, 0], [0, 1], [1, 1]]), "square"),
+        (QMatrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]]), "invertible"),
+        (QMatrix([[F(1, 2), 1], [1, 2]]), "invertible"),
+        (QMatrix([[2, 1], [1, 1]]), "dimensions"),
+        (QMatrix.identity(4), "dimensions"),
+    ],
+)
+def test_flag_preserved_by_rejects_malformed_tau(tau, match):
+    f = Flag([span((1, 0, 0)), span((1, 0, 0), (0, 1, 0))])
+    with pytest.raises(ValueError, match=match):
+        flag_preserved_by(tau, f)
+
+
 def _random_flag(rng, m):
     dims = sorted(rng.sample(range(1, m), rng.randint(1, m - 1)))
     while True:
