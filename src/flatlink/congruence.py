@@ -19,6 +19,8 @@ The Hankel moment form of the pulled-back line and plane
 transversely, so it rules out the misses, nearly every point, without an
 echelon; a point whose form is definite runs the one Krylov solve
 `intersect` uses (`symspace._cross`), which gives the point and the sign.
+Each det-1 point of the walk carries gamma and adj(gamma) as one flat
+tuple of ints, so the per-point step runs on ints alone.
 """
 
 from __future__ import annotations
@@ -29,21 +31,21 @@ import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .projlink import ProjPoint
 from .qkernel import (
     QMatrix,
     _conjugate,
+    _echelon,
     _int_det,
     _int_matrix,
     _is_prime,
     _primitive_ints,
     _scaled_ints,
+    _solve_square,
     det,
     kernel_basis,
-    rat,
 )
 from .symspace import (
     FlatX,
@@ -105,17 +107,18 @@ class Orientation(Enum):
 # linear systems over the m^2 matrix entries
 
 
-def _intertwine_rows(P: QMatrix, Q: QMatrix) -> list[list[Fraction]]:
-    """Equations x P - Q x = 0, unknowns x_{kl} flattened row-major."""
-    m = P.nrows
+def _intertwine_rows(P: Sequence[Sequence], Q: Sequence[Sequence]) -> list[list]:
+    """Equations x P - Q x = 0, unknowns x_{kl} flattened row-major, for P and
+    Q given as rows; integer rows give integer equations."""
+    m = len(P)
     rows = []
     for i in range(m):
         for j in range(m):
-            row = [rat(0)] * (m * m)
+            row = [0] * (m * m)
             for l in range(m):
-                row[i * m + l] += P[l, j]
+                row[i * m + l] += P[l][j]
             for k in range(m):
-                row[k * m + j] -= Q[i, k]
+                row[k * m + j] -= Q[i][k]
             rows.append(row)
     return rows
 
@@ -125,11 +128,19 @@ def _unflatten(v: Sequence, m: int) -> QMatrix:
 
 
 def scalar_commutant_check(tau: QMatrix, rho: QMatrix) -> bool:
-    """True iff the only matrices commuting with both are the scalars."""
+    """True iff the only matrices commuting with both are the scalars.
+
+    One integer rank: x commutes with tau exactly when it commutes with
+    L tau, so the 2m^2 x m^2 intertwining rows of the two scaled matrices
+    have the scalars as kernel exactly when their rank is m^2 - 1.
+    """
     if not (tau.is_square and rho.is_square and tau.nrows == rho.nrows):
         raise ValueError("inputs must be square of equal size")
-    rows = _intertwine_rows(tau, tau) + _intertwine_rows(rho, rho)
-    return len(kernel_basis(QMatrix(rows))) == 1
+    rows = []
+    for M in (tau, rho):
+        P = _int_matrix(M)[1]
+        rows += _intertwine_rows(P, P)
+    return len(_echelon(rows)[0]) == tau.nrows**2 - 1
 
 
 _COMBO_TRIES = 64
@@ -148,7 +159,8 @@ def ptoq_solve(gamma: QMatrix, tau: QMatrix, rho: QMatrix) -> PtoqResult:
     if not (gamma.is_square and tau.nrows == m and rho.nrows == m):
         raise ValueError("inputs must be square of equal size")
     moved = _conjugate(_int_matrix(gamma)[1], *_int_matrix(tau))
-    rows = _intertwine_rows(tau, moved) + _intertwine_rows(rho, rho)
+    rows = _intertwine_rows(tau.rows, moved.rows)
+    rows += _intertwine_rows(rho.rows, rho.rows)
     ker = kernel_basis(QMatrix(rows))
     d = len(ker)
     if d == 0:
@@ -269,22 +281,6 @@ def min_level_v(v: Sequence, p: int) -> int:
 # bounded enumeration
 
 
-def _int_adjugate(rows: list[list[int]]) -> list[list[int]]:
-    """adj(A) of a square integer matrix: its transposed cofactors."""
-    n = len(rows)
-    if n == 2:
-        (a, b), (c, d) = rows
-        return [[d, -b], [-c, a]]
-    return [
-        [
-            (-1) ** (i + j)
-            * _int_det([r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
 def _first_row_cofactors(rows: list[tuple[int, ...]]) -> list[int]:
     """C with det([c] + rows) = c . C for every first row c."""
     if len(rows) == 1:
@@ -305,7 +301,7 @@ def _det_one_ranges(q: int, bound: int) -> tuple[range, range]:
 
 
 def det_one_walk_size(m: int, q: int, bound: int) -> int:
-    """How many (rows 1..m-1, k_2..k_{m-1}) choices `_det_one_points` walks.
+    """How many (rows 1..m-1, k_2..k_{m-1}) choices `_det_one_rows` walks.
 
     Each choice costs one divisibility test and, when it passes, one
     interval of solutions; so this is the descent's cost before its hits.
@@ -323,8 +319,10 @@ def descent_modulus(level: CongruenceLevel, entry_bound: int) -> int:
     return level.p ** min(level.n, entry_bound.bit_length() + 1)
 
 
-def _det_one_points(m: int, q: int, bound: int):
-    """Every integer gamma = I mod q with entries in [-bound, bound] and det 1.
+def _det_one_rows(m: int, q: int, bound: int):
+    """Every integer gamma = I mod q with entries in [-bound, bound] and det 1,
+    grouped by rows 1..m-1: yields (rest, heads), rest those rows flattened
+    row-major and heads the first rows that complete them, as int tuples.
 
     Needs q >= 2. det is linear in gamma's first row: det = sum_j gamma_0j C_j
     with C the cofactors of rows 1..m-1. So those rows are walked, C is
@@ -343,28 +341,35 @@ def _det_one_points(m: int, q: int, bound: int):
     every entry but one.
     """
     diag_k, off_k = _det_one_ranges(q, bound)
+    if not diag_k:  # no diagonal entry fits: nothing to walk
+        return
     diag = [1 + q * k for k in diag_k]
     off = [q * k for k in off_k]
     cells = [diag if i == j else off for i in range(1, m) for j in range(m)]
-    tails = [(ks, [q * k for k in ks]) for ks in itertools.product(off_k, repeat=m - 2)]
-    for entries in itertools.product(*cells):
-        rows = [entries[i * m : (i + 1) * m] for i in range(m - 1)]
-        C = _first_row_cofactors(rows)
-        g = math.gcd(C[0], C[1])
+    tails = [
+        (ks, tuple(q * k for k in ks))
+        for ks in itertools.product(off_k, repeat=m - 2)
+    ]
+    k0_lo, k0_hi, k1_lo, k1_hi = diag_k[0], diag_k[-1], off_k[0], off_k[-1]
+    for rest in itertools.product(*cells):
+        C = _first_row_cofactors([rest[i : i + m] for i in range(0, len(rest), m)])
+        c0, c1, later = C[0], C[1], C[2:]
+        g = math.gcd(c0, c1)
         # C_0 k_0 + C_1 k_1 = r reads w k_0 + u k_1 = e r / g, with w > 0
-        e = 1 if C[0] > 0 else -1
-        w, u = e * C[0] // g, e * C[1] // g
+        e = 1 if c0 > 0 else -1
+        w, u = e * c0 // g, e * c1 // g
         inv = pow(u, -1, w)
-        rhs = (1 - C[0]) // q
+        rhs = (1 - c0) // q
+        heads = []
         for ks, tail in tails:
-            r = rhs - sum(k * c for k, c in zip(ks, C[2:]))
+            r = rhs - sum(map(operator.mul, ks, later))
             if r % g:
                 continue
             s = e * r // g
             # k_1 = s inv (mod w) makes k_0 = (s - u k_1) / w exact; k_1 is
             # bounded by off_k, and u k_1 by k_0 in diag_k
-            lo, hi = off_k[0], off_k[-1]
-            a, b = s - w * diag_k[-1], s - w * diag_k[0]
+            lo, hi = k1_lo, k1_hi
+            a, b = s - w * k0_hi, s - w * k0_lo
             if u > 0:
                 lo, hi = max(lo, -(-a // u)), min(hi, b // u)
             elif u < 0:
@@ -372,13 +377,43 @@ def _det_one_points(m: int, q: int, bound: int):
             elif not a <= 0 <= b:
                 continue
             lo += (s * inv - lo) % w
-            for k1 in range(lo, hi + 1, w):
-                first = [1 + q * ((s - u * k1) // w), q * k1, *tail]
-                yield [first] + [list(row) for row in rows]
+            heads += [
+                (1 + q * ((s - u * k1) // w), q * k1, *tail)
+                for k1 in range(lo, hi + 1, w)
+            ]
+        if heads:
+            yield rest, heads
+
+
+def _walk_point(gamma: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """gamma (det 1, row-major) followed by adj(gamma) row-major: the 2m^2
+    ints the pull-back of a descent reads.
+
+    adj(gamma) is d (d gamma^-1) from `qkernel._solve_square`: its last
+    pivot d is +-det gamma = +-1, so d^2 = 1 and d (d gamma^-1) =
+    gamma^-1 = adj(gamma).
+    """
+    d, cols = _solve_square([gamma[i : i + m] for i in range(0, m * m, m)])
+    return gamma + tuple(d * y[i] for i in range(m) for y in cols)
+
+
+def _walk_points(m: int, q: int, bound: int):
+    """The points of `_det_one_rows` as `_walk_point`s; at 2 x 2 with the
+    closed form adj [[a, b], [c, d]] = [[d, -b], [-c, a]], one tuple per
+    point."""
+    if m == 2:
+        for (c, d), heads in _det_one_rows(2, q, bound):
+            for a, b in heads:
+                yield (a, b, c, d, d, -b, -c, a)
+        return
+    for rest, heads in _det_one_rows(m, q, bound):
+        for head in heads:
+            yield _walk_point(head + rest, m)
 
 
 def _evaluator(X: FlatX, Y: SubspaceY):
-    """The per-point step of a descent: gamma -> the hit of gamma X with Y.
+    """The per-point step of a descent: a `_walk_point` of gamma -> the hit
+    of gamma X with Y, or None.
 
     It pulls Y back instead of moving X. gamma X and Y meet in
     gamma (X and gamma^{-1} Y), and gamma^{-1} Y has line adj(gamma) v and
@@ -390,31 +425,35 @@ def _evaluator(X: FlatX, Y: SubspaceY):
     only then does the point run the crossing solve (`symspace._cross`),
     which stays the only source of the point and the sign; a definite form
     without a point raises ArithmeticError. Matrices are built only for a
-    hit. The reported point is gamma Z' gamma^T, with Z' the pulled-back
-    point, primitive because gamma is unimodular. Z -> gamma Z gamma^T has
-    det(gamma)^(m+1) = 1 on Sym and carries X's frame (Z', tau Z', ...) to
-    gamma X's at the point, so the sign is taken at Z' on gamma^{-1} Y with
-    Y's orientation bit carried back unchanged: with det gamma = 1 the
-    pulled-back frame relates to (adj(gamma) v, gamma^T w) exactly as Y's
-    frame does to (v, w). A bit recomputed from the pulled-back line and
-    plane, or a plane negated by `_primitive_ints`, flips signs at odd m.
+    hit. The reported point is gamma Z' gamma^T, formed in integers, with
+    Z' the pulled-back point, primitive because gamma is unimodular.
+    Z -> gamma Z gamma^T has det(gamma)^(m+1) = 1 on Sym and carries X's
+    frame (Z', tau Z', ...) to gamma X's at the point, so the sign is taken
+    at Z' on gamma^{-1} Y with Y's orientation bit carried back unchanged:
+    with det gamma = 1 the pulled-back frame relates to
+    (adj(gamma) v, gamma^T w) exactly as Y's frame does to (v, w). A bit
+    recomputed from the pulled-back line and plane, or a plane negated by
+    `_primitive_ints`, flips signs at odd m.
     """
     t = _scaled_ints([x for r in X.tau.rows for x in r])
     powers = _moment_powers(t)
     v, w = _primitive_ints(Y.line), _scaled_ints(Y.plane)
+    m = X.m
+    mm = m * m
+    adj_rows = range(mm, 2 * mm, m)
 
-    def evaluate(rows: list[list[int]]) -> Optional[SignedHit]:
-        adj = _int_adjugate(rows)
-        line = [sum(map(operator.mul, r, v)) for r in adj]
-        plane = [sum(map(operator.mul, c, w)) for c in zip(*rows)]
+    def evaluate(point: tuple[int, ...]) -> Optional[SignedHit]:
+        line = [sum(map(operator.mul, point[i : i + m], v)) for i in adj_rows]
+        plane = [sum(map(operator.mul, point[j:mm:m], w)) for j in range(m)]
         if not _moment_definite(powers, line, plane):
             return None
         _, Z, s = _cross(t, line, plane)
         if Z is None:
             raise ArithmeticError("definite moment form, but no crossing point")
-        gamma = QMatrix(rows)
-        point = SPDPoint(gamma @ QMatrix(Z) @ gamma.transpose())
-        return SignedHit(gamma, point, Y.orientation * s)
+        gamma = [point[i : i + m] for i in range(0, mm, m)]
+        gZ = [[sum(map(operator.mul, r, z)) for z in Z] for r in gamma]  # Z = Z^T
+        moved = [[sum(map(operator.mul, r, g)) for g in gamma] for r in gZ]
+        return SignedHit(QMatrix(gamma), SPDPoint(QMatrix(moved)), Y.orientation * s)
 
     return evaluate
 
@@ -429,7 +468,8 @@ def enumerate_same_sign(
     transported flat meets the subspace transversely, with its sign.
 
     Results are sorted by (max absolute entry, entries lex) so reports are
-    reproducible.
+    reproducible. The det-1 walk streams: no point outlives its evaluation
+    unless it is a hit.
     """
     if entry_bound < 0:
         raise ValueError("entry bound must be >= 0")
@@ -439,14 +479,12 @@ def enumerate_same_sign(
     Y = subspace_from_rho(rho)
     q = descent_modulus(level, entry_bound)
     evaluate = _evaluator(X, Y)
-    hits = [
-        h for h in map(evaluate, _det_one_points(X.m, q, entry_bound)) if h is not None
-    ]
-
-    def key(h: SignedHit):
-        entries = [
-            int(h.gamma[i, j]) for i in range(X.m) for j in range(X.m)
-        ]
-        return (max(abs(x) for x in entries), entries)
-
-    return sorted(hits, key=key)
+    mm = X.m * X.m
+    hits = []
+    for point in _walk_points(X.m, q, entry_bound):
+        h = evaluate(point)
+        if h is not None:
+            gamma = point[:mm]
+            hits.append(((max(map(abs, gamma)), gamma), h))
+    hits.sort(key=operator.itemgetter(0))
+    return [h for _, h in hits]

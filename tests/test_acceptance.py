@@ -29,6 +29,7 @@ from flatlink.congruence import (
     enumerate_same_sign,
     min_level_v,
     ptoq_solve,
+    scalar_commutant_check,
 )
 from flatlink.construct import (
     pattern_rank,
@@ -122,8 +123,12 @@ def test_criterion_2_pattern_theorem_desk_analog():
 
 def test_criterion_3_exactly_two_common_subspaces():
     rng = random.Random(3301)
-    done = 0
+    done = draws = 0
     while done < 100:
+        # 53 of the first 153 draws are skipped; a function that raises on
+        # every input must fail here, not redraw forever
+        assert draws - done <= 200, f"{draws - done} draws skipped"
+        draws += 1
         try:
             arr = Arrangement(
                 [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
@@ -365,8 +370,8 @@ def test_criterion_6_ptoq_solver():
         gamma = QMatrix([[rng.randint(-5, 5) for _ in range(m)] for _ in range(m)])
         if det(gamma) == 0:
             continue
-        rows = _intertwine_rows(tau, gamma @ tau @ gamma.inverse())
-        rows += _intertwine_rows(rho, rho)
+        rows = _intertwine_rows(tau.rows, (gamma @ tau @ gamma.inverse()).rows)
+        rows += _intertwine_rows(rho.rows, rho.rows)
         if kernel_basis(QMatrix(rows)):
             continue  # not certifiably a non-member; resample
         res = ptoq_solve(gamma, tau, rho)
@@ -374,6 +379,63 @@ def test_criterion_6_ptoq_solver():
         assert res.decomposition is None
         crafted += 1
     print("PASS criterion-6: 200 members decomposed exactly, 50 non-members rejected")
+
+
+def _commutant_reference(tau, rho):
+    """The form scalar_commutant_check had: `Fraction` rows of x P - P x for
+    P = tau and P = rho, and a kernel_basis of dimension 1."""
+    rows = []
+    for P in (tau, rho):
+        m = P.nrows
+        for i in range(m):
+            for j in range(m):
+                row = [Fraction(0)] * (m * m)
+                for l in range(m):
+                    row[i * m + l] += P[l, j]
+                for k in range(m):
+                    row[k * m + j] -= P[i, k]
+                rows.append(row)
+    return len(kernel_basis(QMatrix(rows))) == 1
+
+
+def test_criterion_6_scalar_commutant_matches_kernel_reference(monkeypatch):
+    """scalar_commutant_check, one integer rank, against the reference on
+    every (tau, rho) criterion 6 hands to ptoq_solve, and on derogatory tau
+    (a repeated eigenvalue, minimal polynomial of degree < m). Against the
+    involutions criterion 6 draws, these derogatory tau keep a non-scalar
+    joint commutant every time, so random integer rho are added to reach
+    the scalar verdict as well."""
+    pairs = []
+    solve = ptoq_solve
+
+    def recording(gamma, tau, rho):
+        pairs.append((tau, rho))
+        return solve(gamma, tau, rho)
+
+    monkeypatch.setitem(globals(), "ptoq_solve", recording)
+    test_criterion_6_ptoq_solver()
+    assert len(pairs) == 250
+    rng = random.Random(607)
+    derogatory = [
+        QMatrix.identity(2) * 3,
+        QMatrix.diagonal([1, 1, 2]),
+        QMatrix([[2, 1, 0], [0, 2, 0], [0, 0, 2]]),
+        QMatrix.identity(3) * -1,
+        QMatrix.diagonal([1, 1, 2, 3]),
+        QMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]]),
+    ]
+    for tau in derogatory:
+        m = tau.nrows
+        for _ in range(10):
+            pairs.append((tau, _random_involution_data(rng, m)[0]))
+        for _ in range(5):
+            rho = QMatrix([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)])
+            pairs.append((tau, rho))
+        pairs.append((tau, QMatrix.identity(m)))
+    verdicts = [scalar_commutant_check(tau, rho) for tau, rho in pairs]
+    assert verdicts == [_commutant_reference(tau, rho) for tau, rho in pairs]
+    assert True in verdicts[:250] and False in verdicts[250:]
+    assert True in verdicts[250:]
 
 
 def test_criterion_7_same_sign_descent():

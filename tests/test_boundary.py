@@ -259,8 +259,12 @@ def test_association_iff_preservation_sampled():
 def test_common_associated_subspaces_two_flags():
     # the two decomposition spheres share exactly two flags: L' and Q
     rng = random.Random(131)
-    done = 0
+    done = draws = 0
     while done < 20:
+        # 4 of the first 24 draws are skipped; a function that raises on
+        # every input must fail here, not redraw forever
+        assert draws - done <= 50, f"{draws - done} draws skipped"
+        draws += 1
         try:
             arr = Arrangement(
                 [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]

@@ -630,6 +630,23 @@ def test_descend_commutant_exit4(tmp_path):
     assert main(["descend", path, "--level", "5", "--bound", "3"]) == 4
 
 
+@pytest.mark.parametrize(
+    "tau, rho, code",
+    [
+        ([["1", "1"], ["0", "1"]], [["1", "0"], ["0", "1"]], 4),
+        ([["0", "-1"], ["1", "0"]], [["1", "0"], ["0", "1"]], 4),
+        ([["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]], 4),
+        ([["1", "1"], ["0", "1"]], [["0", "1"], ["1", "0"]], 2),
+        ([["0", "-1"], ["1", "0"]], [["0", "1"], ["1", "0"]], 2),
+    ],
+)
+def test_descend_commutant_exit4_before_degenerate_exit2(tmp_path, tau, rho, code):
+    # a repeated or complex eigenvalue alone is degenerate (exit 2), but a
+    # non-scalar joint commutant is found first (exit 4)
+    path = _write(tmp_path / "in.json", {"tau": tau, "rho": rho})
+    assert main(["descend", path, "--level", "5", "--bound", "3"]) == code
+
+
 def test_descend_bad_level_before_commutant_exit1(tmp_path):
     # the commutant is not scalar (exit 4 with a good level), but the level is
     # read first: 4 is not prime

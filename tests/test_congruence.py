@@ -10,8 +10,9 @@ from flatlink.congruence import (
     CommutantError,
     CongruenceLevel,
     Decomposition,
-    _det_one_points,
+    _det_one_rows,
     _evaluator,
+    _walk_point,
     Orientation,
     decomposition_valid,
     enumerate_same_sign,
@@ -251,6 +252,15 @@ def _ball(m, q, bound):
         yield [list(entries[i * m : (i + 1) * m]) for i in range(m)]
 
 
+def _det_one_points(m, q, bound):
+    """The points of `congruence._det_one_rows`, each as a list of m row lists,
+    the form `_ball` yields."""
+    for rest, heads in _det_one_rows(m, q, bound):
+        for head in heads:
+            flat = head + rest
+            yield [list(flat[i : i + m]) for i in range(0, m * m, m)]
+
+
 def _brute_force_hits(tau, rho, q, bound):
     """(gamma, sign) of every transverse det-1 ball point, in report order."""
     X, Y = flat_from_tau(tau), subspace_from_rho(rho)
@@ -361,7 +371,7 @@ def test_definite_form_without_a_crossing_raises(monkeypatch):
     monkeypatch.setattr(congruence, "_cross", lambda t, v, w: (1, None, None))
     evaluate = _evaluator(flat_from_tau(TAU2), subspace_from_rho(RHO2))
     with pytest.raises(ArithmeticError):
-        evaluate([[1, 0], [0, 1]])
+        evaluate(_walk_point((1, 0, 0, 1), 2))
 
 
 def test_m3_mixed_sign_descent():
@@ -421,7 +431,7 @@ def test_pullback_sign_matches_forward(m):
         Y = subspace_from_rho(involution_for_pair(P.apply(plane), plane))
         evaluate = _evaluator(X, Y)
         for c in (gamma, _gamma_mod_5(rng, m)):  # the second one mostly misses
-            hit = evaluate([[int(x) for x in r] for r in c.rows])
+            hit = evaluate(_walk_point(tuple(int(x) for r in c.rows for x in r), m))
             moved = X.transport(c)
             res = intersect(moved, Y)
             if res.kind is not IntersectionKind.TRANSVERSE_POINT:
@@ -444,3 +454,87 @@ def test_pullback_sign_matches_forward(m):
         assert rebuilt_flips > 0
     else:
         assert rebuilt_flips == 0
+
+
+# ---------------------------------------------------------------------------
+# the walk points: gamma and adj(gamma) as one flat tuple of ints
+
+
+def _reported(hits):
+    """Everything a descent reports: gamma, point and sign of every hit."""
+    return [(h.gamma, h.point.Z, h.sign) for h in hits]
+
+
+@pytest.mark.parametrize(
+    "pair, bound", [((TAU2, RHO2), 30), (M3, 10)], ids=["c7-b30", "m3-b10"]
+)
+def test_descents_in_a_row_report_what_the_first_does(pair, bound):
+    """A descent keeps no state: repeated calls on one level and calls
+    alternating between (5, 1) and (5, 2) report the same gamma, points and
+    signs as the first call on each level."""
+    levels = {n: CongruenceLevel(5, n) for n in (1, 2)}
+    first = {
+        n: _reported(enumerate_same_sign(*pair, level, entry_bound=bound))
+        for n, level in levels.items()
+    }
+    assert first[1] and first[2]
+    for n in (1, 1, 2, 2, 1, 2, 1, 2):
+        got = enumerate_same_sign(*pair, levels[n], entry_bound=bound)
+        assert _reported(got) == first[n]
+
+
+def _cofactor_adjugate(rows):
+    m = len(rows)
+    return [
+        [
+            (-1) ** (i + j)
+            * _plain_det([r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j])
+            for j in range(m)
+        ]
+        for i in range(m)
+    ]
+
+
+def _split(point, m):
+    """A walk point as gamma's rows and adj(gamma)'s rows."""
+    rows = [list(point[i : i + m]) for i in range(0, 2 * m * m, m)]
+    return rows[:m], rows[m:]
+
+
+@pytest.mark.parametrize(
+    "m, q, bound",
+    [(2, 5, 30), (2, 2, 7), (2, 5, 0), (3, 5, 5), (3, 2, 3), (3, 3, 4), (4, 3, 2),
+     (4, 2, 1)],
+)
+def test_walk_points_carry_gamma_and_its_adjugate(m, q, bound):
+    points = list(congruence._walk_points(m, q, bound))
+    gammas = []
+    for point in points:
+        assert len(point) == 2 * m * m
+        gamma, adj = _split(point, m)
+        assert adj == _cofactor_adjugate(gamma)
+        gammas.append(gamma)
+    assert sorted(gammas) == sorted(
+        rows for rows in _ball(m, q, bound) if _plain_det(rows) == 1
+    )
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_walk_point_adjugate_matches_cofactors(m):
+    # gamma = I mod 5 has leading minors = 1 mod 5, so its echelon never
+    # swaps rows and the last pivot is 1; a quarter turn of the first two
+    # axes makes the first pivot column swap, and that pivot -1
+    turn = [[0] * m for _ in range(m)]
+    turn[0][1], turn[1][0] = -1, 1
+    for i in range(2, m):
+        turn[i][i] = 1
+    turn = QMatrix(turn)
+    rng = random.Random(500 + m)
+    for k in range(20):
+        g = _gamma_mod_5(rng, m)
+        if k % 2:
+            g = turn @ g
+        flat = tuple(int(x) for r in g.rows for x in r)
+        gamma, adj = _split(_walk_point(flat, m), m)
+        assert gamma == [list(r) for r in zip(*[iter(flat)] * m)]
+        assert adj == _cofactor_adjugate(gamma)

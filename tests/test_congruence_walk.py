@@ -1,7 +1,8 @@
-"""congruence._det_one_points against the brute-force det-1 ball, over
-random (m, q, bound), and on pinned cases that take each branch of the
-first-row solve: C_1 = 0, gcd(C_0, C_1) not dividing the right side, and a
-bound below q, where an axis of the ball is {0} or {1} or empty.
+"""The det-1 walk (`congruence._det_one_rows`, read as lists of rows) against
+the brute-force det-1 ball, over random (m, q, bound), and on pinned cases
+that take each branch of the first-row solve: C_1 = 0, gcd(C_0, C_1) not
+dividing the right side, and a bound below q, where an axis of the ball is
+{0} or {1} or empty.
 """
 
 import itertools
@@ -14,8 +15,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from flatlink.congruence import _det_one_points, det_one_walk_size  # noqa: E402
-from test_congruence import _ball, _plain_det  # noqa: E402
+from flatlink.congruence import det_one_walk_size  # noqa: E402
+from test_congruence import _ball, _det_one_points, _plain_det  # noqa: E402
 
 MODULI = [2, 3, 4, 5, 7, 9, 25]
 BALL_LIMIT = 6000  # brute-force ball points per example
