@@ -1,13 +1,16 @@
 """Rational decomposition, congruence levels, and bounded same-sign runs.
 
-The decomposition solver turns gamma = a b with a commuting with rho and
-b commuting with tau into a linear problem: b = a^{-1} gamma commutes with
-tau exactly when a tau = (gamma tau gamma^{-1}) a, so a lies in the kernel
-of a stacked 2m^2 x m^2 system. The remaining nonlinearity is picking an
-invertible kernel element; determinant restricted to the kernel span is a
-polynomial of degree <= m in each coefficient, so testing a (m+1)^d grid
-certifies emptiness when the grid is affordable, and the solver reports
-undecided rather than guessing when it is not.
+The decomposition solver works in Q[tau]. tau must be cyclic (minimal
+polynomial of degree m, as every regular tau is), so its commutant is
+Q[tau] and gamma = a b with b commuting with tau reads b^{-1} = p(tau).
+Then a = gamma p(tau) commutes with rho exactly when p's m coefficients
+solve an m^2 x m integer system, built on the powers of L tau. Let
+s_1..s_d span its kernel. det p(tau) is the product of p(lambda) over
+tau's m eigenvalues, each a linear form in p's coefficients. On the span
+such a form is either zero or, along p_c = sum_k c^(k-1) s_k, a nonzero
+polynomial in c of degree <= d - 1. So the span holds an invertible p(tau)
+exactly when one of p_0, ..., p_(m(d-1)) gives one, and the solver
+answers solved or no_solution after that bounded scan.
 
 The deep-congruence machinery behind the same-sign statement (double
 cosets, p-adic identity neighborhoods) is replaced by what it predicts:
@@ -28,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -36,7 +38,6 @@ from typing import Optional, Sequence
 from .projlink import ProjPoint
 from .qkernel import (
     QMatrix,
-    _conjugate,
     _echelon,
     _int_det,
     _int_matrix,
@@ -87,7 +88,7 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class PtoqResult:
-    kind: str  # "solved" | "no_solution" | "undecided"
+    kind: str  # "solved" | "no_solution"
     decomposition: Optional[Decomposition]
 
 
@@ -123,10 +124,6 @@ def _intertwine_rows(P: Sequence[Sequence], Q: Sequence[Sequence]) -> list[list]
     return rows
 
 
-def _unflatten(v: Sequence, m: int) -> QMatrix:
-    return QMatrix([list(v[i * m : (i + 1) * m]) for i in range(m)])
-
-
 def scalar_commutant_check(tau: QMatrix, rho: QMatrix) -> bool:
     """True iff the only matrices commuting with both are the scalars.
 
@@ -143,62 +140,45 @@ def scalar_commutant_check(tau: QMatrix, rho: QMatrix) -> bool:
     return len(_echelon(rows)[0]) == tau.nrows**2 - 1
 
 
-_COMBO_TRIES = 64
-_GRID_LIMIT = 40000
-
-
 def ptoq_solve(gamma: QMatrix, tau: QMatrix, rho: QMatrix) -> PtoqResult:
     """Split gamma = a b with [a, rho] = 1 and [b, tau] = 1, exactly.
 
-    Deterministic: the random kernel combinations are drawn from a fixed
-    seed. When the certified grid would be too large and no invertible
-    element was found, the result is undecided, never a silent NoSolution.
-    A singular gamma raises ValueError.
+    tau must be cyclic, so that a = gamma p(tau) (module docstring). With
+    G, A = L tau and R the integer multiples of gamma, tau and rho, column
+    k of the system is vec(G A^k R - R G A^k); the scaling only rescales
+    the unknowns. G A^0, ..., G A^(m-1) are independent exactly when tau is
+    cyclic, as G is invertible. The answer is solved or no_solution. A
+    derogatory tau or a singular gamma raises ValueError.
     """
     m = gamma.nrows
     if not (gamma.is_square and tau.nrows == m and rho.nrows == m):
         raise ValueError("inputs must be square of equal size")
-    moved = _conjugate(_int_matrix(gamma)[1], *_int_matrix(tau))
-    rows = _intertwine_rows(tau.rows, moved.rows)
-    rows += _intertwine_rows(rho.rows, rho.rows)
-    ker = kernel_basis(QMatrix(rows))
-    d = len(ker)
-    if d == 0:
+    G, A, R = (_int_matrix(M)[1] for M in (gamma, tau, rho))
+    if _int_det(G) == 0:
+        raise ValueError("gamma is singular")
+    terms = [G]  # G A^k
+    cols = list(zip(*A))
+    for _ in range(m - 1):
+        terms.append([[sum(map(operator.mul, r, c)) for c in cols] for r in terms[-1]])
+    terms = [sum(T, []) for T in terms]  # row-major
+    if len(_echelon([list(t) for t in terms])[0]) < m:
+        raise ValueError("tau is derogatory: its commutant is larger than Q[tau]")
+    eqs = _intertwine_rows(R, R)  # vec(x R - R x)
+    rows = [[sum(map(operator.mul, e, t)) for t in terms] for e in eqs]
+    ker = [[int(x) for x in s] for s in kernel_basis(QMatrix(rows))]
+    if not ker:
         return PtoqResult("no_solution", None)
-    basis = [_unflatten(v, m) for v in ker]
-
-    def finish(a: QMatrix) -> PtoqResult:
-        a = _normalize_on_fixed_line(a, rho)
-        b = a.inverse() @ gamma
-        if b @ tau != tau @ b:  # guaranteed by the system
-            raise ArithmeticError("a^-1 gamma does not commute with tau")
-        return PtoqResult("solved", Decomposition(a=a, b=b))
-
-    for a in basis:
-        if det(a) != 0:
-            return finish(a)
-    rng = random.Random(0)
-    for _ in range(_COMBO_TRIES):
-        coeffs = [rng.randint(-3, 3) for _ in range(d)]
-        a = _combine(basis, coeffs)
-        if det(a) != 0:
-            return finish(a)
-    # det on the kernel span is a polynomial of degree <= m in each of the
-    # d coefficients; vanishing on {0..m}^d forces it to vanish identically
-    if (m + 1) ** d > _GRID_LIMIT:
-        return PtoqResult("undecided", None)
-    for coeffs in itertools.product(range(m + 1), repeat=d):
-        a = _combine(basis, coeffs)
-        if det(a) != 0:
-            return finish(a)
+    for c in range(m * (len(ker) - 1) + 1):
+        p = [sum(s[j] * c**k for k, s in enumerate(ker)) for j in range(m)]
+        flat = [sum(map(operator.mul, p, entry)) for entry in zip(*terms)]
+        Gp = [flat[i : i + m] for i in range(0, m * m, m)]  # G p_c(A)
+        if _int_det(Gp) != 0:
+            a = _normalize_on_fixed_line(QMatrix(Gp), rho)
+            b = a.inverse() @ gamma
+            if b @ tau != tau @ b:  # guaranteed by the system
+                raise ArithmeticError("a^-1 gamma does not commute with tau")
+            return PtoqResult("solved", Decomposition(a=a, b=b))
     return PtoqResult("no_solution", None)
-
-
-def _combine(basis: list[QMatrix], coeffs: Sequence[int]) -> QMatrix:
-    out = basis[0] * coeffs[0]
-    for B, c in zip(basis[1:], coeffs[1:]):
-        out = out + B * c
-    return out
 
 
 def _normalize_on_fixed_line(a: QMatrix, rho: QMatrix) -> QMatrix:

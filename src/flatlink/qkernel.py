@@ -41,6 +41,10 @@ def rat(x) -> Fraction:
 
     Exponent notation is refused: Fraction would expand '1e3000000' into a
     three-million-digit integer, so a short string could take unbounded time.
+    Digit separators ('1_0') and whitespace inside the number ('1 /4') are
+    refused too: Fraction accepts the first from Python 3.11 and the second
+    from 3.12, so the same input would read differently across versions.
+    Whitespace around the number is accepted, as by every Fraction.
     """
     if isinstance(x, Fraction):
         return x
@@ -49,6 +53,10 @@ def rat(x) -> Fraction:
     if isinstance(x, str):
         if "e" in x or "E" in x:
             raise ValueError(f"{x!r}: exponent notation is not accepted")
+        if "_" in x or any(c.isspace() for c in x.strip()):
+            raise ValueError(
+                f"{x!r}: digit separators and inner whitespace are not accepted"
+            )
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 

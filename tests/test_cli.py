@@ -402,10 +402,21 @@ def _assert_parse_error(argv, capsys):
         ["pattern", "2", "2", "--retries", "0"],  # was exit 3
         ["pattern", "2", "2", "--thinness", "1e3000000"],  # used to run for minutes
         ["pattern", "2", "2", "--rotation", "1E-2"],
+        ["pattern", "2", "2", "--thinness", "1_0"],  # was 10 on Python >= 3.11
+        ["pattern", "2", "2", "--thinness", "1 /4"],  # was 1/4 on Python >= 3.12
     ],
 )
 def test_pattern_out_of_range_options_exit1(argv, capsys):
     _assert_parse_error(argv, capsys)
+
+
+def test_digit_separator_in_input_exit1(tmp_path, capsys):
+    # Fraction reads "2_0" as 20 from Python 3.11 on; refused on every version
+    obj = {"tau": [["2_0", "1"], ["1", "1"]], "rho": [["0", "1"], ["1", "0"]]}
+    assert main(["intersect", _write(tmp_path / "in.json", obj)]) == 1
+    captured = capsys.readouterr()
+    assert "digit separators" in captured.err
+    assert captured.out == ""
 
 
 def test_exponent_notation_in_input_exit1(tmp_path, capsys):

@@ -10,8 +10,11 @@ from flatlink.congruence import (
     CommutantError,
     CongruenceLevel,
     Decomposition,
+    PtoqResult,
     _det_one_rows,
     _evaluator,
+    _intertwine_rows,
+    _normalize_on_fixed_line,
     _walk_point,
     Orientation,
     decomposition_valid,
@@ -21,7 +24,7 @@ from flatlink.congruence import (
     ptoq_solve,
     scalar_commutant_check,
 )
-from flatlink.qkernel import QMatrix, det, kernel_basis
+from flatlink.qkernel import QMatrix, _conjugate, _int_matrix, det, kernel_basis
 from flatlink.symspace import (
     IntersectionKind,
     SPDPoint,
@@ -155,6 +158,230 @@ def test_ptoq_generic_gamma_usually_unsolvable():
         else:
             assert res.kind == "no_solution"  # grid is affordable at m = 2
     assert "no_solution" in kinds
+
+
+# ---------------------------------------------------------------------------
+# reference: the search ptoq_solve ran before it decided in Q[tau]
+
+
+def _ptoq_reference(gamma, tau, rho):
+    """Solve for a in the 2m^2 x m^2 system (a commutes with rho, and
+    a tau = (gamma tau gamma^-1) a), then look for an invertible kernel
+    element: the basis, 64 seeded random combinations, and the grid
+    {0..m}^d while (m + 1)^d <= 40000; "undecided" past that."""
+    m = gamma.nrows
+    moved = _conjugate(_int_matrix(gamma)[1], *_int_matrix(tau))
+    rows = _intertwine_rows(tau.rows, moved.rows)
+    rows += _intertwine_rows(rho.rows, rho.rows)
+    ker = kernel_basis(QMatrix(rows))
+    d = len(ker)
+    if d == 0:
+        return PtoqResult("no_solution", None)
+    basis = [QMatrix([list(v[i * m : (i + 1) * m]) for i in range(m)]) for v in ker]
+
+    def combine(coeffs):
+        out = basis[0] * coeffs[0]
+        for B, c in zip(basis[1:], coeffs[1:]):
+            out = out + B * c
+        return out
+
+    def finish(a):
+        a = _normalize_on_fixed_line(a, rho)
+        return PtoqResult("solved", Decomposition(a=a, b=a.inverse() @ gamma))
+
+    for a in basis:
+        if det(a) != 0:
+            return finish(a)
+    rng = random.Random(0)
+    for _ in range(64):
+        a = combine([rng.randint(-3, 3) for _ in range(d)])
+        if det(a) != 0:
+            return finish(a)
+    if (m + 1) ** d > 40000:
+        return PtoqResult("undecided", None)
+    for coeffs in itertools.product(range(m + 1), repeat=d):
+        a = combine(coeffs)
+        if det(a) != 0:
+            return finish(a)
+    return PtoqResult("no_solution", None)
+
+
+def _assert_matches_reference(draws):
+    """Both solvers give the same kind on every (gamma, tau, rho), and every
+    decomposition is valid. Returns the kinds."""
+    kinds = []
+    for gamma, tau, rho in draws:
+        res, ref = ptoq_solve(gamma, tau, rho), _ptoq_reference(gamma, tau, rho)
+        assert ref.kind in ("solved", "no_solution")
+        assert res.kind == ref.kind
+        if res.kind == "solved":
+            assert decomposition_valid(res.decomposition, gamma, tau, rho)
+            assert decomposition_valid(ref.decomposition, gamma, tau, rho)
+        else:
+            assert res.decomposition is None
+        kinds.append(res.kind)
+    return kinds
+
+
+def test_ptoq_matches_reference_on_criterion_6_draws(monkeypatch):
+    import test_acceptance
+
+    draws, results = [], []
+
+    def recording(gamma, tau, rho):
+        draws.append((gamma, tau, rho))
+        results.append(ptoq_solve(gamma, tau, rho))
+        return results[-1]
+
+    monkeypatch.setattr(test_acceptance, "ptoq_solve", recording)
+    test_acceptance.test_criterion_6_ptoq_solver()
+    assert len(draws) == 250
+    kinds = _assert_matches_reference(draws)
+    assert kinds == [r.kind for r in results]
+    # the last 50 are the crafted non-members: exactly no_solution
+    assert kinds == ["solved"] * 200 + ["no_solution"] * 50
+
+
+def _is_cyclic(tau):
+    m = tau.nrows
+    powers = [QMatrix.identity(m)]
+    for _ in range(m - 1):
+        powers.append(powers[-1] @ tau)
+    return QMatrix([[x for r in P.rows for x in r] for P in powers]).rank() == m
+
+
+def _sharing_pair(rng, m):
+    """A cyclic tau = F D F^-1 and rho = F S F^-1, where S is -1 on the swap
+    of D's first two eigenlines and +-1 on the others: the joint commutant
+    is every p(tau) with p(D_0) = p(D_1), of dimension m - 1."""
+    while True:
+        F = QMatrix([[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)])
+        if det(F) != 0:
+            break
+    D = rng.sample(range(-4, 5), m)
+    S = [[0] * m for _ in range(m)]
+    S[0][1] = S[1][0] = -1
+    for i in range(2, m):
+        S[i][i] = rng.choice([1, -1])
+    Finv = F.inverse()
+    return F @ QMatrix.diagonal(D) @ Finv, F @ QMatrix(S) @ Finv
+
+
+def _seeded_draws(seed, count):
+    """count (gamma, tau, rho) at m = 2..4 with cyclic tau, in five shapes
+    in turn. A random integer tau against an involution, with a member
+    gamma = a b or a random integer gamma. A `_sharing_pair`, whose kernel
+    spans can have dimension up to m - 1, with a member, a random integer
+    gamma, or an elementary gamma (I plus one off-diagonal entry), whose
+    span is often nonzero with every element singular."""
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) < count:
+        m = rng.choice([2, 3, 4])
+        shape = len(draws) % 5
+        if shape < 2:
+            rho, line, plane = _random_involution(rng, m)
+            tau = QMatrix([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)])
+            if not _is_cyclic(tau):
+                continue
+            a = _random_rho_commuter(rng, rho, line, plane)
+        else:
+            tau, rho = _sharing_pair(rng, m)
+            while True:
+                x = QMatrix([[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)])
+                a = x + rho @ x @ rho  # commutes with rho, since rho^2 = I
+                if det(a) != 0:
+                    break
+        if shape in (0, 2):
+            gamma = a @ _random_tau_commuter(rng, tau)
+        elif shape == 4:
+            rows = [[int(i == j) for j in range(m)] for i in range(m)]
+            i, j = rng.sample(range(m), 2)
+            rows[i][j] = rng.choice([1, -1, 2])
+            gamma = QMatrix(rows)
+        else:
+            gamma = QMatrix([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)])
+            if det(gamma) == 0:
+                continue
+        draws.append((gamma, tau, rho))
+    return draws
+
+
+def test_ptoq_matches_reference_on_seeded_cyclic_draws():
+    kinds = _assert_matches_reference(_seeded_draws(2501, 250))
+    assert kinds.count("solved") >= 100 and kinds.count("no_solution") >= 100
+
+
+@pytest.mark.parametrize(
+    "tau",
+    [
+        QMatrix.identity(2) * 2,
+        QMatrix.diagonal([1, 1, 2]),
+        QMatrix([[2, 1, 0], [0, 2, 0], [0, 0, 2]]),  # minimal polynomial (t - 2)^2
+    ],
+)
+def test_ptoq_derogatory_tau_raises(tau):
+    m = tau.nrows
+    rho = involution_for_pair([1] * m, [1] + [0] * (m - 1))
+    with pytest.raises(ValueError, match="derogatory"):
+        ptoq_solve(QMatrix.identity(m), tau, rho)
+
+
+# tau = diag(1, -3, 2) and rho = -(swap of e_2 and e_3) have the joint
+# commutant {diag(x, y, y)}; for gamma = diag(1, -1, 4) the kernel is
+# {p : -p(-3) = 4 p(2)}, with canonical basis s_1 = 1 - t and s_2 = 5 - t^2
+SCAN_TAU = QMatrix.diagonal([1, -3, 2])
+SCAN_RHO = QMatrix([[-1, 0, 0], [0, 0, -1], [0, -1, 0]])
+
+
+def test_ptoq_scan_goes_past_singular_kernel_combinations():
+    gamma = QMatrix.diagonal([1, -1, 4])
+    powers = [QMatrix.identity(3), SCAN_TAU, SCAN_TAU @ SCAN_TAU]
+    cols = []
+    for P in powers:
+        C = gamma @ P @ SCAN_RHO - SCAN_RHO @ gamma @ P
+        cols.append([x for r in C.rows for x in r])
+    ker = kernel_basis(QMatrix.from_columns(cols))
+    assert ker == [(1, -1, 0), (5, 0, -1)]
+
+    def p_of_tau(c):  # p_c = s_1 + c s_2
+        p = [x + c * y for x, y in zip(*ker)]
+        return sum((P * x for P, x in zip(powers, p)), QMatrix.diagonal([0] * 3))
+
+    # p_0 = 1 - t vanishes at 1, p_1 = 6 - t - t^2 at -3 and 2: the scan
+    # needs c = 2 = d, past the first d values
+    assert [det(p_of_tau(c)) for c in range(3)] == [0, 0, -32]
+    res = ptoq_solve(gamma, SCAN_TAU, SCAN_RHO)
+    assert res.kind == "solved"
+    assert decomposition_valid(res.decomposition, gamma, SCAN_TAU, SCAN_RHO)
+    # a = gamma p_2(tau) = diag(8, 4, 4), normalized to fix rho's line (0, 1, -1)
+    assert res.decomposition.a == QMatrix.diagonal([2, 1, 1])
+    assert _ptoq_reference(gamma, SCAN_TAU, SCAN_RHO).kind == "solved"
+
+
+def test_ptoq_crafted_non_members_are_no_solution():
+    # gamma p(tau) commutes with rho only if p(1) = 0 and p(-3) = p(2): a
+    # nonzero kernel, every element of it singular
+    gamma = QMatrix([[1, 0, 0], [1, 1, 0], [0, 0, 1]])
+    assert ptoq_solve(gamma, SCAN_TAU, SCAN_RHO) == PtoqResult("no_solution", None)
+    assert _ptoq_reference(gamma, SCAN_TAU, SCAN_RHO).kind == "no_solution"
+    # the necessary 2m^2 x m^2 system has zero kernel (criterion 6's
+    # certificate of a non-member), at m = 2..4
+    rng = random.Random(2502)
+    crafted = 0
+    while crafted < 30:
+        m = 2 + crafted % 3
+        rho = _random_involution(rng, m)[0]
+        tau = QMatrix([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)])
+        gamma = QMatrix([[rng.randint(-5, 5) for _ in range(m)] for _ in range(m)])
+        if not _is_cyclic(tau) or det(gamma) == 0 or det(tau) == 0:
+            continue
+        rows = _intertwine_rows(tau.rows, (gamma @ tau @ gamma.inverse()).rows)
+        rows += _intertwine_rows(rho.rows, rho.rows)
+        if kernel_basis(QMatrix(rows)):
+            continue
+        assert ptoq_solve(gamma, tau, rho) == PtoqResult("no_solution", None)
+        crafted += 1
 
 
 def test_orientation_on_line():

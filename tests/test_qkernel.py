@@ -41,6 +41,21 @@ def test_rat_parsing():
     assert rat_str(F(-3, 4)) == "-3/4"
 
 
+@pytest.mark.parametrize(
+    "text", ["1_0", "1_000/3", "0.2_5", "1 /4", "1/ 4", "3/\t4", "- 1", "1 0"]
+)
+def test_rat_refuses_separators_and_inner_whitespace(text):
+    # Fraction reads "1_0" as 10 from Python 3.11 and "1 /4" as 1/4 from
+    # 3.12; refused on every version, so 3.10-3.12 accept the same strings
+    with pytest.raises(ValueError, match="inner whitespace"):
+        rat(text)
+
+
+def test_rat_accepts_surrounding_whitespace():
+    assert rat(" 3/4 ") == F(3, 4)
+    assert rat("\t-2\n") == -2
+
+
 @pytest.mark.parametrize("text", ["1e3", "2E-1", "1.5e2", "1e10000000"])
 def test_rat_refuses_exponent_notation(text):
     # Fraction would expand the last into a ten-million-digit integer
