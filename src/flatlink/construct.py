@@ -8,7 +8,12 @@ line-plane pair uses the same line (1, ..., 1, 0) and a plane whose
 pair j links frame i exactly when s_j > eps_i, i.e. exactly when i <= j,
 which is the upper-triangular pattern. Certification never trusts this
 arithmetic: every cell is decided by both the projective criterion and the
-symmetric-space oracle and the two must agree.
+symmetric-space oracle and the two must agree. A pattern is certified as
+one table (`_certify_pattern`): `symspace.intersection_table` scales each
+tau and each (v, w) once and decides every cell by the oracle, and
+`projlink.link_decisions` decides each flat's row by the criterion with one
+frame solve per distinct line, so one per row here, as every pair shares
+its line.
 
 Rationalization snaps float targets to bounded-denominator rationals. A
 flat closes up into a compact torus in the quotient when its tau has a
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .projlink import (
@@ -33,16 +39,16 @@ from .projlink import (
     GeneralPositionError,
     LinkDecision,
     LinePlanePair,
-    link_decision,
+    link_decisions,
 )
 from .qkernel import (
     IrredCertificate,
     IrredVerdict,
     QMatrix,
+    _int_det,
     _scaled_ints,
     _times_inverse,
     char_poly,
-    det,
     irreducible_over_Q,
     rank,
     rat,
@@ -53,7 +59,7 @@ from .symspace import (
     IntersectionKind,
     SubspaceY,
     flat_from_tau,
-    intersect,
+    intersection_table,
     subspace_from_pair,
 )
 
@@ -122,16 +128,28 @@ def pattern_rank(p: Union[Pattern, Sequence[Sequence[int]]]) -> int:
     return rank(QMatrix(rows))
 
 
-def _frame_tau(columns: Sequence[Sequence]) -> QMatrix:
-    """F D F^-1 for the matrix F with these columns (ints or Fractions) and
-    D = diag(1, ..., m): eigenvalue k + 1 on column k. As D is diagonal,
-    scaling a column of F leaves F D F^-1 unchanged, so each column is
-    scaled to integers, giving G; G D is G with column k times k + 1, and
-    tau = (G D) G^-1 (`_times_inverse`). A singular F raises ValueError.
+def _frame_tau(
+    columns: Sequence[Sequence],
+    E: Optional[Sequence[Sequence[int]]] = None,
+    k: int = 1,
+) -> QMatrix:
+    """F D F^-1 + E / k for the matrix F with these columns (ints or
+    Fractions), D = diag(1, ..., m) and an integer E (zero when None): F D
+    F^-1 has eigenvalue k + 1 on column k. As D is diagonal, scaling a
+    column of F leaves F D F^-1 unchanged, so each column is scaled to
+    integers, giving G; then the sum is (k G D + E G) G^-1 / k, one
+    `_times_inverse`, where G D is G with column k times k + 1. A singular F
+    raises ValueError.
     """
     G = list(zip(*map(_scaled_ints, columns)))
-    GD = [[(k + 1) * x for k, x in enumerate(r)] for r in G]
-    return _times_inverse(GD, G, 1)
+    B = [[k * (c + 1) * x for c, x in enumerate(r)] for r in G]
+    if E is not None:
+        cols = list(zip(*G))
+        B = [
+            [b + sum(map(mul, e, c)) for b, c in zip(r, cols)]
+            for r, e in zip(B, E)
+        ]
+    return _times_inverse(B, G, k)
 
 
 def tau_for_arrangement(arr: Arrangement) -> QMatrix:
@@ -141,42 +159,45 @@ def tau_for_arrangement(arr: Arrangement) -> QMatrix:
     return _frame_tau([p.rep for p in arr.points])
 
 
-def _certify_cell(
-    flat: PatternFlat, sub: PatternSubspace
-) -> Optional[CellWitness]:
-    """Decide one cell by both routes; None when they cannot be certified."""
-    res = intersect(flat.flat, sub.subspace)
-    if res.kind is IntersectionKind.DEGENERATE:
-        return None
-    if flat.arrangement is not None and sub.pair is not None:
-        try:
-            decision = link_decision(flat.arrangement, sub.pair)
-        except GeneralPositionError:
-            return None
-        linked = decision is LinkDecision.LINKED
-        if linked != (res.kind is IntersectionKind.TRANSVERSE_POINT):
-            return None  # routes disagree: treat as uncertified, never pick one
-        link_str = decision.value
-    else:
-        link_str = None
-    return CellWitness(link=link_str, oracle=res.kind.value, sign=res.sign)
-
-
 def _certify_pattern(
     flats: Sequence[PatternFlat], subspaces: Sequence[PatternSubspace]
 ) -> Optional[tuple[tuple, tuple]]:
-    N = len(flats)
+    """The sign matrix and certificate of the N x N pattern, or None when a
+    cell cannot be certified: a Degenerate oracle verdict, a
+    GeneralPositionError, or routes that disagree (never pick one).
+
+    The oracle decides every cell from one `intersection_table`. The
+    criterion decides a cell when its flat has an arrangement and its
+    subspace a pair, a row at a time by `link_decisions`.
+    """
+    table = intersection_table(
+        [pf.flat for pf in flats], [ps.subspace for ps in subspaces]
+    )
+    paired = [j for j, ps in enumerate(subspaces) if ps.pair is not None]
     matrix, cert = [], []
-    for i in range(N):
-        mrow, crow = [], []
-        for j in range(N):
-            w = _certify_cell(flats[i], subspaces[j])
-            if w is None:
+    for pf, row in zip(flats, table):
+        if any(kind is IntersectionKind.DEGENERATE for kind, _ in row):
+            return None
+        links = [None] * len(row)
+        if pf.arrangement is not None:
+            try:
+                decisions = link_decisions(
+                    pf.arrangement, [subspaces[j].pair for j in paired]
+                )
+            except GeneralPositionError:
                 return None
-            mrow.append(w.sign if w.sign is not None else 0)
-            crow.append(w)
-        matrix.append(tuple(mrow))
-        cert.append(tuple(crow))
+            for j, decision in zip(paired, decisions):
+                linked = decision is LinkDecision.LINKED
+                if linked != (row[j][0] is IntersectionKind.TRANSVERSE_POINT):
+                    return None
+                links[j] = decision.value
+        matrix.append(tuple(s or 0 for _, s in row))
+        cert.append(
+            tuple(
+                CellWitness(link=link, oracle=kind.value, sign=s)
+                for link, (kind, s) in zip(links, row)
+            )
+        )
     return tuple(matrix), tuple(cert)
 
 
@@ -327,7 +348,10 @@ def rationalize_tau(
     Each is divided by its largest entry and snapped to denominators
     <= denom_bound; tau_target = `_frame_tau` of the snapped columns has
     eigenvalue k + 1 on column k, and tau = tau_target + E / denom_bound,
-    with E the integer `_perturbation(m)`. frame_distance is the largest
+    with E the integer `_perturbation(m)`, formed in one pass by
+    `_frame_tau`. The target frame is degenerate when its determinant, exact
+    on the floats' dyadic values, is below 1e-9 scale^m, scale the largest
+    entry (at least 1). frame_distance is the largest
     entry of E / denom_bound, 2 / denom_bound exactly. Raises
     DegenerateFrameError (a ValueError) when the target is degenerate, and
     ValueError, a failed round of `rationalize_pattern`, when the snapped
@@ -336,14 +360,20 @@ def rationalize_tau(
     """
     m = len(target_frame)
     T = [[float(x) for x in v] for v in target_frame]
+    if any(len(v) != m for v in T):
+        raise ValueError("target frame must be m vectors of length m")
     scale = max(1.0, max(abs(x) for v in T for x in v))
-    if abs(det(QMatrix([[Fraction(x) for x in v] for v in T]))) < 1e-9 * scale**m:
+    # the floats are dyadic: L, a power of two, scales them all to integers
+    ratios = [[x.as_integer_ratio() for x in v] for v in T]
+    L = max(d for r in ratios for _, d in r)
+    D = _int_det([[n * (L // d) for n, d in r] for r in ratios])
+    if abs(Fraction(D, L**m)) < 1e-9 * scale**m:
         raise DegenerateFrameError("target frame is degenerate")
     columns = []
     for v in T:
         top = max(map(abs, v))
         columns.append([_snap(x / top, denom_bound) for x in v])
-    tau = _frame_tau(columns) + Fraction(1, denom_bound) * QMatrix(_perturbation(m))
+    tau = _frame_tau(columns, _perturbation(m), denom_bound)
     p = char_poly(tau)
     # Sturm first: a wrong count fails the round without the irreducibility
     # test, whose rational-root scan is slow on a reducible polynomial

@@ -10,7 +10,8 @@ spanned by the frame links the (line, hyperplane) sphere iff the products
 sign(c_j) * d_j all have one strict sign, i.e. iff P misses the open simplex
 with vertex set {L_1, ..., L_m} that contains L. A zero product is a
 degenerate configuration. So one solve for c and m evaluations of P decide
-both general position and the link.
+both general position and the link; c depends on the frame and the line
+alone, so `link_decisions` decides a row of pairs with one solve per line.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .qkernel import (
     QMatrix,
     _back_substitute,
     _echelon,
+    _int_det,
     _primitive_ints,
     inverse,
     kernel_basis,
@@ -89,7 +91,7 @@ class Arrangement:
         m = len(pts)
         if m < 2 or any(p.dim != m for p in pts):
             raise ValueError("need m points of P^{m-1}")
-        if QMatrix.from_columns([p.rep for p in pts]).det() == 0:
+        if _int_det([p.rep for p in pts]) == 0:
             raise GeneralPositionError("frame points are projectively dependent")
         object.__setattr__(self, "points", pts)
 
@@ -146,6 +148,18 @@ def frame_coefficients(arr: Arrangement, L: ProjPoint) -> tuple[Fraction, ...]:
     return tuple(Fraction(y, d) for y in _back_substitute(a, pivots, d, m))
 
 
+def _signed_vertices(
+    cs: Sequence[Fraction], values: Sequence[Fraction]
+) -> LinkDecision:
+    """The criterion read from c and the plane values P(L_j): Linked iff the
+    products sign(c_j) sign(P(L_j)) all have one strict sign; a zero product
+    raises GeneralPositionError."""
+    signs = {sign(c) * sign(v) for c, v in zip(cs, values)}
+    if 0 in signs:
+        raise GeneralPositionError("configuration is not in general position")
+    return LinkDecision.LINKED if len(signs) == 1 else LinkDecision.NOT_LINKED
+
+
 def link_evidence(
     arr: Arrangement, lp: LinePlanePair
 ) -> tuple[LinkDecision, tuple[Fraction, ...], list[Fraction]]:
@@ -153,10 +167,7 @@ def link_evidence(
     the frame coefficients c of L and the plane values P(L_j)."""
     cs = frame_coefficients(arr, lp.line)
     values = [lp.plane.eval(p) for p in arr.points]
-    signs = {sign(c) * sign(v) for c, v in zip(cs, values)}
-    if 0 in signs:
-        raise GeneralPositionError("configuration is not in general position")
-    return (LinkDecision.LINKED if len(signs) == 1 else LinkDecision.NOT_LINKED), cs, values
+    return _signed_vertices(cs, values), cs, values
 
 
 def in_general_position(arr: Arrangement, lp: LinePlanePair) -> bool:
@@ -180,6 +191,23 @@ def link_decision(arr: Arrangement, lp: LinePlanePair) -> LinkDecision:
     passes through a vertex, and raises GeneralPositionError.
     """
     return link_evidence(arr, lp)[0]
+
+
+def link_decisions(
+    arr: Arrangement, pairs: Sequence[LinePlanePair]
+) -> list[LinkDecision]:
+    """`link_decision` of the frame against each pair, in order, with one
+    frame solve per distinct line: the coefficients c depend on the frame
+    and the line alone, so pairs that share a line share them. The first
+    degenerate pair raises GeneralPositionError."""
+    coefficients: dict[ProjPoint, tuple[Fraction, ...]] = {}
+    decisions = []
+    for lp in pairs:
+        cs = coefficients.get(lp.line)
+        if cs is None:
+            cs = coefficients[lp.line] = frame_coefficients(arr, lp.line)
+        decisions.append(_signed_vertices(cs, [lp.plane.eval(p) for p in arr.points]))
+    return decisions
 
 
 def common_flags(arr: Arrangement, lp: LinePlanePair) -> tuple[ProjPoint, ProjHyperplane]:

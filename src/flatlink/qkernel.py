@@ -45,12 +45,17 @@ def rat(x) -> Fraction:
     refused too: Fraction accepts the first from Python 3.11 and the second
     from 3.12, so the same input would read differently across versions.
     Whitespace around the number is accepted, as by every Fraction.
+    Non-ASCII strings are refused: Fraction's pattern matches any Unicode
+    decimal digit, so '٣' (Arabic-Indic three) would read as 3 and '１/２'
+    (full-width) as 1/2.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if not x.isascii():
+            raise ValueError(f"{x!r}: only ASCII digits are accepted")
         if "e" in x or "E" in x:
             raise ValueError(f"{x!r}: exponent notation is not accepted")
         if "_" in x or any(c.isspace() for c in x.strip()):

@@ -12,6 +12,11 @@ exact kernel computation, against which the tests hold `intersect`. A flat
 is its tau, a subspace its line v and plane w, and the crossing Z solves
 K^T Z = J^T for the Krylov matrices K of w under tau^T and J of v under
 tau: one m x 2m integer echelon gives the kernel dimension, point and sign.
+A pattern's cells go through `intersection_table`, which scales each tau
+and each (v, w) once and keeps kind and sign only. Building the point as an
+`SPDPoint`, as `intersect` does, would re-run the symmetry test and
+Sylvester's test that `_cross` has just passed, on every cell, for a point
+no certificate stores.
 Whether that point exists is also decided, without the echelon, by the
 definiteness of the m x m Hankel moment form of v and w under tau
 (`_moment_definite`), which the congruence descent tests first.
@@ -458,6 +463,39 @@ def intersect(X: FlatX, Y: SubspaceY) -> IntersectionResult:
     return IntersectionResult(
         IntersectionKind.TRANSVERSE_POINT, SPDPoint(QMatrix(Z)), 1, Y.orientation * s
     )
+
+
+def intersection_table(
+    flats: Sequence[FlatX], subspaces: Sequence[SubspaceY]
+) -> list[list[tuple[IntersectionKind, Optional[int]]]]:
+    """`intersect`'s kind and sign on every cell: row i, column j is
+    (X_i ∩ Y_j).kind with its sign, None unless TransversePoint.
+
+    Each tau is scaled to integers once per row and each (v, w) once per
+    column, and `_cross` decides every cell. No `SPDPoint` is built: its
+    constructor would re-check, on every cell, the point that `_cross` has
+    just found symmetric and positive definite.
+    """
+    if len({X.m for X in flats} | {Y.m for Y in subspaces}) > 1:
+        raise ValueError("dimension mismatch")
+    columns = [
+        (_primitive_ints(Y.line), _scaled_ints(Y.plane), Y.orientation)
+        for Y in subspaces
+    ]
+    table = []
+    for X in flats:
+        t = _scaled_ints([x for r in X.tau.rows for x in r])
+        row = []
+        for v, w, orientation in columns:
+            k, Z, s = _cross(t, v, w)
+            if k != 1:
+                row.append((IntersectionKind.DEGENERATE, None))
+            elif Z is None:
+                row.append((IntersectionKind.EMPTY, None))
+            else:
+                row.append((IntersectionKind.TRANSVERSE_POINT, orientation * s))
+        table.append(row)
+    return table
 
 
 def intersection_sign(X: FlatX, Y: SubspaceY, at: SPDPoint) -> int:

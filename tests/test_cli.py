@@ -419,6 +419,15 @@ def test_digit_separator_in_input_exit1(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_non_ascii_digit_in_input_exit1(tmp_path, capsys):
+    # Fraction reads "\u0663" (Arabic-Indic three) as 3; this input used to exit 0
+    obj = {"tau": [["\u0663", "1"], ["1", "1"]], "rho": [["0", "1"], ["1", "0"]]}
+    assert main(["intersect", _write(tmp_path / "in.json", obj)]) == 1
+    captured = capsys.readouterr()
+    assert "only ASCII digits" in captured.err
+    assert captured.out == ""
+
+
 def test_exponent_notation_in_input_exit1(tmp_path, capsys):
     # an entry in exponent notation is a parse error, refused before Fraction
     # expands it (this input used to exit 0)

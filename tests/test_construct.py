@@ -400,6 +400,43 @@ def test_rationalize_tau_degenerate_target():
         rationalize_tau([[1.0, 0.0], [1.0, 0.0]])
 
 
+def _degenerate_by_fraction_det(target):
+    """The degeneracy test on the Fraction values of the floats."""
+    T = [[float(x) for x in v] for v in target]
+    scale = max(1.0, max(abs(x) for v in T for x in v))
+    frame_det = det(QMatrix([[Fraction(x) for x in v] for v in T]))
+    return abs(frame_det) < 1e-9 * scale ** len(T)
+
+
+def test_rationalize_tau_degeneracy_matches_fraction_det():
+    """rationalize_tau's integer determinant on the dyadic values against
+    the Fraction determinant: near-singular frames at m = 2..5, the last
+    vector a combination of the others plus delta times noise, on both
+    sides of the 1e-9 scale^m threshold."""
+    rng = random.Random(5150)
+    verdicts = set()
+    for m in range(2, 6):
+        for delta in (0.0, 1e-13, 1e-11, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 1e-6):
+            for size in (1.0, 1e-3, 40.0):
+                T = [[size * rng.uniform(-3, 3) for _ in range(m)] for _ in range(m - 1)]
+                c = [rng.uniform(-1, 1) for _ in range(m - 1)]
+                T.append([
+                    sum(ck * v[i] for ck, v in zip(c, T)) + delta * rng.uniform(-1, 1)
+                    for i in range(m)
+                ])
+                want = _degenerate_by_fraction_det(T)
+                try:
+                    rationalize_tau(T)
+                    got = False
+                except construct.DegenerateFrameError:
+                    got = True
+                except ValueError:  # a failed round: the target passed the test
+                    got = False
+                assert got == want
+                verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def test_rationalize_pair_examples():
     pair, Y = rationalize_pair([1.0, 1.0], [1.0, 1.0])
     assert pair.line.rep == (1, 1)

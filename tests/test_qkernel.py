@@ -51,6 +51,16 @@ def test_rat_refuses_separators_and_inner_whitespace(text):
         rat(text)
 
 
+@pytest.mark.parametrize(
+    "text", ["\u0663", "\uff11/\uff12", "1\u0660", "\u00a03", "\u09e8/3", "3\u2009"]
+)
+def test_rat_refuses_non_ascii(text):
+    # Fraction matches any Unicode decimal digit: it reads "\u0663"
+    # (Arabic-Indic three) as 3 and the full-width "\uff11/\uff12" as 1/2
+    with pytest.raises(ValueError, match="only ASCII digits"):
+        rat(text)
+
+
 def test_rat_accepts_surrounding_whitespace():
     assert rat(" 3/4 ") == F(3, 4)
     assert rat("\t-2\n") == -2
