@@ -236,6 +236,8 @@ def _read_intersect(obj: dict):
     """tau, rho and None, or tau, None and the (line, plane) pair of rho."""
     tau = _mat(obj["tau"], "tau")
     if "rho" in obj:
+        if "line" in obj or "plane" in obj:
+            raise ValueError("give rho or line and plane, not both")
         return tau, _mat(obj["rho"], "rho", tau.nrows), None
     return tau, None, read_line_plane(obj, tau.nrows)
 
@@ -591,8 +593,6 @@ def _pattern_svg(p: Pattern) -> str:
         'stroke="#333" stroke-width="2"/>',
     ]
     for i, pf in enumerate(p.flats):
-        if pf.arrangement is None:
-            continue
         color = _PALETTE[i % len(_PALETTE)]
         pts = [pt.rep for pt in pf.arrangement.points]
         for a in range(3):

@@ -32,7 +32,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
 from .projlink import ProjPoint
@@ -97,11 +96,6 @@ class SignedHit:
     gamma: QMatrix
     point: SPDPoint
     sign: int
-
-
-class Orientation(Enum):
-    PRESERVING = "Preserving"
-    REVERSING = "Reversing"
 
 
 # ---------------------------------------------------------------------------
@@ -212,32 +206,7 @@ def decomposition_valid(
 
 
 # ---------------------------------------------------------------------------
-# orientation and congruence levels
-
-
-def orientation_on_L(gamma: QMatrix, L) -> Orientation:
-    """Whether the integer matrix acts as +1 or -1 on the fixed line L."""
-    pt = L if isinstance(L, ProjPoint) else ProjPoint(L)
-    _require_integer(gamma)
-    v = pt.rep
-    gv = gamma.apply(v)
-    if gv == v:
-        return Orientation.PRESERVING
-    if gv == tuple(-x for x in v):
-        return Orientation.REVERSING
-    if all(x == 0 for x in gv):
-        raise ValueError("gamma is singular on L")
-    # proportional with ratio other than +-1, or not fixed at all
-    raise ValueError("gamma does not fix L with scalar +-1")
-
-
-def _require_integer(gamma: QMatrix):
-    if any(
-        gamma[i, j].denominator != 1
-        for i in range(gamma.nrows)
-        for j in range(gamma.ncols)
-    ):
-        raise ValueError("matrix must have integer entries")
+# congruence levels
 
 
 def _vp(x: int, p: int) -> int:

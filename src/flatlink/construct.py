@@ -311,8 +311,6 @@ def _snap_ratio(x: float, bound: int) -> tuple[int, int]:
 
 
 def _snap(x, bound: int) -> Fraction:
-    if isinstance(x, Fraction):
-        return x.limit_denominator(bound)
     return Fraction(*_snap_ratio(float(x), bound))
 
 

@@ -27,7 +27,6 @@ from .qkernel import (
     _echelon,
     _int_det,
     _primitive_ints,
-    inverse,
     kernel_basis,
     rat,
     sign,
@@ -237,24 +236,3 @@ def common_flags(arr: Arrangement, lp: LinePlanePair) -> tuple[ProjPoint, ProjHy
     if q.eval(l_prime) == 0:
         raise GeneralPositionError("shared flags collide: L' lies on Q")
     return l_prime, q
-
-
-# ---------------------------------------------------------------------------
-# GL action
-
-
-def transform_point(g: QMatrix, p: ProjPoint) -> ProjPoint:
-    return ProjPoint(g.apply(p.rep))
-
-
-def transform_hyperplane(g: QMatrix, h: ProjHyperplane) -> ProjHyperplane:
-    # functional pulls back through the inverse: (g.h)(x) = h(g^{-1} x)
-    return ProjHyperplane(inverse(g).transpose().apply(h.functional))
-
-
-def transform_arrangement(g: QMatrix, arr: Arrangement) -> Arrangement:
-    return Arrangement([transform_point(g, p) for p in arr.points])
-
-
-def transform_pair(g: QMatrix, lp: LinePlanePair) -> LinePlanePair:
-    return LinePlanePair(transform_point(g, lp.line), transform_hyperplane(g, lp.plane))

@@ -5,9 +5,9 @@ positive. Matrices are immutable row-major tuples of Fractions. All
 elimination is one fraction-free (Bareiss) forward pass on integer-scaled
 rows, so intermediate entries stay minors of the input instead of blowing
 up, followed where needed by one integer back-substitution whose divisions
-are exact by Cramer's rule: det, rank, kernel_basis, rref_rows, solve_unique,
-inverse and the similarity G A G^-1 (`_conjugate`, by `_times_inverse`) are
-all read off that pass.
+are exact by Cramer's rule: det, rank, kernel_basis, inverse and the
+similarity G A G^-1 (`_conjugate`, by `_times_inverse`) are all read off
+that pass.
 Polynomials are ascending coefficient tuples over Fractions; the private
 integer helpers (`_int_char_poly`, the Sturm chain) use ascending int lists.
 
@@ -219,9 +219,6 @@ class QMatrix:
 
     # -- elimination-backed queries (free functions do the work)
 
-    def det(self) -> Fraction:
-        return det(self)
-
     def rank(self) -> int:
         return rank(self)
 
@@ -346,20 +343,6 @@ def rank(M: QMatrix) -> int:
     return len(_echelon(a)[0])
 
 
-def rref_rows(M: QMatrix) -> tuple[list[tuple], list[int]]:
-    """Reduced row echelon form: (nonzero rows, pivot columns).
-
-    Rows are normalized to leading coefficient 1 with pivot columns cleared,
-    so the output is the canonical basis of the row space. Column j of the
-    form is the pivot block's solution against column j.
-    """
-    a = _int_rows(M)
-    pivots, _, d = _echelon(a)
-    cols = [_back_substitute(a, pivots, d, j) for j in range(M.ncols)]
-    rows = [tuple(Fraction(y[k], d) for y in cols) for k in range(len(pivots))]
-    return rows, pivots
-
-
 def kernel_basis(M: QMatrix) -> list[tuple]:
     """Canonical basis of the right kernel.
 
@@ -377,21 +360,6 @@ def kernel_basis(M: QMatrix) -> list[tuple]:
             ints = _primitive_ints([v.get(c, 0) for c in range(M.ncols)])
             basis.append(tuple(map(Fraction, ints)))
     return basis
-
-
-def solve_unique(M: QMatrix, b: Sequence) -> tuple:
-    """Solve M x = b, requiring a unique solution."""
-    bs = [rat(x) for x in b]
-    if len(bs) != M.nrows:
-        raise ValueError("right-hand side length mismatch")
-    n = M.ncols
-    a = _int_rows(QMatrix([r + (x,) for r, x in zip(M.rows, bs)]))
-    pivots, _, d = _echelon(a)
-    if n in pivots:
-        raise ValueError("inconsistent linear system")
-    if len(pivots) != n:
-        raise ValueError("linear system is underdetermined")
-    return tuple(Fraction(y, d) for y in _back_substitute(a, pivots, d, n))
 
 
 def _solve_square(G: list[list[int]]) -> tuple[int, list[list[int]]]:
@@ -523,15 +491,6 @@ class QPoly:
         s = " ".join(f"{op} {t}" for op, t in terms)
         return "QPoly[" + (s[2:] if s.startswith("+ ") else s) + "]"
 
-    def __add__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return QPoly([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
-
     def __neg__(self) -> "QPoly":
         return QPoly([-c for c in self.coeffs])
 
@@ -575,12 +534,6 @@ class QPoly:
     def derivative(self) -> "QPoly":
         return QPoly([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def monic(self) -> "QPoly":
-        if self.is_zero:
-            return self
-        l = self.lead
-        return QPoly([c / l for c in self.coeffs])
-
     def eval(self, x) -> Fraction:
         x = rat(x)
         acc = _ZERO
@@ -588,25 +541,11 @@ class QPoly:
             acc = acc * x + c
         return acc
 
-    def eval_matrix(self, M: QMatrix) -> QMatrix:
-        n = M.nrows
-        acc = QMatrix([[0] * n for _ in range(n)])
-        for c in reversed(self.coeffs):
-            acc = acc @ M + c * QMatrix.identity(n)
-        return acc
-
     def primitive_int(self) -> tuple[int, ...]:
         """Integer coefficients with content 1, leading coefficient positive."""
         if self.is_zero:
             raise ValueError("zero polynomial")
         return tuple(reversed(_primitive_ints(self.coeffs[::-1])))
-
-
-def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """Monic gcd by the Euclidean algorithm."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic() if not a.is_zero else a
 
 
 # ---------------------------------------------------------------------------

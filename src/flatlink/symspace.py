@@ -60,22 +60,6 @@ def sym_dim(m: int) -> int:
     return m * (m + 1) // 2
 
 
-def vec_sym(M: QMatrix) -> tuple:
-    """Upper-triangle coordinates of a symmetric matrix, pair-lex order."""
-    return tuple(M[i, j] for i, j in sym_pairs(M.nrows))
-
-
-def unvec_sym(v: Sequence, m: int) -> QMatrix:
-    vs = [rat(x) for x in v]
-    if len(vs) != sym_dim(m):
-        raise ValueError("wrong length for symmetric coordinates")
-    rows = [[None] * m for _ in range(m)]
-    for (i, j), x in zip(sym_pairs(m), vs):
-        rows[i][j] = x
-        rows[j][i] = x
-    return QMatrix(rows)
-
-
 def _leading_minors_positive(Z: list[list[int]]) -> bool:
     """Sylvester's test in integers: without row swaps, the fraction-free
     pivots are the leading principal minors, so stop at the first that is
@@ -92,12 +76,6 @@ def _leading_minors_positive(Z: list[list[int]]) -> bool:
                 ri[j] = (p * ri[j] - ri[k] * rk[j]) // prev
         prev = p
     return True
-
-
-def is_positive_definite(M: QMatrix) -> bool:
-    """Sylvester's test on M with its rows scaled to integers: positive row
-    scales keep the sign of every leading principal minor."""
-    return M.is_symmetric() and _leading_minors_positive(_int_rows(M))
 
 
 @dataclass(frozen=True)
@@ -178,11 +156,6 @@ class FlatX:
 
     tau: QMatrix
 
-    def contains(self, Z: QMatrix) -> bool:
-        return (
-            Z.is_symmetric() and self.tau @ Z == Z @ self.tau.transpose()
-        )
-
     @property
     def m(self) -> int:
         return self.tau.nrows
@@ -228,10 +201,6 @@ class SubspaceY:
     @property
     def rho(self) -> QMatrix:
         return involution_for_pair(self.line, self.plane)
-
-    def contains(self, Z: QMatrix) -> bool:
-        rho = self.rho
-        return Z.is_symmetric() and rho @ Z @ rho.transpose() == Z
 
     @property
     def m(self) -> int:

@@ -1,0 +1,126 @@
+"""Reference routines that only the tests use.
+
+Each is the plain textbook route to something the package decides another
+way, kept here so that the tests can hold the package against it:
+
+- symmetric coordinates (`vec_sym`, `unvec_sym`) for the membership
+  systems, and Sylvester's test on a rational matrix
+  (`is_positive_definite`);
+- membership of a symmetric matrix in a flat or a subspace by its defining
+  equation (`flat_contains`, `subspace_contains`);
+- reduced row echelon form (`rref_rows`), a unique solve (`solve_unique`),
+  the Euclidean gcd (`poly_gcd`) and a polynomial at a matrix
+  (`eval_matrix`), all over Q;
+- the GL action on projective points, hyperplanes, arrangements and pairs
+  (`transform_*`).
+"""
+
+from fractions import Fraction
+from typing import Sequence
+
+from flatlink.projlink import Arrangement, LinePlanePair, ProjHyperplane, ProjPoint
+from flatlink.qkernel import (
+    QMatrix,
+    QPoly,
+    _back_substitute,
+    _echelon,
+    _int_rows,
+    inverse,
+    rat,
+)
+from flatlink.symspace import FlatX, SubspaceY, _leading_minors_positive, sym_dim, sym_pairs
+
+
+def vec_sym(M: QMatrix) -> tuple:
+    """Upper-triangle coordinates of a symmetric matrix, pair-lex order."""
+    return tuple(M[i, j] for i, j in sym_pairs(M.nrows))
+
+
+def unvec_sym(v: Sequence, m: int) -> QMatrix:
+    vs = [rat(x) for x in v]
+    if len(vs) != sym_dim(m):
+        raise ValueError("wrong length for symmetric coordinates")
+    rows = [[None] * m for _ in range(m)]
+    for (i, j), x in zip(sym_pairs(m), vs):
+        rows[i][j] = x
+        rows[j][i] = x
+    return QMatrix(rows)
+
+
+def is_positive_definite(M: QMatrix) -> bool:
+    """Sylvester's test on M with its rows scaled to integers: positive row
+    scales keep the sign of every leading principal minor."""
+    return M.is_symmetric() and _leading_minors_positive(_int_rows(M))
+
+
+def flat_contains(X: FlatX, Z: QMatrix) -> bool:
+    """Whether Z is in the span of X: symmetric with tau Z = Z tau^T."""
+    return Z.is_symmetric() and X.tau @ Z == Z @ X.tau.transpose()
+
+
+def subspace_contains(Y: SubspaceY, Z: QMatrix) -> bool:
+    """Whether Z is in the span of Y: symmetric with rho Z rho^T = Z."""
+    rho = Y.rho
+    return Z.is_symmetric() and rho @ Z @ rho.transpose() == Z
+
+
+def rref_rows(M: QMatrix) -> tuple[list[tuple], list[int]]:
+    """Reduced row echelon form: (nonzero rows, pivot columns).
+
+    Rows are normalized to leading coefficient 1 with pivot columns cleared,
+    so the output is the canonical basis of the row space. Column j of the
+    form is the pivot block's solution against column j.
+    """
+    a = _int_rows(M)
+    pivots, _, d = _echelon(a)
+    cols = [_back_substitute(a, pivots, d, j) for j in range(M.ncols)]
+    rows = [tuple(Fraction(y[k], d) for y in cols) for k in range(len(pivots))]
+    return rows, pivots
+
+
+def solve_unique(M: QMatrix, b: Sequence) -> tuple:
+    """Solve M x = b, requiring a unique solution."""
+    bs = [rat(x) for x in b]
+    if len(bs) != M.nrows:
+        raise ValueError("right-hand side length mismatch")
+    n = M.ncols
+    a = _int_rows(QMatrix([r + (x,) for r, x in zip(M.rows, bs)]))
+    pivots, _, d = _echelon(a)
+    if n in pivots:
+        raise ValueError("inconsistent linear system")
+    if len(pivots) != n:
+        raise ValueError("linear system is underdetermined")
+    return tuple(Fraction(y, d) for y in _back_substitute(a, pivots, d, n))
+
+
+def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
+    """Monic gcd by the Euclidean algorithm."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a if a.is_zero else a * (1 / a.lead)
+
+
+def eval_matrix(p: QPoly, M: QMatrix) -> QMatrix:
+    """p(M), by Horner's rule."""
+    n = M.nrows
+    acc = QMatrix([[0] * n for _ in range(n)])
+    for c in reversed(p.coeffs):
+        acc = acc @ M + c * QMatrix.identity(n)
+    return acc
+
+
+def transform_point(g: QMatrix, p: ProjPoint) -> ProjPoint:
+    return ProjPoint(g.apply(p.rep))
+
+
+def transform_hyperplane(g: QMatrix, h: ProjHyperplane) -> ProjHyperplane:
+    # functional pulls back through the inverse: (g.h)(x) = h(g^{-1} x)
+    return ProjHyperplane(inverse(g).transpose().apply(h.functional))
+
+
+def transform_arrangement(g: QMatrix, arr: Arrangement) -> Arrangement:
+    return Arrangement([transform_point(g, p) for p in arr.points])
+
+
+def transform_pair(g: QMatrix, lp: LinePlanePair) -> LinePlanePair:
+    return LinePlanePair(transform_point(g, lp.line), transform_hyperplane(g, lp.plane))

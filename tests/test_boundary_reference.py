@@ -22,7 +22,9 @@ from flatlink.boundary import (
     is_associated,
     sum_subspaces,
 )
-from flatlink.qkernel import QMatrix, det, kernel_basis, rank, rref_rows
+from flatlink.qkernel import QMatrix, det, kernel_basis, rank
+
+from _reference import rref_rows
 
 # ---------------------------------------------------------------------------
 # the reference

@@ -156,6 +156,14 @@ def test_intersect_malformed_exit1(tmp_path):
         {"tau": [["1/0", "1"], ["1", "1"]], "rho": [["0", "1"], ["1", "0"]]},
     )
     assert main(["intersect", path]) == 1
+    # line and plane stand in place of rho, never beside it: this pair alone
+    # lies in its plane (exit 2), and must not be dropped for rho's exit 0
+    path = _write(
+        tmp_path / "in.json",
+        {"tau": [["2", "1"], ["1", "1"]], "rho": [["0", "1"], ["1", "0"]],
+         "line": ["1", "0"], "plane": ["0", "1"]},
+    )
+    assert main(["intersect", path]) == 1
 
 
 @pytest.mark.parametrize(
@@ -404,6 +412,7 @@ def _assert_parse_error(argv, capsys):
         ["pattern", "2", "2", "--rotation", "1E-2"],
         ["pattern", "2", "2", "--thinness", "1_0"],  # was 10 on Python >= 3.11
         ["pattern", "2", "2", "--thinness", "1 /4"],  # was 1/4 on Python >= 3.12
+        ["pattern", "x", "3"],  # N is not an integer
     ],
 )
 def test_pattern_out_of_range_options_exit1(argv, capsys):

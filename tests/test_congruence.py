@@ -16,11 +16,9 @@ from flatlink.congruence import (
     _intertwine_rows,
     _normalize_on_fixed_line,
     _walk_point,
-    Orientation,
     decomposition_valid,
     enumerate_same_sign,
     min_level_v,
-    orientation_on_L,
     ptoq_solve,
     scalar_commutant_check,
 )
@@ -382,20 +380,6 @@ def test_ptoq_crafted_non_members_are_no_solution():
             continue
         assert ptoq_solve(gamma, tau, rho) == PtoqResult("no_solution", None)
         crafted += 1
-
-
-def test_orientation_on_line():
-    I = QMatrix.identity(2)
-    assert orientation_on_L(I, (1, 0)) is Orientation.PRESERVING
-    assert orientation_on_L(I * -1, (1, -1)) is Orientation.REVERSING
-    assert orientation_on_L(RHO2, (1, -1)) is Orientation.REVERSING
-    assert orientation_on_L(RHO2, (1, 1)) is Orientation.PRESERVING
-    with pytest.raises(ValueError):
-        orientation_on_L(QMatrix.diagonal([2, 1]), (1, 0))  # scalar 2, not +-1
-    with pytest.raises(ValueError):
-        orientation_on_L(RHO2, (1, 0))  # line not fixed
-    with pytest.raises(ValueError):
-        orientation_on_L(QMatrix([[Fraction(1, 2), 0], [0, 1]]), (1, 0))
 
 
 def test_min_level_v():

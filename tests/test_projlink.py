@@ -15,10 +15,10 @@ from flatlink.projlink import (
     frame_coefficients,
     in_general_position,
     link_decision,
-    transform_arrangement,
-    transform_pair,
 )
-from flatlink.qkernel import QMatrix, det, kernel_basis, sign, solve_unique
+from flatlink.qkernel import QMatrix, det, kernel_basis, sign
+
+from _reference import solve_unique, transform_arrangement, transform_pair
 
 
 def std_frame(m):
@@ -243,6 +243,15 @@ def test_common_flags_fixed_cases():
     l_prime2, q2 = common_flags(arr2, lp2)
     assert q2.eval(lp2.line) == 0
     assert lp2.plane.eval(l_prime2) == 0
+
+    # L = e1 repeats the frame point L_1, so L, L_1 span only a line
+    with pytest.raises(GeneralPositionError, match="do not span a hyperplane"):
+        common_flags(arr, LinePlanePair((1, 0, 0), (1, 1, 1)))
+    # the plane x = 0 holds both L_2 = e2 and L_3 = e3
+    with pytest.raises(
+        GeneralPositionError, match=r"plane contains the line through L_\{m-1\}, L_m"
+    ):
+        common_flags(arr, LinePlanePair((1, 1, 1), (1, 0, 0)))
 
 
 def test_common_flags_incidences():

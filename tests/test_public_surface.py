@@ -1,0 +1,108 @@
+"""`src/` holds only what runs: every public module-level function or class
+of flatlink is named by code that is not its own test.
+
+A name counts as used when it appears as an identifier in another flatlink
+module, or in its own module outside its definition; as an identifier or a
+string constant in perfbench (the tracer names its targets as strings); or
+as an identifier in the acceptance suite. Docstrings and comments do not
+count. Test-only references live in `tests/_reference.py`. Every other
+name is in ALLOWED, with the reason it is kept; README's "Kept as API"
+lists the same names.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "flatlink"
+
+ALLOWED = {
+    "isolate_real_roots": "ROADMAP item 6 bounds rational_roots by isolating the real roots",
+    "intersect_subspaces": "boundary API, checked against its Fraction reference",
+    "sum_subspaces": "boundary API, checked against its Fraction reference",
+}
+
+
+def _docstrings(tree: ast.AST) -> set[int]:
+    """ids of the docstring nodes in tree."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                out.add(id(body[0].value))
+    return out
+
+
+def _identifiers(tree: ast.AST, skip: ast.AST = None) -> set[str]:
+    """Names and attribute names used in tree, outside the subtree skip."""
+    out, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _strings(tree: ast.AST) -> set[str]:
+    skip = _docstrings(tree)
+    return {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in skip
+    }
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _public_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node
+
+
+def unused_public_names() -> list[str]:
+    modules = {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    outside = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = _parse(path)
+        outside |= _identifiers(tree) | _strings(tree)
+    outside |= _identifiers(_parse(ROOT / "tests" / "test_acceptance.py"))
+
+    unused = []
+    for name, tree in modules.items():
+        others = set().union(*(_identifiers(t) for n, t in modules.items() if n != name))
+        for node in _public_definitions(tree):
+            used = others | outside | _identifiers(tree, skip=node)
+            if node.name not in used:
+                unused.append(f"{name}.{node.name}")
+    return unused
+
+
+def test_every_public_name_runs_outside_its_tests():
+    unused = [n for n in unused_public_names() if n.split(".")[1] not in ALLOWED]
+    assert unused == [], (
+        "public names used only by tests: move them into tests/_reference.py, "
+        "or add them to ALLOWED with a reason"
+    )
+
+
+def test_allowed_names_exist_and_are_otherwise_unused():
+    """Each ALLOWED entry is a public definition that the rule would flag,
+    so the list cannot keep a name that has since found a caller or gone."""
+    flagged = {n.split(".")[1] for n in unused_public_names()}
+    assert flagged == set(ALLOWED)
+
+
+def test_readme_lists_the_allowed_names():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Kept as API", 1)[1].split("\n## ", 1)[0]
+    for name in ALLOWED:
+        assert f"`{name}`" in section

@@ -16,9 +16,10 @@ from flatlink.qkernel import (
     IrredVerdict,
     QPoly,
     irreducible_over_Q,
-    poly_gcd,
     rational_roots,
 )
+
+from _reference import poly_gcd
 
 
 def _roots_first(p: QPoly) -> IrredCertificate:
