@@ -9,11 +9,12 @@ pair j links frame i exactly when s_j > eps_i, i.e. exactly when i <= j,
 which is the upper-triangular pattern. Certification never trusts this
 arithmetic: every cell is decided by both the projective criterion and the
 symmetric-space oracle and the two must agree. A pattern is certified as
-one table (`_certify_pattern`): `symspace.intersection_table` scales each
-tau and each (v, w) once and decides every cell by the oracle, and
-`projlink.link_decisions` decides each flat's row by the criterion with one
-frame solve per distinct line, so one per row here, as every pair shares
-its line.
+one table (`_certify_pattern`): `symspace.intersection_table` decides every
+cell by the oracle, from the cell's Hankel moment form and Krylov vectors
+built once per (flat, line), and `projlink.link_decisions` decides each
+flat's row by the criterion in integers, with one frame solve per distinct
+line. Every pair here shares its line, so each row builds one set of
+Krylov vectors and runs one frame solve.
 
 Rationalization snaps float targets to bounded-denominator rationals. A
 flat closes up into a compact torus in the quotient when its tau has a

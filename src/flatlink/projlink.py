@@ -11,7 +11,8 @@ sign(c_j) * d_j all have one strict sign, i.e. iff P misses the open simplex
 with vertex set {L_1, ..., L_m} that contains L. A zero product is a
 degenerate configuration. So one solve for c and m evaluations of P decide
 both general position and the link; c depends on the frame and the line
-alone, so `link_decisions` decides a row of pairs with one solve per line.
+alone, so `link_decisions` decides a row of pairs with one solve per line,
+reading every sign from integers.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .qkernel import (
@@ -134,25 +136,31 @@ class LinkDecision(Enum):
 # operations
 
 
-def frame_coefficients(arr: Arrangement, L: ProjPoint) -> tuple[Fraction, ...]:
-    """Coefficients c with L = sum c_j L_j (in the canonical representatives),
-    from one echelon of the integer rows [L_1 ... L_m | L]. The frame is
-    independent (an Arrangement invariant), so columns 0..m-1 are the pivots
-    and back-substitution gives d c, d the last pivot."""
+def _frame_solve(arr: Arrangement, L: ProjPoint) -> tuple[list[int], int]:
+    """Integers y and d != 0 with L = sum (y_j / d) L_j (in the canonical
+    representatives), from one echelon of the integer rows [L_1 ... L_m | L].
+    The frame is independent (an Arrangement invariant), so columns 0..m-1
+    are the pivots and back-substitution gives y = d c, d the last pivot."""
     m = arr.m
     if L.dim != m:
         raise ValueError("dimension mismatch")
     a = [list(r) + [x] for r, x in zip(zip(*(p.rep for p in arr.points)), L.rep)]
     pivots, _, d = _echelon(a)
-    return tuple(Fraction(y, d) for y in _back_substitute(a, pivots, d, m))
+    return _back_substitute(a, pivots, d, m), d
 
 
-def _signed_vertices(
-    cs: Sequence[Fraction], values: Sequence[Fraction]
-) -> LinkDecision:
+def frame_coefficients(arr: Arrangement, L: ProjPoint) -> tuple[Fraction, ...]:
+    """Coefficients c with L = sum c_j L_j (in the canonical representatives):
+    `_frame_solve`'s y / d."""
+    y, d = _frame_solve(arr, L)
+    return tuple(Fraction(x, d) for x in y)
+
+
+def _signed_vertices(cs: Sequence, values: Sequence) -> LinkDecision:
     """The criterion read from c and the plane values P(L_j): Linked iff the
     products sign(c_j) sign(P(L_j)) all have one strict sign; a zero product
-    raises GeneralPositionError."""
+    raises GeneralPositionError. Any c' = k c or values k P(L_j), k != 0,
+    give the same decision."""
     signs = {sign(c) * sign(v) for c, v in zip(cs, values)}
     if 0 in signs:
         raise GeneralPositionError("configuration is not in general position")
@@ -197,15 +205,21 @@ def link_decisions(
 ) -> list[LinkDecision]:
     """`link_decision` of the frame against each pair, in order, with one
     frame solve per distinct line: the coefficients c depend on the frame
-    and the line alone, so pairs that share a line share them. The first
-    degenerate pair raises GeneralPositionError."""
-    coefficients: dict[ProjPoint, tuple[Fraction, ...]] = {}
+    and the line alone, so pairs that share a line share them. The criterion
+    reads signs only, so it runs in integers: c = y / d from the solve, and
+    P(L_j) is the dot product of the plane's and the point's primitive
+    representatives. y stands in for c, as the common factor sign(d) flips
+    every product at once and so changes no decision. The first degenerate
+    pair raises GeneralPositionError."""
+    reps = [p.rep for p in arr.points]
+    scaled: dict[ProjPoint, list[int]] = {}
     decisions = []
     for lp in pairs:
-        cs = coefficients.get(lp.line)
-        if cs is None:
-            cs = coefficients[lp.line] = frame_coefficients(arr, lp.line)
-        decisions.append(_signed_vertices(cs, [lp.plane.eval(p) for p in arr.points]))
+        y = scaled.get(lp.line)
+        if y is None:
+            y = scaled[lp.line] = _frame_solve(arr, lp.line)[0]
+        values = [sum(map(mul, lp.plane.functional, r)) for r in reps]
+        decisions.append(_signed_vertices(y, values))
     return decisions
 
 

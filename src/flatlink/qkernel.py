@@ -183,9 +183,6 @@ class QMatrix:
             ]
         )
 
-    def __neg__(self) -> "QMatrix":
-        return QMatrix([[-a for a in r] for r in self.rows])
-
     def __mul__(self, other):
         if isinstance(other, QMatrix):
             return self._matmul(other)
@@ -209,18 +206,7 @@ class QMatrix:
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch")
 
-    def transpose(self) -> "QMatrix":
-        return QMatrix([self.col(j) for j in range(self.ncols)])
-
-    def trace(self) -> Fraction:
-        if not self.is_square:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), _ZERO)
-
     # -- elimination-backed queries (free functions do the work)
-
-    def rank(self) -> int:
-        return rank(self)
 
     def inverse(self) -> "QMatrix":
         return inverse(self)
@@ -491,9 +477,6 @@ class QPoly:
         s = " ".join(f"{op} {t}" for op, t in terms)
         return "QPoly[" + (s[2:] if s.startswith("+ ") else s) + "]"
 
-    def __neg__(self) -> "QPoly":
-        return QPoly([-c for c in self.coeffs])
-
     def __mul__(self, other):
         if not isinstance(other, QPoly):
             return QPoly([c * rat(other) for c in self.coeffs])
@@ -712,24 +695,40 @@ def _divisors(n: int) -> list[int]:
 
 
 def rational_roots(p: QPoly) -> list[Fraction]:
-    """All rational roots, each listed once, ascending."""
+    """All rational roots, each listed once, ascending.
+
+    A rational root r/s of the primitive integer p has s | a_n, so two
+    distinct such numbers differ by at least 1/a_n^2. Each real root is
+    isolated (`isolate_real_roots`) and its interval (lo, hi] bisected
+    below 1/(2 a_n^2) by the Sturm count on (lo, mid]. A cut at the root
+    itself keeps it as hi: the count is then positive, as it includes a
+    simple root, and at a multiple root every chain member vanishes, so
+    the count is that of (lo, oo). The midpoint x of the last interval is
+    within 1/(4 a_n^2) of the root, and every other fraction with
+    denominator at most |a_n| is more than 1/(2 a_n^2) from x, so the one
+    candidate is x.limit_denominator(|a_n|), tested exactly. The work is
+    polynomial in the coefficients' bit length, where a scan of the
+    divisors of a_0 and a_n is exponential in it.
+    """
     ints = list(p.primitive_int())
     roots = set()
     while ints[0] == 0:
         roots.add(_ZERO)
         ints = ints[1:]
     if len(ints) > 1:
-        a0, an = ints[0], ints[-1]
-        for q in _divisors(an):
-            for r in _divisors(a0):
-                if math.gcd(r, q) != 1:
-                    continue
-                for cand in (Fraction(r, q), Fraction(-r, q)):
-                    acc = _ZERO
-                    for c in reversed(ints):
-                        acc = acc * cand + c
-                    if acc == 0:
-                        roots.add(cand)
+        chain = _sturm_chain(ints)
+        an = abs(ints[-1])
+        width = Fraction(1, 2 * an * an)
+        for lo, hi in isolate_real_roots(QPoly(ints)):
+            while hi - lo >= width:
+                mid = (lo + hi) / 2
+                if _roots_in(chain, lo, mid):
+                    hi = mid
+                else:
+                    lo = mid
+            x = ((lo + hi) / 2).limit_denominator(an)
+            if _sign_at(ints, x) == 0:
+                roots.add(x)
     return sorted(roots)
 
 

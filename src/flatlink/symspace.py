@@ -12,14 +12,16 @@ exact kernel computation, against which the tests hold `intersect`. A flat
 is its tau, a subspace its line v and plane w, and the crossing Z solves
 K^T Z = J^T for the Krylov matrices K of w under tau^T and J of v under
 tau: one m x 2m integer echelon gives the kernel dimension, point and sign.
-A pattern's cells go through `intersection_table`, which scales each tau
-and each (v, w) once and keeps kind and sign only. Building the point as an
-`SPDPoint`, as `intersect` does, would re-run the symmetry test and
-Sylvester's test that `_cross` has just passed, on every cell, for a point
-no certificate stores.
 Whether that point exists is also decided, without the echelon, by the
-definiteness of the m x m Hankel moment form of v and w under tau
-(`_moment_definite`), which the congruence descent tests first.
+definiteness of the m x m Hankel moment form H = K^T J of v and w under
+tau (`_moment_definite`), which the congruence descent tests first.
+A pattern's cells go through `intersection_table`, which keeps kind and
+sign only and decides a cell from H alone unless det H = 0: definite H is
+a crossing whose sign is read from sign(s_0)^m and sign det J, as
+det H = det K det J, and a nonsingular H that is not definite is Empty.
+J depends on the flat and the line only, so it is built once per (flat,
+line), and a cell costs 2m - 1 dot products and one m x m pass. `_cross`
+stays the one source of points, for `intersect` and for the descents.
 This route never consults the projective linking criterion; it is the module
 the criterion is tested against.
 
@@ -42,6 +44,7 @@ from .qkernel import (
     _conjugate,
     _echelon,
     _int_char_poly,
+    _int_det,
     _int_matrix,
     _int_rows,
     _primitive_ints,
@@ -309,6 +312,14 @@ class IntersectionResult:
     sign: Optional[int] = None  # a TransversePoint's orientation sign: see `_cross`
 
 
+def _krylov(A: Sequence[Sequence[int]], x: Sequence[int], n: int) -> list[list[int]]:
+    """x, A x, ..., A^(n-1) x for an integer matrix A given by its rows."""
+    out = [list(x)]
+    for _ in range(n - 1):
+        out.append([sum(map(operator.mul, r, out[-1])) for r in A])
+    return out
+
+
 def _cross(
     t: Sequence[int], v: Sequence[int], w: Sequence[int]
 ) -> tuple[int, Optional[list[list[int]]], Optional[int]]:
@@ -352,11 +363,7 @@ def _cross(
     """
     m = len(w)
     A = [t[i * m : (i + 1) * m] for i in range(m)]
-    At = list(zip(*A))
-    K, J = [list(w)], [list(v)]
-    for _ in range(m - 1):
-        K.append([sum(a * x for a, x in zip(col, K[-1])) for col in At])
-        J.append([sum(a * x for a, x in zip(row, J[-1])) for row in A])
+    K, J = _krylov(list(zip(*A)), w, m), _krylov(A, v, m)
     a = [k + j for k, j in zip(K, J)]
     pivots, sgn, d = _echelon(a)
     r = sum(c < m for c in pivots)
@@ -403,11 +410,17 @@ def _moment_definite(
     that is v_i / w_i, or v_i w_i, all nonzero of one sign. The sign of a
     definite H is that of s_0 = w . v, so H is definite exactly when
     sign(s_0) H passes Sylvester's test, one fraction-free pass without
-    pivoting.
+    pivoting (`_hankel_definite`).
     """
-    m = len(v)
     o = [a * b for a in w for b in v]
-    s = [sum(map(operator.mul, P, o)) for P in powers]
+    return _hankel_definite([sum(map(operator.mul, P, o)) for P in powers])
+
+
+def _hankel_definite(s: list[int]) -> bool:
+    """Whether the m x m Hankel form [s_(j+k)] of the 2m - 1 moments s is
+    definite: sign(s_0) H passes Sylvester's test, as a definite form has
+    the sign of its (0, 0) entry."""
+    m = (len(s) + 1) // 2
     if s[0] < 0:
         s = [-x for x in s]
     return _leading_minors_positive([s[j : j + m] for j in range(m)])
@@ -440,10 +453,27 @@ def intersection_table(
     """`intersect`'s kind and sign on every cell: row i, column j is
     (X_i ∩ Y_j).kind with its sign, None unless TransversePoint.
 
-    Each tau is scaled to integers once per row and each (v, w) once per
-    column, and `_cross` decides every cell. No `SPDPoint` is built: its
-    constructor would re-check, on every cell, the point that `_cross` has
-    just found symmetric and positive definite.
+    Each cell is decided by its moment form, the Hankel matrix
+    H = [s_(j+k)] of s_k = w . A^k v, A = L tau (see `_moment_definite`).
+    A row scales its tau once and builds, for each distinct line v among
+    the columns, the Krylov vectors J_k = A^k v for k = 0, ..., 2m - 2; a
+    cell then costs 2m - 1 dot products with its plane w. In `_cross`'s
+    notation H = K^T J, so det H = det K det J.
+
+    - H definite (sign(s_0) H passes Sylvester's test): a TransversePoint.
+      A definite H has det H of sign sign(s_0)^m, so the crossing sign
+      Y.orientation sign(det K) is Y.orientation sign(s_0)^m sign(det J);
+      sign(det J) is taken once per (flat, line), at its first crossing.
+    - H not definite but det H != 0: Empty. det K != 0 makes every w_i
+      nonzero (r = m, so the kernel is one line) and det J != 0 every v_i,
+      so every mu_i = w_i v_i is nonzero and, H not being definite, they
+      have mixed signs: the line's a_i = lam v_i / w_i are never all
+      positive.
+    - det H = 0: H is not definite, so there is no point, and `_cross`
+      decides between Degenerate and Empty: only its echelon tells a
+      kernel of dimension >= 2 from the one line at lam = 0.
+
+    No point is built: a certificate keeps kind and sign only.
     """
     if len({X.m for X in flats} | {Y.m for Y in subspaces}) > 1:
         raise ValueError("dimension mismatch")
@@ -453,16 +483,28 @@ def intersection_table(
     ]
     table = []
     for X in flats:
+        m = X.m
         t = _scaled_ints([x for r in X.tau.rows for x in r])
+        A = [t[i * m : (i + 1) * m] for i in range(m)]
+        krylov: dict[tuple, list[list[int]]] = {}
+        det_signs: dict[tuple, int] = {}
         row = []
         for v, w, orientation in columns:
-            k, Z, s = _cross(t, v, w)
-            if k != 1:
-                row.append((IntersectionKind.DEGENERATE, None))
-            elif Z is None:
+            J = krylov.get(v)
+            if J is None:
+                J = krylov[v] = _krylov(A, v, 2 * m - 1)
+            s = [sum(map(operator.mul, w, x)) for x in J]
+            if _hankel_definite(s):
+                if v not in det_signs:
+                    det_signs[v] = sign(_int_det(J[:m]))
+                crossing = orientation * sign(s[0]) ** m * det_signs[v]
+                row.append((IntersectionKind.TRANSVERSE_POINT, crossing))
+            elif _int_det([s[j : j + m] for j in range(m)]):  # det H
+                row.append((IntersectionKind.EMPTY, None))
+            elif _cross(t, v, w)[0] == 1:  # a singular H is not definite: no point
                 row.append((IntersectionKind.EMPTY, None))
             else:
-                row.append((IntersectionKind.TRANSVERSE_POINT, orientation * s))
+                row.append((IntersectionKind.DEGENERATE, None))
         table.append(row)
     return table
 

@@ -3,6 +3,7 @@
 Each is the plain textbook route to something the package decides another
 way, kept here so that the tests can hold the package against it:
 
+- the transpose of a rational matrix (`transpose`);
 - symmetric coordinates (`vec_sym`, `unvec_sym`) for the membership
   systems, and Sylvester's test on a rational matrix
   (`is_positive_definite`);
@@ -31,6 +32,10 @@ from flatlink.qkernel import (
 from flatlink.symspace import FlatX, SubspaceY, _leading_minors_positive, sym_dim, sym_pairs
 
 
+def transpose(M: QMatrix) -> QMatrix:
+    return QMatrix([M.col(j) for j in range(M.ncols)])
+
+
 def vec_sym(M: QMatrix) -> tuple:
     """Upper-triangle coordinates of a symmetric matrix, pair-lex order."""
     return tuple(M[i, j] for i, j in sym_pairs(M.nrows))
@@ -55,13 +60,13 @@ def is_positive_definite(M: QMatrix) -> bool:
 
 def flat_contains(X: FlatX, Z: QMatrix) -> bool:
     """Whether Z is in the span of X: symmetric with tau Z = Z tau^T."""
-    return Z.is_symmetric() and X.tau @ Z == Z @ X.tau.transpose()
+    return Z.is_symmetric() and X.tau @ Z == Z @ transpose(X.tau)
 
 
 def subspace_contains(Y: SubspaceY, Z: QMatrix) -> bool:
     """Whether Z is in the span of Y: symmetric with rho Z rho^T = Z."""
     rho = Y.rho
-    return Z.is_symmetric() and rho @ Z @ rho.transpose() == Z
+    return Z.is_symmetric() and rho @ Z @ transpose(rho) == Z
 
 
 def rref_rows(M: QMatrix) -> tuple[list[tuple], list[int]]:
@@ -115,7 +120,7 @@ def transform_point(g: QMatrix, p: ProjPoint) -> ProjPoint:
 
 def transform_hyperplane(g: QMatrix, h: ProjHyperplane) -> ProjHyperplane:
     # functional pulls back through the inverse: (g.h)(x) = h(g^{-1} x)
-    return ProjHyperplane(inverse(g).transpose().apply(h.functional))
+    return ProjHyperplane(transpose(inverse(g)).apply(h.functional))
 
 
 def transform_arrangement(g: QMatrix, arr: Arrangement) -> Arrangement:

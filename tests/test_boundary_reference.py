@@ -24,7 +24,7 @@ from flatlink.boundary import (
 )
 from flatlink.qkernel import QMatrix, det, kernel_basis, rank
 
-from _reference import rref_rows
+from _reference import rref_rows, transpose
 
 # ---------------------------------------------------------------------------
 # the reference
@@ -37,14 +37,14 @@ def _ref_hstack(parts):
 
 
 def _ref_canonical_subspace(generators):
-    rows, _ = rref_rows(generators.transpose())
+    rows, _ = rref_rows(transpose(generators))
     if not rows:
         raise ValueError("zero subspace has no generator matrix")
-    return QMatrix(rows).transpose()
+    return transpose(QMatrix(rows))
 
 
 def _ref_intersect_subspaces(a, b):
-    images = (a.apply(v[: a.ncols]) for v in kernel_basis(_ref_hstack([a, -b])))
+    images = (a.apply(v[: a.ncols]) for v in kernel_basis(_ref_hstack([a, b * -1])))
     gens = [vec for vec in images if any(vec)]
     if not gens:
         return None

@@ -22,7 +22,7 @@ from flatlink.congruence import (
     ptoq_solve,
     scalar_commutant_check,
 )
-from flatlink.qkernel import QMatrix, _conjugate, _int_matrix, det, kernel_basis
+from flatlink.qkernel import QMatrix, _conjugate, _int_matrix, det, kernel_basis, rank
 from flatlink.symspace import (
     IntersectionKind,
     SPDPoint,
@@ -32,6 +32,8 @@ from flatlink.symspace import (
     involution_for_pair,
     subspace_from_rho,
 )
+
+from _reference import transpose
 
 TAU2 = QMatrix([[2, 1], [1, 1]])
 RHO2 = QMatrix([[0, 1], [1, 0]])
@@ -245,7 +247,7 @@ def _is_cyclic(tau):
     powers = [QMatrix.identity(m)]
     for _ in range(m - 1):
         powers.append(powers[-1] @ tau)
-    return QMatrix([[x for r in P.rows for x in r] for P in powers]).rank() == m
+    return rank(QMatrix([[x for r in P.rows for x in r] for P in powers])) == m
 
 
 def _sharing_pair(rng, m):
@@ -637,7 +639,7 @@ def test_pullback_sign_matches_forward(m):
         gamma = _gamma_mod_5(rng, m)
         # Y through a PD point P of gamma X: P w is parallel to v
         L = QMatrix.diagonal([rng.randint(1, 4) for _ in range(m)])
-        P = gamma @ g @ L @ g.transpose() @ gamma.transpose()
+        P = gamma @ g @ L @ transpose(g) @ transpose(gamma)
         plane = [rng.choice([-2, -1, 1, 2]) for _ in range(m)]
         Y = subspace_from_rho(involution_for_pair(P.apply(plane), plane))
         evaluate = _evaluator(X, Y)
@@ -657,7 +659,7 @@ def test_pullback_sign_matches_forward(m):
             rebuilt = intersection_sign(
                 X,
                 subspace_from_rho(ci @ Y.rho @ c),
-                SPDPoint(ci @ res.point.Z @ ci.transpose()),
+                SPDPoint(ci @ res.point.Z @ transpose(ci)),
             )
             rebuilt_flips += rebuilt != hit.sign
     assert hits >= 20

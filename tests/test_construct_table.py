@@ -5,12 +5,13 @@ replaced: `symspace.intersection_table` against `intersect` cell by cell,
 the reference.
 """
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from flatlink import construct, projlink
+from flatlink import construct, projlink, symspace
 from flatlink.construct import (
     CellWitness,
     PatternFlat,
@@ -24,12 +25,11 @@ from flatlink.projlink import (
     GeneralPositionError,
     LinePlanePair,
     LinkDecision,
-    frame_coefficients,
     in_general_position,
     link_decision,
     link_decisions,
 )
-from flatlink.qkernel import QMatrix
+from flatlink.qkernel import QMatrix, det, sign
 from flatlink.symspace import (
     IntersectionKind,
     flat_from_tau,
@@ -39,6 +39,9 @@ from flatlink.symspace import (
     subspace_from_pair,
     subspace_from_rho,
 )
+
+from _reference import transpose
+from test_symspace import rnd_invertible
 
 SHAPES = [(8, 3), (5, 4), (3, 5)]
 ROTATIONS = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
@@ -93,6 +96,27 @@ def test_table_matches_per_cell_route(N, m, rotation):
         assert construct._certify_pattern(q.flats, q.subspaces) == want
     assert all(w.link is not None for row in p.certificate for w in row)
     assert all(w.link is None for row in snapped.certificate for w in row)
+
+
+def test_pattern_cells_never_reach_cross(monkeypatch):
+    """Every cell of the 9 certify-workload patterns and of their snaps has
+    det H != 0, so synthesis, rationalization and certification decide
+    them all from the moment form, without `_cross`."""
+    calls = []
+    cross = symspace._cross
+
+    def counted(t, v, w):
+        calls.append((t, v, w))
+        return cross(t, v, w)
+
+    monkeypatch.setattr(symspace, "_cross", counted)
+    for N, m in SHAPES:
+        for rotation in ROTATIONS:
+            p = synthesize_pattern(N, m, rotation=rotation)
+            snapped, _ = rationalize_pattern(p)
+            for q in (p, snapped):
+                assert construct._certify_pattern(q.flats, q.subspaces) is not None
+    assert calls == []
 
 
 def _frame_flat(points):
@@ -197,7 +221,7 @@ def test_intersection_table_matches_intersect(m):
         F = arr.frame_matrix()
         D = QMatrix.diagonal([rng.randint(1, 5) for _ in range(m)])
         plane = lp.plane.functional
-        subspaces.append(subspace_from_pair((F @ D @ F.transpose()).apply(plane), plane))
+        subspaces.append(subspace_from_pair((F @ D @ transpose(F)).apply(plane), plane))
     subspaces.append(subspace_from_pair([1] * m, [1] + [0] * (m - 1)))
     table = intersection_table(flats, subspaces)
     assert len(table) == len(flats)
@@ -222,6 +246,107 @@ def test_intersection_table_matches_intersect(m):
     if m % 2:
         want.add((T, -1))
     assert want <= seen
+
+
+def _nonzero(rng):
+    return rng.choice([-3, -2, -1, 1, 2, 3])
+
+
+def _eigen_columns(rng, g, shared):
+    """Subspaces of five kinds, set by their eigen-coordinates (c, e) for
+    the eigenbasis g of the flats: the line is g c and the plane g^-T e, so
+    that mu_i = e_i c_i (see `symspace._cross`). Returns (kind, Y) pairs.
+
+    kind 0, every mu_i of one sign: TransversePoint; 1, every mu_i nonzero
+    with mixed signs: Empty with det H != 0; 2, e_z = 0 only: the lam = 0
+    Empty; 3, e_z = c_z = 0: Degenerate; 4, c_z = 0 only: Empty with
+    det J = 0. Kinds 2 to 4 have det H = 0. With `shared`, kinds 0 to 2
+    use one line and kinds 3 and 4 another. Else each column draws its own,
+    and the kinds take turns past three columns each until the kind-0
+    columns have s_0 = v . w of both signs; one shared line can fix that
+    sign for every plane of one sign pattern.
+    """
+    m = g.nrows
+    g_dual = transpose(g.inverse())
+    z = rng.randrange(m)
+    full = [_nonzero(rng) for _ in range(m)]
+    holed = [0 if i == z else _nonzero(rng) for i in range(m)]
+    columns, s0_signs = [], set()
+    while len(columns) < 15 or not (shared or s0_signs == {-1, 1}):
+        kind = len(columns) % 5
+        if not shared:
+            full = [_nonzero(rng) for _ in range(m)]
+            holed = [0 if i == z else _nonzero(rng) for i in range(m)]
+        c = holed if kind in (3, 4) else full
+        signs = [rng.choice([-1, 1]) for _ in range(m)]
+        if kind == 0:
+            signs = [signs[0]] * m
+        elif kind == 1:
+            signs[1] = -signs[0]
+        e = [s * abs(_nonzero(rng)) * (1 if x >= 0 else -1) for s, x in zip(signs, c)]
+        if kind in (2, 3):
+            e[z] = 0
+        if not sum(map(operator.mul, e, c)):  # the line lies in the plane
+            continue
+        Y = subspace_from_pair(g.apply(c), g_dual.apply(e))
+        if kind == 0:
+            s0_signs.add(sign(sum(map(operator.mul, Y.line, Y.plane))))
+        columns.append((kind, Y))
+    return columns
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared_lines", "own_lines"])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_intersection_table_moment_route(m, shared, monkeypatch):
+    """The table against `intersect` on three flats g D g^-1 sharing a
+    random integer eigenbasis g, with one eigenvalue list in three orders,
+    and subspaces of five kinds (`_eigen_columns`). Only the det H = 0
+    cells reach `_cross`. The transverse cells have
+    det J = det[v | tau v | ...] of both signs, as rows 0 and 1 differ by
+    one transposition of the eigenvalues, so each row needs its own Krylov
+    vectors and the crossing sign needs sign det J. With their own lines
+    they also have s_0 = v . w of both signs, which the sign needs at odd
+    m."""
+    rng = random.Random(5200 + 10 * m + shared)
+    g = rnd_invertible(rng, m, bound=2)
+    g_inv = g.inverse()
+    d = sorted(rng.sample([*range(-6, 0), *range(1, 7)], m))
+    orders = [d, [d[1], d[0], *d[2:]], rng.sample(d, m)]
+    flats = [flat_from_tau(g @ QMatrix.diagonal(o) @ g_inv) for o in orders]
+    columns = _eigen_columns(rng, g, shared)
+    subspaces = [Y for _, Y in columns]
+    calls = []
+    cross = symspace._cross
+
+    def counted(t, v, w):
+        calls.append((t, v, w))
+        return cross(t, v, w)
+
+    monkeypatch.setattr(symspace, "_cross", counted)
+    table = intersection_table(flats, subspaces)
+    assert len(calls) == len(flats) * sum(kind >= 2 for kind, _ in columns)
+    monkeypatch.setattr(symspace, "_cross", cross)
+    T, E, D = (
+        IntersectionKind.TRANSVERSE_POINT,
+        IntersectionKind.EMPTY,
+        IntersectionKind.DEGENERATE,
+    )
+    want_kinds = [T, E, E, D, E]
+    factors = set()
+    for X, row in zip(flats, table):
+        for (kind, Y), cell in zip(columns, row):
+            res = intersect(X, Y)
+            assert cell == (res.kind, res.sign)
+            assert res.kind is want_kinds[kind]
+            if kind == 0:
+                J = [Y.line]
+                for _ in range(m - 1):
+                    J.append(X.tau.apply(J[-1]))
+                s0 = sum(map(operator.mul, Y.line, Y.plane))
+                factors.add((sign(s0), sign(det(QMatrix.from_columns(J)))))
+    assert {d for _, d in factors} == {-1, 1}
+    if not shared:
+        assert factors == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
 
 
 def test_intersection_table_rejects_dimension_mismatch():
@@ -257,9 +382,10 @@ def test_link_decisions_solve_once_per_line(monkeypatch):
 
     def counted(arr, L):
         calls.append(L)
-        return frame_coefficients(arr, L)
+        return solve(arr, L)
 
-    monkeypatch.setattr(projlink, "frame_coefficients", counted)
+    solve = projlink._frame_solve
+    monkeypatch.setattr(projlink, "_frame_solve", counted)
     arr = Arrangement([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     pairs = [LinePlanePair(line, [1, 1, s]) for line in ([1, 2, 3], [2, 4, 6], [1, 1, 1]) for s in (1, 2)]
     assert link_decisions(arr, pairs) == [LinkDecision.LINKED] * 6
@@ -273,9 +399,10 @@ def test_synthesis_solves_for_each_frame_once(monkeypatch):
 
     def counted(arr, L):
         calls.append(L)
-        return frame_coefficients(arr, L)
+        return solve(arr, L)
 
-    monkeypatch.setattr(projlink, "frame_coefficients", counted)
+    solve = projlink._frame_solve
+    monkeypatch.setattr(projlink, "_frame_solve", counted)
     p = synthesize_pattern(8, 3)
     assert p.is_upper_triangular_nonzero_diagonal()
     assert len(calls) == 8

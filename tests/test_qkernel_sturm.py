@@ -1,6 +1,6 @@
 """The integer Sturm chain (primitive pseudo-remainders) against the rational
-chain it replaces, kept here as the reference, and its root counts against
-sympy.
+chain it replaces, kept here as the reference, and its root counts and the
+rational roots it isolates against sympy.
 
 Every integer member must be a positive multiple of the rational member at
 the same place, so both chains show the same signs everywhere: the counts
@@ -18,6 +18,7 @@ from flatlink.qkernel import (
     _sturm_chain,
     cauchy_root_bound,
     isolate_real_roots,
+    rational_roots,
     sturm_distinct_real_roots,
 )
 
@@ -35,7 +36,7 @@ _SETTINGS = settings(max_examples=300, deadline=None)
 def _ref_chain(p: QPoly) -> list[QPoly]:
     chain = [p, p.derivative()]
     while not chain[-1].is_zero and chain[-1].degree >= 1:
-        chain.append(-(chain[-2] % chain[-1]))
+        chain.append(chain[-2] % chain[-1] * -1)
     if chain[-1].is_zero:
         chain.pop()
     return chain
@@ -227,3 +228,28 @@ def test_isolate_real_roots_matches_reference_with_rational_cuts():
         cases.append(list(p.primitive_int()))
     for c in cases:
         assert isolate_real_roots(QPoly(c)) == _ref_isolate(QPoly(c)), c
+
+
+@st.composite
+def rooted_polys(draw):
+    """An `int_polys` cofactor times up to three planted linear factors
+    b t - a, small or of up to 60 bits, so that rational roots with large
+    numerators and denominators occur, some of them repeated."""
+    p = draw(int_polys(max_degree=4))
+    bits = draw(st.sampled_from([4, 60]))
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.integers(-(2**bits), 2**bits))
+        b = draw(st.integers(1, 2**bits))
+        p = _mul(p, [-a, b])
+        if draw(st.booleans()):
+            p = _mul(p, [-a, b])
+    return p
+
+
+@_SETTINGS
+@given(rooted_polys())
+def test_rational_roots_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    ground = sympy.Poly(list(reversed(p)), sympy.Symbol("t"), domain="QQ").ground_roots()
+    want = sorted(Fraction(int(r.p), int(r.q)) for r in ground)
+    assert rational_roots(QPoly(p)) == want

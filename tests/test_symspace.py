@@ -45,6 +45,7 @@ from _reference import (
     flat_contains,
     is_positive_definite,
     subspace_contains,
+    transpose,
     unvec_sym,
     vec_sym,
 )
@@ -130,7 +131,7 @@ def _fraction_route_verdict(tau):
         return "tau must be invertible"
     chain = [p, p.derivative()]
     while not chain[-1].is_zero and chain[-1].degree >= 1:
-        chain.append(-(chain[-2] % chain[-1]))
+        chain.append(chain[-2] % chain[-1] * -1)
     if chain[-1].is_zero:
         chain.pop()
 
@@ -237,8 +238,8 @@ def test_subspace_from_rho_examples():
         QMatrix.identity(3),
         QMatrix.diagonal([1, 1, -1]),
         QMatrix([[1, 1], [0, 1]]),
-        -QMatrix.identity(2),
-        -QMatrix.identity(3),
+        QMatrix.diagonal([-1, -1]),
+        QMatrix.diagonal([-1, -1, -1]),
         QMatrix.identity(2),
         g @ QMatrix.diagonal([1, -1, 1]) @ g.inverse(),  # (+1, +1, -1), not diagonal
         QMatrix([[0, 2], [1, 0]]),  # squares to 2 I
@@ -278,7 +279,7 @@ def test_subspace_from_rho_rejects_near_involutions(m):
         rows[1][2] = -eps / 2
         near.append(QMatrix(rows))
     for X in near:
-        assert X.trace() == 2 - m and X @ X != QMatrix.identity(m)
+        assert sum(X[i, i] for i in range(m)) == 2 - m and X @ X != QMatrix.identity(m)
         with pytest.raises(ValueError, match="involution"):
             subspace_from_rho(X)
 
@@ -299,7 +300,7 @@ def test_subspace_from_pair_matches_rho(m):
         except ValueError:
             continue
         (v,) = kernel_basis(rho - I)
-        (w,) = kernel_basis(rho.transpose() - I)
+        (w,) = kernel_basis(transpose(rho) - I)
         a = F(-rng.randint(1, 6), 7)
         b = F(rng.choice([-1, 1]) * rng.randint(1, 4), 5)
         Y = subspace_from_pair([a * x for x in line], [b * x for x in plane])
@@ -433,14 +434,14 @@ def test_closed_form_intersect_matches_joint_system():
                 )
                 if det(g) == 0:
                     continue
-                moved = [g @ B @ g.transpose() for B in flat_basis(X.tau)]
+                moved = [g @ B @ transpose(g) for B in flat_basis(X.tau)]
                 X, frame = X.transport(g), g @ frame
                 if all(x.denominator == 1 for B in moved for r in B.rows for x in r):
                     continue
             plane = [rng.randint(-3, 3) for _ in range(m)]
             if done % 3:  # Y through a PD point of X: Z w is parallel to v
                 D = QMatrix.diagonal([rng.randint(1, 5) for _ in range(m)])
-                line = (frame @ D @ frame.transpose()).apply(plane)
+                line = (frame @ D @ transpose(frame)).apply(plane)
             else:
                 line = [rng.randint(-3, 3) for _ in range(m)]
             try:
@@ -527,11 +528,11 @@ def test_equivariance_of_flats():
         X = flat_from_tau(tau)
         g = rnd_invertible(rng, m)
         Xg = flat_from_tau(g @ tau @ g.inverse())
-        gt = g.transpose()
+        gt = transpose(g)
         for B in flat_basis(X.tau):
             assert flat_contains(Xg, g @ B @ gt)
         for B in flat_basis(Xg.tau):
-            assert flat_contains(X, g.inverse() @ B @ g.inverse().transpose())
+            assert flat_contains(X, g.inverse() @ B @ transpose(g.inverse()))
 
 
 def test_transport_matches_recomputation():
@@ -542,7 +543,7 @@ def test_transport_matches_recomputation():
     Xt = X.transport(g)
     Xr = flat_from_tau(g @ tau @ g.inverse())
     assert Xt.tau == Xr.tau
-    gt = g.transpose()
+    gt = transpose(g)
     for B in flat_basis(tau):
         assert flat_contains(Xr, g @ B @ gt)
         assert flat_contains(Xt, g @ B @ gt)
@@ -569,11 +570,11 @@ def test_membership_systems_match_their_definition():
             rho = involution_for_pair(line, plane)
             assert rho @ rho == QMatrix.identity(m)
             Z = unvec_sym([q() for _ in range(sym_dim(m))], m)
-            D = tau @ Z - Z @ tau.transpose()
+            D = tau @ Z - Z @ transpose(tau)
             assert flat_membership_system(tau).apply(vec_sym(Z)) == tuple(
                 D[i, j] for i in range(m) for j in range(i + 1, m)
             )
-            E = rho @ Z @ rho.transpose() - Z
+            E = rho @ Z @ transpose(rho) - Z
             assert subspace_membership_system(rho).apply(vec_sym(Z)) == vec_sym(E)
 
 
@@ -668,7 +669,7 @@ def _seeded_crossings(m, seed):
         F = arr.frame_matrix()
         D = QMatrix.diagonal([rng.randint(1, 5) for _ in range(m)])
         plane = [rng.randint(-3, 3) for _ in range(m)]
-        line = (F @ D @ F.transpose()).apply(plane)
+        line = (F @ D @ transpose(F)).apply(plane)
         try:
             Y = subspace_from_rho(involution_for_pair(line, plane))
         except ValueError:
@@ -718,7 +719,7 @@ def test_intersection_sign_invariant_under_centralizer():
     a = QMatrix([[2, 1], [1, 2]])
     assert a @ Y.rho == Y.rho @ a
     Xa = X.transport(a)
-    ata = SPDPoint(a @ at.Z @ a.transpose())
+    ata = SPDPoint(a @ at.Z @ transpose(a))
     assert intersect(Xa, Y).kind is IntersectionKind.TRANSVERSE_POINT
     assert intersection_sign(Xa, Y, ata) == s0
 
@@ -757,17 +758,17 @@ def _moment_draw(rng, m, kind):
     line = [rng.randint(-3, 3) for _ in range(m)]
     if kind < 4:
         tau, g = rational_frame_flat(rng, m)
-        P = g @ QMatrix.diagonal([rng.randint(1, 5) for _ in range(m)]) @ g.transpose()
+        P = g @ QMatrix.diagonal([rng.randint(1, 5) for _ in range(m)]) @ transpose(g)
     else:
         R = QMatrix([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)])
-        S = R + R.transpose()
+        S = R + transpose(R)
         g = rnd_invertible(rng, m)
         tau = g @ S @ g.inverse()
         try:
             flat_from_tau(tau)
         except ValueError:  # a repeated eigenvalue
             return None
-        P = g @ (S @ S + QMatrix.identity(m) * rng.randint(1, 4)) @ g.transpose()
+        P = g @ (S @ S + QMatrix.identity(m) * rng.randint(1, 4)) @ transpose(g)
     j = rng.randrange(m)
     e = [g[i, j] for i in range(m)]
     if kind == 2:  # w . e = 0
