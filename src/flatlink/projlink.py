@@ -12,7 +12,7 @@ with vertex set {L_1, ..., L_m} that contains L. A zero product is a
 degenerate configuration. So one solve for c and m evaluations of P decide
 both general position and the link; c depends on the frame and the line
 alone, so `link_decisions` decides a row of pairs with one solve per line,
-reading every sign from integers.
+reading every sign from integers; `link_decision` is its one-pair case.
 """
 
 from __future__ import annotations
@@ -195,9 +195,10 @@ def link_decision(arr: Arrangement, lp: LinePlanePair) -> LinkDecision:
     The signed vertices sign(c_j) L_j, for L = sum c_j L_j, span that
     simplex, so this is: the signed vertex values sign(c_j) P(L_j) all have
     one strict sign. A zero value means L lies on a wall (c_j = 0) or P
-    passes through a vertex, and raises GeneralPositionError.
+    passes through a vertex, and raises GeneralPositionError. It is the one
+    pair of `link_decisions`, so its signs are read from integers.
     """
-    return link_evidence(arr, lp)[0]
+    return link_decisions(arr, [lp])[0]
 
 
 def link_decisions(

@@ -10,6 +10,9 @@ similarity G A G^-1 (`_conjugate`, by `_times_inverse`) are all read off
 that pass.
 Polynomials are ascending coefficient tuples over Fractions; the private
 integer helpers (`_int_char_poly`, the Sturm chain) use ascending int lists.
+The characteristic polynomial is Berkowitz's division-free recurrence
+(`_int_char_poly`): each leading block's polynomial from the previous one
+by matrix-vector products, never a full matrix product.
 
 Real-root counting is by Sturm chains in integers: primitive
 pseudo-remainder sequences, whose members are positive multiples of the
@@ -387,22 +390,29 @@ def _conjugate(G: list[list[int]], L: int, A: list[list[int]]) -> QMatrix:
 
 def _int_char_poly(A: list[list[int]]) -> list[int]:
     """Ascending integer coefficients of det(t I - A) for a square integer A,
-    by Faddeev–LeVerrier: with c_0 = 1 the coefficient of t^n,
-    B_1 = A, B_k = A B_(k-1) + c_(k-1) A and c_k = -tr(B_k) / k is the
-    coefficient of t^(n-k). Every c_k is an integer, so each division is
-    exact."""
-    n = len(A)
-    coeffs = [1]
-    B = A
-    for k in range(1, n + 1):
-        if k > 1:
-            c, cols = coeffs[-1], list(zip(*B))
-            B = [
-                [sum(map(mul, r, col)) + c * x for col, x in zip(cols, r)]
-                for r in A
-            ]
-        coeffs.append(-sum(B[i][i] for i in range(n)) // k)
-    return coeffs[::-1]
+    by Berkowitz's division-free recurrence (Berkowitz 1984; the Samuelson
+    expansion). Let p_k be the characteristic polynomial of the leading
+    k x k block B, and split the next block as [[B, c], [r, a]]. Then
+    p_(k+1)(t) = (t - a) p_k(t) - r adj(t I - B) c, and
+    adj(t I - B) = p_k(t) (t I - B)^-1 = p_k(t) sum_j B^j t^(-j-1) is a
+    polynomial, so r adj(t I - B) c is the polynomial part of
+    p_k(t) sum_(j<k) (r B^j c) t^(-j-1). So p_(k+1) is p_k convolved with
+    (1, -a, -r c, -r B c, ..., -r B^(k-1) c) and cut to degree k + 1:
+    k - 1 matrix-vector products on B per step, and no division."""
+    p = [1]  # descending coefficients of p_k
+    for k in range(len(A)):
+        B = [r[:k] for r in A[:k]]
+        row, x = A[k][:k], [r[k] for r in A[:k]]
+        e = [1, -A[k][k]]
+        for j in range(k):
+            if j:
+                x = [sum(map(mul, b, x)) for b in B]
+            e.append(-sum(map(mul, row, x)))
+        p = [
+            sum(e[i] * p[l - i] for i in range(max(0, l - k), min(l, k + 1) + 1))
+            for l in range(k + 2)
+        ]
+    return p[::-1]
 
 
 def char_poly(M: QMatrix) -> "QPoly":

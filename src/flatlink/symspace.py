@@ -15,6 +15,9 @@ tau: one m x 2m integer echelon gives the kernel dimension, point and sign.
 Whether that point exists is also decided, without the echelon, by the
 definiteness of the m x m Hankel moment form H = K^T J of v and w under
 tau (`_moment_definite`), which the congruence descent tests first.
+One pass over H (`_moment_kind`) tells definite, nonsingular but not
+definite (Empty), and singular apart; `intersect` runs it first and the
+echelon only when H is definite or singular.
 A pattern's cells go through `intersection_table`, which keeps kind and
 sign only and decides a cell from H alone unless det H = 0: definite H is
 a crossing whose sign is read from sign(s_0)^m and sign det J, as
@@ -244,28 +247,31 @@ def subspace_from_rho(rho: QMatrix) -> SubspaceY:
     """The subspace of rho. With rho^2 = I, (rho + I) / 2 projects onto the
     +1 space; at rank 1 it is v w^T / (w.v): columns span v, rows span w.
 
-    The checks run in integers on R = d rho, d > 0 the LCM of rho's
-    denominators: rho^2 = I is R R = d^2 I, and tr rho = 2 - m is
-    tr R = (2 - m) d. Then R + d I = d (rho + I) supplies v and w."""
+    The check runs in integers on M = R + d I = d (rho + I), with R = d rho
+    and d > 0 the LCM of rho's denominators: rho is an involution of trace
+    2 - m exactly when M has rank one and trace 2 d. Forward: rho^2 = I
+    makes rho diagonalizable with eigenvalues +-1, and trace 2 - m leaves
+    one +1, so rho + I has rank one and trace 2. Back: a rank-one
+    M = x y^T has M^2 = (y.x) M = tr(M) M = 2 d M, so rho = M / d - I has
+    rho^2 = M^2 / d^2 - 2 M / d + I = I, and tr rho = 2 - m. M has rank one
+    exactly when some entry M_ij is nonzero (one is, as tr M != 0) and
+    every 2 x 2 minor through it vanishes, M_ab M_ij = M_aj M_ib: m^2
+    products, where rho^2 = I takes m^3. Then column j is v and row i is w.
+    """
     if not rho.is_square:
         raise ValueError("rho must be square")
     m = rho.nrows
-    d, R = _int_matrix(rho)
-    cols = list(zip(*R))
-    dd = d * d
-    if any(
-        sum(a * b for a, b in zip(r, c)) != (dd if i == j else 0)
-        for i, r in enumerate(R)
-        for j, c in enumerate(cols)
-    ):
-        raise ValueError("rho must be an involution")
-    # the rank of (rho + I) / 2 is its trace
-    if sum(R[i][i] for i in range(m)) != (2 - m) * d:
-        raise ValueError("rho must have eigenvalue signature (+1, -1^(m-1))")
-    for i in range(m):
-        R[i][i] += d
-    i, j = next((i, j) for i in range(m) for j in range(m) if R[i][j])
-    return subspace_from_pair([r[j] for r in R], R[i])
+    d, M = _int_matrix(rho)
+    for k in range(m):
+        M[k][k] += d
+    if sum(M[k][k] for k in range(m)) == 2 * d:
+        i, j = next((i, j) for i in range(m) for j in range(m) if M[i][j])
+        p, w = M[i][j], M[i]
+        if all(x * p == r[j] * y for r in M for x, y in zip(r, w)):
+            return subspace_from_pair([r[j] for r in M], w)
+    raise ValueError(
+        "rho must be an involution with eigenvalue signature (+1, -1^(m-1))"
+    )
 
 
 def _pair(line: Sequence, plane: Sequence) -> tuple[list[int], list[int], int]:
@@ -419,25 +425,79 @@ def _moment_definite(
 def _hankel_definite(s: list[int]) -> bool:
     """Whether the m x m Hankel form [s_(j+k)] of the 2m - 1 moments s is
     definite: sign(s_0) H passes Sylvester's test, as a definite form has
-    the sign of its (0, 0) entry."""
+    the sign of its (0, 0) entry. It stops at the first pivot that is not
+    positive, which is all a descent's point needs (`_moment_kind` goes on
+    to tell Empty from a singular H)."""
     m = (len(s) + 1) // 2
     if s[0] < 0:
         s = [-x for x in s]
     return _leading_minors_positive([s[j : j + m] for j in range(m)])
 
 
-def intersect(X: FlatX, Y: SubspaceY) -> IntersectionResult:
-    """Exact intersection of the two PD solution sets.
+def _moment_kind(s: list[int]) -> Optional[IntersectionKind]:
+    """What the m x m Hankel form H = [s_(j+k)] of the 2m - 1 moments s
+    decides (see `_moment_definite`): TransversePoint when H is definite,
+    Empty when H is nonsingular but not definite (see `intersection_table`),
+    and None when det H = 0, which only `_cross` can decide.
 
-    The intersection is one small integer system (see `_cross`); a
-    one-dimensional kernel whose line carries a PD representative is a
-    transverse intersection point, returned with its sign. Higher-
-    dimensional kernels are reported as Degenerate, never perturbed.
+    One fraction-free pass over sign(s_0) H: while no pivot is zero it takes
+    no row swap, so the pivots are the leading principal minors, and H is
+    definite exactly when they are all positive. A zero pivot only shows
+    that H is not definite; the pass then swaps in a row with a nonzero
+    entry in that column, as `_echelon` does, and goes on to tell
+    det H != 0 from det H = 0. No second pass computes det H.
     """
+    m = (len(s) + 1) // 2
+    if s[0] < 0:
+        s = [-x for x in s]
+    a = [s[j : j + m] for j in range(m)]
+    definite, prev = True, 1
+    for k in range(m):
+        if a[k][k] <= 0:
+            definite = False
+            if a[k][k] == 0:
+                i = next((i for i in range(k + 1, m) if a[i][k]), None)
+                if i is None:  # det H = 0
+                    return None
+                a[k], a[i] = a[i], a[k]
+        p, rk = a[k][k], a[k]
+        for i in range(k + 1, m):
+            ri = a[i]
+            f = ri[k]
+            for j in range(k + 1, m):
+                ri[j] = (p * ri[j] - f * rk[j]) // prev
+        prev = p
+    return IntersectionKind.TRANSVERSE_POINT if definite else IntersectionKind.EMPTY
+
+
+def _integer_pair(X: FlatX, Y: SubspaceY) -> tuple[list[int], tuple, list[int]]:
+    """`_cross`'s arguments for X and Y: L tau row-major, v and w."""
     if X.m != Y.m:
         raise ValueError("dimension mismatch")
     t = _scaled_ints([x for r in X.tau.rows for x in r])
-    k, Z, s = _cross(t, _primitive_ints(Y.line), _scaled_ints(Y.plane))
+    return t, _primitive_ints(Y.line), _scaled_ints(Y.plane)
+
+
+def intersect(X: FlatX, Y: SubspaceY) -> IntersectionResult:
+    """Exact intersection of the two PD solution sets.
+
+    The moment form comes first: the 2m - 1 moments s_k = w . A^k v,
+    A = L tau, and one pass over their Hankel matrix H (`_moment_kind`).
+    A nonsingular H that is not definite is Empty, with one kernel line
+    (see `intersection_table`), and nothing else runs. Otherwise the
+    intersection is one small integer system (`_cross`): at a definite H
+    a one-dimensional kernel whose line carries a PD representative, the
+    transverse intersection point, returned with its sign; at det H = 0
+    no point, and `_cross` alone tells Empty from Degenerate. Higher-
+    dimensional kernels are reported as Degenerate, never perturbed.
+    """
+    t, v, w = _integer_pair(X, Y)
+    m = len(v)
+    J = _krylov([t[i * m : (i + 1) * m] for i in range(m)], v, 2 * m - 1)
+    moments = [sum(map(operator.mul, w, x)) for x in J]
+    if _moment_kind(moments) is IntersectionKind.EMPTY:
+        return IntersectionResult(IntersectionKind.EMPTY, None, 1)
+    k, Z, s = _cross(t, v, w)
     if k != 1:
         return IntersectionResult(IntersectionKind.DEGENERATE, None, k)
     if Z is None:
@@ -473,7 +533,8 @@ def intersection_table(
       decides between Degenerate and Empty: only its echelon tells a
       kernel of dimension >= 2 from the one line at lam = 0.
 
-    No point is built: a certificate keeps kind and sign only.
+    One pass over sign(s_0) H tells the three apart (`_moment_kind`). No
+    point is built: a certificate keeps kind and sign only.
     """
     if len({X.m for X in flats} | {Y.m for Y in subspaces}) > 1:
         raise ValueError("dimension mismatch")
@@ -494,13 +555,14 @@ def intersection_table(
             if J is None:
                 J = krylov[v] = _krylov(A, v, 2 * m - 1)
             s = [sum(map(operator.mul, w, x)) for x in J]
-            if _hankel_definite(s):
+            kind = _moment_kind(s)
+            if kind is IntersectionKind.TRANSVERSE_POINT:
                 if v not in det_signs:
                     det_signs[v] = sign(_int_det(J[:m]))
                 crossing = orientation * sign(s[0]) ** m * det_signs[v]
-                row.append((IntersectionKind.TRANSVERSE_POINT, crossing))
-            elif _int_det([s[j : j + m] for j in range(m)]):  # det H
-                row.append((IntersectionKind.EMPTY, None))
+                row.append((kind, crossing))
+            elif kind is IntersectionKind.EMPTY:
+                row.append((kind, None))
             elif _cross(t, v, w)[0] == 1:  # a singular H is not definite: no point
                 row.append((IntersectionKind.EMPTY, None))
             else:
@@ -510,10 +572,15 @@ def intersection_table(
 
 
 def intersection_sign(X: FlatX, Y: SubspaceY, at: SPDPoint) -> int:
-    """`intersect`'s sign, once `at` is checked to be its point up to positive scale."""
-    res = intersect(X, Y)
-    if res.kind is IntersectionKind.DEGENERATE:
+    """`intersect`'s sign, once `at` is checked to be its point up to
+    positive scale. The crossing is what is asked for, so this runs `_cross`
+    alone, without `intersect`'s moment pass. `at` is a positive multiple of
+    the primitive point Z exactly when its integer scaling is, as both have
+    a positive (0, 0) entry: when its primitive entries are Z's."""
+    k, Z, s = _cross(*_integer_pair(X, Y))
+    if k != 1:
         raise ValueError("non-transverse configuration")
-    if res.point is None or at.Z != res.point.Z * (at.Z[0, 0] / res.point.Z[0, 0]):
+    scaled = [x for r in _int_matrix(at.Z)[1] for x in r]
+    if Z is None or _primitive_ints(scaled) != tuple(x for r in Z for x in r):
         raise ValueError("point is not the crossing of the flat and the subspace")
-    return res.sign
+    return Y.orientation * s

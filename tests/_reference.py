@@ -13,10 +13,16 @@ way, kept here so that the tests can hold the package against it:
   the Euclidean gcd (`poly_gcd`) and a polynomial at a matrix
   (`eval_matrix`), all over Q;
 - the GL action on projective points, hyperplanes, arrangements and pairs
-  (`transform_*`).
+  (`transform_*`);
+- the characteristic polynomial by Faddeev–LeVerrier
+  (`faddeev_leverrier_char_poly`), the involution test by the product
+  rho^2 (`subspace_from_rho_by_square`) and the intersection by the
+  crossing solve alone (`intersect_by_cross`), each the route the package
+  used before its closed form.
 """
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from flatlink.projlink import Arrangement, LinePlanePair, ProjHyperplane, ProjPoint
@@ -25,11 +31,25 @@ from flatlink.qkernel import (
     QPoly,
     _back_substitute,
     _echelon,
+    _int_matrix,
     _int_rows,
+    _primitive_ints,
+    _scaled_ints,
     inverse,
     rat,
 )
-from flatlink.symspace import FlatX, SubspaceY, _leading_minors_positive, sym_dim, sym_pairs
+from flatlink.symspace import (
+    FlatX,
+    IntersectionKind,
+    IntersectionResult,
+    SPDPoint,
+    SubspaceY,
+    _cross,
+    _leading_minors_positive,
+    subspace_from_pair,
+    sym_dim,
+    sym_pairs,
+)
 
 
 def transpose(M: QMatrix) -> QMatrix:
@@ -129,3 +149,62 @@ def transform_arrangement(g: QMatrix, arr: Arrangement) -> Arrangement:
 
 def transform_pair(g: QMatrix, lp: LinePlanePair) -> LinePlanePair:
     return LinePlanePair(transform_point(g, lp.line), transform_hyperplane(g, lp.plane))
+
+
+def faddeev_leverrier_char_poly(A: list[list[int]]) -> list[int]:
+    """Ascending integer coefficients of det(t I - A) for a square integer A,
+    by Faddeev–LeVerrier: with c_0 = 1 the coefficient of t^n,
+    B_1 = A, B_k = A B_(k-1) + c_(k-1) A and c_k = -tr(B_k) / k is the
+    coefficient of t^(n-k). Every c_k is an integer, so each division is
+    exact."""
+    n = len(A)
+    coeffs = [1]
+    B = A
+    for k in range(1, n + 1):
+        if k > 1:
+            c, cols = coeffs[-1], list(zip(*B))
+            B = [
+                [sum(map(mul, r, col)) + c * x for col, x in zip(cols, r)]
+                for r in A
+            ]
+        coeffs.append(-sum(B[i][i] for i in range(n)) // k)
+    return coeffs[::-1]
+
+
+def subspace_from_rho_by_square(rho: QMatrix) -> SubspaceY:
+    """The subspace of rho, checked by R R = d^2 I and tr R = (2 - m) d on
+    R = d rho, d > 0 the LCM of rho's denominators; then R + d I supplies
+    the line and the plane."""
+    if not rho.is_square:
+        raise ValueError("rho must be square")
+    m = rho.nrows
+    d, R = _int_matrix(rho)
+    cols = list(zip(*R))
+    if any(
+        sum(map(mul, r, c)) != (d * d if i == j else 0)
+        for i, r in enumerate(R)
+        for j, c in enumerate(cols)
+    ):
+        raise ValueError("rho must be an involution")
+    if sum(R[i][i] for i in range(m)) != (2 - m) * d:
+        raise ValueError("rho must have eigenvalue signature (+1, -1^(m-1))")
+    for i in range(m):
+        R[i][i] += d
+    i, j = next((i, j) for i in range(m) for j in range(m) if R[i][j])
+    return subspace_from_pair([r[j] for r in R], R[i])
+
+
+def intersect_by_cross(X: FlatX, Y: SubspaceY) -> IntersectionResult:
+    """`intersect` read from the crossing solve `_cross` alone, with no
+    moment pass."""
+    if X.m != Y.m:
+        raise ValueError("dimension mismatch")
+    t = _scaled_ints([x for r in X.tau.rows for x in r])
+    k, Z, s = _cross(t, _primitive_ints(Y.line), _scaled_ints(Y.plane))
+    if k != 1:
+        return IntersectionResult(IntersectionKind.DEGENERATE, None, k)
+    if Z is None:
+        return IntersectionResult(IntersectionKind.EMPTY, None, 1)
+    return IntersectionResult(
+        IntersectionKind.TRANSVERSE_POINT, SPDPoint(QMatrix(Z)), 1, Y.orientation * s
+    )

@@ -220,12 +220,13 @@ def test_link_decision_matches_sign_vector_route(m):
 
 def test_link_decision_solves_for_the_frame_once(monkeypatch):
     calls = []
+    solve = projlink._frame_solve
 
     def counted(arr, L):
         calls.append(L)
-        return frame_coefficients(arr, L)
+        return solve(arr, L)
 
-    monkeypatch.setattr(projlink, "frame_coefficients", counted)
+    monkeypatch.setattr(projlink, "_frame_solve", counted)
     assert link_decision(std_frame(3), LinePlanePair([1, 2, 3], [1, 1, 1])) is LINKED
     assert len(calls) == 1
 
