@@ -16,12 +16,14 @@ The deep-congruence machinery behind the same-sign statement (double
 cosets, p-adic identity neighborhoods) is replaced by what it predicts:
 enumerate gamma = I + p^n K inside an entry bound with det = 1, intersect
 each moved flat gamma X with Y, and report every transverse sign. Each
-crossing is decided as X against the pulled-back gamma^{-1} Y, in integers.
-The Hankel moment form of the pulled-back line and plane
-(`symspace._moment_definite`) is definite exactly when they cross
-transversely, so it rules out the misses, nearly every point, without an
-echelon; a point whose form is definite runs the one Krylov solve
-`intersect` uses (`symspace._cross`), which gives the point and the sign.
+crossing is decided as X against the pulled-back gamma^{-1} Y, in integers,
+from Y's integer line and plane as stored. The Hankel moment form of the
+pulled-back line and plane is definite exactly when they cross
+transversely (`symspace._moment_kind`, the pass `intersect` runs first),
+so it rules out the misses, nearly every point, without an echelon; a
+point whose form is definite builds the Krylov rows of its line and runs
+the one Krylov solve `intersect` uses (`symspace._cross`), which gives
+the point and the sign.
 Each det-1 point of the walk carries gamma and adj(gamma) as one flat
 tuple of ints, so the per-point step runs on ints alone.
 """
@@ -41,18 +43,18 @@ from .qkernel import (
     _int_det,
     _int_matrix,
     _is_prime,
-    _primitive_ints,
-    _scaled_ints,
     _solve_square,
     det,
     kernel_basis,
 )
 from .symspace import (
     FlatX,
+    IntersectionKind,
     SPDPoint,
     SubspaceY,
     _cross,
-    _moment_definite,
+    _krylov,
+    _moment_kind,
     _moment_powers,
     flat_from_tau,
     subspace_from_rho,
@@ -366,12 +368,14 @@ def _evaluator(X: FlatX, Y: SubspaceY):
 
     It pulls Y back instead of moving X. gamma X and Y meet in
     gamma (X and gamma^{-1} Y), and gamma^{-1} Y has line adj(gamma) v and
-    plane gamma^T w (det gamma = 1). Each point costs two integer mat-vecs
-    and the moment form of the pulled-back line and plane
-    (`symspace._moment_definite`: 2m - 1 integer dot products against the
-    powers of L tau, built once, and one m x m fraction-free pass). The
-    form is definite exactly when the crossing is a transverse point, so
-    only then does the point run the crossing solve (`symspace._cross`),
+    plane gamma^T w (det gamma = 1), from Y's integer v and w as stored.
+    Each point costs two integer mat-vecs and the moment form of the
+    pulled-back line and plane: the outer product of plane and line, 2m - 1
+    integer dot products against the powers of A = L tau
+    (`symspace._moment_powers`, built once), and one m x m fraction-free
+    pass (`symspace._moment_kind`). The form is definite exactly when the
+    crossing is a transverse point, so only then does the point build the
+    Krylov rows of its line and run the crossing solve (`symspace._cross`),
     which stays the only source of the point and the sign; a definite form
     without a point raises ArithmeticError. Matrices are built only for a
     hit. The reported point is gamma Z' gamma^T, formed in integers, with
@@ -381,12 +385,12 @@ def _evaluator(X: FlatX, Y: SubspaceY):
     at Z' on gamma^{-1} Y with Y's orientation bit carried back unchanged:
     with det gamma = 1 the pulled-back frame relates to
     (adj(gamma) v, gamma^T w) exactly as Y's frame does to (v, w). A bit
-    recomputed from the pulled-back line and plane, or a plane negated by
-    `_primitive_ints`, flips signs at odd m.
+    recomputed from the pulled-back line and plane, or a plane made
+    primitive (which may negate it), flips signs at odd m.
     """
-    t = _scaled_ints([x for r in X.tau.rows for x in r])
-    powers = _moment_powers(t)
-    v, w = _primitive_ints(Y.line), _scaled_ints(Y.plane)
+    A = _int_matrix(X.tau)[1]
+    powers = _moment_powers(A)
+    v, w = Y.line, Y.plane
     m = X.m
     mm = m * m
     adj_rows = range(mm, 2 * mm, m)
@@ -394,9 +398,11 @@ def _evaluator(X: FlatX, Y: SubspaceY):
     def evaluate(point: tuple[int, ...]) -> Optional[SignedHit]:
         line = [sum(map(operator.mul, point[i : i + m], v)) for i in adj_rows]
         plane = [sum(map(operator.mul, point[j:mm:m], w)) for j in range(m)]
-        if not _moment_definite(powers, line, plane):
+        outer = [a * b for a in plane for b in line]
+        moments = [sum(map(operator.mul, P, outer)) for P in powers]
+        if _moment_kind(moments) is not IntersectionKind.TRANSVERSE_POINT:
             return None
-        _, Z, s = _cross(t, line, plane)
+        _, Z, s = _cross(A, _krylov(A, line, m), plane)
         if Z is None:
             raise ArithmeticError("definite moment form, but no crossing point")
         gamma = [point[i : i + m] for i in range(0, mm, m)]

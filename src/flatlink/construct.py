@@ -59,7 +59,6 @@ from .symspace import (
     FlatX,
     IntersectionKind,
     SubspaceY,
-    flat_from_tau,
     intersection_table,
     subspace_from_pair,
 )
@@ -212,9 +211,9 @@ def _pattern_coordinates(N: int, m: int, thinness: Fraction, rotation: Fraction)
         b = [0] * m
         b[m - 2], b[m - 1] = 1, eps[i]
         arr = Arrangement(pts + [a, b])
-        flats.append(
-            PatternFlat(flat=flat_from_tau(tau_for_arrangement(arr)), arrangement=arr)
-        )
+        # not flat_from_tau: F diag(1..m) F^-1 is invertible with the m
+        # distinct real eigenvalues 1..m by construction
+        flats.append(PatternFlat(flat=FlatX(tau_for_arrangement(arr)), arrangement=arr))
     line = [1] * (m - 1) + [0]
     subspaces = []
     for j in range(N):

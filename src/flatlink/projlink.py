@@ -70,10 +70,11 @@ class ProjHyperplane:
     def dim(self) -> int:
         return len(self.functional)
 
-    def eval(self, p: ProjPoint) -> Fraction:
+    def eval(self, p: ProjPoint) -> int:
+        """The functional at p's primitive representative."""
         if len(self.functional) != len(p.rep):
             raise ValueError("dimension mismatch")
-        return Fraction(sum(a * b for a, b in zip(self.functional, p.rep)))
+        return sum(map(mul, self.functional, p.rep))
 
     def __repr__(self):
         return f"ProjHyperplane{self.functional}"
@@ -169,9 +170,10 @@ def _signed_vertices(cs: Sequence, values: Sequence) -> LinkDecision:
 
 def link_evidence(
     arr: Arrangement, lp: LinePlanePair
-) -> tuple[LinkDecision, tuple[Fraction, ...], list[Fraction]]:
+) -> tuple[LinkDecision, tuple[Fraction, ...], list[int]]:
     """The link decision with what it is read from, from one frame solve:
-    the frame coefficients c of L and the plane values P(L_j)."""
+    the frame coefficients c of L and the plane values P(L_j), integers
+    on the primitive representatives."""
     cs = frame_coefficients(arr, lp.line)
     values = [lp.plane.eval(p) for p in arr.points]
     return _signed_vertices(cs, values), cs, values

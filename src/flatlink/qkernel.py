@@ -527,13 +527,6 @@ class QPoly:
     def derivative(self) -> "QPoly":
         return QPoly([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def eval(self, x) -> Fraction:
-        x = rat(x)
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def primitive_int(self) -> tuple[int, ...]:
         """Integer coefficients with content 1, leading coefficient positive."""
         if self.is_zero:

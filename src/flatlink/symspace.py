@@ -9,22 +9,26 @@ space {Z symmetric : tau Z = Z tau^T}; the geodesic subspace attached to an
 involution rho with eigenvalues (-1, ..., -1, 1) is the PD part of
 {Z : rho Z rho^T = Z}. Both memberships are linear, so intersection is an
 exact kernel computation, against which the tests hold `intersect`. A flat
-is its tau, a subspace its line v and plane w, and the crossing Z solves
-K^T Z = J^T for the Krylov matrices K of w under tau^T and J of v under
-tau: one m x 2m integer echelon gives the kernel dimension, point and sign.
-Whether that point exists is also decided, without the echelon, by the
-definiteness of the m x m Hankel moment form H = K^T J of v and w under
-tau (`_moment_definite`), which the congruence descent tests first.
-One pass over H (`_moment_kind`) tells definite, nonsingular but not
-definite (Empty), and singular apart; `intersect` runs it first and the
-echelon only when H is definite or singular.
+is its tau, a subspace its line v and plane w, primitive integer vectors,
+and the crossing Z solves K^T Z = J^T for the Krylov matrices K of w under
+tau^T and J of v under tau: one m x 2m integer echelon gives the kernel
+dimension, point and sign (`_cross`). Whether that point exists is also
+decided, without the echelon, by the m x m Hankel moment form H = K^T J of
+v and w under tau, whose entries are the moments w . A^k v, A = L tau.
+One pass over H (`_moment_kind`) tells definite (a crossing), nonsingular
+but not definite (Empty), and singular apart; it is the module's only
+Hankel test. `intersect` runs it first and the echelon only when H is
+definite or singular, handing `_cross` the Krylov rows of v that the
+moments were read from; `_cross` builds only K's.
 A pattern's cells go through `intersection_table`, which keeps kind and
 sign only and decides a cell from H alone unless det H = 0: definite H is
 a crossing whose sign is read from sign(s_0)^m and sign det J, as
 det H = det K det J, and a nonsingular H that is not definite is Empty.
 J depends on the flat and the line only, so it is built once per (flat,
-line), and a cell costs 2m - 1 dot products and one m x m pass. `_cross`
-stays the one source of points, for `intersect` and for the descents.
+line), and a cell costs 2m - 1 dot products and one m x m pass. The
+congruence descent reads each point's moments off the powers of A
+(`_moment_powers`) and tests them with `_moment_kind` too. `_cross` stays
+the one source of points, for `intersect` and for the descents.
 This route never consults the projective linking criterion; it is the module
 the criterion is tested against.
 
@@ -191,18 +195,24 @@ class SubspaceY:
     """Minset of the involution rho with eigenvalues (-1, ..., -1, 1).
 
     Y is its line, the +1 eigenvector v, and its plane, the functional w
-    cutting out the -1 eigenspace, both canonical primitive integer vectors
-    (see `subspace_from_pair`); rho = 2 v w^T / (w.v) - I is derived from
-    them. orientation (+1 or -1) orients Y's solution space relative to
+    cutting out the -1 eigenspace, both canonical primitive int tuples
+    (see `subspace_from_pair`), which every consumer reads as they are;
+    rho = 2 v w^T / (w.v) - I is derived from them. An entry that is not
+    an int raises TypeError: the integer passes would floor a Fraction.
+    orientation (+1 or -1) orients Y's solution space relative to
     (v, w); a crossing's sign is this bit times sign det[w | tau^T w | ...]
     (see `_cross`). When Y is moved together with v and w, the bit is
     carried, not recomputed: at odd m, recomputing it from the moved w
     depends on the canonical kernel basis of w, and so flips for some moves.
     """
 
-    line: tuple
-    plane: tuple
+    line: tuple[int, ...]
+    plane: tuple[int, ...]
     orientation: int
+
+    def __post_init__(self):
+        if not all(isinstance(x, int) for x in (*self.line, *self.plane)):
+            raise TypeError("a subspace's line and plane must hold ints")
 
     @property
     def rho(self) -> QMatrix:
@@ -235,12 +245,18 @@ def subspace_from_pair(line: Sequence, plane: Sequence) -> SubspaceY:
     sign det[w | U] = (-1)^(m-1+p) (-1)^(m-q) = (-1)^(p+q-1).
     """
     v, w, _ = _pair(line, plane)
+    return _integer_subspace(v, w)
+
+
+def _integer_subspace(v: Sequence[int], w: Sequence[int]) -> SubspaceY:
+    """`subspace_from_pair` of an integer line v and plane w with w.v != 0:
+    the constructor both public ones end in, with no rational parsing."""
     v, w = _primitive_ints(v), _primitive_ints(w)
     m = len(w)
     p = next(i for i, x in enumerate(w) if x)
     s = (-1) ** (p + sum(x > 0 for x in w) - 1)  # sign det[w | U]
     bit = (-1) ** (m * (m - 1) ** 2 // 2) * s**m
-    return SubspaceY(tuple(map(Fraction, v)), tuple(map(Fraction, w)), bit)
+    return SubspaceY(v, w, bit)
 
 
 def subspace_from_rho(rho: QMatrix) -> SubspaceY:
@@ -256,7 +272,8 @@ def subspace_from_rho(rho: QMatrix) -> SubspaceY:
     rho^2 = M^2 / d^2 - 2 M / d + I = I, and tr rho = 2 - m. M has rank one
     exactly when some entry M_ij is nonzero (one is, as tr M != 0) and
     every 2 x 2 minor through it vanishes, M_ab M_ij = M_aj M_ib: m^2
-    products, where rho^2 = I takes m^3. Then column j is v and row i is w.
+    products, where rho^2 = I takes m^3. Then column j is v and row i is w,
+    already integers, with w.v = M_ij tr(M) != 0.
     """
     if not rho.is_square:
         raise ValueError("rho must be square")
@@ -268,7 +285,7 @@ def subspace_from_rho(rho: QMatrix) -> SubspaceY:
         i, j = next((i, j) for i in range(m) for j in range(m) if M[i][j])
         p, w = M[i][j], M[i]
         if all(x * p == r[j] * y for r in M for x, y in zip(r, w)):
-            return subspace_from_pair([r[j] for r in M], w)
+            return _integer_subspace([r[j] for r in M], w)
     raise ValueError(
         "rho must be an involution with eigenvalue signature (+1, -1^(m-1))"
     )
@@ -327,11 +344,14 @@ def _krylov(A: Sequence[Sequence[int]], x: Sequence[int], n: int) -> list[list[i
 
 
 def _cross(
-    t: Sequence[int], v: Sequence[int], w: Sequence[int]
+    A: Sequence[Sequence[int]], J: list[list[int]], w: Sequence[int]
 ) -> tuple[int, Optional[list[list[int]]], Optional[int]]:
-    """X ∩ Y in plain integers, from t = L tau row-major (L > 0 the LCM of
-    tau's denominators) and Y's +1 line v and plane functional w, both
-    scaled to integers, w by a positive factor only.
+    """X ∩ Y in plain integers, from the rows of A = L tau (L > 0 the LCM
+    of tau's denominators), the Krylov rows v, A v, A^2 v, ... of Y's +1
+    line v (`_krylov(A, v, n)` for some n >= m; the first m are read) and
+    Y's plane functional w, v and w scaled to integers, w by a positive
+    factor only. The caller has built J's rows for its moments or its
+    table, so only K's are built here.
 
     Y is {Z symmetric : Z w parallel to v}. tau has distinct eigenvalues, so
     every Z with tau Z = Z tau^T is symmetric (Taussky and Zassenhaus), and
@@ -368,9 +388,7 @@ def _cross(
     the point, sign(det K).
     """
     m = len(w)
-    A = [t[i * m : (i + 1) * m] for i in range(m)]
-    K, J = _krylov(list(zip(*A)), w, m), _krylov(A, v, m)
-    a = [k + j for k, j in zip(K, J)]
+    a = [k + j for k, j in zip(_krylov(list(zip(*A)), w, m), J)]
     pivots, sgn, d = _echelon(a)
     r = sum(c < m for c in pivots)
     if r < m:
@@ -386,11 +404,12 @@ def _cross(
     return 1, Z, sgn * sign(d)
 
 
-def _moment_powers(t: Sequence[int]) -> list[list[int]]:
-    """A^0, ..., A^(2m-2) for A = t (m x m, row-major), each row-major: the
-    matrices of `_moment_definite`, built once per flat."""
-    m = math.isqrt(len(t))
-    cols = [t[j::m] for j in range(m)]
+def _moment_powers(A: Sequence[Sequence[int]]) -> list[list[int]]:
+    """A^0, ..., A^(2m-2), each row-major, for A given by its m rows: built
+    once per flat, they give a descent point's moments w . A^k v as dot
+    products with the outer product of w and v (see `_moment_kind`)."""
+    m = len(A)
+    cols = list(zip(*A))
     P = [[int(i == j) for i in range(m) for j in range(m)]]
     for _ in range(2 * m - 2):
         rows = [P[-1][i * m : (i + 1) * m] for i in range(m)]
@@ -398,54 +417,31 @@ def _moment_powers(t: Sequence[int]) -> list[list[int]]:
     return P
 
 
-def _moment_definite(
-    powers: list[list[int]], v: Sequence[int], w: Sequence[int]
-) -> bool:
-    """Whether `_cross(t, v, w)` returns a point, without its echelon:
-    `powers` is `_moment_powers(t)`.
+def _moment_kind(s: list[int]) -> Optional[IntersectionKind]:
+    """What the m x m Hankel form H = [s_(j+k)] of the 2m - 1 moments
+    s_k = w . A^k v decides, for A = L tau and Y's line v and plane w:
+    TransversePoint when H is definite, Empty when H is nonsingular but not
+    definite (see `intersection_table`), and None when det H = 0, which
+    only `_cross` can decide.
 
     This is the Hankel (moment) form of Hermite's root-separation method
-    (Krein and Naimark, 1936). With A = L tau, s_k = w . A^k v and H the
-    m x m Hankel matrix [s_(j+k)]: in tau's eigenbasis x_i, with w_i and
-    v_i as in `_cross`, s_k = sum_i mu_i n_i^k for the nodes n_i, A's
+    (Krein and Naimark, 1936). In tau's eigenbasis x_i, with w_i and v_i
+    as in `_cross`, s_k = sum_i mu_i n_i^k for the nodes n_i, A's
     eigenvalues, and mu_i = w_i v_i. So H = V^T diag(mu) V with
     V = [n_i^j], real and invertible because the nodes are real and
     distinct, and by Sylvester's law of inertia H is definite exactly when
-    every mu_i is nonzero and all share one sign. That is `_cross`'s condition for a point: r = m (every
-    w_i nonzero) and a_i = lam v_i / w_i of one strict sign for some lam,
-    that is v_i / w_i, or v_i w_i, all nonzero of one sign. The sign of a
-    definite H is that of s_0 = w . v, so H is definite exactly when
-    sign(s_0) H passes Sylvester's test, one fraction-free pass without
-    pivoting (`_hankel_definite`).
-    """
-    o = [a * b for a in w for b in v]
-    return _hankel_definite([sum(map(operator.mul, P, o)) for P in powers])
-
-
-def _hankel_definite(s: list[int]) -> bool:
-    """Whether the m x m Hankel form [s_(j+k)] of the 2m - 1 moments s is
-    definite: sign(s_0) H passes Sylvester's test, as a definite form has
-    the sign of its (0, 0) entry. It stops at the first pivot that is not
-    positive, which is all a descent's point needs (`_moment_kind` goes on
-    to tell Empty from a singular H)."""
-    m = (len(s) + 1) // 2
-    if s[0] < 0:
-        s = [-x for x in s]
-    return _leading_minors_positive([s[j : j + m] for j in range(m)])
-
-
-def _moment_kind(s: list[int]) -> Optional[IntersectionKind]:
-    """What the m x m Hankel form H = [s_(j+k)] of the 2m - 1 moments s
-    decides (see `_moment_definite`): TransversePoint when H is definite,
-    Empty when H is nonsingular but not definite (see `intersection_table`),
-    and None when det H = 0, which only `_cross` can decide.
+    every mu_i is nonzero and all share one sign. That is `_cross`'s
+    condition for a point: r = m (every w_i nonzero) and
+    a_i = lam v_i / w_i of one strict sign for some lam, that is v_i / w_i,
+    or v_i w_i, all nonzero of one sign. A definite H has the sign of its
+    (0, 0) entry s_0 = w . v.
 
     One fraction-free pass over sign(s_0) H: while no pivot is zero it takes
     no row swap, so the pivots are the leading principal minors, and H is
-    definite exactly when they are all positive. A zero pivot only shows
-    that H is not definite; the pass then swaps in a row with a nonzero
-    entry in that column, as `_echelon` does, and goes on to tell
-    det H != 0 from det H = 0. No second pass computes det H.
+    definite exactly when they are all positive (Sylvester's test). A zero
+    pivot only shows that H is not definite; the pass then swaps in a row
+    with a nonzero entry in that column, as `_echelon` does, and goes on to
+    tell det H != 0 from det H = 0. No second pass computes det H.
     """
     m = (len(s) + 1) // 2
     if s[0] < 0:
@@ -470,12 +466,14 @@ def _moment_kind(s: list[int]) -> Optional[IntersectionKind]:
     return IntersectionKind.TRANSVERSE_POINT if definite else IntersectionKind.EMPTY
 
 
-def _integer_pair(X: FlatX, Y: SubspaceY) -> tuple[list[int], tuple, list[int]]:
-    """`_cross`'s arguments for X and Y: L tau row-major, v and w."""
+def _integer_pair(
+    X: FlatX, Y: SubspaceY
+) -> tuple[list[list[int]], tuple[int, ...], tuple[int, ...]]:
+    """`_cross`'s integers for X and Y: the rows of A = L tau, and Y's line
+    and plane as they are."""
     if X.m != Y.m:
         raise ValueError("dimension mismatch")
-    t = _scaled_ints([x for r in X.tau.rows for x in r])
-    return t, _primitive_ints(Y.line), _scaled_ints(Y.plane)
+    return _int_matrix(X.tau)[1], Y.line, Y.plane
 
 
 def intersect(X: FlatX, Y: SubspaceY) -> IntersectionResult:
@@ -485,19 +483,19 @@ def intersect(X: FlatX, Y: SubspaceY) -> IntersectionResult:
     A = L tau, and one pass over their Hankel matrix H (`_moment_kind`).
     A nonsingular H that is not definite is Empty, with one kernel line
     (see `intersection_table`), and nothing else runs. Otherwise the
-    intersection is one small integer system (`_cross`): at a definite H
+    intersection is one small integer system (`_cross`, on the Krylov
+    rows the moments were read from): at a definite H
     a one-dimensional kernel whose line carries a PD representative, the
     transverse intersection point, returned with its sign; at det H = 0
     no point, and `_cross` alone tells Empty from Degenerate. Higher-
     dimensional kernels are reported as Degenerate, never perturbed.
     """
-    t, v, w = _integer_pair(X, Y)
-    m = len(v)
-    J = _krylov([t[i * m : (i + 1) * m] for i in range(m)], v, 2 * m - 1)
+    A, v, w = _integer_pair(X, Y)
+    J = _krylov(A, v, 2 * len(v) - 1)
     moments = [sum(map(operator.mul, w, x)) for x in J]
     if _moment_kind(moments) is IntersectionKind.EMPTY:
         return IntersectionResult(IntersectionKind.EMPTY, None, 1)
-    k, Z, s = _cross(t, v, w)
+    k, Z, s = _cross(A, J, w)
     if k != 1:
         return IntersectionResult(IntersectionKind.DEGENERATE, None, k)
     if Z is None:
@@ -514,11 +512,12 @@ def intersection_table(
     (X_i ∩ Y_j).kind with its sign, None unless TransversePoint.
 
     Each cell is decided by its moment form, the Hankel matrix
-    H = [s_(j+k)] of s_k = w . A^k v, A = L tau (see `_moment_definite`).
-    A row scales its tau once and builds, for each distinct line v among
-    the columns, the Krylov vectors J_k = A^k v for k = 0, ..., 2m - 2; a
-    cell then costs 2m - 1 dot products with its plane w. In `_cross`'s
-    notation H = K^T J, so det H = det K det J.
+    H = [s_(j+k)] of s_k = w . A^k v, A = L tau (see `_moment_kind`).
+    A row forms A's integer rows once and builds, for each distinct line v
+    among the columns, the Krylov vectors J_k = A^k v for
+    k = 0, ..., 2m - 2; a cell then costs 2m - 1 dot products with its
+    plane w, read as stored on Y. In `_cross`'s notation H = K^T J, so
+    det H = det K det J.
 
     - H definite (sign(s_0) H passes Sylvester's test): a TransversePoint.
       A definite H has det H of sign sign(s_0)^m, so the crossing sign
@@ -530,27 +529,24 @@ def intersection_table(
       have mixed signs: the line's a_i = lam v_i / w_i are never all
       positive.
     - det H = 0: H is not definite, so there is no point, and `_cross`
-      decides between Degenerate and Empty: only its echelon tells a
-      kernel of dimension >= 2 from the one line at lam = 0.
+      decides between Degenerate and Empty, on the row's J: only its
+      echelon tells a kernel of dimension >= 2 from the one line at
+      lam = 0.
 
     One pass over sign(s_0) H tells the three apart (`_moment_kind`). No
     point is built: a certificate keeps kind and sign only.
     """
     if len({X.m for X in flats} | {Y.m for Y in subspaces}) > 1:
         raise ValueError("dimension mismatch")
-    columns = [
-        (_primitive_ints(Y.line), _scaled_ints(Y.plane), Y.orientation)
-        for Y in subspaces
-    ]
     table = []
     for X in flats:
         m = X.m
-        t = _scaled_ints([x for r in X.tau.rows for x in r])
-        A = [t[i * m : (i + 1) * m] for i in range(m)]
+        A = _int_matrix(X.tau)[1]
         krylov: dict[tuple, list[list[int]]] = {}
         det_signs: dict[tuple, int] = {}
         row = []
-        for v, w, orientation in columns:
+        for Y in subspaces:
+            v, w = Y.line, Y.plane
             J = krylov.get(v)
             if J is None:
                 J = krylov[v] = _krylov(A, v, 2 * m - 1)
@@ -559,11 +555,11 @@ def intersection_table(
             if kind is IntersectionKind.TRANSVERSE_POINT:
                 if v not in det_signs:
                     det_signs[v] = sign(_int_det(J[:m]))
-                crossing = orientation * sign(s[0]) ** m * det_signs[v]
+                crossing = Y.orientation * sign(s[0]) ** m * det_signs[v]
                 row.append((kind, crossing))
             elif kind is IntersectionKind.EMPTY:
                 row.append((kind, None))
-            elif _cross(t, v, w)[0] == 1:  # a singular H is not definite: no point
+            elif _cross(A, J, w)[0] == 1:  # a singular H is not definite: no point
                 row.append((IntersectionKind.EMPTY, None))
             else:
                 row.append((IntersectionKind.DEGENERATE, None))
@@ -577,7 +573,8 @@ def intersection_sign(X: FlatX, Y: SubspaceY, at: SPDPoint) -> int:
     alone, without `intersect`'s moment pass. `at` is a positive multiple of
     the primitive point Z exactly when its integer scaling is, as both have
     a positive (0, 0) entry: when its primitive entries are Z's."""
-    k, Z, s = _cross(*_integer_pair(X, Y))
+    A, v, w = _integer_pair(X, Y)
+    k, Z, s = _cross(A, _krylov(A, v, len(v)), w)
     if k != 1:
         raise ValueError("non-transverse configuration")
     scaled = [x for r in _int_matrix(at.Z)[1] for x in r]

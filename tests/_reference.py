@@ -10,8 +10,8 @@ way, kept here so that the tests can hold the package against it:
 - membership of a symmetric matrix in a flat or a subspace by its defining
   equation (`flat_contains`, `subspace_contains`);
 - reduced row echelon form (`rref_rows`), a unique solve (`solve_unique`),
-  the Euclidean gcd (`poly_gcd`) and a polynomial at a matrix
-  (`eval_matrix`), all over Q;
+  the Euclidean gcd (`poly_gcd`), a polynomial at a point (`eval_poly`)
+  and at a matrix (`eval_matrix`), all over Q;
 - the GL action on projective points, hyperplanes, arrangements and pairs
   (`transform_*`);
 - the characteristic polynomial by Faddeev–LeVerrier
@@ -33,8 +33,6 @@ from flatlink.qkernel import (
     _echelon,
     _int_matrix,
     _int_rows,
-    _primitive_ints,
-    _scaled_ints,
     inverse,
     rat,
 )
@@ -45,6 +43,7 @@ from flatlink.symspace import (
     SPDPoint,
     SubspaceY,
     _cross,
+    _krylov,
     _leading_minors_positive,
     subspace_from_pair,
     sym_dim,
@@ -125,6 +124,14 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
     return a if a.is_zero else a * (1 / a.lead)
 
 
+def eval_poly(p: QPoly, x) -> Fraction:
+    """p(x) over Q, by Horner's rule."""
+    x, acc = rat(x), Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def eval_matrix(p: QPoly, M: QMatrix) -> QMatrix:
     """p(M), by Horner's rule."""
     n = M.nrows
@@ -199,8 +206,8 @@ def intersect_by_cross(X: FlatX, Y: SubspaceY) -> IntersectionResult:
     moment pass."""
     if X.m != Y.m:
         raise ValueError("dimension mismatch")
-    t = _scaled_ints([x for r in X.tau.rows for x in r])
-    k, Z, s = _cross(t, _primitive_ints(Y.line), _scaled_ints(Y.plane))
+    A = _int_matrix(X.tau)[1]
+    k, Z, s = _cross(A, _krylov(A, Y.line, X.m), Y.plane)
     if k != 1:
         return IntersectionResult(IntersectionKind.DEGENERATE, None, k)
     if Z is None:

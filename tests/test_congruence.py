@@ -569,10 +569,12 @@ def test_descent_solves_a_crossing_once_per_hit(monkeypatch):
     three hits of the bound-400 descent, each with a definite form."""
     calls = []
 
-    def counted(t, v, w):
-        assert symspace._moment_definite(symspace._moment_powers(t), v, w)
+    def counted(A, J, w):
+        krylov = symspace._krylov(A, J[0], 2 * len(w) - 1)
+        moments = [sum(a * b for a, b in zip(w, x)) for x in krylov]
+        assert symspace._moment_kind(moments) is IntersectionKind.TRANSVERSE_POINT
         calls.append(1)
-        return symspace._cross(t, v, w)
+        return symspace._cross(A, J, w)
 
     monkeypatch.setattr(congruence, "_cross", counted)
     hits = enumerate_same_sign(TAU2, RHO2, CongruenceLevel(5, 1), entry_bound=400)
@@ -581,7 +583,7 @@ def test_descent_solves_a_crossing_once_per_hit(monkeypatch):
 
 
 def test_definite_form_without_a_crossing_raises(monkeypatch):
-    monkeypatch.setattr(congruence, "_cross", lambda t, v, w: (1, None, None))
+    monkeypatch.setattr(congruence, "_cross", lambda A, J, w: (1, None, None))
     evaluate = _evaluator(flat_from_tau(TAU2), subspace_from_rho(RHO2))
     with pytest.raises(ArithmeticError):
         evaluate(_walk_point((1, 0, 0, 1), 2))

@@ -64,6 +64,9 @@ def test_four_by_four_m3_pattern():
             w = p.certificate[i][j]
             assert (w.link == "Linked") == (w.oracle == "TransversePoint")
             assert (w.link == "Linked") == (i <= j)
+    for pf in p.flats:
+        # built without flat_from_tau; its checks must still pass
+        assert flat_from_tau(pf.flat.tau) == pf.flat
 
 
 def test_pattern_bad_arguments():
@@ -474,6 +477,7 @@ def test_rationalize_pattern_roundtrip():
     for pf in snapped.flats:
         assert pf.rationalized is not None
         assert pf.rationalized.irred.verdict is IrredVerdict.IRREDUCIBLE
+    for pf in p.flats + snapped.flats:
         # built without flat_from_tau; its checks must still pass
         assert flat_from_tau(pf.flat.tau) == pf.flat
     for row in snapped.certificate:

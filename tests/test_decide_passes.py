@@ -27,7 +27,13 @@ from flatlink.projlink import (  # noqa: E402
     link_decision,
     link_evidence,
 )
-from flatlink.qkernel import QMatrix, _int_char_poly, det  # noqa: E402
+from flatlink.qkernel import (  # noqa: E402
+    QMatrix,
+    _int_char_poly,
+    _primitive_ints,
+    _scaled_ints,
+    det,
+)
 from flatlink.symspace import (  # noqa: E402
     IntersectionKind,
     SPDPoint,
@@ -172,7 +178,7 @@ def test_intersect_matches_cross_on_built_cases(case, flip, seed, monkeypatch):
     if sum(map(operator.mul, c, e)):
         Y = subspace_from_pair(line, plane)
     else:  # the line lies in the plane: only a SubspaceY built directly has it
-        Y = SubspaceY(tuple(line), tuple(plane), 1)
+        Y = SubspaceY(_primitive_ints(line), tuple(_scaled_ints(plane)), 1)
     minors = _leading_minors(_hankel(X, Y))
     first_zero = next((k for k, x in enumerate(minors) if x == 0), None)
     assert first_zero == zero_minor

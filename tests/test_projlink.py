@@ -56,6 +56,9 @@ def test_canonical_representatives():
     assert ProjHyperplane([0, -5, 10]).functional == (0, 1, -2)
     with pytest.raises(ValueError):
         ProjPoint([0, 0])
+    # a plane's value is the int dot product of the two representatives
+    value = ProjHyperplane([Fraction(1, 2), Fraction(-3, 2)]).eval(ProjPoint([2, 4]))
+    assert type(value) is int and value == -5
 
 
 def test_arrangement_and_pair_invariants():

@@ -11,10 +11,18 @@ name is in ALLOWED, with the reason it is kept; README's "Kept as API"
 lists the same names. A method or property is named as Class.method, and
 counts as used only when an attribute of its name is read or perfbench names
 it in a string: an attribute access names no class.
+
+Every private module-level function or class of flatlink is named in
+`src/` outside its own definition, as an identifier in its own module or
+in another that imports it; the import itself does not count. So a
+helper the package stops calling is deleted, or moved into
+`tests/_reference.py`, instead of staying behind for the tests alone.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "flatlink"
@@ -118,3 +126,31 @@ def test_readme_lists_the_allowed_names():
     section = readme.split("## Kept as API", 1)[1].split("\n## ", 1)[0]
     for name in ALLOWED:
         assert f"`{name}`" in section
+
+
+def _private_definitions() -> list[tuple[str, ast.AST, dict]]:
+    """(module.name, node, parsed modules) of each private module-level
+    function or class in `src/`."""
+    modules = {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    return [
+        (f"{name}.{node.name}", node, modules)
+        for name, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    ]
+
+
+PRIVATE = {qualified: (node, modules) for qualified, node, modules in _private_definitions()}
+
+
+@pytest.mark.parametrize("qualified", sorted(PRIVATE))
+def test_every_private_name_runs_in_src(qualified):
+    node, modules = PRIVATE[qualified]
+    own = qualified.split(".", 1)[0]
+    used = _identifiers(modules[own], skip=node).union(
+        *(_identifiers(t) for n, t in modules.items() if n != own)
+    )
+    assert node.name in used or "." + node.name in used, (
+        f"{qualified} is not named in src/ outside its definition: delete it, "
+        "or move it into tests/_reference.py"
+    )

@@ -26,6 +26,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from _reference import eval_poly  # noqa: E402
+
 _SETTINGS = settings(max_examples=300, deadline=None)
 
 
@@ -61,8 +63,8 @@ def _ref_count(p: QPoly) -> int:
 
 
 def _ref_roots_in(chain, lo, hi) -> int:
-    return _ref_variations(_sgn(q.eval(lo)) for q in chain) - _ref_variations(
-        _sgn(q.eval(hi)) for q in chain
+    return _ref_variations(_sgn(eval_poly(q, lo)) for q in chain) - _ref_variations(
+        _sgn(eval_poly(q, hi)) for q in chain
     )
 
 
@@ -81,7 +83,7 @@ def _ref_isolate(p: QPoly) -> list[tuple[Fraction, Fraction]]:
             return
         mid = (lo + hi) / 2
         k = 3
-        while p.eval(mid) == 0:
+        while eval_poly(p, mid) == 0:
             mid += (hi - lo) / k
             k += 2
         left = _ref_roots_in(chain, lo, mid)
@@ -170,7 +172,7 @@ def test_chain_members_are_positive_multiples(p):
 @_SETTINGS
 @given(int_polys(), st.fractions(min_value=-30, max_value=30, max_denominator=50))
 def test_sign_at_matches_fraction_eval(p, x):
-    assert _sign_at(p, x) == _sgn(QPoly(p).eval(x))
+    assert _sign_at(p, x) == _sgn(eval_poly(QPoly(p), x))
 
 
 @_SETTINGS

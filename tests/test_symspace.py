@@ -15,8 +15,7 @@ from flatlink.projlink import (
 )
 from flatlink.qkernel import (
     QMatrix,
-    _primitive_ints,
-    _scaled_ints,
+    _int_matrix,
     char_poly,
     det,
     kernel_basis,
@@ -27,7 +26,8 @@ from flatlink.symspace import (
     FlatX,
     IntersectionKind,
     SPDPoint,
-    _moment_definite,
+    SubspaceY,
+    _moment_kind,
     _moment_powers,
     flat_from_tau,
     flat_membership_system,
@@ -306,6 +306,7 @@ def test_subspace_from_pair_matches_rho(m):
         Y = subspace_from_pair([a * x for x in line], [b * x for x in plane])
         assert Y == subspace_from_rho(rho)
         assert (Y.line, Y.plane) == (v, w)
+        assert all(type(x) is int for x in Y.line + Y.plane)
         assert Y.rho == rho
         done += 1
 
@@ -321,6 +322,16 @@ def test_involution_for_pair():
         for build in (involution_for_pair, subspace_from_pair):
             with pytest.raises(ValueError, match="inside the plane"):
                 build(line, plane)
+
+
+def test_subspace_refuses_entries_that_are_not_ints():
+    """The integer passes read a SubspaceY's line and plane as they are,
+    where `//` would floor a Fraction."""
+    Y = subspace_from_pair([1, 1], [2, -1])
+    assert SubspaceY(Y.line, Y.plane, Y.orientation) == Y
+    for line, plane in (((F(1, 2), 1), (2, -1)), ((1, 1), (2.0, -1))):
+        with pytest.raises(TypeError):
+            SubspaceY(line, plane, 1)
 
 
 def test_involution_for_pair_rejects_dimension_mismatch():
@@ -801,10 +812,11 @@ def test_moment_form_decides_transverse(m):
         draws += 1
         Y = subspace_from_rho(involution_for_pair(line, plane))
         transverse = intersect(flat_from_tau(tau), Y).kind is IntersectionKind.TRANSVERSE_POINT
-        powers = _moment_powers(_scaled_ints([x for r in tau.rows for x in r]))
-        v, w = _primitive_ints(Y.line), _scaled_ints(Y.plane)
-        assert _moment_definite(powers, v, w) is transverse
-        assert _moment_definite(powers, [-x for x in v], w) is transverse
+        powers = _moment_powers(_int_matrix(tau)[1])
+        for v in (Y.line, [-x for x in Y.line]):
+            outer = [a * b for a in Y.plane for b in v]
+            moments = [sum(a * b for a, b in zip(P, outer)) for P in powers]
+            assert (_moment_kind(moments) is IntersectionKind.TRANSVERSE_POINT) is transverse
         assert not (transverse and kind in (2, 3))
         transverse_draws += transverse
     assert 20 <= transverse_draws <= draws - 20
