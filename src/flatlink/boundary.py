@@ -32,8 +32,8 @@ and a canonical generator matrix has as many columns as its dimension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -43,7 +43,6 @@ from .qkernel import (
     _echelon,
     _int_det,
     _int_matrix,
-    _scaled_ints,
     rank,
 )
 
@@ -51,8 +50,10 @@ Vectors = list[list[int]]
 
 
 def _columns(M: QMatrix) -> Vectors:
-    """M's columns, each scaled to integers by a positive factor."""
-    return [_scaled_ints(c) for c in zip(*M.rows)]
+    """M's columns, each scaled to integers by the least positive factor:
+    column j of L M over gcd(L, column j)."""
+    L, A = _int_matrix(M)
+    return [[x // g for x in c] for c in zip(*A) for g in (math.gcd(L, *c),)]
 
 
 def _rank(*parts: Vectors) -> int:
@@ -79,7 +80,7 @@ def _reduced(a: Vectors, pivots: list[int], d: int) -> tuple[QMatrix, Vectors]:
     ys = [_back_substitute(a, pivots, d, i) for i in range(len(a[0]))]
     s = 1 if d > 0 else -1
     vecs = [[s * y[k] for y in ys] for k in range(len(pivots))]
-    return QMatrix([[Fraction(x, d) for x in y] for y in ys]), vecs
+    return QMatrix._from_ints(d, ys), vecs
 
 
 def _canonical(vecs: Vectors) -> tuple[QMatrix, Vectors]:
@@ -261,8 +262,8 @@ def common_associated_subspaces(
     seen = set()
     candidates = []
     for S, vecs in pool:
-        if S.rows not in seen:
-            seen.add(S.rows)
+        if S not in seen:
+            seen.add(S)
             candidates.append((S, vecs))
     for i in range(len(candidates)):
         for j in range(i + 1, len(candidates)):
@@ -271,8 +272,8 @@ def common_associated_subspaces(
             if len(pivots) == m:  # the whole space is no candidate
                 continue
             S, vecs = _reduced(a, pivots, d)
-            if S.rows not in seen:
-                seen.add(S.rows)
+            if S not in seen:
+                seen.add(S)
                 candidates.append((S, vecs))
 
     out = [

@@ -408,7 +408,11 @@ def _evaluator(X: FlatX, Y: SubspaceY):
         gamma = [point[i : i + m] for i in range(0, mm, m)]
         gZ = [[sum(map(operator.mul, r, z)) for z in Z] for r in gamma]  # Z = Z^T
         moved = [[sum(map(operator.mul, r, g)) for g in gamma] for r in gZ]
-        return SignedHit(QMatrix(gamma), SPDPoint(QMatrix(moved)), Y.orientation * s)
+        return SignedHit(
+            QMatrix._from_ints(1, gamma),
+            SPDPoint(QMatrix._from_ints(1, moved)),
+            Y.orientation * s,
+        )
 
     return evaluate
 

@@ -1,7 +1,10 @@
 """Exact rational linear algebra and univariate polynomial utilities.
 
 Scalars are `fractions.Fraction` (aliased Rat): always reduced, denominator
-positive. Matrices are immutable row-major tuples of Fractions. All
+positive. A matrix (`QMatrix`) is immutable and stored as one integer
+form: L > 0, the LCM of its denominators, and the integer rows of L M.
+Its Fraction rows are a view built on first read; sums, products,
+inverses and similarities are formed on the integer forms. All
 elimination is one fraction-free (Bareiss) forward pass on integer-scaled
 rows, so intermediate entries stay minors of the input instead of blowing
 up, followed where needed by one integer back-substitution whose divisions
@@ -81,7 +84,7 @@ def sign(x: Fraction) -> int:
 
 def _scaled_ints(v: Sequence) -> list[int]:
     """v (ints or Fractions) times the positive LCM of its denominators."""
-    l = math.lcm(*(x.denominator for x in v))
+    l = math.lcm(*[x.denominator for x in v])
     return [x.numerator * (l // x.denominator) for x in v]
 
 
@@ -102,9 +105,24 @@ def _primitive_ints(v: Sequence) -> tuple[int, ...]:
 
 
 class QMatrix:
-    """Immutable matrix of Fractions, row-major."""
+    """Immutable rational matrix, stored as one canonical integer form
+    (L, A): L > 0 the LCM of the entries' denominators and A = L M, rows
+    of ints. L is the least positive integer making L M integral, so
+    gcd(L, A's entries) = 1: a prime p dividing L to the power k divides
+    the denominator of some entry to the same power, and that entry's
+    numerator, times L / denominator, is prime to p. Conversely a
+    representation A / L with gcd(L, A) = 1 and L > 0 has that L, so
+    every construction of M reaches one (L, A), and equality and hashing
+    compare it.
 
-    __slots__ = ("rows",)
+    `QMatrix(rows)` parses the entries as Fractions; the private
+    `QMatrix._from_ints(L, A)` takes any nonzero integer L and integer rows
+    and divides both by gcd(L, A), with L's sign. The Fraction `rows` are a
+    view, built from (L, A) on first read and then cached; integer code
+    reads (L, A) through `_int_matrix` and never builds them.
+    """
+
+    __slots__ = ("_L", "_A", "_rows")
 
     def __init__(self, rows: Iterable[Iterable]):
         rs = tuple(tuple(rat(x) for x in row) for row in rows)
@@ -113,10 +131,42 @@ class QMatrix:
         w = len(rs[0])
         if any(len(r) != w for r in rs):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", rs)
+        L = math.lcm(*[x.denominator for r in rs for x in r])
+        A = tuple(tuple(x.numerator * (L // x.denominator) for x in r) for r in rs)
+        self._set(L, A, rs)
+
+    @classmethod
+    def _from_ints(cls, L: int, A: Sequence[Sequence[int]]) -> "QMatrix":
+        """The matrix A / L, for a nonzero integer L and integer rows A."""
+        if L == 0:
+            raise ValueError("zero denominator")
+        g = math.gcd(L, *(x for r in A for x in r))
+        if L < 0:
+            g = -g
+        M = object.__new__(cls)
+        if g == 1:
+            M._set(L, tuple(map(tuple, A)), None)
+        else:
+            M._set(L // g, tuple(tuple(x // g for x in r) for r in A), None)
+        return M
+
+    def _set(self, L: int, A: tuple, rows: Optional[tuple]):
+        object.__setattr__(self, "_L", L)
+        object.__setattr__(self, "_A", A)
+        object.__setattr__(self, "_rows", rows)
 
     def __setattr__(self, *a):
         raise AttributeError("QMatrix is immutable")
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as Fractions, row-major: A / L, built once."""
+        rs = self._rows
+        if rs is None:
+            L = self._L
+            rs = tuple(tuple(Fraction(x, L) for x in r) for r in self._A)
+            object.__setattr__(self, "_rows", rs)
+        return rs
 
     # -- construction helpers
 
@@ -139,11 +189,11 @@ class QMatrix:
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self._A)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0])
+        return len(self._A[0])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -152,47 +202,45 @@ class QMatrix:
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)
 
-    def columns(self) -> list:
-        return [self.col(j) for j in range(self.ncols)]
-
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
     def is_symmetric(self) -> bool:
+        A = self._A
         return self.is_square and all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
+            A[i][j] == A[j][i] for i in range(len(A)) for j in range(i + 1, len(A))
         )
 
-    # -- arithmetic
+    # -- arithmetic, on the integer forms: A / L + B / K = (K A + L B) / (L K)
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
-        self._shape_match(other)
-        return QMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        return self._plus(other, 1)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "QMatrix", s: int) -> "QMatrix":
         self._shape_match(other)
-        return QMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
+        L, K = self._L, s * other._L
+        return QMatrix._from_ints(
+            L * K,
+            [[K * a + L * b for a, b in zip(ra, rb)] for ra, rb in zip(self._A, other._A)],
         )
 
     def __mul__(self, other):
         if isinstance(other, QMatrix):
             return self._matmul(other)
-        return QMatrix([[a * rat(other) for a in r] for r in self.rows])
+        return self._scaled(rat(other))
 
     def __rmul__(self, other):
-        return QMatrix([[rat(other) * a for a in r] for r in self.rows])
+        return self._scaled(rat(other))
+
+    def _scaled(self, c: Fraction) -> "QMatrix":
+        p = c.numerator
+        return QMatrix._from_ints(
+            self._L * c.denominator, [[p * a for a in r] for r in self._A]
+        )
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         return self._matmul(other)
@@ -200,9 +248,10 @@ class QMatrix:
     def _matmul(self, other: "QMatrix") -> "QMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        ocols = other.columns()
-        return QMatrix(
-            [[sum(a * b for a, b in zip(r, c)) for c in ocols] for r in self.rows]
+        ocols = list(zip(*other._A))
+        return QMatrix._from_ints(
+            self._L * other._L,
+            [[sum(map(mul, r, c)) for c in ocols] for r in self._A],
         )
 
     def _shape_match(self, other: "QMatrix"):
@@ -224,10 +273,12 @@ class QMatrix:
     # -- equality, hashing, display
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QMatrix) and self.rows == other.rows
+        return (
+            isinstance(other, QMatrix) and self._L == other._L and self._A == other._A
+        )
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self._L, self._A))
 
     def __repr__(self):
         body = "; ".join(" ".join(rat_str(x) for x in r) for r in self.rows)
@@ -253,15 +304,10 @@ def mat_to_json(M: QMatrix) -> list:
 # so every division in it is exact.
 
 
-def _int_rows(M: QMatrix) -> list[list[int]]:
-    """Each row scaled to integers by a positive factor."""
-    return [_scaled_ints(r) for r in M.rows]
-
-
 def _int_matrix(M: QMatrix) -> tuple[int, list[list[int]]]:
-    """L > 0, the LCM of all of M's denominators, and L M in integers."""
-    L = math.lcm(*(x.denominator for r in M.rows for x in r))
-    return L, [[x.numerator * (L // x.denominator) for x in r] for r in M.rows]
+    """M's stored form: L > 0, the LCM of all of M's denominators, and
+    A = L M as fresh integer lists, which the caller may change."""
+    return M._L, [list(r) for r in M._A]
 
 
 def _echelon(a: list[list[int]]) -> tuple[list[int], int, int]:
@@ -320,15 +366,15 @@ def _int_det(rows: list[list[int]]) -> int:
 
 
 def det(M: QMatrix) -> Fraction:
-    """Determinant: the integer determinant over the row scales."""
+    """Determinant: det(L M) / L^n."""
     if not M.is_square:
         raise ValueError("determinant of a non-square matrix")
-    scales = (math.lcm(*(x.denominator for x in r)) for r in M.rows)
-    return Fraction(_int_det(_int_rows(M)), math.prod(scales))
+    L, A = _int_matrix(M)
+    return Fraction(_int_det(A), L ** len(A))
 
 
 def rank(M: QMatrix) -> int:
-    a = _int_rows(M)
+    a = _int_matrix(M)[1]
     return len(_echelon(a)[0])
 
 
@@ -338,7 +384,7 @@ def kernel_basis(M: QMatrix) -> list[tuple]:
     Vectors are primitive integer tuples (first nonzero entry positive),
     ordered by their free-column index in the echelon form.
     """
-    a = _int_rows(M)
+    a = _int_matrix(M)[1]
     pivots, _, d = _echelon(a)
     basis = []
     for f in range(M.ncols):
@@ -368,16 +414,15 @@ def inverse(M: QMatrix) -> QMatrix:
         raise ValueError("inverse of a non-square matrix")
     L, A = _int_matrix(M)
     d, cols = _solve_square(A)
-    return QMatrix([[Fraction(L * y[i], d) for y in cols] for i in range(M.nrows)])
+    return QMatrix._from_ints(d, [[L * y[i] for y in cols] for i in range(M.nrows)])
 
 
 def _times_inverse(B: list[list[int]], G: list[list[int]], L: int) -> QMatrix:
     """B G^-1 / L for integer B and square integer G with as many columns,
-    and L > 0. B (d G^-1) is in integers, so the one division is by d L.
-    Singular G: ValueError."""
+    and L > 0. B (d G^-1) is in integers, so the matrix is built from it
+    and d L as they are, with no Fraction. Singular G: ValueError."""
     d, adj = _solve_square(G)
-    dL = d * L
-    return QMatrix([[Fraction(sum(map(mul, r, c)), dL) for c in adj] for r in B])
+    return QMatrix._from_ints(d * L, [[sum(map(mul, r, c)) for c in adj] for r in B])
 
 
 def _conjugate(G: list[list[int]], L: int, A: list[list[int]]) -> QMatrix:

@@ -53,7 +53,6 @@ from .qkernel import (
     _int_char_poly,
     _int_det,
     _int_matrix,
-    _int_rows,
     _primitive_ints,
     _scaled_ints,
     _sturm_count,
@@ -95,9 +94,12 @@ class SPDPoint:
     Z: QMatrix
 
     def __post_init__(self):
+        """Both checks read Z's integer form L Z, L > 0: a positive scale
+        keeps symmetry and multiplies the k-th leading principal minor by
+        L^k, so Sylvester's test has the same outcome on L Z as on Z."""
         if not self.Z.is_symmetric():
             raise ValueError("point matrix must be symmetric")
-        if not _leading_minors_positive(_int_rows(self.Z)):
+        if not _leading_minors_positive(_int_matrix(self.Z)[1]):
             raise ValueError("point matrix must be positive definite")
 
 
@@ -176,10 +178,11 @@ class FlatX:
 
 
 def flat_from_tau(tau: QMatrix) -> FlatX:
-    """The flat of a regular tau, checked in integers on A = L tau (L > 0 the
-    LCM of tau's denominators): A's eigenvalues are L times tau's, so p(t) =
-    det(t I - A) has p(0) = 0 exactly when tau is singular, and as many
-    distinct real roots as tau's characteristic polynomial."""
+    """The flat of a regular tau, checked in integers on A = L tau, the form
+    tau stores (L > 0 the LCM of its denominators): A's eigenvalues are L
+    times tau's, so p(t) = det(t I - A) has p(0) = 0 exactly when tau is
+    singular, and as many distinct real roots as tau's characteristic
+    polynomial."""
     if not tau.is_square:
         raise ValueError("tau must be square")
     p = _int_char_poly(_int_matrix(tau)[1])
@@ -293,11 +296,12 @@ def subspace_from_rho(rho: QMatrix) -> SubspaceY:
 
 def _pair(line: Sequence, plane: Sequence) -> tuple[list[int], list[int], int]:
     """line and plane scaled to integers by positive factors, with their
-    product, which is not zero."""
+    product, which is not zero. Int entries are read as they are; only
+    other entries are parsed (`rat`)."""
     if len(line) != len(plane):
         raise ValueError("dimension mismatch")
-    v = _scaled_ints([rat(x) for x in line])
-    u = _scaled_ints([rat(x) for x in plane])
+    v, u = ([x if isinstance(x, int) else rat(x) for x in p] for p in (line, plane))
+    v, u = _scaled_ints(v), _scaled_ints(u)
     uv = sum(map(operator.mul, u, v))
     if uv == 0:  # also when either is zero
         raise ValueError("line lies inside the plane")
@@ -306,15 +310,13 @@ def _pair(line: Sequence, plane: Sequence) -> tuple[list[int], list[int], int]:
 
 def involution_for_pair(line: Sequence, plane: Sequence) -> QMatrix:
     """The involution fixing `line` and negating the kernel of `plane`:
-    2 v u^T / (u.v) - I, unchanged when v and u are scaled, so each entry is
-    one fraction of the integer-scaled v and u."""
+    2 v u^T / (u.v) - I, unchanged when v and u are scaled, so it is built
+    as (2 v u^T - (u.v) I) / (u.v) from the integer-scaled v and u."""
     v, u, uv = _pair(line, plane)
-    return QMatrix(
-        [
-            [Fraction(2 * a * b - (uv if i == j else 0), uv) for j, b in enumerate(u)]
-            for i, a in enumerate(v)
-        ]
-    )
+    rows = [[2 * a * b for b in u] for a in v]
+    for i in range(len(v)):
+        rows[i][i] -= uv
+    return QMatrix._from_ints(uv, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +397,7 @@ def _cross(
         return m - r + (len(pivots) == r), None, None
     # column j of d Z; Z is symmetric, so these are also its rows
     Z = [_back_substitute(a, pivots, d, m + j) for j in range(m)]
-    g = math.gcd(*(x for row in Z for x in row))
+    g = math.gcd(*[x for row in Z for x in row])
     if Z[0][0] < 0:  # a PD matrix has a positive (0, 0) entry
         g = -g
     Z = [[x // g for x in row] for row in Z]
@@ -500,8 +502,9 @@ def intersect(X: FlatX, Y: SubspaceY) -> IntersectionResult:
         return IntersectionResult(IntersectionKind.DEGENERATE, None, k)
     if Z is None:
         return IntersectionResult(IntersectionKind.EMPTY, None, 1)
+    point = SPDPoint(QMatrix._from_ints(1, Z))
     return IntersectionResult(
-        IntersectionKind.TRANSVERSE_POINT, SPDPoint(QMatrix(Z)), 1, Y.orientation * s
+        IntersectionKind.TRANSVERSE_POINT, point, 1, Y.orientation * s
     )
 
 

@@ -3,7 +3,8 @@
 Each is the plain textbook route to something the package decides another
 way, kept here so that the tests can hold the package against it:
 
-- the transpose of a rational matrix (`transpose`);
+- the columns and the transpose of a rational matrix (`columns`,
+  `transpose`);
 - symmetric coordinates (`vec_sym`, `unvec_sym`) for the membership
   systems, and Sylvester's test on a rational matrix
   (`is_positive_definite`);
@@ -32,7 +33,6 @@ from flatlink.qkernel import (
     _back_substitute,
     _echelon,
     _int_matrix,
-    _int_rows,
     inverse,
     rat,
 )
@@ -51,8 +51,12 @@ from flatlink.symspace import (
 )
 
 
+def columns(M: QMatrix) -> list[tuple]:
+    return [M.col(j) for j in range(M.ncols)]
+
+
 def transpose(M: QMatrix) -> QMatrix:
-    return QMatrix([M.col(j) for j in range(M.ncols)])
+    return QMatrix(columns(M))
 
 
 def vec_sym(M: QMatrix) -> tuple:
@@ -74,7 +78,7 @@ def unvec_sym(v: Sequence, m: int) -> QMatrix:
 def is_positive_definite(M: QMatrix) -> bool:
     """Sylvester's test on M with its rows scaled to integers: positive row
     scales keep the sign of every leading principal minor."""
-    return M.is_symmetric() and _leading_minors_positive(_int_rows(M))
+    return M.is_symmetric() and _leading_minors_positive(_int_matrix(M)[1])
 
 
 def flat_contains(X: FlatX, Z: QMatrix) -> bool:
@@ -95,7 +99,7 @@ def rref_rows(M: QMatrix) -> tuple[list[tuple], list[int]]:
     so the output is the canonical basis of the row space. Column j of the
     form is the pivot block's solution against column j.
     """
-    a = _int_rows(M)
+    a = _int_matrix(M)[1]
     pivots, _, d = _echelon(a)
     cols = [_back_substitute(a, pivots, d, j) for j in range(M.ncols)]
     rows = [tuple(Fraction(y[k], d) for y in cols) for k in range(len(pivots))]
@@ -108,7 +112,7 @@ def solve_unique(M: QMatrix, b: Sequence) -> tuple:
     if len(bs) != M.nrows:
         raise ValueError("right-hand side length mismatch")
     n = M.ncols
-    a = _int_rows(QMatrix([r + (x,) for r, x in zip(M.rows, bs)]))
+    a = _int_matrix(QMatrix([r + (x,) for r, x in zip(M.rows, bs)]))[1]
     pivots, _, d = _echelon(a)
     if n in pivots:
         raise ValueError("inconsistent linear system")

@@ -26,6 +26,8 @@ from flatlink.projlink import (
 )
 from flatlink.qkernel import QMatrix, det, kernel_basis
 
+from _reference import columns
+
 F = Fraction
 
 
@@ -110,7 +112,7 @@ def _span_of_intersections(V, blocks):
 def _redundant(rng, U):
     """U with one more column, a combination of its own."""
     extra = U.apply([rng.randint(-2, 2) for _ in range(U.ncols)])
-    return QMatrix.from_columns(U.columns() + [extra])
+    return QMatrix.from_columns(columns(U) + [extra])
 
 
 @pytest.mark.parametrize("m", range(2, 6))

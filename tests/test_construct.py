@@ -33,6 +33,8 @@ from flatlink.symspace import (
     subspace_from_pair,
 )
 
+from _reference import columns
+
 
 def test_single_cell_pattern():
     p = synthesize_pattern(1, 2)
@@ -616,7 +618,7 @@ def test_tau_for_arrangement_matches_fraction_conjugation(m):
             for _ in range(m)
         ]
         cols = [
-            [s * x for x in c] for s, c in zip(scales, arr.frame_matrix().columns())
+            [s * x for x in c] for s, c in zip(scales, columns(arr.frame_matrix()))
         ]
         F = QMatrix.from_columns(cols)
         assert construct._frame_tau(cols) == F @ D @ F.inverse()

@@ -19,6 +19,7 @@ from flatlink.qkernel import (
     irreducible_over_Q,
     isolate_real_roots,
     kernel_basis,
+    mat_to_json,
     rank,
     rat,
     rat_str,
@@ -183,6 +184,106 @@ def test_conjugate_matches_fraction_conjugation(m):
     rows[-1] = [Fraction(3, 7) * x for x in rows[0]]
     with pytest.raises(ValueError):
         _conjugate(_int_matrix(QMatrix(rows))[1], *_int_matrix(derogatory))
+
+
+# ---------------------------------------------------------------------------
+# the stored integer form (L, A)
+
+
+def _mixed_rational_rows(rng, n, k):
+    """n x k rows of Fractions with negative entries, zeros and mixed
+    denominators; every third matrix has integer entries only."""
+    integral = rng.random() < 1 / 3
+
+    def entry():
+        if rng.random() < 0.2:
+            return Fraction(0)
+        den = 1 if integral else rng.choice((1, 2, 3, 4, 6, 9, 10, 35, 2**61 - 1))
+        return Fraction(rng.randint(-(2**40), 2**40), den)
+
+    return [[entry() for _ in range(k)] for _ in range(n)]
+
+
+def _integer_form_cases():
+    rng = random.Random(3100)
+    cases = [[[Fraction(0)] * 3] * 2, [[Fraction(-5, 6)]]]
+    for n in range(1, 7):
+        for k in (1, n, 6):
+            for _ in range(3):
+                cases.append(_mixed_rational_rows(rng, n, k))
+    return cases
+
+
+@pytest.mark.parametrize("k", [1, -1, 7, -12])
+def test_from_ints_reaches_the_parsed_matrix(k):
+    """Any integer multiple (k L, k A) of the stored form builds the same
+    matrix as the Fraction rows: equal, with one hash, and read the same
+    through every view. L is the LCM of the entries' denominators, and A
+    = L M."""
+    for rows in _integer_form_cases():
+        M = QMatrix(rows)
+        L, A = _int_matrix(M)
+        assert L == math.lcm(*(x.denominator for r in rows for x in r))
+        assert A == [[x * L for x in r] for r in rows]
+        assert all(isinstance(x, int) for r in A for x in r)
+        N = QMatrix._from_ints(k * L, [[k * a for a in r] for r in A])
+        assert N == M and hash(N) == hash(M)
+        assert N.rows == M.rows == tuple(map(tuple, rows))
+        assert repr(N) == repr(M)
+        assert N.to_lists() == M.to_lists()
+        assert mat_to_json(N) == mat_to_json(M)
+        assert _int_matrix(N) == (L, A)
+        assert (N.nrows, N.ncols) == (len(rows), len(rows[0]))
+
+
+def test_integer_arithmetic_matches_fractions():
+    """Sum, difference, product and scalar multiples, formed on the integer
+    forms, equal the entrywise Fraction results."""
+    rng = random.Random(3101)
+    for n in range(1, 7):
+        a, b = (_mixed_rational_rows(rng, n, n) for _ in range(2))
+        A, B = QMatrix(a), QMatrix(b)
+        c = Fraction(-7, 12)
+        assert (A + B).rows == tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
+        assert (A - B).rows == tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
+        assert (A @ B).rows == tuple(
+            tuple(sum(x * y for x, y in zip(r, col)) for col in zip(*b)) for r in a
+        )
+        assert (A * c).rows == (c * A).rows == tuple(tuple(c * x for x in r) for r in a)
+        assert (A - A) == QMatrix([[0] * n] * n)
+
+
+def test_int_matrix_returns_copies():
+    M = QMatrix([[Fraction(1, 2), 3], [-1, Fraction(5, 3)]])
+    L, A = _int_matrix(M)
+    A[0][0] += 1
+    A[1].append(9)
+    A.append([0, 0])
+    assert _int_matrix(M) == (6, [[3, 18], [-6, 10]])
+    assert M.rows == ((Fraction(1, 2), 3), (-1, Fraction(5, 3)))
+
+
+def test_from_ints_refuses_a_zero_denominator():
+    with pytest.raises(ValueError):
+        QMatrix._from_ints(0, [[1, 2], [3, 4]])
+    with pytest.raises(ValueError):
+        QMatrix._from_ints(0, [[0]])
+
+
+def test_matrix_stays_immutable():
+    M = QMatrix._from_ints(4, [[2, 1], [1, 2]])
+    for name in ("rows", "_L", "_A", "_rows", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(M, name, None)
+    assert M.rows == ((Fraction(1, 2), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 2)))
+
+
+def test_is_symmetric_reads_the_integer_form():
+    S = QMatrix._from_ints(-6, [[2, 3], [3, -4]])
+    assert S.is_symmetric()
+    assert not QMatrix._from_ints(6, [[2, 3], [1, -4]]).is_symmetric()
+    assert not QMatrix([[1, 2, 3], [2, 1, 0]]).is_symmetric()
+    assert S._rows is None
 
 
 def test_char_poly_fixed():

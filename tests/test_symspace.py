@@ -820,3 +820,39 @@ def test_moment_form_decides_transverse(m):
         assert not (transverse and kind in (2, 3))
         transverse_draws += transverse
     assert 20 <= transverse_draws <= draws - 20
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_decide_path_builds_no_fraction_rows(m):
+    """A criterion-1 decision reads tau, rho and the crossing point only in
+    their stored integer forms: after the oracle route and the sign, the
+    Fraction-row cache of each is still empty."""
+    rng = random.Random(3150 + m)
+
+    def q():
+        return F(rng.randint(-10, 10), rng.randint(1, 10))
+
+    crossings = instances = 0
+    while crossings < 4 or instances < 20:
+        assert instances < 2000
+        try:
+            arr = Arrangement([[q() for _ in range(m)] for _ in range(m)])
+            lp = LinePlanePair([q() for _ in range(m)], [q() for _ in range(m)])
+        except ValueError:
+            continue
+        if not in_general_position(arr, lp):
+            continue
+        instances += 1
+        tau = tau_for_arrangement(arr)
+        X = flat_from_tau(tau)
+        rho = involution_for_pair(lp.line.rep, lp.plane.functional)
+        Y = subspace_from_rho(rho)
+        res = intersect(X, Y)
+        linked = link_decision(arr, lp) is LinkDecision.LINKED
+        assert linked == (res.kind is IntersectionKind.TRANSVERSE_POINT)
+        cached = [tau._rows, rho._rows]
+        if linked:
+            assert intersection_sign(X, Y, res.point) == res.sign
+            cached.append(res.point.Z._rows)
+            crossings += 1
+        assert cached == [None] * len(cached)
