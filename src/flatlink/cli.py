@@ -50,7 +50,6 @@ from .construct import (
 )
 from .projlink import (
     Arrangement,
-    GeneralPositionError,
     LinePlanePair,
     LinkDecision,
     link_evidence,
@@ -716,9 +715,6 @@ def main(argv=None) -> int:
     except CommutantError as e:
         print(f"flatlink: {e}", file=sys.stderr)
         return 4
-    except GeneralPositionError as e:
-        print(f"flatlink: degenerate input: {e}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"flatlink: degenerate input: {e}", file=sys.stderr)
         return 2

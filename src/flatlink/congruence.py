@@ -36,13 +36,14 @@ import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .projlink import ProjPoint
 from .qkernel import (
     QMatrix,
     _echelon,
+    _first_row_cofactors,
     _int_det,
     _int_matrix,
     _is_prime,
+    _primitive_ints,
     _solve_square,
     det,
     kernel_basis,
@@ -221,26 +222,14 @@ def _vp(x: int, p: int) -> int:
 
 
 def min_level_v(v: Sequence, p: int) -> int:
-    """Least n with 2v nonzero mod p^n, for primitive integer v."""
+    """Least n with 2v nonzero mod p^n, for v made primitive first."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    rep = (v if isinstance(v, ProjPoint) else ProjPoint(v)).rep
-    return 1 + min(_vp(2 * x, p) for x in rep if x != 0)
+    return 1 + min(_vp(2 * x, p) for x in _primitive_ints(v) if x != 0)
 
 
 # ---------------------------------------------------------------------------
 # bounded enumeration
-
-
-def _first_row_cofactors(rows: list[tuple[int, ...]]) -> list[int]:
-    """C with det([c] + rows) = c . C for every first row c."""
-    if len(rows) == 1:
-        ((a, b),) = rows
-        return [b, -a]
-    return [
-        (-1) ** j * _int_det([r[:j] + r[j + 1 :] for r in rows])
-        for j in range(len(rows) + 1)
-    ]
 
 
 def _det_one_ranges(q: int, bound: int) -> tuple[range, range]:

@@ -400,13 +400,11 @@ def rationalize_pair(
     denom_bound: int = DENOM_BOUND,
 ) -> tuple[LinePlanePair, SubspaceY]:
     """Snap a (line, plane functional) target to bounded denominators and
-    return the pair with its subspace."""
+    return the pair with its subspace. A snap that collapses the line or
+    the plane to zero, or puts the line inside the plane, raises as
+    `LinePlanePair` does."""
     line = [_snap(x, denom_bound) for x in target_line]
     plane = [_snap(x, denom_bound) for x in target_plane]
-    if all(x == 0 for x in line) or all(x == 0 for x in plane):
-        raise ValueError("snapped line or plane collapsed to zero")
-    if sum(a * b for a, b in zip(line, plane)) == 0:
-        raise GeneralPositionError("snapped line lies inside the snapped plane")
     pair = LinePlanePair(line, plane)
     return pair, subspace_from_pair(pair.line.rep, pair.plane.functional)
 
@@ -459,7 +457,7 @@ def rationalize_pattern(
             certified = _certify_pattern(flats, subspaces)
         except DegenerateFrameError:
             raise  # no bound fixes the target: fail now, not after every round
-        except (GeneralPositionError, ValueError):
+        except ValueError:
             certified = None
         if certified is not None:
             matrix, cert = certified

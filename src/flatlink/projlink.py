@@ -27,9 +27,9 @@ from .qkernel import (
     QMatrix,
     _back_substitute,
     _echelon,
+    _first_row_cofactors,
     _int_det,
     _primitive_ints,
-    kernel_basis,
     rat,
     sign,
 )
@@ -232,7 +232,8 @@ def common_flags(arr: Arrangement, lp: LinePlanePair) -> tuple[ProjPoint, ProjHy
     Returns (L', Q): L' is where P crosses the line through the last two
     frame points, Q is the hyperplane through L and the first m-2 frame
     points. For m = 2 the hyperplane Q degenerates to the functional
-    vanishing on L alone.
+    vanishing on L alone. Q's functional is the first-row cofactors of
+    [L, L_1, ..., L_{m-2}], zero exactly when those rows are dependent.
     """
     if lp.dim != arr.m:
         raise ValueError("dimension mismatch")
@@ -246,10 +247,10 @@ def common_flags(arr: Arrangement, lp: LinePlanePair) -> tuple[ProjPoint, ProjHy
     l_prime = ProjPoint(coords)
 
     rows = [lp.line.rep] + [p.rep for p in arr.points[: m - 2]]
-    ker = kernel_basis(QMatrix(rows))
-    if len(ker) != 1:
+    normal = _first_row_cofactors(rows)
+    if not any(normal):
         raise GeneralPositionError("L, L_1, ..., L_{m-2} do not span a hyperplane")
-    q = ProjHyperplane(ker[0])
+    q = ProjHyperplane(normal)
     if q.eval(l_prime) == 0:
         raise GeneralPositionError("shared flags collide: L' lies on Q")
     return l_prime, q

@@ -28,6 +28,7 @@ legal verdict; no Zassenhaus/van Hoeij style factorization is attempted.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -363,6 +364,19 @@ def _int_det(rows: list[list[int]]) -> int:
     a = [list(r) for r in rows]
     pivots, sgn, d = _echelon(a)
     return sgn * d if len(pivots) == len(a) else 0
+
+
+def _first_row_cofactors(rows: list[Sequence[int]]) -> list[int]:
+    """C with det([c] + rows) = c . C for every first row c, for n - 1
+    integer rows of length n. So C . r = 0 for each row r, and C = 0
+    exactly when the rows are dependent."""
+    if len(rows) == 1:
+        ((a, b),) = rows
+        return [b, -a]
+    return [
+        (-1) ** j * _int_det([r[:j] + r[j + 1 :] for r in rows])
+        for j in range(len(rows) + 1)
+    ]
 
 
 def det(M: QMatrix) -> Fraction:
@@ -710,12 +724,14 @@ def isolate_real_roots(p: QPoly) -> list[tuple[Fraction, Fraction]]:
         if count == 1:
             out.append((lo, hi))
             return
-        mid = (lo + hi) / 2
-        # Sturm's theorem needs only that the cut point is not a root of p
-        k = 3
-        while _sign_at(chain[0], mid) == 0:
-            mid += (hi - lo) / k
-            k += 2
+        # Sturm's theorem needs only that the cut point is not a root of p.
+        # The t are distinct and inside (0, 1), so one of the cuts
+        # lo + t (hi - lo) misses p's finitely many roots.
+        later = (Fraction(1, k) for k in itertools.count(3))
+        for t in itertools.chain((Fraction(1, 2), Fraction(5, 6)), later):
+            mid = lo + t * (hi - lo)
+            if _sign_at(chain[0], mid):
+                break
         left = _roots_in(chain, lo, mid)
         split(lo, mid, left)
         split(mid, hi, count - left)

@@ -17,9 +17,11 @@ decided, without the echelon, by the m x m Hankel moment form H = K^T J of
 v and w under tau, whose entries are the moments w . A^k v, A = L tau.
 One pass over H (`_moment_kind`) tells definite (a crossing), nonsingular
 but not definite (Empty), and singular apart; it is the module's only
-Hankel test. `intersect` runs it first and the echelon only when H is
-definite or singular, handing `_cross` the Krylov rows of v that the
-moments were read from; `_cross` builds only K's.
+Hankel test, and its fraction-free pass (`_sylvester`) the module's one
+definiteness test, which `SPDPoint` and `_cross`'s point run too.
+`intersect` runs it first and the echelon only when H is definite or
+singular, handing `_cross` the Krylov rows of v that the moments were
+read from; `_cross` builds only K's.
 A pattern's cells go through `intersection_table`, which keeps kind and
 sign only and decides a cell from H alone unless det H = 0: definite H is
 a crossing whose sign is read from sign(s_0)^m and sign det J, as
@@ -69,22 +71,36 @@ def sym_dim(m: int) -> int:
     return m * (m + 1) // 2
 
 
-def _leading_minors_positive(Z: list[list[int]]) -> bool:
-    """Sylvester's test in integers: without row swaps, the fraction-free
-    pivots are the leading principal minors, so stop at the first that is
-    not positive."""
-    a = [list(r) for r in Z]
-    m, prev = len(a), 1
+def _sylvester(a: list[list[int]]) -> Optional[bool]:
+    """Whether the symmetric integer matrix a is positive definite: True
+    when it is, False when it is nonsingular but not, and None when
+    det a = 0. The pass works on a in place.
+
+    One fraction-free pass: while no pivot is zero it takes no row swap,
+    so the pivots are the leading principal minors, and a is positive
+    definite exactly when they are all positive (Sylvester's test). A zero
+    pivot only shows that a is not positive definite; the pass then swaps
+    in a row with a nonzero entry in that column, as `_echelon` does, and
+    goes on to tell det a != 0 from det a = 0. No second pass computes
+    det a.
+    """
+    m, definite, prev = len(a), True, 1
     for k in range(m):
-        p = a[k][k]
-        if p <= 0:
-            return False
+        if a[k][k] <= 0:
+            definite = False
+            if a[k][k] == 0:
+                i = next((i for i in range(k + 1, m) if a[i][k]), None)
+                if i is None:  # det a = 0
+                    return None
+                a[k], a[i] = a[i], a[k]
+        p, rk = a[k][k], a[k]
         for i in range(k + 1, m):
-            ri, rk = a[i], a[k]
+            ri = a[i]
+            f = ri[k]
             for j in range(k + 1, m):
-                ri[j] = (p * ri[j] - ri[k] * rk[j]) // prev
+                ri[j] = (p * ri[j] - f * rk[j]) // prev
         prev = p
-    return True
+    return definite
 
 
 @dataclass(frozen=True)
@@ -99,7 +115,7 @@ class SPDPoint:
         L^k, so Sylvester's test has the same outcome on L Z as on Z."""
         if not self.Z.is_symmetric():
             raise ValueError("point matrix must be symmetric")
-        if not _leading_minors_positive(_int_matrix(self.Z)[1]):
+        if not _sylvester(_int_matrix(self.Z)[1]):
             raise ValueError("point matrix must be positive definite")
 
 
@@ -401,7 +417,7 @@ def _cross(
     if Z[0][0] < 0:  # a PD matrix has a positive (0, 0) entry
         g = -g
     Z = [[x // g for x in row] for row in Z]
-    if not _leading_minors_positive(Z):  # the kernel line misses the PD cone
+    if not _sylvester([r[:] for r in Z]):  # the kernel line misses the PD cone
         return 1, None, None
     return 1, Z, sgn * sign(d)
 
@@ -436,35 +452,15 @@ def _moment_kind(s: list[int]) -> Optional[IntersectionKind]:
     condition for a point: r = m (every w_i nonzero) and
     a_i = lam v_i / w_i of one strict sign for some lam, that is v_i / w_i,
     or v_i w_i, all nonzero of one sign. A definite H has the sign of its
-    (0, 0) entry s_0 = w . v.
-
-    One fraction-free pass over sign(s_0) H: while no pivot is zero it takes
-    no row swap, so the pivots are the leading principal minors, and H is
-    definite exactly when they are all positive (Sylvester's test). A zero
-    pivot only shows that H is not definite; the pass then swaps in a row
-    with a nonzero entry in that column, as `_echelon` does, and goes on to
-    tell det H != 0 from det H = 0. No second pass computes det H.
+    (0, 0) entry s_0 = w . v. One pass (`_sylvester`) over sign(s_0) H
+    tells the three cases apart.
     """
     m = (len(s) + 1) // 2
     if s[0] < 0:
         s = [-x for x in s]
-    a = [s[j : j + m] for j in range(m)]
-    definite, prev = True, 1
-    for k in range(m):
-        if a[k][k] <= 0:
-            definite = False
-            if a[k][k] == 0:
-                i = next((i for i in range(k + 1, m) if a[i][k]), None)
-                if i is None:  # det H = 0
-                    return None
-                a[k], a[i] = a[i], a[k]
-        p, rk = a[k][k], a[k]
-        for i in range(k + 1, m):
-            ri = a[i]
-            f = ri[k]
-            for j in range(k + 1, m):
-                ri[j] = (p * ri[j] - f * rk[j]) // prev
-        prev = p
+    definite = _sylvester([s[j : j + m] for j in range(m)])
+    if definite is None:
+        return None
     return IntersectionKind.TRANSVERSE_POINT if definite else IntersectionKind.EMPTY
 
 

@@ -7,7 +7,8 @@ way, kept here so that the tests can hold the package against it:
   `transpose`);
 - symmetric coordinates (`vec_sym`, `unvec_sym`) for the membership
   systems, and Sylvester's test on a rational matrix
-  (`is_positive_definite`);
+  (`is_positive_definite`), its leading principal minors each taken by
+  Gaussian elimination over Q (`fraction_det`);
 - membership of a symmetric matrix in a flat or a subspace by its defining
   equation (`flat_contains`, `subspace_contains`);
 - reduced row echelon form (`rref_rows`), a unique solve (`solve_unique`),
@@ -44,7 +45,6 @@ from flatlink.symspace import (
     SubspaceY,
     _cross,
     _krylov,
-    _leading_minors_positive,
     subspace_from_pair,
     sym_dim,
     sym_pairs,
@@ -75,10 +75,32 @@ def unvec_sym(v: Sequence, m: int) -> QMatrix:
     return QMatrix(rows)
 
 
+def fraction_det(rows: Sequence[Sequence]) -> Fraction:
+    """Determinant over Q by Gaussian elimination with row swaps."""
+    a = [[rat(x) for x in r] for r in rows]
+    n, d = len(a), Fraction(1)
+    for k in range(n):
+        i = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if i is None:
+            return Fraction(0)
+        if i != k:
+            a[k], a[i] = a[i], a[k]
+            d = -d
+        d *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return d
+
+
 def is_positive_definite(M: QMatrix) -> bool:
-    """Sylvester's test on M with its rows scaled to integers: positive row
-    scales keep the sign of every leading principal minor."""
-    return M.is_symmetric() and _leading_minors_positive(_int_matrix(M)[1])
+    """Sylvester's test: M is symmetric and every leading principal minor
+    is positive."""
+    rows = M.rows
+    return M.is_symmetric() and all(
+        fraction_det([r[:k] for r in rows[:k]]) > 0 for k in range(1, M.nrows + 1)
+    )
 
 
 def flat_contains(X: FlatX, Z: QMatrix) -> bool:

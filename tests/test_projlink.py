@@ -279,6 +279,34 @@ def test_common_flags_incidences():
             assert q.eval(p) == 0
 
 
+def test_common_flags_matches_kernel_route():
+    """Q from the first-row cofactors is the hyperplane the rational kernel
+    of [L, L_1, ..., L_{m-2}] gives; at m = 2 that is one row."""
+    rng = random.Random(3202)
+    for m in range(2, 7):
+        compared = 0
+        for _ in range(30):
+            arr, lp = rnd_config(rng, m)
+            rows = [lp.line.rep] + [p.rep for p in arr.points[: m - 2]]
+            (normal,) = kernel_basis(QMatrix(rows))
+            try:
+                _, q = common_flags(arr, lp)
+            except GeneralPositionError:
+                continue
+            assert q == ProjHyperplane(normal)
+            compared += 1
+        assert compared >= 20
+        if m >= 3:
+            # L = L_1: the rows are dependent
+            L1 = arr.points[0]
+            plane = next(
+                v for v in ([1] + [0] * (m - 1), [0, 1] + [0] * (m - 2))
+                if ProjHyperplane(v).eval(L1) != 0
+            )
+            with pytest.raises(GeneralPositionError, match="do not span a hyperplane"):
+                common_flags(arr, LinePlanePair(L1.rep, plane))
+
+
 def test_gl_equivariance_and_permutation_invariance():
     rng = random.Random(29)
     for _ in range(60):

@@ -13,10 +13,12 @@ from fractions import Fraction
 import pytest
 
 from flatlink.qkernel import (
+    IrredVerdict,
     QPoly,
     _sign_at,
     _sturm_chain,
     cauchy_root_bound,
+    irreducible_over_Q,
     isolate_real_roots,
     rational_roots,
     sturm_distinct_real_roots,
@@ -81,11 +83,11 @@ def _ref_isolate(p: QPoly) -> list[tuple[Fraction, Fraction]]:
         if count == 1:
             out.append((lo, hi))
             return
-        mid = (lo + hi) / 2
-        k = 3
-        while eval_poly(p, mid) == 0:
-            mid += (hi - lo) / k
-            k += 2
+        # the package's cuts: 1/2, 5/6, 1/3, 1/4, ... of the width, of
+        # which p's degree + 1 include one that is not a root
+        later = [Fraction(1, k) for k in range(3, p.degree + 2)]
+        ts = [Fraction(1, 2), Fraction(5, 6)] + later
+        mid = next(lo + t * (hi - lo) for t in ts if eval_poly(p, lo + t * (hi - lo)))
         left = _ref_roots_in(chain, lo, mid)
         split(lo, mid, left)
         split(mid, hi, count - left)
@@ -215,8 +217,8 @@ def test_isolate_real_roots_matches_reference(p):
 
 
 def test_isolate_real_roots_matches_reference_with_rational_cuts():
-    # roots at cut points force the cut-point shift: t (t - 1)(t + 1)(t - 2)
-    # has B = 3, and its first cut, 0, and that cut shifted once, 2, are roots
+    # roots at cut points force later cuts: t (t - 1)(t + 1)(t - 2) has
+    # B = 3, and its first three cuts, 0, 2 and -1, are roots
     rng = random.Random(77)
     cases = [[0, 2, -1, -2, 1], [0, -1, 0, 1], [0, 0, -9, 0, 4]]
     for _ in range(100):
@@ -230,6 +232,57 @@ def test_isolate_real_roots_matches_reference_with_rational_cuts():
         cases.append(list(p.primitive_int()))
     for c in cases:
         assert isolate_real_roots(QPoly(c)) == _ref_isolate(QPoly(c)), c
+
+
+def _check_isolation(roots: list[Fraction]):
+    """The contract of `isolate_real_roots` on the product of t - r over
+    roots, whose real roots are known: ascending disjoint intervals (lo, hi]
+    inside (-B, B], B the Cauchy bound, each holding exactly one root, and
+    one interval per distinct root."""
+    p = QPoly([1])
+    for r in roots:
+        p = p * QPoly([-r, 1])
+    ints = p.primitive_int()
+    B = 1 + Fraction(max(abs(c) for c in ints[:-1]), abs(ints[-1]))
+    ivs = isolate_real_roots(p)
+    distinct = sorted(set(roots))
+    assert len(ivs) == len(distinct), roots
+    edge = -B
+    for (lo, hi), r in zip(ivs, distinct):
+        assert edge <= lo < hi <= B, roots
+        assert [x for x in distinct if lo < x <= hi] == [r], roots
+        edge = hi
+
+
+ISOLATION_CASES = [
+    [-6, -2, Fraction(1, 8)],  # 8t^3 + 63t^2 + 88t - 12: cuts -6 and -2 are roots
+    [-3, -1, Fraction(4, 5), Fraction(3, 2)],  # (t + 3)(t + 1)(5t - 4)(2t - 3)
+    [0, 2, 1, -1],  # t (t - 2)(t^2 - 1)
+]
+
+
+@pytest.mark.parametrize("roots", ISOLATION_CASES, ids=str)
+def test_isolate_real_roots_contract_pinned(roots):
+    _check_isolation(roots)
+
+
+def test_isolate_real_roots_contract_seeded():
+    """Half the products have small integer roots, which the first cuts
+    hit more often, and half rational roots."""
+    rng = random.Random(3203)
+    for i in range(400):
+        top, dens = (12, [1, 2, 3, 4, 8]) if i % 2 else (4, [1])
+        pool = [
+            Fraction(rng.randint(-top, top), rng.choice(dens))
+            for _ in range(rng.randint(2, 4))
+        ]
+        _check_isolation([rng.choice(pool) for _ in range(rng.randint(1, 6))])
+
+
+def test_roots_and_irreducibility_when_cuts_hit_roots():
+    p = QPoly([-12, 88, 63, 8])
+    assert rational_roots(p) == [-6, -2, Fraction(1, 8)]
+    assert irreducible_over_Q(p).verdict is IrredVerdict.REDUCIBLE
 
 
 @st.composite

@@ -29,6 +29,7 @@ from flatlink.symspace import (
     SubspaceY,
     _moment_kind,
     _moment_powers,
+    _sylvester,
     flat_from_tau,
     flat_membership_system,
     intersect,
@@ -43,6 +44,7 @@ from flatlink.symspace import (
 
 from _reference import (
     flat_contains,
+    fraction_det,
     is_positive_definite,
     subspace_contains,
     transpose,
@@ -86,6 +88,64 @@ def test_pd_checks():
     assert not is_positive_definite(QMatrix([[1, 2], [2, 1]]))
     with pytest.raises(ValueError):
         SPDPoint(QMatrix([[0, 1], [1, 0]]))
+
+
+SYLVESTER_PINNED = [
+    ([[0, 1], [1, 0]], False),  # zero first pivot, nonsingular
+    ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], False),  # zero second pivot
+    ([[0, 0], [0, 1]], None),  # zero first column
+    ([[1, 1], [1, 1]], None),  # singular after one positive pivot
+    ([[-2, 1], [1, -3]], False),  # negative definite
+    ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], True),
+    ([[5]], True),
+    ([[0]], None),
+]
+
+
+def _symmetric_ints(rng, m):
+    """A symmetric integer m x m matrix: plain, B^T B + D (positive
+    definite), its negative, or B^T B for a B of rank below m (singular)."""
+    kind = rng.choice(["plain", "pd", "nd", "singular"])
+    if kind == "plain":
+        a = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                a[i][j] = a[j][i] = rng.randint(-4, 4)
+        return a
+    n = m - 1 if kind == "singular" else m
+    B = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+    a = [[sum(r[i] * r[j] for r in B) for j in range(m)] for i in range(m)]
+    if kind != "singular":
+        for i in range(m):
+            a[i][i] += rng.randint(1, 3)
+    return [[-x for x in r] for r in a] if kind == "nd" else a
+
+
+def _sylvester_reference(a):
+    if is_positive_definite(QMatrix(a)):
+        return True
+    return None if det(QMatrix(a)) == 0 else False
+
+
+@pytest.mark.parametrize("a, want", SYLVESTER_PINNED, ids=str)
+def test_sylvester_pinned(a, want):
+    assert _sylvester_reference(a) is want
+    assert _sylvester([r[:] for r in a]) is want
+
+
+def test_sylvester_matches_reference():
+    """The three answers of the one definiteness pass against Sylvester's
+    test over Fractions and the determinant, at m = 1..6."""
+    rng = random.Random(3201)
+    seen = set()
+    for m in range(1, 7):
+        for _ in range(120):
+            a = _symmetric_ints(rng, m)
+            want = _sylvester_reference(a)
+            assert fraction_det(a) == det(QMatrix(a))
+            assert _sylvester([r[:] for r in a]) is want, a
+            seen.add((m, want))
+    assert all((m, w) in seen for m in range(1, 7) for w in (True, False, None))
 
 
 def test_flat_from_tau_diagonal():
