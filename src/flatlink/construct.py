@@ -260,7 +260,7 @@ def synthesize_pattern(
                 matrix=matrix,
                 certificate=cert,
             )
-            if p.is_upper_triangular_nonzero_diagonal() and pattern_rank(p) == N:
+            if p.is_upper_triangular_nonzero_diagonal():  # so of rank N
                 return p
         thinness /= 2
         rotation /= 2
@@ -373,8 +373,8 @@ def rationalize_tau(
         columns.append([_snap(x / top, denom_bound) for x in v])
     tau = _frame_tau(columns, _perturbation(m), denom_bound)
     p = char_poly(tau)
-    # Sturm first: a wrong count fails the round without the irreducibility
-    # test, whose rational-root scan is slow on a reducible polynomial
+    # Sturm first: one integer chain, where the irreducibility test first
+    # runs up to 25 distinct-degree factorizations (qkernel._PRIME_BUDGET)
     count = sturm_distinct_real_roots(p)
     if count != m:
         raise ValueError(

@@ -736,8 +736,7 @@ def isolate_real_roots(p: QPoly) -> list[tuple[Fraction, Fraction]]:
         split(lo, mid, left)
         split(mid, hi, count - left)
 
-    split(-B, B, _roots_in(chain, -B, B))
-    out.sort(key=lambda iv: iv[0])
+    split(-B, B, _roots_in(chain, -B, B))  # left halves first: ascending
     return out
 
 
@@ -955,18 +954,22 @@ def _subset_sums(multiset: tuple[int, ...]) -> frozenset:
 
 
 def _monic_factor_search(ints: tuple[int, ...], degrees: set[int]) -> Optional[QPoly]:
-    """Trial division by monic integer quadratics; desk-scale confirmation only."""
-    if ints[-1] != 1 or 2 not in degrees:
+    """Trial division by monic integer quadratics t^2 + b t + c; desk-scale
+    confirmation only. Synthetic division by a monic divisor is exact in
+    integers, and the remainder is the last two entries it leaves."""
+    if ints[-1] != 1 or 2 not in degrees or len(ints) < 4:
         return None
-    p = QPoly(ints)
     height = 1 + sum(abs(c) for c in ints)
+    steps = range(len(ints) - 1, 1, -1)
     for c0 in _divisors(ints[0]) or [1]:
         for c in (c0, -c0):
             for b in range(-height, height + 1):
-                cand = QPoly([c, b, 1])
-                q, r = p.divmod(cand)
-                if r.is_zero and q.degree >= 1:
-                    return cand
+                r = list(ints)
+                for k in steps:
+                    r[k - 1] -= b * r[k]
+                    r[k - 2] -= c * r[k]
+                if r[0] == 0 == r[1]:
+                    return QPoly([c, b, 1])
     return None
 
 

@@ -18,10 +18,10 @@ v and w under tau, whose entries are the moments w . A^k v, A = L tau.
 One pass over H (`_moment_kind`) tells definite (a crossing), nonsingular
 but not definite (Empty), and singular apart; it is the module's only
 Hankel test, and its fraction-free pass (`_sylvester`) the module's one
-definiteness test, which `SPDPoint` and `_cross`'s point run too.
-`intersect` runs it first and the echelon only when H is definite or
-singular, handing `_cross` the Krylov rows of v that the moments were
-read from; `_cross` builds only K's.
+definiteness test, which `SPDPoint` runs too. H is definite exactly when
+the point is, so `_cross` only solves. `intersect` runs the pass first,
+and the echelon only when H is definite or singular, handing `_cross`
+the Krylov rows of v the moments were read from; it builds only K's.
 A pattern's cells go through `intersection_table`, which keeps kind and
 sign only and decides a cell from H alone unless det H = 0: definite H is
 a crossing whose sign is read from sign(s_0)^m and sign det J, as
@@ -401,9 +401,9 @@ def _cross(
     Same-sign statements across a family are meaningful; the absolute sign
     is a convention pinned by the m = 2 reference case.
 
-    Returns the kernel dimension; when it is 1 and the line meets the PD
-    cone, the primitive integer point with Z[0][0] > 0, else None; and with
-    the point, sign(det K).
+    Returns the kernel dimension; when r = m, the primitive point with
+    Z[0][0] >= 0, else None; and with the point, sign(det K). The moment
+    form (`_moment_kind`) decides the PD cone, not this solve.
     """
     m = len(w)
     a = [k + j for k, j in zip(_krylov(list(zip(*A)), w, m), J)]
@@ -416,10 +416,7 @@ def _cross(
     g = math.gcd(*[x for row in Z for x in row])
     if Z[0][0] < 0:  # a PD matrix has a positive (0, 0) entry
         g = -g
-    Z = [[x // g for x in row] for row in Z]
-    if not _sylvester([r[:] for r in Z]):  # the kernel line misses the PD cone
-        return 1, None, None
-    return 1, Z, sgn * sign(d)
+    return 1, [[x // g for x in row] for row in Z], sgn * sign(d)
 
 
 def _moment_powers(A: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -477,31 +474,29 @@ def _integer_pair(
 def intersect(X: FlatX, Y: SubspaceY) -> IntersectionResult:
     """Exact intersection of the two PD solution sets.
 
-    The moment form comes first: the 2m - 1 moments s_k = w . A^k v,
+    The moment form decides the kind: the 2m - 1 moments s_k = w . A^k v,
     A = L tau, and one pass over their Hankel matrix H (`_moment_kind`).
     A nonsingular H that is not definite is Empty, with one kernel line
-    (see `intersection_table`), and nothing else runs. Otherwise the
-    intersection is one small integer system (`_cross`, on the Krylov
-    rows the moments were read from): at a definite H
-    a one-dimensional kernel whose line carries a PD representative, the
-    transverse intersection point, returned with its sign; at det H = 0
-    no point, and `_cross` alone tells Empty from Degenerate. Higher-
-    dimensional kernels are reported as Degenerate, never perturbed.
+    (see `intersection_table`), and nothing else runs. Otherwise one small
+    integer system (`_cross`, on the Krylov rows the moments were read
+    from) gives a definite H's point, PD as H is, with its sign (no point
+    raises ArithmeticError); at det H = 0 its kernel dimension tells Empty
+    (1) from Degenerate, which is never perturbed.
     """
     A, v, w = _integer_pair(X, Y)
     J = _krylov(A, v, 2 * len(v) - 1)
     moments = [sum(map(operator.mul, w, x)) for x in J]
-    if _moment_kind(moments) is IntersectionKind.EMPTY:
-        return IntersectionResult(IntersectionKind.EMPTY, None, 1)
+    kind = _moment_kind(moments)
+    if kind is IntersectionKind.EMPTY:
+        return IntersectionResult(kind, None, 1)
     k, Z, s = _cross(A, J, w)
-    if k != 1:
-        return IntersectionResult(IntersectionKind.DEGENERATE, None, k)
+    if kind is None:  # det H = 0: no point
+        kind = IntersectionKind.EMPTY if k == 1 else IntersectionKind.DEGENERATE
+        return IntersectionResult(kind, None, k)
     if Z is None:
-        return IntersectionResult(IntersectionKind.EMPTY, None, 1)
+        raise ArithmeticError("definite moment form, but no crossing point")
     point = SPDPoint(QMatrix._from_ints(1, Z))
-    return IntersectionResult(
-        IntersectionKind.TRANSVERSE_POINT, point, 1, Y.orientation * s
-    )
+    return IntersectionResult(kind, point, 1, Y.orientation * s)
 
 
 def intersection_table(
@@ -571,7 +566,8 @@ def intersection_sign(X: FlatX, Y: SubspaceY, at: SPDPoint) -> int:
     positive scale. The crossing is what is asked for, so this runs `_cross`
     alone, without `intersect`'s moment pass. `at` is a positive multiple of
     the primitive point Z exactly when its integer scaling is, as both have
-    a positive (0, 0) entry: when its primitive entries are Z's."""
+    a positive (0, 0) entry: when its primitive entries are Z's; so a Z
+    off the PD cone never matches."""
     A, v, w = _integer_pair(X, Y)
     k, Z, s = _cross(A, _krylov(A, v, len(v)), w)
     if k != 1:

@@ -229,15 +229,21 @@ def subspace_from_rho_by_square(rho: QMatrix) -> SubspaceY:
 
 def intersect_by_cross(X: FlatX, Y: SubspaceY) -> IntersectionResult:
     """`intersect` read from the crossing solve `_cross` alone, with no
-    moment pass."""
+    moment pass: its point is tested for the PD cone by Sylvester's test
+    over Q, and the sign is Y.orientation sign(det K), with K the Krylov
+    rows w, A^T w, ... of Y's plane, its determinant taken over Q."""
     if X.m != Y.m:
         raise ValueError("dimension mismatch")
     A = _int_matrix(X.tau)[1]
-    k, Z, s = _cross(A, _krylov(A, Y.line, X.m), Y.plane)
+    k, Z, _ = _cross(A, _krylov(A, Y.line, X.m), Y.plane)
     if k != 1:
         return IntersectionResult(IntersectionKind.DEGENERATE, None, k)
-    if Z is None:
+    if Z is None or not is_positive_definite(QMatrix(Z)):
         return IntersectionResult(IntersectionKind.EMPTY, None, 1)
+    d = fraction_det(_krylov(list(zip(*A)), Y.plane, X.m))
     return IntersectionResult(
-        IntersectionKind.TRANSVERSE_POINT, SPDPoint(QMatrix(Z)), 1, Y.orientation * s
+        IntersectionKind.TRANSVERSE_POINT,
+        SPDPoint(QMatrix(Z)),
+        1,
+        Y.orientation * ((d > 0) - (d < 0)),
     )

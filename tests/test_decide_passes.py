@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from flatlink import symspace  # noqa: E402
+from flatlink.congruence import _evaluator, _walk_point  # noqa: E402
 from flatlink.projlink import (  # noqa: E402
     Arrangement,
     GeneralPositionError,
@@ -247,6 +248,48 @@ def test_intersection_sign_runs_the_crossing_alone(monkeypatch):
         intersection_sign(X3, subspace_from_pair(c, e), SPDPoint(QMatrix.identity(3)))
     with pytest.raises(ValueError, match="dimension"):
         intersection_sign(X3, Y, res.point)
+
+
+def _transverse_pairs():
+    """The criterion-7 pair at m = 2 and the built definite case at m = 3."""
+    X2 = flat_from_tau(QMatrix([[2, 1], [1, 1]]))
+    Y2 = subspace_from_rho(QMatrix([[0, 1], [1, 0]]))
+    nodes, c, e, _, _ = BUILT["definite"]
+    g = rnd_invertible(random.Random(9101), len(nodes))
+    X3 = flat_from_tau(g @ QMatrix.diagonal(nodes) @ g.inverse())
+    Y3 = subspace_from_pair(g.apply(c), transpose(g.inverse()).apply(e))
+    return [(X2, Y2), (X3, Y3)]
+
+
+@pytest.mark.parametrize("pair", [0, 1], ids=["m2", "m3"])
+def test_sylvester_passes_per_crossing(pair, monkeypatch):
+    """The moment form decides the PD cone, and `_cross` only solves. A
+    transverse `intersect` runs Sylvester's pass twice, on sign(s_0) H and
+    in the `SPDPoint` of its point; `intersection_sign`, handed an
+    `SPDPoint`, never; a descent hit twice, on its moment form and in the
+    `SPDPoint` of its moved point."""
+    X, Y = _transverse_pairs()[pair]
+    evaluate = _evaluator(X, Y)
+    identity = _walk_point(tuple(int(i == j) for i in range(X.m) for j in range(X.m)), X.m)
+    passes = _count_calls(monkeypatch, "_sylvester")
+    res = intersect(X, Y)
+    assert res.kind is T and len(passes) == 2
+    del passes[:]
+    assert intersection_sign(X, Y, res.point) == res.sign
+    assert len(passes) == 0
+    hit = evaluate(identity)
+    assert hit is not None and hit.sign == res.sign
+    assert len(passes) == 2
+
+
+def test_intersect_raises_on_a_definite_form_without_a_point(monkeypatch):
+    """A definite moment form is a crossing; a solve that finds no point
+    there is an arithmetic fault, raised as the descent raises it, not
+    reported as Empty."""
+    X, Y = _transverse_pairs()[0]
+    monkeypatch.setattr(symspace, "_cross", lambda A, J, w: (1, None, None))
+    with pytest.raises(ArithmeticError, match="definite moment form"):
+        intersect(X, Y)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,105 @@
+"""`qkernel._monic_factor_search` against trial division over Q.
+
+The search divides the integer coefficients by each monic quadratic
+t^2 + b t + c synthetically. The reference below is the route it
+replaced: the same scan, each candidate divided with `QPoly.divmod` over
+Q. Both must return the same witness, or None together.
+"""
+
+import random
+import time
+
+import pytest
+
+from flatlink import qkernel
+from flatlink.qkernel import IrredVerdict, QPoly, irreducible_over_Q
+
+
+def _fraction_search(ints, degrees):
+    if ints[-1] != 1 or 2 not in degrees:
+        return None
+    p = QPoly(ints)
+    height = 1 + sum(abs(c) for c in ints)
+    for c0 in qkernel._divisors(ints[0]) or [1]:
+        for c in (c0, -c0):
+            for b in range(-height, height + 1):
+                cand = QPoly([c, b, 1])
+                q, r = p.divmod(cand)
+                if r.is_zero and q.degree >= 1:
+                    return cand
+    return None
+
+
+def _swinnerton_dyer(a, b):
+    """(t - sqrt a - sqrt b)(t - sqrt a + sqrt b)(t + sqrt a - sqrt b)
+    (t + sqrt a + sqrt b) = t^4 - 2 (a + b) t^2 + (a - b)^2."""
+    return (a - b) ** 2, 0, -2 * (a + b), 0, 1
+
+
+def _monic(rng, deg, height):
+    """A monic integer polynomial with a nonzero constant term."""
+    head = rng.choice([-1, 1]) * rng.randint(1, height)
+    return QPoly([head] + [rng.randint(-height, height) for _ in range(deg - 1)] + [1])
+
+
+PLANTED = 6  # of the 8 cases at each degree
+
+
+def _seeded_cases():
+    """Monic products of degree 4 to 8: at each degree PLANTED with a
+    planted monic quadratic factor, then two with none planted."""
+    rng = random.Random(3301)
+    cases = []
+    for deg in range(4, 9):
+        for k in range(8):
+            if k < PLANTED:
+                p = _monic(rng, 2, 6) * _monic(rng, deg - 2, 4)
+            else:
+                p = _monic(rng, deg, 4)
+            cases.append(p.primitive_int())
+    return cases
+
+
+# the edge paths: a zero constant term (c = +-1 only), a quadratic input
+# (its quotient would be constant) and a non-monic input
+EDGE_CASES = [
+    (QPoly([0, 1]) * QPoly([2, 1, 1]) * QPoly([3, 0, 1])).primitive_int(),
+    (2, 3, 1),
+    (6, 5, 2, 3),
+]
+
+
+@pytest.mark.parametrize("ints", _seeded_cases() + EDGE_CASES, ids=str)
+def test_monic_factor_search_matches_fraction_search(ints):
+    deg = len(ints) - 1
+    for degrees in ({2}, set(range(deg + 1)), {1, 3}):
+        assert qkernel._monic_factor_search(ints, degrees) == _fraction_search(ints, degrees)
+
+
+def test_planted_factors_are_found():
+    """Every planted product has a witness, and every witness divides."""
+    for k, ints in enumerate(_seeded_cases()):
+        w = qkernel._monic_factor_search(ints, {2})
+        assert w is not None or k % 8 >= PLANTED, ints
+        if w is not None:
+            assert w.degree == 2 and QPoly(ints).divmod(w)[1].is_zero
+
+
+@pytest.mark.parametrize("ab", [(2, 3), (1009, 1013)], ids=["SD(2,3)", "SD(1009,1013)"])
+def test_monic_factor_search_on_swinnerton_dyer(ab):
+    """An irreducible quartic that splits modulo every prime: both searches
+    scan to the end and find nothing."""
+    ints = _swinnerton_dyer(*ab)
+    assert qkernel._monic_factor_search(ints, {2}) is None
+    assert _fraction_search(ints, {2}) is None
+
+
+def test_swinnerton_dyer_1009_1013_in_under_a_second():
+    """Its height bound is 4,062, so the search divides by 81,250
+    quadratics. The Fraction route took about 3 s on a 2-vCPU VM, the
+    integer one 0.05 s."""
+    p = QPoly(_swinnerton_dyer(1009, 1013))
+    t0 = time.perf_counter()
+    cert = irreducible_over_Q(p)
+    assert time.perf_counter() - t0 < 1
+    assert cert.verdict is IrredVerdict.INCONCLUSIVE
