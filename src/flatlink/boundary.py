@@ -33,12 +33,12 @@ and a canonical generator matrix has as many columns as its dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import Optional, Sequence, Union
 
 from .qkernel import (
     QMatrix,
+    _Record,
     _back_substitute,
     _echelon,
     _int_det,
@@ -124,8 +124,7 @@ def sum_subspaces(parts: Sequence[QMatrix]) -> QMatrix:
     return _canonical([v for p in parts for v in _columns(p)])[0]
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(_Record):
     """Strictly nested proper rational subspaces, canonical generators."""
 
     subspaces: tuple[QMatrix, ...]
@@ -150,8 +149,7 @@ class Flag:
         return tuple(s.ncols for s in self.subspaces)
 
 
-@dataclass(frozen=True)
-class DecompSphere:
+class DecompSphere(_Record):
     """Block sizes of a direct-sum decomposition, for join bookkeeping."""
 
     dims: tuple[int, ...]

@@ -5,12 +5,13 @@ polynomial of degree m, as every regular tau is), so its commutant is
 Q[tau] and gamma = a b with b commuting with tau reads b^{-1} = p(tau).
 Then a = gamma p(tau) commutes with rho exactly when p's m coefficients
 solve an m^2 x m integer system, built on the powers of L tau. Let
-s_1..s_d span its kernel. det p(tau) is the product of p(lambda) over
-tau's m eigenvalues, each a linear form in p's coefficients. On the span
-such a form is either zero or, along p_c = sum_k c^(k-1) s_k, a nonzero
-polynomial in c of degree <= d - 1. So the span holds an invertible p(tau)
-exactly when one of p_0, ..., p_(m(d-1)) gives one, and the solver
-answers solved or no_solution after that bounded scan.
+s_1..s_d span its kernel, read in integers (`qkernel._int_kernel`).
+det p(tau) is the product of p(lambda) over tau's m eigenvalues, each a
+linear form in p's coefficients. On the span such a form is either zero
+or, along p_c = sum_k c^(k-1) s_k, a nonzero polynomial in c of degree
+<= d - 1. So the span holds an invertible p(tau) exactly when one of
+p_0, ..., p_(m(d-1)) gives one, and the solver answers solved or
+no_solution after that bounded scan.
 
 The deep-congruence machinery behind the same-sign statement (double
 cosets, p-adic identity neighborhoods) is replaced by what it predicts:
@@ -33,14 +34,15 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .qkernel import (
     QMatrix,
+    _Record,
     _echelon,
     _first_row_cofactors,
     _int_det,
+    _int_kernel,
     _int_matrix,
     _is_prime,
     _primitive_ints,
@@ -66,15 +68,16 @@ class CommutantError(ValueError):
     """The joint commutant of (tau, rho) is larger than the scalars."""
 
 
-@dataclass(frozen=True)
-class CongruenceLevel:
+class CongruenceLevel(_Record):
     p: int
     n: int
 
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.n < 1:
+    def __init__(self, p: int, n: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if n < 1:
             raise ValueError("level exponent must be >= 1")
 
     @property
@@ -82,23 +85,33 @@ class CongruenceLevel:
         return self.p**self.n
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Record):
     a: QMatrix
     b: QMatrix
 
+    def __init__(self, a: QMatrix, b: QMatrix):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
-@dataclass(frozen=True)
-class PtoqResult:
+
+class PtoqResult(_Record):
     kind: str  # "solved" | "no_solution"
     decomposition: Optional[Decomposition]
 
+    def __init__(self, kind: str, decomposition: Optional[Decomposition]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "decomposition", decomposition)
 
-@dataclass(frozen=True)
-class SignedHit:
+
+class SignedHit(_Record):
     gamma: QMatrix
     point: SPDPoint
     sign: int
+
+    def __init__(self, gamma: QMatrix, point: SPDPoint, sign: int):
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "sign", sign)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +175,7 @@ def ptoq_solve(gamma: QMatrix, tau: QMatrix, rho: QMatrix) -> PtoqResult:
         raise ValueError("tau is derogatory: its commutant is larger than Q[tau]")
     eqs = _intertwine_rows(R, R)  # vec(x R - R x)
     rows = [[sum(map(operator.mul, e, t)) for t in terms] for e in eqs]
-    ker = [[int(x) for x in s] for s in kernel_basis(QMatrix(rows))]
+    ker = _int_kernel(rows)
     if not ker:
         return PtoqResult("no_solution", None)
     for c in range(m * (len(ker) - 1) + 1):

@@ -30,7 +30,6 @@ snap. Floats enter nowhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence, Union
@@ -46,6 +45,7 @@ from .qkernel import (
     IrredCertificate,
     IrredVerdict,
     QMatrix,
+    _Record,
     _int_det,
     _scaled_ints,
     _times_inverse,
@@ -76,44 +76,86 @@ RETRY_BUDGET = 32
 DENOM_BOUND = 64  # first denominator bound of a rationalization
 
 
-@dataclass(frozen=True)
-class CellWitness:
+class CellWitness(_Record):
     """Per-cell certificate: criterion verdict, oracle verdict, point sign."""
 
     link: Optional[str]
     oracle: str
     sign: Optional[int]
 
+    def __init__(self, link: Optional[str], oracle: str, sign: Optional[int]):
+        object.__setattr__(self, "link", link)
+        object.__setattr__(self, "oracle", oracle)
+        object.__setattr__(self, "sign", sign)
 
-@dataclass(frozen=True)
-class RationalizedTau:
+
+class RationalizedTau(_Record):
     tau: QMatrix
     irred: IrredCertificate
     sturm_count: int
     frame_distance: Fraction
 
+    def __init__(
+        self,
+        tau: QMatrix,
+        irred: IrredCertificate,
+        sturm_count: int,
+        frame_distance: Fraction,
+    ):
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "irred", irred)
+        object.__setattr__(self, "sturm_count", sturm_count)
+        object.__setattr__(self, "frame_distance", frame_distance)
 
-@dataclass(frozen=True)
-class PatternFlat:
+
+class PatternFlat(_Record):
     flat: FlatX
-    arrangement: Optional[Arrangement] = None
-    rationalized: Optional[RationalizedTau] = None
+    arrangement: Optional[Arrangement]
+    rationalized: Optional[RationalizedTau]
+
+    def __init__(
+        self,
+        flat: FlatX,
+        arrangement: Optional[Arrangement] = None,
+        rationalized: Optional[RationalizedTau] = None,
+    ):
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "arrangement", arrangement)
+        object.__setattr__(self, "rationalized", rationalized)
 
 
-@dataclass(frozen=True)
-class PatternSubspace:
+class PatternSubspace(_Record):
     subspace: SubspaceY
-    pair: Optional[LinePlanePair] = None
+    pair: Optional[LinePlanePair]
+
+    def __init__(self, subspace: SubspaceY, pair: Optional[LinePlanePair] = None):
+        object.__setattr__(self, "subspace", subspace)
+        object.__setattr__(self, "pair", pair)
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(_Record):
     N: int
     m: int
     flats: tuple[PatternFlat, ...]
     subspaces: tuple[PatternSubspace, ...]
     matrix: tuple[tuple[int, ...], ...]
     certificate: tuple[tuple[CellWitness, ...], ...]
+
+    def __init__(
+        self,
+        N: int,
+        m: int,
+        flats: tuple[PatternFlat, ...],
+        subspaces: tuple[PatternSubspace, ...],
+        matrix: tuple[tuple[int, ...], ...],
+        certificate: tuple[tuple[CellWitness, ...], ...],
+    ):
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "flats", flats)
+        object.__setattr__(self, "subspaces", subspaces)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "certificate", certificate)
 
     def is_upper_triangular_nonzero_diagonal(self) -> bool:
         return all(

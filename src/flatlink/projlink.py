@@ -17,7 +17,6 @@ reading every sign from integers; `link_decision` is its one-pair case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import mul
@@ -25,6 +24,7 @@ from typing import Sequence
 
 from .qkernel import (
     QMatrix,
+    _Record,
     _back_substitute,
     _echelon,
     _first_row_cofactors,
@@ -39,8 +39,7 @@ class GeneralPositionError(ValueError):
     """Raised when an input configuration is degenerate for the requested decision."""
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(_Record):
     """Point of P^{m-1}, canonical primitive integer representative."""
 
     rep: tuple[int, ...]
@@ -56,8 +55,7 @@ class ProjPoint:
         return f"ProjPoint{self.rep}"
 
 
-@dataclass(frozen=True)
-class ProjHyperplane:
+class ProjHyperplane(_Record):
     """Hyperplane of P^{m-1} as a canonical primitive integer functional."""
 
     functional: tuple[int, ...]
@@ -80,8 +78,7 @@ class ProjHyperplane:
         return f"ProjHyperplane{self.functional}"
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(_Record):
     """Projective frame: m points of P^{m-1} in general position."""
 
     points: tuple[ProjPoint, ...]
@@ -106,8 +103,7 @@ class Arrangement:
         return QMatrix.from_columns([p.rep for p in self.points])
 
 
-@dataclass(frozen=True)
-class LinePlanePair:
+class LinePlanePair(_Record):
     """A point (eigenline) and a hyperplane, with the point off the hyperplane."""
 
     line: ProjPoint

@@ -24,16 +24,23 @@ same roots (`_sturm_chain`).
 Irreducibility over Q is certified, not factored: factor-degree patterns of
 reductions modulo small primes, then a rational-root test. `Inconclusive` is a
 legal verdict; no Zassenhaus/van Hoeij style factorization is attempted.
+
+The package's immutable records (`IrredCertificate` here, the flats,
+subspaces, points, certificates and patterns elsewhere) derive from one
+private base, `_Record`: it reads each record's fields from its annotations
+and gives a frozen dataclass's equality, hash, repr and refused assignment,
+while each record writes its own `__init__`. No module imports
+`dataclasses`, whose import and per-class code generation were most of a
+fresh interpreter's set-up.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Optional, Sequence, Union
 
 Rat = Fraction
@@ -99,6 +106,54 @@ def _primitive_ints(v: Sequence) -> tuple[int, ...]:
     if next(x for x in ints if x) < 0:
         g = -g
     return tuple(x // g for x in ints)
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+class _Record:
+    """Base of the package's immutable records, with a frozen dataclass's
+    behaviour and none of its generated code.
+
+    A subclass's fields are its own annotated names, in order, read once
+    here. Each subclass writes its own `__init__`, which sets every field
+    with `object.__setattr__` in that order and then runs its checks;
+    instances refuse any other assignment or deletion. Records are built
+    on the decide and certify paths, and a hand-written `__init__` costs
+    what the dataclass's generated one did, where one shared `__init__`
+    looping over the fields would not. Equality is the same class with
+    equal field tuples, the hash is the field tuple's, as a frozen
+    dataclass's is, and the repr is `Name(f=v, ...)`. Instances keep their
+    `__dict__`, so copying and pickling restore it directly.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        fields = tuple(cls.__annotations__)
+        get = attrgetter(*fields)
+        cls._fields = cls.__match_args__ = fields
+        # attrgetter of one name returns the value, not a 1-tuple
+        cls._values = staticmethod(get if len(fields) > 1 else lambda r: (get(r),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -392,23 +447,26 @@ def rank(M: QMatrix) -> int:
     return len(_echelon(a)[0])
 
 
-def kernel_basis(M: QMatrix) -> list[tuple]:
-    """Canonical basis of the right kernel.
-
-    Vectors are primitive integer tuples (first nonzero entry positive),
-    ordered by their free-column index in the echelon form.
-    """
-    a = _int_matrix(M)[1]
+def _int_kernel(a: list[list[int]]) -> list[tuple[int, ...]]:
+    """Canonical basis of the right kernel of the integer rows `a`, which
+    it echelons in place: primitive int tuples (first nonzero entry
+    positive), ordered by their free-column index in the echelon form."""
+    ncols = len(a[0])
     pivots, _, d = _echelon(a)
     basis = []
-    for f in range(M.ncols):
+    for f in range(ncols):
         if f not in pivots:
             # column f = (pivot columns) y / d: y at the pivots, -d at f
             v = dict(zip(pivots, _back_substitute(a, pivots, d, f)))
             v[f] = -d
-            ints = _primitive_ints([v.get(c, 0) for c in range(M.ncols)])
-            basis.append(tuple(map(Fraction, ints)))
+            basis.append(_primitive_ints([v.get(c, 0) for c in range(ncols)]))
     return basis
+
+
+def kernel_basis(M: QMatrix) -> list[tuple]:
+    """Canonical basis of the right kernel: `_int_kernel` of L M, whose
+    kernel is M's, with each entry as a Fraction."""
+    return [tuple(map(Fraction, v)) for v in _int_kernel(_int_matrix(M)[1])]
 
 
 def _solve_square(G: list[list[int]]) -> tuple[int, list[list[int]]]:
@@ -939,11 +997,20 @@ class IrredVerdict(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class IrredCertificate:
+class IrredCertificate(_Record):
     verdict: IrredVerdict
     witness: Union[int, Fraction, QPoly, None]
     patterns: tuple[tuple[int, tuple[int, ...]], ...]
+
+    def __init__(
+        self,
+        verdict: IrredVerdict,
+        witness: Union[int, Fraction, QPoly, None],
+        patterns: tuple[tuple[int, tuple[int, ...]], ...],
+    ):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "patterns", patterns)
 
 
 def _subset_sums(multiset: tuple[int, ...]) -> frozenset:

@@ -20,8 +20,10 @@ but not definite (Empty), and singular apart; it is the module's only
 Hankel test, and its fraction-free pass (`_sylvester`) the module's one
 definiteness test, which `SPDPoint` runs too. H is definite exactly when
 the point is, so `_cross` only solves. `intersect` runs the pass first,
-and the echelon only when H is definite or singular, handing `_cross`
-the Krylov rows of v the moments were read from; it builds only K's.
+and the echelon only when H is definite or singular, handing it the
+Krylov rows of v the moments were read from; it builds only K's. A
+singular H has no point, so there the echelon's kernel dimension
+(`_cross_dim`) is all that runs, with no back-substitution.
 A pattern's cells go through `intersection_table`, which keeps kind and
 sign only and decides a cell from H alone unless det H = 0: definite H is
 a crossing whose sign is read from sign(s_0)^m and sign det J, as
@@ -42,13 +44,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .qkernel import (
     QMatrix,
+    _Record,
     _back_substitute,
     _conjugate,
     _echelon,
@@ -103,19 +105,19 @@ def _sylvester(a: list[list[int]]) -> Optional[bool]:
     return definite
 
 
-@dataclass(frozen=True)
-class SPDPoint:
+class SPDPoint(_Record):
     """Positive definite symmetric matrix up to positive scale."""
 
     Z: QMatrix
 
-    def __post_init__(self):
+    def __init__(self, Z: QMatrix):
         """Both checks read Z's integer form L Z, L > 0: a positive scale
         keeps symmetry and multiplies the k-th leading principal minor by
         L^k, so Sylvester's test has the same outcome on L Z as on Z."""
-        if not self.Z.is_symmetric():
+        object.__setattr__(self, "Z", Z)
+        if not Z.is_symmetric():
             raise ValueError("point matrix must be symmetric")
-        if not _sylvester(_int_matrix(self.Z)[1]):
+        if not _sylvester(_int_matrix(Z)[1]):
             raise ValueError("point matrix must be positive definite")
 
 
@@ -177,12 +179,14 @@ def subspace_membership_system(rho: QMatrix) -> QMatrix:
 # the two geodesic objects
 
 
-@dataclass(frozen=True)
-class FlatX:
+class FlatX(_Record):
     """Maximal flat: PD part of the m-dimensional space {Z : tau Z = Z tau^T}
     (the kernel of `flat_membership_system(tau)`), stored as its tau alone."""
 
     tau: QMatrix
+
+    def __init__(self, tau: QMatrix):
+        object.__setattr__(self, "tau", tau)
 
     @property
     def m(self) -> int:
@@ -209,8 +213,7 @@ def flat_from_tau(tau: QMatrix) -> FlatX:
     return FlatX(tau)
 
 
-@dataclass(frozen=True)
-class SubspaceY:
+class SubspaceY(_Record):
     """Minset of the involution rho with eigenvalues (-1, ..., -1, 1).
 
     Y is its line, the +1 eigenvector v, and its plane, the functional w
@@ -229,8 +232,11 @@ class SubspaceY:
     plane: tuple[int, ...]
     orientation: int
 
-    def __post_init__(self):
-        if not all(isinstance(x, int) for x in (*self.line, *self.plane)):
+    def __init__(self, line: tuple[int, ...], plane: tuple[int, ...], orientation: int):
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "plane", plane)
+        object.__setattr__(self, "orientation", orientation)
+        if not all(isinstance(x, int) for x in (*line, *plane)):
             raise TypeError("a subspace's line and plane must hold ints")
 
     @property
@@ -345,12 +351,23 @@ class IntersectionKind(Enum):
     DEGENERATE = "Degenerate"
 
 
-@dataclass(frozen=True)
-class IntersectionResult:
+class IntersectionResult(_Record):
     kind: IntersectionKind
     point: Optional[SPDPoint]
     kernel_dim: int
-    sign: Optional[int] = None  # a TransversePoint's orientation sign: see `_cross`
+    sign: Optional[int]  # a TransversePoint's orientation sign: see `_cross`
+
+    def __init__(
+        self,
+        kind: IntersectionKind,
+        point: Optional[SPDPoint],
+        kernel_dim: int,
+        sign: Optional[int] = None,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "kernel_dim", kernel_dim)
+        object.__setattr__(self, "sign", sign)
 
 
 def _krylov(A: Sequence[Sequence[int]], x: Sequence[int], n: int) -> list[list[int]]:
@@ -359,6 +376,29 @@ def _krylov(A: Sequence[Sequence[int]], x: Sequence[int], n: int) -> list[list[i
     for _ in range(n - 1):
         out.append([sum(map(operator.mul, r, out[-1])) for r in A])
     return out
+
+
+def _cross_echelon(
+    A: Sequence[Sequence[int]], J: list[list[int]], w: Sequence[int]
+) -> tuple[int, Optional[tuple[list[list[int]], list[int], int, int]]]:
+    """`_cross`'s one echelon, of the m x 2m integer rows [K^T | J^T], with
+    r its number of pivots among the first m columns: the kernel dimension
+    m - r + (no pivot past column m), and, when r = m, the echelon rows,
+    pivots, permutation sign and last pivot that `_cross` back-substitutes
+    (else None)."""
+    m = len(w)
+    a = [k + j for k, j in zip(_krylov(list(zip(*A)), w, m), J)]
+    pivots, sgn, d = _echelon(a)
+    r = sum(c < m for c in pivots)
+    return m - r + (len(pivots) == r), (a, pivots, sgn, d) if r == m else None
+
+
+def _cross_dim(A: Sequence[Sequence[int]], J: list[list[int]], w: Sequence[int]) -> int:
+    """`_cross`'s kernel dimension, with no back-substitution. At det H = 0
+    no point exists (`_moment_kind`), and this is all that tells Empty (1)
+    from Degenerate; even at r = m, where `_cross` would solve for a
+    singular Z, nothing more runs."""
+    return _cross_echelon(A, J, w)[0]
 
 
 def _cross(
@@ -403,14 +443,15 @@ def _cross(
 
     Returns the kernel dimension; when r = m, the primitive point with
     Z[0][0] >= 0, else None; and with the point, sign(det K). The moment
-    form (`_moment_kind`) decides the PD cone, not this solve.
+    form (`_moment_kind`) decides the PD cone, not this solve; where it
+    is singular there is no point, and `_cross_dim` reads the kernel
+    dimension alone.
     """
     m = len(w)
-    a = [k + j for k, j in zip(_krylov(list(zip(*A)), w, m), J)]
-    pivots, sgn, d = _echelon(a)
-    r = sum(c < m for c in pivots)
-    if r < m:
-        return m - r + (len(pivots) == r), None, None
+    k, echelon = _cross_echelon(A, J, w)
+    if echelon is None:  # r < m
+        return k, None, None
+    a, pivots, sgn, d = echelon
     # column j of d Z; Z is symmetric, so these are also its rows
     Z = [_back_substitute(a, pivots, d, m + j) for j in range(m)]
     g = math.gcd(*[x for row in Z for x in row])
@@ -478,10 +519,11 @@ def intersect(X: FlatX, Y: SubspaceY) -> IntersectionResult:
     A = L tau, and one pass over their Hankel matrix H (`_moment_kind`).
     A nonsingular H that is not definite is Empty, with one kernel line
     (see `intersection_table`), and nothing else runs. Otherwise one small
-    integer system (`_cross`, on the Krylov rows the moments were read
-    from) gives a definite H's point, PD as H is, with its sign (no point
-    raises ArithmeticError); at det H = 0 its kernel dimension tells Empty
-    (1) from Degenerate, which is never perturbed.
+    integer system, on the Krylov rows the moments were read from, decides
+    the rest: `_cross` gives a definite H's point, PD as H is, with its
+    sign (no point raises ArithmeticError); at det H = 0 its echelon's
+    kernel dimension (`_cross_dim`) tells Empty (1) from Degenerate, which
+    is never perturbed, and no point is solved for.
     """
     A, v, w = _integer_pair(X, Y)
     J = _krylov(A, v, 2 * len(v) - 1)
@@ -489,10 +531,11 @@ def intersect(X: FlatX, Y: SubspaceY) -> IntersectionResult:
     kind = _moment_kind(moments)
     if kind is IntersectionKind.EMPTY:
         return IntersectionResult(kind, None, 1)
-    k, Z, s = _cross(A, J, w)
     if kind is None:  # det H = 0: no point
+        k = _cross_dim(A, J, w)
         kind = IntersectionKind.EMPTY if k == 1 else IntersectionKind.DEGENERATE
         return IntersectionResult(kind, None, k)
+    _, Z, s = _cross(A, J, w)
     if Z is None:
         raise ArithmeticError("definite moment form, but no crossing point")
     point = SPDPoint(QMatrix._from_ints(1, Z))
@@ -522,10 +565,10 @@ def intersection_table(
       so every mu_i = w_i v_i is nonzero and, H not being definite, they
       have mixed signs: the line's a_i = lam v_i / w_i are never all
       positive.
-    - det H = 0: H is not definite, so there is no point, and `_cross`
-      decides between Degenerate and Empty, on the row's J: only its
-      echelon tells a kernel of dimension >= 2 from the one line at
-      lam = 0.
+    - det H = 0: H is not definite, so there is no point, and `_cross`'s
+      echelon (`_cross_dim`) decides between Degenerate and Empty, on the
+      row's J: only it tells a kernel of dimension >= 2 from the one line
+      at lam = 0. No point is solved for.
 
     One pass over sign(s_0) H tells the three apart (`_moment_kind`). No
     point is built: a certificate keeps kind and sign only.
@@ -553,7 +596,7 @@ def intersection_table(
                 row.append((kind, crossing))
             elif kind is IntersectionKind.EMPTY:
                 row.append((kind, None))
-            elif _cross(A, J, w)[0] == 1:  # a singular H is not definite: no point
+            elif _cross_dim(A, J, w) == 1:  # a singular H is not definite: no point
                 row.append((IntersectionKind.EMPTY, None))
             else:
                 row.append((IntersectionKind.DEGENERATE, None))

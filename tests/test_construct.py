@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import time
@@ -465,7 +464,9 @@ def test_certify_stability():
     assert certify_pattern_stability(p, p)
     flipped = list(map(list, p.matrix))
     flipped[0][1] = -flipped[0][1]
-    q = dataclasses.replace(p, matrix=tuple(map(tuple, flipped)))
+    q = construct.Pattern(
+        p.N, p.m, p.flats, p.subspaces, tuple(map(tuple, flipped)), p.certificate
+    )
     assert not certify_pattern_stability(p, q)
     with pytest.raises(ValueError):
         certify_pattern_stability(p, synthesize_pattern(1, 2))

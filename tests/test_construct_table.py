@@ -98,25 +98,36 @@ def test_table_matches_per_cell_route(N, m, rotation):
     assert all(w.link is None for row in snapped.certificate for w in row)
 
 
+# the passes of `symspace`'s crossing system: the solve, its echelon alone,
+# and the back-substitution the solve runs
+CROSS_PASSES = ("_cross", "_cross_dim", "_back_substitute")
+
+
+def _count(monkeypatch, name):
+    """The argument tuples of every call to `symspace`'s `name`."""
+    calls = []
+    fn = getattr(symspace, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(symspace, name, counted)
+    return calls
+
+
 def test_pattern_cells_never_reach_cross(monkeypatch):
     """Every cell of the 9 certify-workload patterns and of their snaps has
     det H != 0, so synthesis, rationalization and certification decide
-    them all from the moment form, without `_cross`."""
-    calls = []
-    cross = symspace._cross
-
-    def counted(t, v, w):
-        calls.append((t, v, w))
-        return cross(t, v, w)
-
-    monkeypatch.setattr(symspace, "_cross", counted)
+    them all from the moment form, without the crossing system."""
+    calls = [_count(monkeypatch, name) for name in CROSS_PASSES]
     for N, m in SHAPES:
         for rotation in ROTATIONS:
             p = synthesize_pattern(N, m, rotation=rotation)
             snapped, _ = rationalize_pattern(p)
             for q in (p, snapped):
                 assert construct._certify_pattern(q.flats, q.subspaces) is not None
-    assert calls == []
+    assert calls == [[], [], []]
 
 
 def _frame_flat(points):
@@ -301,7 +312,9 @@ def test_intersection_table_moment_route(m, shared, monkeypatch):
     """The table against `intersect` on three flats g D g^-1 sharing a
     random integer eigenbasis g, with one eigenvalue list in three orders,
     and subspaces of five kinds (`_eigen_columns`). Only the det H = 0
-    cells reach `_cross`. The transverse cells have
+    cells reach `_cross`'s echelon (`_cross_dim`), and no cell reaches its
+    point solve: no back-substitution runs, not even at r = m (kind 4).
+    The transverse cells have
     det J = det[v | tau v | ...] of both signs, as rows 0 and 1 differ by
     one transposition of the eigenvalues, so each row needs its own Krylov
     vectors and the crossing sign needs sign det J. With their own lines
@@ -315,17 +328,14 @@ def test_intersection_table_moment_route(m, shared, monkeypatch):
     flats = [flat_from_tau(g @ QMatrix.diagonal(o) @ g_inv) for o in orders]
     columns = _eigen_columns(rng, g, shared)
     subspaces = [Y for _, Y in columns]
-    calls = []
-    cross = symspace._cross
-
-    def counted(t, v, w):
-        calls.append((t, v, w))
-        return cross(t, v, w)
-
-    monkeypatch.setattr(symspace, "_cross", counted)
+    calls = {name: _count(monkeypatch, name) for name in CROSS_PASSES}
     table = intersection_table(flats, subspaces)
-    assert len(calls) == len(flats) * sum(kind >= 2 for kind, _ in columns)
-    monkeypatch.setattr(symspace, "_cross", cross)
+    assert {name: len(c) for name, c in calls.items()} == {
+        "_cross": 0,
+        "_cross_dim": len(flats) * sum(kind >= 2 for kind, _ in columns),
+        "_back_substitute": 0,
+    }
+    monkeypatch.undo()
     T, E, D = (
         IntersectionKind.TRANSVERSE_POINT,
         IntersectionKind.EMPTY,

@@ -166,7 +166,9 @@ def _assert_same(got, want):
 def test_intersect_matches_cross_on_built_cases(case, flip, seed, monkeypatch):
     """Each built case has the kind, kernel dimension, point and sign of the
     crossing solve alone, and the zero leading minor and det H it was built
-    for. `_cross` runs exactly when H is definite or det H = 0: a nonsingular
+    for. `_cross` runs exactly when H is definite, and back-substitutes the
+    point's m columns; at det H = 0 only its echelon runs (`_cross_dim`),
+    with no back-substitution, also at r = m ("det_J_zero"); a nonsingular
     H that is not definite, with a zero leading minor or not, is Empty from
     the moment pass alone. With seed 0 the eigenbasis is the identity."""
     nodes, c, e, kind, zero_minor = BUILT[case]
@@ -184,9 +186,12 @@ def test_intersect_matches_cross_on_built_cases(case, flip, seed, monkeypatch):
     first_zero = next((k for k, x in enumerate(minors) if x == 0), None)
     assert first_zero == zero_minor
     singular = minors[-1] == 0
-    calls = _count_calls(monkeypatch, "_cross")
+    crossings = _count_calls(monkeypatch, "_cross")
+    echelons = _count_calls(monkeypatch, "_cross_dim")
+    solves = _count_calls(monkeypatch, "_back_substitute")
     got = intersect(X, Y)
-    assert len(calls) == (kind is T or singular)
+    assert (len(crossings), len(echelons)) == (kind is T, singular)
+    assert len(solves) == (m if kind is T else 0)
     monkeypatch.undo()
     assert got.kind is kind
     _assert_same(got, intersect_by_cross(X, Y))

@@ -8,6 +8,7 @@ import pytest
 from flatlink.qkernel import (
     _conjugate,
     _gf_gcd,
+    _int_kernel,
     _int_matrix,
     _is_prime,
     IrredVerdict,
@@ -140,6 +141,20 @@ def test_kernel_vectors_are_primitive_and_ordered():
                 g = math.gcd(g, abs(x))
             assert g == 1
             assert next(x for x in ints if x != 0) > 0
+
+
+def test_int_kernel_is_kernel_basis_in_ints():
+    """`kernel_basis` is `_int_kernel` of the integer form, entry by entry,
+    and `_int_kernel` hands out plain ints, as `ptoq_solve` reads them."""
+    rng = random.Random(29)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 4), rng.randint(1, 5)
+        M = QMatrix(
+            [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(nc)] for _ in range(nr)]
+        )
+        ker = _int_kernel(_int_matrix(M)[1])
+        assert all(type(x) is int for v in ker for x in v)
+        assert [tuple(map(Fraction, v)) for v in ker] == kernel_basis(M)
 
 
 def test_solve_and_inverse():

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -697,7 +696,7 @@ def test_intersection_sign_swap_flips():
     X = flat_from_tau(QMatrix.diagonal([2, F(1, 2)]))
     Y = subspace_from_rho(QMatrix([[0, 1], [1, 0]]))
     at = intersect(X, Y).point
-    flipped = dataclasses.replace(Y, orientation=-Y.orientation)
+    flipped = SubspaceY(Y.line, Y.plane, -Y.orientation)
     assert intersection_sign(X, flipped, at) == -intersection_sign(X, Y, at)
 
 
@@ -756,7 +755,7 @@ def test_intersection_sign_pinned(m):
     default, swapped = "", ""
     for X, Y, res in _seeded_crossings(m, 100 + m):
         s = intersection_sign(X, Y, res.point)
-        flipped = dataclasses.replace(Y, orientation=-Y.orientation)
+        flipped = SubspaceY(Y.line, Y.plane, -Y.orientation)
         t = intersection_sign(X, flipped, res.point)
         assert res.sign == s
         assert intersect(X, flipped).sign == t
@@ -774,7 +773,7 @@ def test_sign_follows_the_stored_plane(m):
     crossings = _seeded_crossings(m, 200 + m)
     for _ in range(10):
         X, Y, res = next(crossings)
-        negated = dataclasses.replace(Y, plane=tuple(-x for x in Y.plane))
+        negated = SubspaceY(Y.line, tuple(-x for x in Y.plane), Y.orientation)
         s = intersect(X, negated).sign
         assert s == intersection_sign(X, negated, res.point)
         assert s == (-1) ** m * res.sign
