@@ -27,6 +27,13 @@ the one Krylov solve `intersect` uses (`symspace._cross`), which gives
 the point and the sign.
 Each det-1 point of the walk carries gamma and adj(gamma) as one flat
 tuple of ints, so the per-point step runs on ints alone.
+
+At m = 2 both steps are closed forms. The walk loops over the second
+rows (c, d) directly, whose cofactors are [d, -c], and each point's
+adjugate is [[d, -b], [-c, a]]; the moment form is 2 x 2, definite
+exactly when det H = s_0 s_2 - s_1^2 > 0, so a point costs a few dozen
+integer products and one comparison, with no list and no pass. m >= 3
+keeps the generic walk, `_walk_point` and the moment pass.
 """
 
 from __future__ import annotations
@@ -282,16 +289,11 @@ def _det_one_rows(m: int, q: int, bound: int):
     computed once per row set, and the first row is solved for. Rows
     1..m-1 are [0 | I] mod q, so C_0 = 1 mod q (never 0) and C_j = 0 mod q
     for j >= 1. Writing gamma_00 = 1 + q k_0 and gamma_0j = q k_j, det = 1
-    reads sum_j k_j C_j = (1 - C_0) / q, an exact division.
-
-    Extended Euclid on (C_0, C_1) runs once per row set: with g their gcd,
-    it inverts C_1 / g modulo w = |C_0| / g. Each walked k_2..k_{m-1} then
-    leaves C_0 k_0 + C_1 k_1 = r. If g does not divide r there is nothing;
-    otherwise the k_1 form one residue class mod w, each with one exact
-    k_0, and the box clips them to an interval. When C_1 = 0, w = 1: k_0
-    is one exact quotient and k_1 runs over its whole range. The walk is
-    `det_one_walk_size` long, one factor of 2B/q + 1 shorter than walking
-    every entry but one.
+    reads sum_j k_j C_j = (1 - C_0) / q, an exact division. Each walked
+    k_2..k_{m-1} then leaves C_0 k_0 + C_1 k_1 = r, which
+    `_first_row_heads` solves in the box, with one extended Euclid per row
+    set. The walk is `det_one_walk_size` long, one factor of 2B/q + 1
+    shorter than walking every entry but one.
     """
     diag_k, off_k = _det_one_ranges(q, bound)
     if not diag_k:  # no diagonal entry fits: nothing to walk
@@ -303,20 +305,44 @@ def _det_one_rows(m: int, q: int, bound: int):
         (ks, tuple(q * k for k in ks))
         for ks in itertools.product(off_k, repeat=m - 2)
     ]
-    k0_lo, k0_hi, k1_lo, k1_hi = diag_k[0], diag_k[-1], off_k[0], off_k[-1]
+
+    def systems():
+        for rest in itertools.product(*cells):
+            C = _first_row_cofactors([rest[i : i + m] for i in range(0, len(rest), m)])
+            rhs, later = (1 - C[0]) // q, C[2:]
+            yield C[0], C[1], [rhs - sum(map(operator.mul, ks, later)) for ks, _ in tails]
+
+    solved = _first_row_heads(systems(), q, diag_k, off_k)
     for rest in itertools.product(*cells):
-        C = _first_row_cofactors([rest[i : i + m] for i in range(0, len(rest), m)])
-        c0, c1, later = C[0], C[1], C[2:]
+        heads = [(*pair, *tail) for _, tail in tails for pair in next(solved)]
+        if heads:
+            yield rest, heads
+
+
+def _first_row_heads(systems, q: int, diag_k: range, off_k: range):
+    """The first-row solve of the det-1 walk. For each (c0, c1, rs) of
+    systems in turn, c0 = 1 mod q and c1 the first two cofactors of a row
+    set, and for each r of rs in turn, yields the (1 + q k_0, q k_1) with
+    k_0 in diag_k, k_1 in off_k and c0 k_0 + c1 k_1 = r, ascending in k_1,
+    as one list (or an empty tuple).
+
+    Extended Euclid on (c0, c1) runs once per system: with g their gcd,
+    it inverts c1 / g modulo w = |c0| / g. If g does not divide r there is
+    nothing; otherwise the k_1 form one residue class mod w, each with one
+    exact k_0, and the box clips them to an interval. When c1 = 0, w = 1:
+    k_0 is one exact quotient and k_1 runs over its whole range. One
+    generator serves a whole walk, so a row set costs no call.
+    """
+    k0_lo, k0_hi, k1_lo, k1_hi = diag_k[0], diag_k[-1], off_k[0], off_k[-1]
+    for c0, c1, rs in systems:
         g = math.gcd(c0, c1)
-        # C_0 k_0 + C_1 k_1 = r reads w k_0 + u k_1 = e r / g, with w > 0
+        # c0 k_0 + c1 k_1 = r reads w k_0 + u k_1 = e r / g, with w > 0
         e = 1 if c0 > 0 else -1
         w, u = e * c0 // g, e * c1 // g
         inv = pow(u, -1, w)
-        rhs = (1 - c0) // q
-        heads = []
-        for ks, tail in tails:
-            r = rhs - sum(map(operator.mul, ks, later))
+        for r in rs:
             if r % g:
+                yield ()
                 continue
             s = e * r // g
             # k_1 = s inv (mod w) makes k_0 = (s - u k_1) / w exact; k_1 is
@@ -328,14 +354,13 @@ def _det_one_rows(m: int, q: int, bound: int):
             elif u < 0:
                 lo, hi = max(lo, -(b // -u)), min(hi, -a // -u)
             elif not a <= 0 <= b:
+                yield ()
                 continue
             lo += (s * inv - lo) % w
-            heads += [
-                (1 + q * ((s - u * k1) // w), q * k1, *tail)
-                for k1 in range(lo, hi + 1, w)
-            ]
-        if heads:
-            yield rest, heads
+            if lo > hi:
+                yield ()
+                continue
+            yield [(1 + q * ((s - u * k1) // w), q * k1) for k1 in range(lo, hi + 1, w)]
 
 
 def _walk_point(gamma: tuple[int, ...], m: int) -> tuple[int, ...]:
@@ -351,11 +376,25 @@ def _walk_point(gamma: tuple[int, ...], m: int) -> tuple[int, ...]:
 
 
 def _walk_points(m: int, q: int, bound: int):
-    """The points of `_det_one_rows` as `_walk_point`s; at 2 x 2 with the
-    closed form adj [[a, b], [c, d]] = [[d, -b], [-c, a]], one tuple per
-    point."""
+    """The points of `_det_one_rows` as `_walk_point`s.
+
+    At 2 x 2 the loop runs over the second rows (c, d) directly, with no
+    cofactor call and no tails: their cofactors are [d, -c], so det 1
+    reads d k_0 - c k_1 = (1 - d) / q, one step of `_first_row_heads` per
+    row, and each point is the 8-tuple (a, b, c, d, d, -b, -c, a), gamma
+    and the closed form adj [[a, b], [c, d]] = [[d, -b], [-c, a]]. Its
+    points, and their order, are those of `_det_one_rows(2, q, bound)`.
+    Above, the rows and heads of `_det_one_rows` go through `_walk_point`.
+    """
     if m == 2:
-        for (c, d), heads in _det_one_rows(2, q, bound):
+        diag_k, off_k = _det_one_ranges(q, bound)
+        if not diag_k:  # no diagonal entry fits: nothing to walk
+            return
+        off = [q * k for k in off_k]
+        diag = [1 + q * k for k in diag_k]
+        systems = ((d, -c, ((1 - d) // q,)) for c, d in itertools.product(off, diag))
+        solved = _first_row_heads(systems, q, diag_k, off_k)
+        for (c, d), heads in zip(itertools.product(off, diag), solved):
             for a, b in heads:
                 yield (a, b, c, d, d, -b, -c, a)
         return
@@ -372,16 +411,30 @@ def _evaluator(X: FlatX, Y: SubspaceY):
     gamma (X and gamma^{-1} Y), and gamma^{-1} Y has line adj(gamma) v and
     plane gamma^T w (det gamma = 1), from Y's integer v and w as stored.
     Each point costs two integer mat-vecs and the moment form of the
-    pulled-back line and plane: the outer product of plane and line, 2m - 1
-    integer dot products against the powers of A = L tau
-    (`symspace._moment_powers`, built once), and one m x m fraction-free
-    pass (`symspace._moment_kind`). The form is definite exactly when the
-    crossing is a transverse point, so only then does the point build the
-    Krylov rows of its line and run the crossing solve (`symspace._cross`),
+    pulled-back line and plane, s_k = plane . A^k line for A = L tau. The
+    form is definite exactly when the crossing is a transverse point, so
+    only then does the point run the crossing solve (`symspace._cross`),
     which stays the only source of the point and the sign; a definite form
-    without a point raises ArithmeticError. Matrices are built only for a
-    hit. The reported point is gamma Z' gamma^T, formed in integers, with
-    Z' the pulled-back point, primitive because gamma is unimodular.
+    without a point raises ArithmeticError.
+
+    At m >= 3 the moments are 2m - 1 integer dot products of the outer
+    product of plane and line against the powers of A
+    (`symspace._moment_powers`, built once), tested by one m x m
+    fraction-free pass (`symspace._moment_kind`); a definite form builds
+    the Krylov rows of its line for the solve. At m = 2 everything is
+    plain ints: line, A line, plane and A^T plane give s_0 = plane . line,
+    s_1 = plane . A line and s_2 = A^T plane . A line, and the form is
+    definite exactly when det H = s_0 s_2 - s_1^2 > 0. Proof: H is
+    definite exactly when sign(s_0) H is positive definite, that is (by
+    Sylvester's test, `_moment_kind`'s verdict) when s_0 != 0 and
+    det(sign(s_0) H) = det H > 0; and det H > 0 already forces
+    s_0 s_2 > s_1^2 >= 0, so s_0 != 0. So s_0 s_2 <= s_1^2 is a miss, with
+    no pass and no lists, and a definite form hands [line, A line], its
+    Krylov rows, to the solve.
+
+    Matrices are built only for a hit. The reported point is
+    gamma Z' gamma^T, formed in integers, with Z' the pulled-back point,
+    primitive because gamma is unimodular.
     Z -> gamma Z gamma^T has det(gamma)^(m+1) = 1 on Sym and carries X's
     frame (Z', tau Z', ...) to gamma X's at the point, so the sign is taken
     at Z' on gamma^{-1} Y with Y's orientation bit carried back unchanged:
@@ -391,20 +444,14 @@ def _evaluator(X: FlatX, Y: SubspaceY):
     primitive (which may negate it), flips signs at odd m.
     """
     A = _int_matrix(X.tau)[1]
-    powers = _moment_powers(A)
     v, w = Y.line, Y.plane
     m = X.m
     mm = m * m
-    adj_rows = range(mm, 2 * mm, m)
 
-    def evaluate(point: tuple[int, ...]) -> Optional[SignedHit]:
-        line = [sum(map(operator.mul, point[i : i + m], v)) for i in adj_rows]
-        plane = [sum(map(operator.mul, point[j:mm:m], w)) for j in range(m)]
-        outer = [a * b for a in plane for b in line]
-        moments = [sum(map(operator.mul, P, outer)) for P in powers]
-        if _moment_kind(moments) is not IntersectionKind.TRANSVERSE_POINT:
-            return None
-        _, Z, s = _cross(A, _krylov(A, line, m), plane)
+    def hit(point: tuple[int, ...], J: list[list[int]], plane) -> SignedHit:
+        """The hit at a point whose form is definite, J the Krylov rows of
+        its line."""
+        _, Z, s = _cross(A, J, plane)
         if Z is None:
             raise ArithmeticError("definite moment form, but no crossing point")
         gamma = [point[i : i + m] for i in range(0, mm, m)]
@@ -415,6 +462,37 @@ def _evaluator(X: FlatX, Y: SubspaceY):
             SPDPoint(QMatrix._from_ints(1, moved)),
             Y.orientation * s,
         )
+
+    if m == 2:
+        (a00, a01), (a10, a11) = A
+        v0, v1 = v
+        w0, w1 = w
+
+        def evaluate(point: tuple[int, ...]) -> Optional[SignedHit]:
+            a, b, c, d = point[:4]
+            l0, l1 = d * v0 - b * v1, a * v1 - c * v0  # adj(gamma) v
+            p0, p1 = a * w0 + c * w1, b * w0 + d * w1  # gamma^T w
+            m0, m1 = a00 * l0 + a01 * l1, a10 * l0 + a11 * l1  # A line
+            s0 = p0 * l0 + p1 * l1
+            s1 = p0 * m0 + p1 * m1
+            s2 = (a00 * p0 + a10 * p1) * m0 + (a01 * p0 + a11 * p1) * m1  # A^T plane . A line
+            if s0 * s2 <= s1 * s1:  # det H <= 0: not definite
+                return None
+            return hit(point, [[l0, l1], [m0, m1]], (p0, p1))
+
+        return evaluate
+
+    powers = _moment_powers(A)
+    adj_rows = range(mm, 2 * mm, m)
+
+    def evaluate(point: tuple[int, ...]) -> Optional[SignedHit]:
+        line = [sum(map(operator.mul, point[i : i + m], v)) for i in adj_rows]
+        plane = [sum(map(operator.mul, point[j:mm:m], w)) for j in range(m)]
+        outer = [a * b for a in plane for b in line]
+        moments = [sum(map(operator.mul, P, outer)) for P in powers]
+        if _moment_kind(moments) is not IntersectionKind.TRANSVERSE_POINT:
+            return None
+        return hit(point, _krylov(A, line, m), plane)
 
     return evaluate
 

@@ -214,6 +214,12 @@ class QMatrix:
     def __setattr__(self, *a):
         raise AttributeError("QMatrix is immutable")
 
+    def __reduce__(self):
+        """Copies and pickles rebuild the matrix from (L, A), which is
+        already canonical, so the Fraction view stays unbuilt: restoring
+        the slots would go through `__setattr__`, which refuses."""
+        return (QMatrix._from_ints, (self._L, self._A))
+
     @property
     def rows(self) -> tuple:
         """The entries as Fractions, row-major: A / L, built once."""
@@ -1023,20 +1029,26 @@ def _subset_sums(multiset: tuple[int, ...]) -> frozenset:
 def _monic_factor_search(ints: tuple[int, ...], degrees: set[int]) -> Optional[QPoly]:
     """Trial division by monic integer quadratics t^2 + b t + c; desk-scale
     confirmation only. Synthetic division by a monic divisor is exact in
-    integers, and the remainder is the last two entries it leaves."""
+    integers, and the remainder is the last two entries it leaves.
+
+    c runs over +-d for the divisors d of the lowest nonzero coefficient,
+    then, when the constant term is 0, over c = 0 too: if p = t^k p' with
+    p'(0) != 0, a factor with c != 0 is prime to t and divides p', so c
+    divides p'(0); one with c = 0 is t (t + b)."""
     if ints[-1] != 1 or 2 not in degrees or len(ints) < 4:
         return None
     height = 1 + sum(abs(c) for c in ints)
     steps = range(len(ints) - 1, 1, -1)
-    for c0 in _divisors(ints[0]) or [1]:
-        for c in (c0, -c0):
-            for b in range(-height, height + 1):
-                r = list(ints)
-                for k in steps:
-                    r[k - 1] -= b * r[k]
-                    r[k - 2] -= c * r[k]
-                if r[0] == 0 == r[1]:
-                    return QPoly([c, b, 1])
+    low = next(x for x in ints if x)
+    cs = [c for d in _divisors(low) for c in (d, -d)] + ([0] if ints[0] == 0 else [])
+    for c in cs:
+        for b in range(-height, height + 1):
+            r = list(ints)
+            for k in steps:
+                r[k - 1] -= b * r[k]
+                r[k - 2] -= c * r[k]
+            if r[0] == 0 == r[1]:
+                return QPoly([c, b, 1])
     return None
 
 

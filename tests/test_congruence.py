@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -753,3 +754,129 @@ def test_walk_point_adjugate_matches_cofactors(m):
         gamma, adj = _split(_walk_point(flat, m), m)
         assert gamma == [list(r) for r in zip(*[iter(flat)] * m)]
         assert adj == _cofactor_adjugate(gamma)
+
+
+# ---------------------------------------------------------------------------
+# the m = 2 closed forms: the row loop and det H > 0
+
+
+def _closed_form_points(q, bound):
+    """`_det_one_rows` at m = 2 with adj [[a, b], [c, d]] = [[d, -b], [-c, a]]."""
+    return [
+        (a, b, c, d, d, -b, -c, a)
+        for (c, d), heads in _det_one_rows(2, q, bound)
+        for a, b in heads
+    ]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 25])
+@pytest.mark.parametrize("bound", [0, 1, 2, 7, 24, 30])
+def test_m2_walk_is_det_one_rows_with_the_closed_form_adjugate(q, bound):
+    """The row loop yields the points `_det_one_rows` does, in its order,
+    down to bound 0 and q > bound + 1, where the ball is {I} or empty."""
+    got = list(congruence._walk_points(2, q, bound))
+    assert got == _closed_form_points(q, bound)
+    assert sorted(p[:4] for p in got) == sorted(
+        tuple(x for r in rows for x in r) for rows in _ball(2, q, bound) if _plain_det(rows) == 1
+    )
+    if q > bound + 1:
+        assert got == ([(1, 0, 0, 1, 1, 0, 0, 1)] if bound else [])
+
+
+def _generic_route(A, v, w, point):
+    """The m >= 3 evaluator's moment route at m = 2: the pulled-back line and
+    plane, their moments off `_moment_powers`, and `_moment_kind`."""
+    m, mm = 2, 4
+    line = [sum(x * y for x, y in zip(point[i : i + m], v)) for i in range(mm, 2 * mm, m)]
+    plane = [sum(x * y for x, y in zip(point[j:mm:m], w)) for j in range(m)]
+    outer = [a * b for a in plane for b in line]
+    moments = [sum(x * y for x, y in zip(P, outer)) for P in symspace._moment_powers(A)]
+    return line, plane, moments, symspace._moment_kind(moments)
+
+
+# (tau, line, plane): the seeded pairs, a diagonal tau, whose moment forms
+# are singular wherever the pulled-back line or plane loses an eigenvector
+# coordinate, and a line and plane with v . w = 0, whose forms all have
+# s_0 = w . v = 0 (not a subspace; the evaluator reads only the integers)
+CLOSED_FORM_CASES = {
+    "c7": (TAU2, (1, 1), (1, 1)),
+    "linked": (LINKED[0], (1, -1), (1, -3)),
+    "disjoint": (DISJOINT[0], (3, 1), (-2, -1)),
+    "negative": (NEGATIVE[0], (-3, 2), (0, -1)),
+    "diagonal": (QMatrix.diagonal([1, 3]), (2, 1), (1, 1)),
+    "s0-zero": (QMatrix([[1, 2], [3, -1]]), (1, 2), (2, -1)),
+}
+
+
+@pytest.mark.parametrize("case", list(CLOSED_FORM_CASES), ids=list(CLOSED_FORM_CASES))
+def test_m2_evaluator_matches_the_generic_moment_route(case, monkeypatch):
+    """On every walk point at (5, 30) and (2, 9), the closed form misses
+    exactly where `_moment_kind` is not TransversePoint, and a hit hands
+    `_cross` the generic route's Krylov rows and plane."""
+    tau, v, w = CLOSED_FORM_CASES[case]
+    X = SimpleNamespace(tau=tau, m=2)
+    A = _int_matrix(tau)[1]
+    Y = SimpleNamespace(line=v, plane=w, orientation=1)
+    calls = []
+
+    def recorded(A_, J, plane):
+        calls.append((J, list(plane)))
+        return 1, [[1, 0], [0, 1]], 1  # a stand-in point: the test is the verdict
+
+    monkeypatch.setattr(congruence, "_cross", recorded)
+    evaluate = _evaluator(X, Y)
+    singular = hits = 0
+    for q, bound in ((5, 30), (2, 9)):
+        for point in congruence._walk_points(2, q, bound):
+            line, plane, s, kind = _generic_route(A, v, w, point)
+            del calls[:]
+            hit = evaluate(point)
+            assert (hit is not None) == (kind is IntersectionKind.TRANSVERSE_POINT), point
+            if hit is not None:
+                assert calls == [(symspace._krylov(A, line, 2), plane)]
+                hits += 1
+            singular += kind is None
+            if case == "s0-zero":
+                assert s[0] == 0 and hit is None
+    if case == "diagonal":
+        assert singular and hits
+    if case == "c7":
+        assert hits
+
+
+def _moment_coefficients(S0, S1, S2):
+    """Integers (a, b) with S1 a + S0 b = S2, or None when there are none."""
+    if S0 == 0:
+        if S1 == 0:
+            return (0, 0) if S2 == 0 else None
+        return (S2 // S1, 0) if S2 % S1 == 0 else None
+    return next(
+        ((a, (S2 - S1 * a) // S0) for a in range(abs(S0)) if (S2 - S1 * a) % S0 == 0), None
+    )
+
+
+@pytest.mark.parametrize("s0", range(-3, 4))
+def test_m2_closed_form_is_moment_kind_on_small_moments(s0, monkeypatch):
+    """For all (s_0, s_1, s_2) in [-3, 3]^3: s_0 s_2 > s_1^2 exactly when
+    `_moment_kind` finds the form definite. The evaluator itself is run on
+    each triple but (0, 0, s_2 != 0), which no line and plane give at
+    m = 2: at the identity point with line (1, 0), plane (S_0, S_1 - S_0 a)
+    and A = [[a, b], [1, 0]], the moments are S_0, S_1 and S_1 a + S_0 b,
+    which reach (s_0, 6 s_1, 36 s_2), a form of the same verdict, whenever
+    gcd(s_0, 6 s_1) divides 36 s_2."""
+    monkeypatch.setattr(congruence, "_cross", lambda A, J, w: (1, [[1, 0], [0, 1]], 1))
+    identity = (1, 0, 0, 1, 1, 0, 0, 1)
+    for s1 in range(-3, 4):
+        for s2 in range(-3, 4):
+            definite = symspace._moment_kind([s0, s1, s2]) is IntersectionKind.TRANSVERSE_POINT
+            assert (s0 * s2 > s1 * s1) == definite
+            S0, S1, S2 = s0, 6 * s1, 36 * s2
+            ab = _moment_coefficients(S0, S1, S2)
+            if ab is None:
+                assert s0 == s1 == 0 != s2
+                continue
+            a, b = ab
+            X = SimpleNamespace(tau=QMatrix([[a, b], [1, 0]]), m=2)
+            Y = SimpleNamespace(line=(1, 0), plane=(S0, S1 - S0 * a), orientation=1)
+            assert _generic_route([[a, b], [1, 0]], Y.line, Y.plane, identity)[2] == [S0, S1, S2]
+            assert (_evaluator(X, Y)(identity) is not None) == definite

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -291,6 +293,28 @@ def test_matrix_stays_immutable():
         with pytest.raises(AttributeError):
             setattr(M, name, None)
     assert M.rows == ((Fraction(1, 2), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 2)))
+
+
+def test_copy_and_pickle_round_trip():
+    """A matrix copies, deep-copies and pickles to an equal matrix with the
+    same hash and integer form, and its Fraction rows stay a lazy view:
+    unbuilt after the trip, built on first read, whether or not the
+    original had built them."""
+    rng = random.Random(3401)
+    for rows in [_mixed_rational_rows(rng, n, k) for n, k in ((1, 1), (2, 3), (4, 4))]:
+        for built in (False, True):
+            M = QMatrix(rows)
+            M = QMatrix._from_ints(*_int_matrix(M))  # no Fraction view yet
+            if built:
+                assert M.rows == tuple(map(tuple, rows))
+            for trip in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+                N = trip(M)
+                assert type(N) is QMatrix and N == M and hash(N) == hash(M)
+                assert _int_matrix(N) == _int_matrix(M)
+                assert N._rows is None
+                assert N.rows == tuple(map(tuple, rows))
+                with pytest.raises(AttributeError):
+                    N._L = 1
 
 
 def test_is_symmetric_reads_the_integer_form():

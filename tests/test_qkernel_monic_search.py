@@ -20,13 +20,14 @@ def _fraction_search(ints, degrees):
         return None
     p = QPoly(ints)
     height = 1 + sum(abs(c) for c in ints)
-    for c0 in qkernel._divisors(ints[0]) or [1]:
-        for c in (c0, -c0):
-            for b in range(-height, height + 1):
-                cand = QPoly([c, b, 1])
-                q, r = p.divmod(cand)
-                if r.is_zero and q.degree >= 1:
-                    return cand
+    low = next(x for x in ints if x)
+    cs = [c for d in qkernel._divisors(low) for c in (d, -d)] + [0] * (ints[0] == 0)
+    for c in cs:
+        for b in range(-height, height + 1):
+            cand = QPoly([c, b, 1])
+            q, r = p.divmod(cand)
+            if r.is_zero and q.degree >= 1:
+                return cand
     return None
 
 
@@ -60,8 +61,9 @@ def _seeded_cases():
     return cases
 
 
-# the edge paths: a zero constant term (c = +-1 only), a quadratic input
-# (its quotient would be constant) and a non-monic input
+# the edge paths: a zero constant term (c over the divisors of the lowest
+# nonzero coefficient, then 0), a quadratic input (its quotient would be
+# constant) and a non-monic input
 EDGE_CASES = [
     (QPoly([0, 1]) * QPoly([2, 1, 1]) * QPoly([3, 0, 1])).primitive_int(),
     (2, 3, 1),
@@ -83,6 +85,36 @@ def test_planted_factors_are_found():
         assert w is not None or k % 8 >= PLANTED, ints
         if w is not None:
             assert w.degree == 2 and QPoly(ints).divmod(w)[1].is_zero
+
+
+def _zero_constant_cases():
+    """Monic products t^k q p' of degree 4 to 8, k = 1 or 2, with a planted
+    monic quadratic q, that with c != 0 in all but the last case per degree
+    (there q = t (t + b))."""
+    rng = random.Random(3501)
+    cases = []
+    for deg in range(4, 9):
+        for j in range(6):
+            k = rng.choice([1, 2]) if deg - 2 - 2 >= 1 else 1
+            q = _monic(rng, 2, 9) if j < 5 else QPoly([0, rng.randint(-9, 9), 1])
+            p = QPoly([0] * k + [1]) * q * _monic(rng, deg - 2 - k, 4)
+            cases.append((p.primitive_int(), q))
+    return cases
+
+
+def test_planted_factors_with_a_zero_constant_term_are_found():
+    """A zero constant term used to leave only c = +-1; now every planted
+    quadratic is found, c dividing the lowest nonzero coefficient or 0, and
+    the witness divides p. The reference scan returns the same witness."""
+    c_other = 0
+    for ints, planted in _zero_constant_cases():
+        assert ints[0] == 0
+        w = qkernel._monic_factor_search(ints, {2})
+        assert w is not None and w.degree == 2, ints
+        assert QPoly(ints).divmod(w)[1].is_zero
+        assert w == _fraction_search(ints, {2})
+        c_other += w.coeffs[0] not in (-1, 0, 1)
+    assert c_other  # some witness needs a c the old scan never tried
 
 
 @pytest.mark.parametrize("ab", [(2, 3), (1009, 1013)], ids=["SD(2,3)", "SD(1009,1013)"])
