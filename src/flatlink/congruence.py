@@ -25,15 +25,15 @@ so it rules out the misses, nearly every point, without an echelon; a
 point whose form is definite builds the Krylov rows of its line and runs
 the one Krylov solve `intersect` uses (`symspace._cross`), which gives
 the point and the sign.
-Each det-1 point of the walk carries gamma and adj(gamma) as one flat
-tuple of ints, so the per-point step runs on ints alone.
-
-At m = 2 both steps are closed forms. The walk loops over the second
-rows (c, d) directly, whose cofactors are [d, -c], and each point's
-adjugate is [[d, -b], [-c, a]]; the moment form is 2 x 2, definite
-exactly when det H = s_0 s_2 - s_1^2 > 0, so a point costs a few dozen
-integer products and one comparison, with no list and no pass. m >= 3
-keeps the generic walk, `_walk_point` and the moment pass.
+The walk (`_det_one_rows`) yields the det-1 gamma a row set at a time,
+rows 1..m-1 with every first row that completes them. For a fixed row set
+the pulled-back line and plane are affine in the first row, with
+coefficients from first-row cofactors (`_pull_back`), so no point forms
+adj(gamma). One pair step (`_pair_step`) takes a line and plane, which
+need no gamma, to the crossing point and sign or to None; only a hit
+forms gamma and its moved point. At m = 2 every step is a closed form,
+with the moment test det H = s_0 s_2 - s_1^2 > 0, and a point costs a few
+dozen integer products and one comparison.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .qkernel import (
     _int_matrix,
     _is_prime,
     _primitive_ints,
-    _solve_square,
     det,
     kernel_basis,
 )
@@ -261,10 +260,11 @@ def _det_one_ranges(q: int, bound: int) -> tuple[range, range]:
 
 
 def det_one_walk_size(m: int, q: int, bound: int) -> int:
-    """How many (rows 1..m-1, k_2..k_{m-1}) choices `_det_one_rows` walks.
+    """How many (row set, k_2..k_{m-1}) choices `_det_one_rows` walks, a
+    row set being gamma's rows 1..m-1.
 
     Each choice costs one divisibility test and, when it passes, one
-    interval of solutions; so this is the descent's cost before its hits.
+    interval of heads; so this is the descent's cost before its hits.
     """
     diag, off = (len(r) for r in _det_one_ranges(q, bound))
     return diag ** (m - 1) * off ** ((m - 1) ** 2 + m - 2)
@@ -281,8 +281,9 @@ def descent_modulus(level: CongruenceLevel, entry_bound: int) -> int:
 
 def _det_one_rows(m: int, q: int, bound: int):
     """Every integer gamma = I mod q with entries in [-bound, bound] and det 1,
-    grouped by rows 1..m-1: yields (rest, heads), rest those rows flattened
-    row-major and heads the first rows that complete them, as int tuples.
+    a row set at a time: yields (rest, heads) for every row set with a
+    head, rest the rows 1..m-1 flattened row-major and heads the first rows
+    that complete them, as int tuples. This is the descent's one walk.
 
     Needs q >= 2. det is linear in gamma's first row: det = sum_j gamma_0j C_j
     with C the cofactors of rows 1..m-1. So those rows are walked, C is
@@ -294,12 +295,24 @@ def _det_one_rows(m: int, q: int, bound: int):
     `_first_row_heads` solves in the box, with one extended Euclid per row
     set. The walk is `det_one_walk_size` long, one factor of 2B/q + 1
     shorter than walking every entry but one.
+
+    At 2 x 2 the loop runs over the second rows (c, d) directly, with no
+    cofactor call and no tails: their cofactors are [d, -c], so det 1
+    reads d k_0 - c k_1 = (1 - d) / q, one step of `_first_row_heads` per
+    row.
     """
     diag_k, off_k = _det_one_ranges(q, bound)
     if not diag_k:  # no diagonal entry fits: nothing to walk
         return
     diag = [1 + q * k for k in diag_k]
     off = [q * k for k in off_k]
+    if m == 2:
+        systems = ((d, -c, ((1 - d) // q,)) for c, d in itertools.product(off, diag))
+        solved = _first_row_heads(systems, q, diag_k, off_k)
+        for rest, heads in zip(itertools.product(off, diag), solved):
+            if heads:
+                yield rest, heads
+        return
     cells = [diag if i == j else off for i in range(1, m) for j in range(m)]
     tails = [
         (ks, tuple(q * k for k in ks))
@@ -363,138 +376,119 @@ def _first_row_heads(systems, q: int, diag_k: range, off_k: range):
             yield [(1 + q * ((s - u * k1) // w), q * k1) for k1 in range(lo, hi + 1, w)]
 
 
-def _walk_point(gamma: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """gamma (det 1, row-major) followed by adj(gamma) row-major: the 2m^2
-    ints the pull-back of a descent reads.
+def _pull_back(m: int, v: Sequence[int], w: Sequence[int], row_sets):
+    """Y's line v and plane w pulled back to every point of a walk: for
+    each (rest, heads) of row_sets, as `_det_one_rows` yields them, yields
+    (head, rest, adj(gamma) v, gamma^T w) per head, gamma = head + rest.
 
-    adj(gamma) is d (d gamma^-1) from `qkernel._solve_square`: its last
-    pivot d is +-det gamma = +-1, so d^2 = 1 and d (d gamma^-1) =
-    gamma^-1 = adj(gamma).
-    """
-    d, cols = _solve_square([gamma[i : i + m] for i in range(0, m * m, m)])
-    return gamma + tuple(d * y[i] for i in range(m) for y in cols)
-
-
-def _walk_points(m: int, q: int, bound: int):
-    """The points of `_det_one_rows` as `_walk_point`s.
-
-    At 2 x 2 the loop runs over the second rows (c, d) directly, with no
-    cofactor call and no tails: their cofactors are [d, -c], so det 1
-    reads d k_0 - c k_1 = (1 - d) / q, one step of `_first_row_heads` per
-    row, and each point is the 8-tuple (a, b, c, d, d, -b, -c, a), gamma
-    and the closed form adj [[a, b], [c, d]] = [[d, -b], [-c, a]]. Its
-    points, and their order, are those of `_det_one_rows(2, q, bound)`.
-    Above, the rows and heads of `_det_one_rows` go through `_walk_point`.
+    For fixed rest rows r_1..r_(m-1) both are affine in the head h. The
+    plane is gamma^T w = w_0 h + sum_i w_i r_i. Entry i of the line is
+    det(gamma with column i replaced by v), by Cramer's rule with
+    det gamma = 1. Along row 0 that determinant is h . C^(i), with h_i
+    read as v_0, for C^(i) the `_first_row_cofactors` of the rest rows
+    with column i replaced by v_1..v_(m-1). So a row set computes m
+    cofactor vectors, and a head costs m^2 + m integer products. At 2 x 2
+    that is (d v_0 - b v_1, a v_1 - c v_0) and (a w_0 + c w_1, b w_0 + d w_1).
     """
     if m == 2:
-        diag_k, off_k = _det_one_ranges(q, bound)
-        if not diag_k:  # no diagonal entry fits: nothing to walk
-            return
-        off = [q * k for k in off_k]
-        diag = [1 + q * k for k in diag_k]
-        systems = ((d, -c, ((1 - d) // q,)) for c, d in itertools.product(off, diag))
-        solved = _first_row_heads(systems, q, diag_k, off_k)
-        for (c, d), heads in zip(itertools.product(off, diag), solved):
-            for a, b in heads:
-                yield (a, b, c, d, d, -b, -c, a)
+        v0, v1 = v
+        w0, w1 = w
+        for rest, heads in row_sets:
+            c, d = rest
+            dv, cv, cw, dw = d * v0, c * v0, c * w1, d * w1
+            for head in heads:
+                a, b = head
+                yield head, rest, (dv - b * v1, a * v1 - cv), (a * w0 + cw, b * w0 + dw)
         return
-    for rest, heads in _det_one_rows(m, q, bound):
-        for head in heads:
-            yield _walk_point(head + rest, m)
+    w0, v_rest, w_rest = w[0], tuple(v[1:]), w[1:]
+    for rest, heads in row_sets:
+        rows = [rest[i : i + m] for i in range(0, len(rest), m)]
+        line = []  # (coefficients of h, constant) per entry
+        for i in range(m):
+            C = _first_row_cofactors([r[:i] + (x,) + r[i + 1 :] for r, x in zip(rows, v_rest)])
+            line.append((C[:i] + [0] + C[i + 1 :], v[0] * C[i]))
+        plane = [sum(map(operator.mul, w_rest, col)) for col in zip(*rows)]
+        for h in heads:
+            pulled = [sum(map(operator.mul, C, h)) + k for C, k in line]
+            yield h, rest, pulled, [w0 * x + p for x, p in zip(h, plane)]
 
 
-def _evaluator(X: FlatX, Y: SubspaceY):
-    """The per-point step of a descent: a `_walk_point` of gamma -> the hit
-    of gamma X with Y, or None.
+def _pair_step(X: FlatX, Y: SubspaceY):
+    """The descent's pair step: a pulled-back (line, plane) of Y -> the
+    crossing (Z', sign) of X with the subspace of that line and plane, Z'
+    as primitive integer rows, or None when they do not cross
+    transversely. It reads no gamma.
 
-    It pulls Y back instead of moving X. gamma X and Y meet in
-    gamma (X and gamma^{-1} Y), and gamma^{-1} Y has line adj(gamma) v and
-    plane gamma^T w (det gamma = 1), from Y's integer v and w as stored.
-    Each point costs two integer mat-vecs and the moment form of the
-    pulled-back line and plane, s_k = plane . A^k line for A = L tau. The
-    form is definite exactly when the crossing is a transverse point, so
-    only then does the point run the crossing solve (`symspace._cross`),
-    which stays the only source of the point and the sign; a definite form
-    without a point raises ArithmeticError.
+    The moment form of the pair, s_k = plane . A^k line for A = L tau, is
+    definite exactly when the crossing is a transverse point, so only then
+    does the step run the crossing solve (`symspace._cross`), the only
+    source of the point and the sign; a definite form without a point
+    raises ArithmeticError. At m >= 3 the moments are dot products of the
+    outer product of plane and line with the powers of A
+    (`symspace._moment_powers`, built once), tested by `_moment_kind`. At
+    m = 2, s_0 = plane . line, s_1 = plane . A line and
+    s_2 = A^T plane . A line, and the form is definite exactly when
+    det H = s_0 s_2 - s_1^2 > 0. Proof: H is definite exactly when
+    sign(s_0) H is positive definite, that is (by Sylvester's test,
+    `_moment_kind`'s verdict) when s_0 != 0 and det H > 0; and det H > 0
+    already forces s_0 s_2 > s_1^2 >= 0, so s_0 != 0. So s_0 s_2 <= s_1^2
+    is a miss, with no pass, and a hit hands [line, A line] to the solve.
 
-    At m >= 3 the moments are 2m - 1 integer dot products of the outer
-    product of plane and line against the powers of A
-    (`symspace._moment_powers`, built once), tested by one m x m
-    fraction-free pass (`symspace._moment_kind`); a definite form builds
-    the Krylov rows of its line for the solve. At m = 2 everything is
-    plain ints: line, A line, plane and A^T plane give s_0 = plane . line,
-    s_1 = plane . A line and s_2 = A^T plane . A line, and the form is
-    definite exactly when det H = s_0 s_2 - s_1^2 > 0. Proof: H is
-    definite exactly when sign(s_0) H is positive definite, that is (by
-    Sylvester's test, `_moment_kind`'s verdict) when s_0 != 0 and
-    det(sign(s_0) H) = det H > 0; and det H > 0 already forces
-    s_0 s_2 > s_1^2 >= 0, so s_0 != 0. So s_0 s_2 <= s_1^2 is a miss, with
-    no pass and no lists, and a definite form hands [line, A line], its
-    Krylov rows, to the solve.
-
-    Matrices are built only for a hit. The reported point is
-    gamma Z' gamma^T, formed in integers, with Z' the pulled-back point,
-    primitive because gamma is unimodular.
-    Z -> gamma Z gamma^T has det(gamma)^(m+1) = 1 on Sym and carries X's
-    frame (Z', tau Z', ...) to gamma X's at the point, so the sign is taken
-    at Z' on gamma^{-1} Y with Y's orientation bit carried back unchanged:
-    with det gamma = 1 the pulled-back frame relates to
-    (adj(gamma) v, gamma^T w) exactly as Y's frame does to (v, w). A bit
-    recomputed from the pulled-back line and plane, or a plane made
-    primitive (which may negate it), flips signs at odd m.
+    The sign carries Y's orientation bit unchanged: with det gamma = 1
+    the pulled-back frame relates to (adj(gamma) v, gamma^T w) exactly as
+    Y's frame does to (v, w). A bit recomputed from the pulled-back pair,
+    or a plane made primitive (which may negate it), flips signs at odd m.
     """
     A = _int_matrix(X.tau)[1]
-    v, w = Y.line, Y.plane
+    orientation = Y.orientation
     m = X.m
-    mm = m * m
 
-    def hit(point: tuple[int, ...], J: list[list[int]], plane) -> SignedHit:
-        """The hit at a point whose form is definite, J the Krylov rows of
-        its line."""
+    def solve(J: list[list[int]], plane) -> tuple[list[list[int]], int]:
         _, Z, s = _cross(A, J, plane)
         if Z is None:
             raise ArithmeticError("definite moment form, but no crossing point")
-        gamma = [point[i : i + m] for i in range(0, mm, m)]
-        gZ = [[sum(map(operator.mul, r, z)) for z in Z] for r in gamma]  # Z = Z^T
-        moved = [[sum(map(operator.mul, r, g)) for g in gamma] for r in gZ]
-        return SignedHit(
-            QMatrix._from_ints(1, gamma),
-            SPDPoint(QMatrix._from_ints(1, moved)),
-            Y.orientation * s,
-        )
+        return Z, orientation * s
 
     if m == 2:
         (a00, a01), (a10, a11) = A
-        v0, v1 = v
-        w0, w1 = w
 
-        def evaluate(point: tuple[int, ...]) -> Optional[SignedHit]:
-            a, b, c, d = point[:4]
-            l0, l1 = d * v0 - b * v1, a * v1 - c * v0  # adj(gamma) v
-            p0, p1 = a * w0 + c * w1, b * w0 + d * w1  # gamma^T w
+        def step(line, plane):
+            l0, l1 = line
+            p0, p1 = plane
             m0, m1 = a00 * l0 + a01 * l1, a10 * l0 + a11 * l1  # A line
             s0 = p0 * l0 + p1 * l1
             s1 = p0 * m0 + p1 * m1
             s2 = (a00 * p0 + a10 * p1) * m0 + (a01 * p0 + a11 * p1) * m1  # A^T plane . A line
             if s0 * s2 <= s1 * s1:  # det H <= 0: not definite
                 return None
-            return hit(point, [[l0, l1], [m0, m1]], (p0, p1))
+            return solve([[l0, l1], [m0, m1]], plane)
 
-        return evaluate
+        return step
 
     powers = _moment_powers(A)
-    adj_rows = range(mm, 2 * mm, m)
 
-    def evaluate(point: tuple[int, ...]) -> Optional[SignedHit]:
-        line = [sum(map(operator.mul, point[i : i + m], v)) for i in adj_rows]
-        plane = [sum(map(operator.mul, point[j:mm:m], w)) for j in range(m)]
+    def step(line, plane):
         outer = [a * b for a in plane for b in line]
         moments = [sum(map(operator.mul, P, outer)) for P in powers]
         if _moment_kind(moments) is not IntersectionKind.TRANSVERSE_POINT:
             return None
-        return hit(point, _krylov(A, line, m), plane)
+        return solve(_krylov(A, line, m), plane)
 
-    return evaluate
+    return step
+
+
+def _signed_hit(gamma: tuple[int, ...], Z: list[list[int]], sign: int) -> SignedHit:
+    """The hit of gamma (det 1, row-major) whose pulled-back pair the pair
+    step found crossing at Z' = Z. gamma X meets Y in gamma (X and
+    gamma^{-1} Y), so the point is gamma Z' gamma^T, formed in integers and
+    primitive as gamma is unimodular; Z -> gamma Z gamma^T has
+    det(gamma)^(m+1) = 1 on Sym and carries X's frame at Z' to gamma X's,
+    so the sign is the step's."""
+    m = len(Z)
+    rows = [gamma[i : i + m] for i in range(0, m * m, m)]
+    gZ = [[sum(map(operator.mul, r, z)) for z in Z] for r in rows]  # Z = Z^T
+    moved = [[sum(map(operator.mul, r, g)) for g in rows] for r in gZ]
+    return SignedHit(QMatrix._from_ints(1, rows), SPDPoint(QMatrix._from_ints(1, moved)), sign)
 
 
 def enumerate_same_sign(
@@ -507,8 +501,8 @@ def enumerate_same_sign(
     transported flat meets the subspace transversely, with its sign.
 
     Results are sorted by (max absolute entry, entries lex) so reports are
-    reproducible. The det-1 walk streams: no point outlives its evaluation
-    unless it is a hit.
+    reproducible. The det-1 walk streams: no row set outlives its
+    evaluation, and no gamma is formed unless it is a hit.
     """
     if entry_bound < 0:
         raise ValueError("entry bound must be >= 0")
@@ -517,13 +511,13 @@ def enumerate_same_sign(
     X = flat_from_tau(tau)
     Y = subspace_from_rho(rho)
     q = descent_modulus(level, entry_bound)
-    evaluate = _evaluator(X, Y)
-    mm = X.m * X.m
+    step = _pair_step(X, Y)
+    walk = _det_one_rows(X.m, q, entry_bound)
     hits = []
-    for point in _walk_points(X.m, q, entry_bound):
-        h = evaluate(point)
-        if h is not None:
-            gamma = point[:mm]
-            hits.append(((max(map(abs, gamma)), gamma), h))
+    for head, rest, line, plane in _pull_back(X.m, Y.line, Y.plane, walk):
+        found = step(line, plane)
+        if found is not None:
+            gamma = head + rest
+            hits.append(((max(map(abs, gamma)), gamma), _signed_hit(gamma, *found)))
     hits.sort(key=operator.itemgetter(0))
     return [h for _, h in hits]

@@ -570,6 +570,10 @@ class QPoly:
     def __setattr__(self, *a):
         raise AttributeError("QPoly is immutable")
 
+    def __reduce__(self):
+        """Copies and pickles rebuild the polynomial, as `QMatrix`'s do."""
+        return (QPoly, (self.coeffs,))
+
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

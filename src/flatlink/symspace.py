@@ -30,11 +30,11 @@ a crossing whose sign is read from sign(s_0)^m and sign det J, as
 det H = det K det J, and a nonsingular H that is not definite is Empty.
 J depends on the flat and the line only, so it is built once per (flat,
 line), and a cell costs 2m - 1 dot products and one m x m pass. The
-congruence descent at m >= 3 reads each point's moments off the powers
-of A (`_moment_powers`) and tests them with `_moment_kind` too; at m = 2
-it tests det H > 0, `_moment_kind`'s verdict on a 2 x 2 form, in plain
-ints. `_cross` stays the one source of points, for `intersect` and for
-the descents.
+congruence descent's pair step takes a pulled-back line and plane; at
+m >= 3 it reads their moments off the powers of A (`_moment_powers`) and
+tests them with `_moment_kind` too, and at m = 2 it tests det H > 0,
+`_moment_kind`'s verdict on a 2 x 2 form, in plain ints. `_cross` stays
+the one source of points, for `intersect` and for the descents.
 This route never consults the projective linking criterion; it is the module
 the criterion is tested against.
 

@@ -13,17 +13,27 @@ from flatlink.congruence import (
     Decomposition,
     PtoqResult,
     _det_one_rows,
-    _evaluator,
+    _first_row_heads,
     _intertwine_rows,
     _normalize_on_fixed_line,
-    _walk_point,
+    _pair_step,
+    _pull_back,
+    _signed_hit,
     decomposition_valid,
     enumerate_same_sign,
     min_level_v,
     ptoq_solve,
     scalar_commutant_check,
 )
-from flatlink.qkernel import QMatrix, _conjugate, _int_matrix, det, kernel_basis, rank
+from flatlink.qkernel import (
+    QMatrix,
+    _conjugate,
+    _first_row_cofactors,
+    _int_matrix,
+    det,
+    kernel_basis,
+    rank,
+)
 from flatlink.symspace import (
     IntersectionKind,
     SPDPoint,
@@ -584,10 +594,12 @@ def test_descent_solves_a_crossing_once_per_hit(monkeypatch):
 
 
 def test_definite_form_without_a_crossing_raises(monkeypatch):
+    """The pair step, on the identity's pair (v, w), whose form is definite."""
     monkeypatch.setattr(congruence, "_cross", lambda A, J, w: (1, None, None))
-    evaluate = _evaluator(flat_from_tau(TAU2), subspace_from_rho(RHO2))
+    Y = subspace_from_rho(RHO2)
+    step = _pair_step(flat_from_tau(TAU2), Y)
     with pytest.raises(ArithmeticError):
-        evaluate(_walk_point((1, 0, 0, 1), 2))
+        step(Y.line, Y.plane)
 
 
 def test_m3_mixed_sign_descent():
@@ -610,6 +622,15 @@ def test_enumerate_rejects_negative_bound():
 
 # ---------------------------------------------------------------------------
 # the descent's pull-back against the forward transport
+
+
+def _descend_at(X, Y, gamma):
+    """The descent's steps on one det-1 gamma (row-major ints): the
+    pull-back of its row set, the pair step and the hit, or None."""
+    m = X.m
+    [(_, _, line, plane)] = _pull_back(m, Y.line, Y.plane, [(gamma[m:], [gamma[:m]])])
+    found = _pair_step(X, Y)(line, plane)
+    return None if found is None else _signed_hit(gamma, *found)
 
 
 def _gamma_mod_5(rng, m):
@@ -645,9 +666,8 @@ def test_pullback_sign_matches_forward(m):
         P = gamma @ g @ L @ transpose(g) @ transpose(gamma)
         plane = [rng.choice([-2, -1, 1, 2]) for _ in range(m)]
         Y = subspace_from_rho(involution_for_pair(P.apply(plane), plane))
-        evaluate = _evaluator(X, Y)
         for c in (gamma, _gamma_mod_5(rng, m)):  # the second one mostly misses
-            hit = evaluate(_walk_point(tuple(int(x) for r in c.rows for x in r), m))
+            hit = _descend_at(X, Y, tuple(int(x) for r in c.rows for x in r))
             moved = X.transport(c)
             res = intersect(moved, Y)
             if res.kind is not IntersectionKind.TRANSVERSE_POINT:
@@ -673,7 +693,7 @@ def test_pullback_sign_matches_forward(m):
 
 
 # ---------------------------------------------------------------------------
-# the walk points: gamma and adj(gamma) as one flat tuple of ints
+# row sets: the walk, the pull-back of each row set, and the pair step
 
 
 def _reported(hits):
@@ -711,10 +731,21 @@ def _cofactor_adjugate(rows):
     ]
 
 
-def _split(point, m):
-    """A walk point as gamma's rows and adj(gamma)'s rows."""
-    rows = [list(point[i : i + m]) for i in range(0, 2 * m * m, m)]
-    return rows[:m], rows[m:]
+def _pair_of(gamma, v, w):
+    """(adj(gamma) v, gamma^T w), from brute-force cofactors, for gamma's rows."""
+    adj = _cofactor_adjugate(gamma)
+    return (
+        [sum(a * x for a, x in zip(r, v)) for r in adj],
+        [sum(g * y for g, y in zip(col, w)) for col in zip(*gamma)],
+    )
+
+
+def _pulled_back(m, q, bound, v, w):
+    """(gamma's rows, line, plane) for every point of the walk, with the
+    line and plane as `_pull_back` gives them to the pair step."""
+    for head, rest, line, plane in _pull_back(m, v, w, _det_one_rows(m, q, bound)):
+        flat = head + rest
+        yield [list(flat[i : i + m]) for i in range(0, m * m, m)], line, plane
 
 
 @pytest.mark.parametrize(
@@ -723,12 +754,13 @@ def _split(point, m):
      (4, 2, 1)],
 )
 def test_walk_points_carry_gamma_and_its_adjugate(m, q, bound):
-    points = list(congruence._walk_points(m, q, bound))
+    """The walk's points are the det-1 ball, and on each the pull-back of
+    its row set takes a line and a plane to (adj(gamma) v, gamma^T w)."""
+    rng = random.Random(1000 * m + 10 * q + bound)
+    v, w = ([rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(m)] for _ in range(2))
     gammas = []
-    for point in points:
-        assert len(point) == 2 * m * m
-        gamma, adj = _split(point, m)
-        assert adj == _cofactor_adjugate(gamma)
+    for gamma, line, plane in _pulled_back(m, q, bound, v, w):
+        assert (list(line), list(plane)) == _pair_of(gamma, v, w)
         gammas.append(gamma)
     assert sorted(gammas) == sorted(
         rows for rows in _ball(m, q, bound) if _plain_det(rows) == 1
@@ -737,9 +769,11 @@ def test_walk_points_carry_gamma_and_its_adjugate(m, q, bound):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_walk_point_adjugate_matches_cofactors(m):
-    # gamma = I mod 5 has leading minors = 1 mod 5, so its echelon never
-    # swaps rows and the last pivot is 1; a quarter turn of the first two
-    # axes makes the first pivot column swap, and that pivot -1
+    """The pull-back of one gamma's row set against brute-force cofactors,
+    also off the congruence ball."""
+    # gamma = I mod 5 has rest rows with C_0 = 1 mod 5; a quarter turn of
+    # the first two axes puts gamma's first row in the rest and minus its
+    # second row at the head, which makes C_0 = 0 mod 5
     turn = [[0] * m for _ in range(m)]
     turn[0][1], turn[1][0] = -1, 1
     for i in range(2, m):
@@ -751,53 +785,90 @@ def test_walk_point_adjugate_matches_cofactors(m):
         if k % 2:
             g = turn @ g
         flat = tuple(int(x) for r in g.rows for x in r)
-        gamma, adj = _split(_walk_point(flat, m), m)
-        assert gamma == [list(r) for r in zip(*[iter(flat)] * m)]
-        assert adj == _cofactor_adjugate(gamma)
+        gamma = [list(flat[i : i + m]) for i in range(0, m * m, m)]
+        v, w = (tuple(rng.randint(-4, 4) for _ in range(m)) for _ in range(2))
+        [(_, _, line, plane)] = _pull_back(m, v, w, [(flat[m:], [flat[:m]])])
+        assert (list(line), list(plane)) == _pair_of(gamma, v, w)
+
+
+def test_pair_step_takes_pairs_without_gamma():
+    """The pulled-back pairs (adj(gamma) v, gamma^T w) of M3's six bound-10
+    hits, formed here from cofactors, go through the pair step alone: it
+    returns their signs, and gamma Z' gamma^T is the hit's point. A ball
+    point that misses gives None."""
+    X, Y = flat_from_tau(M3[0]), subspace_from_rho(M3[1])
+    step = _pair_step(X, Y)
+    signs = []
+    for h in enumerate_same_sign(*M3, CongruenceLevel(5, 1), entry_bound=10):
+        gamma = [[int(x) for x in r] for r in h.gamma.rows]
+        Z, sign = step(*_pair_of(gamma, Y.line, Y.plane))
+        assert _signed_hit(tuple(x for r in gamma for x in r), Z, sign) == h
+        signs.append(sign)
+    assert signs == [1, -1, 1, 1, 1, 1]
+    assert step(*_pair_of([[1, 5, 0], [0, 1, 0], [0, 0, 1]], Y.line, Y.plane)) is None
 
 
 # ---------------------------------------------------------------------------
-# the m = 2 closed forms: the row loop and det H > 0
+# the m = 2 closed forms: the row loop, the pair and det H > 0
 
 
-def _closed_form_points(q, bound):
-    """`_det_one_rows` at m = 2 with adj [[a, b], [c, d]] = [[d, -b], [-c, a]]."""
-    return [
-        (a, b, c, d, d, -b, -c, a)
-        for (c, d), heads in _det_one_rows(2, q, bound)
-        for a, b in heads
+def _generic_det_one_rows(m, q, bound):
+    """The walk as it ran at every m before its 2 x 2 row loop: each row
+    set's cofactors by `_first_row_cofactors`, and a tail loop over
+    k_2..k_(m-1), empty at m = 2."""
+    diag_k, off_k = congruence._det_one_ranges(q, bound)
+    if not diag_k:
+        return
+    diag = [1 + q * k for k in diag_k]
+    off = [q * k for k in off_k]
+    cells = [diag if i == j else off for i in range(1, m) for j in range(m)]
+    tails = [
+        (ks, tuple(q * k for k in ks))
+        for ks in itertools.product(off_k, repeat=m - 2)
     ]
+
+    def systems():
+        for rest in itertools.product(*cells):
+            C = _first_row_cofactors([rest[i : i + m] for i in range(0, len(rest), m)])
+            rhs, later = (1 - C[0]) // q, C[2:]
+            yield C[0], C[1], [rhs - sum(x * y for x, y in zip(ks, later)) for ks, _ in tails]
+
+    solved = _first_row_heads(systems(), q, diag_k, off_k)
+    for rest in itertools.product(*cells):
+        heads = [(*pair, *tail) for _, tail in tails for pair in next(solved)]
+        if heads:
+            yield rest, heads
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 25])
 @pytest.mark.parametrize("bound", [0, 1, 2, 7, 24, 30])
 def test_m2_walk_is_det_one_rows_with_the_closed_form_adjugate(q, bound):
-    """The row loop yields the points `_det_one_rows` does, in its order,
-    down to bound 0 and q > bound + 1, where the ball is {I} or empty."""
-    got = list(congruence._walk_points(2, q, bound))
-    assert got == _closed_form_points(q, bound)
-    assert sorted(p[:4] for p in got) == sorted(
+    """The row loop yields the row sets and heads the generic walk does, in
+    its order, down to bound 0 and q > bound + 1, where the ball is {I} or
+    empty; the closed-form pull-back is (adj(gamma) v, gamma^T w)."""
+    got = list(_det_one_rows(2, q, bound))
+    assert got == list(_generic_det_one_rows(2, q, bound))
+    for gamma, line, plane in _pulled_back(2, q, bound, (2, -3), (1, 4)):
+        assert (list(line), list(plane)) == _pair_of(gamma, (2, -3), (1, 4))
+    assert sorted(head + rest for rest, heads in got for head in heads) == sorted(
         tuple(x for r in rows for x in r) for rows in _ball(2, q, bound) if _plain_det(rows) == 1
     )
     if q > bound + 1:
-        assert got == ([(1, 0, 0, 1, 1, 0, 0, 1)] if bound else [])
+        assert got == ([((0, 1), [(1, 0)])] if bound else [])
 
 
-def _generic_route(A, v, w, point):
-    """The m >= 3 evaluator's moment route at m = 2: the pulled-back line and
-    plane, their moments off `_moment_powers`, and `_moment_kind`."""
-    m, mm = 2, 4
-    line = [sum(x * y for x, y in zip(point[i : i + m], v)) for i in range(mm, 2 * mm, m)]
-    plane = [sum(x * y for x, y in zip(point[j:mm:m], w)) for j in range(m)]
+def _generic_route(A, line, plane):
+    """The m >= 3 pair step's moment route at m = 2: the moments of line
+    and plane off `_moment_powers`, and `_moment_kind`."""
     outer = [a * b for a in plane for b in line]
     moments = [sum(x * y for x, y in zip(P, outer)) for P in symspace._moment_powers(A)]
-    return line, plane, moments, symspace._moment_kind(moments)
+    return moments, symspace._moment_kind(moments)
 
 
 # (tau, line, plane): the seeded pairs, a diagonal tau, whose moment forms
 # are singular wherever the pulled-back line or plane loses an eigenvector
 # coordinate, and a line and plane with v . w = 0, whose forms all have
-# s_0 = w . v = 0 (not a subspace; the evaluator reads only the integers)
+# s_0 = w . v = 0 (not a subspace; the pair step reads only the integers)
 CLOSED_FORM_CASES = {
     "c7": (TAU2, (1, 1), (1, 1)),
     "linked": (LINKED[0], (1, -1), (1, -3)),
@@ -810,9 +881,10 @@ CLOSED_FORM_CASES = {
 
 @pytest.mark.parametrize("case", list(CLOSED_FORM_CASES), ids=list(CLOSED_FORM_CASES))
 def test_m2_evaluator_matches_the_generic_moment_route(case, monkeypatch):
-    """On every walk point at (5, 30) and (2, 9), the closed form misses
-    exactly where `_moment_kind` is not TransversePoint, and a hit hands
-    `_cross` the generic route's Krylov rows and plane."""
+    """On the pulled-back pair of every walk point at (5, 30) and (2, 9),
+    the closed form misses exactly where `_moment_kind` is not
+    TransversePoint, and a hit hands `_cross` the generic route's Krylov
+    rows and plane."""
     tau, v, w = CLOSED_FORM_CASES[case]
     X = SimpleNamespace(tau=tau, m=2)
     A = _int_matrix(tau)[1]
@@ -824,20 +896,20 @@ def test_m2_evaluator_matches_the_generic_moment_route(case, monkeypatch):
         return 1, [[1, 0], [0, 1]], 1  # a stand-in point: the test is the verdict
 
     monkeypatch.setattr(congruence, "_cross", recorded)
-    evaluate = _evaluator(X, Y)
+    step = _pair_step(X, Y)
     singular = hits = 0
     for q, bound in ((5, 30), (2, 9)):
-        for point in congruence._walk_points(2, q, bound):
-            line, plane, s, kind = _generic_route(A, v, w, point)
+        for gamma, line, plane in _pulled_back(2, q, bound, v, w):
+            s, kind = _generic_route(A, line, plane)
             del calls[:]
-            hit = evaluate(point)
-            assert (hit is not None) == (kind is IntersectionKind.TRANSVERSE_POINT), point
-            if hit is not None:
-                assert calls == [(symspace._krylov(A, line, 2), plane)]
+            found = step(line, plane)
+            assert (found is not None) == (kind is IntersectionKind.TRANSVERSE_POINT), gamma
+            if found is not None:
+                assert calls == [(symspace._krylov(A, line, 2), list(plane))]
                 hits += 1
             singular += kind is None
             if case == "s0-zero":
-                assert s[0] == 0 and hit is None
+                assert s[0] == 0 and found is None
     if case == "diagonal":
         assert singular and hits
     if case == "c7":
@@ -858,14 +930,13 @@ def _moment_coefficients(S0, S1, S2):
 @pytest.mark.parametrize("s0", range(-3, 4))
 def test_m2_closed_form_is_moment_kind_on_small_moments(s0, monkeypatch):
     """For all (s_0, s_1, s_2) in [-3, 3]^3: s_0 s_2 > s_1^2 exactly when
-    `_moment_kind` finds the form definite. The evaluator itself is run on
+    `_moment_kind` finds the form definite. The pair step itself is run on
     each triple but (0, 0, s_2 != 0), which no line and plane give at
-    m = 2: at the identity point with line (1, 0), plane (S_0, S_1 - S_0 a)
-    and A = [[a, b], [1, 0]], the moments are S_0, S_1 and S_1 a + S_0 b,
-    which reach (s_0, 6 s_1, 36 s_2), a form of the same verdict, whenever
+    m = 2: on line (1, 0), plane (S_0, S_1 - S_0 a) and A = [[a, b], [1, 0]],
+    the moments are S_0, S_1 and S_1 a + S_0 b, which reach
+    (s_0, 6 s_1, 36 s_2), a form of the same verdict, whenever
     gcd(s_0, 6 s_1) divides 36 s_2."""
     monkeypatch.setattr(congruence, "_cross", lambda A, J, w: (1, [[1, 0], [0, 1]], 1))
-    identity = (1, 0, 0, 1, 1, 0, 0, 1)
     for s1 in range(-3, 4):
         for s2 in range(-3, 4):
             definite = symspace._moment_kind([s0, s1, s2]) is IntersectionKind.TRANSVERSE_POINT
@@ -878,5 +949,5 @@ def test_m2_closed_form_is_moment_kind_on_small_moments(s0, monkeypatch):
             a, b = ab
             X = SimpleNamespace(tau=QMatrix([[a, b], [1, 0]]), m=2)
             Y = SimpleNamespace(line=(1, 0), plane=(S0, S1 - S0 * a), orientation=1)
-            assert _generic_route([[a, b], [1, 0]], Y.line, Y.plane, identity)[2] == [S0, S1, S2]
-            assert (_evaluator(X, Y)(identity) is not None) == definite
+            assert _generic_route([[a, b], [1, 0]], Y.line, Y.plane)[0] == [S0, S1, S2]
+            assert (_pair_step(X, Y)(Y.line, Y.plane) is not None) == definite

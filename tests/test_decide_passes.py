@@ -20,7 +20,6 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from flatlink import symspace  # noqa: E402
-from flatlink.congruence import _evaluator, _walk_point  # noqa: E402
 from flatlink.projlink import (  # noqa: E402
     Arrangement,
     GeneralPositionError,
@@ -52,6 +51,7 @@ from _reference import (  # noqa: E402
     subspace_from_rho_by_square,
     transpose,
 )
+from test_congruence import _descend_at  # noqa: E402
 from test_symspace import rational_frame_flat, rnd_invertible  # noqa: E402
 
 F = Fraction
@@ -275,15 +275,14 @@ def test_sylvester_passes_per_crossing(pair, monkeypatch):
     and in the `SPDPoint` of its moved point, and at m = 2 once, in the
     `SPDPoint`, as its form is tested by det H > 0 alone."""
     X, Y = _transverse_pairs()[pair]
-    evaluate = _evaluator(X, Y)
-    identity = _walk_point(tuple(int(i == j) for i in range(X.m) for j in range(X.m)), X.m)
+    identity = tuple(int(i == j) for i in range(X.m) for j in range(X.m))
     passes = _count_calls(monkeypatch, "_sylvester")
     res = intersect(X, Y)
     assert res.kind is T and len(passes) == 2
     del passes[:]
     assert intersection_sign(X, Y, res.point) == res.sign
     assert len(passes) == 0
-    hit = evaluate(identity)
+    hit = _descend_at(X, Y, identity)
     assert hit is not None and hit.sign == res.sign
     assert len(passes) == (1 if X.m == 2 else 2)
 
