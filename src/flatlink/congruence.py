@@ -18,22 +18,18 @@ cosets, p-adic identity neighborhoods) is replaced by what it predicts:
 enumerate gamma = I + p^n K inside an entry bound with det = 1, intersect
 each moved flat gamma X with Y, and report every transverse sign. Each
 crossing is decided as X against the pulled-back gamma^{-1} Y, in integers,
-from Y's integer line and plane as stored. The Hankel moment form of the
-pulled-back line and plane is definite exactly when they cross
-transversely (`symspace._moment_kind`, the pass `intersect` runs first),
-so it rules out the misses, nearly every point, without an echelon; a
-point whose form is definite builds the Krylov rows of its line and runs
-the one Krylov solve `intersect` uses (`symspace._cross`), which gives
-the point and the sign.
+from Y's integer line and plane as stored, by `symspace`'s pair step
+(`symspace._pair_step`): the line and plane, which need no gamma, go to
+the crossing point and sign or to None, with the moment test `intersect`
+runs first and the solve it uses.
 The walk (`_det_one_rows`) yields the det-1 gamma a row set at a time,
 rows 1..m-1 with every first row that completes them. For a fixed row set
 the pulled-back line and plane are affine in the first row, with
 coefficients from first-row cofactors (`_pull_back`), so no point forms
-adj(gamma). One pair step (`_pair_step`) takes a line and plane, which
-need no gamma, to the crossing point and sign or to None; only a hit
-forms gamma and its moved point. At m = 2 every step is a closed form,
-with the moment test det H = s_0 s_2 - s_1^2 > 0, and a point costs a few
-dozen integer products and one comparison.
+adj(gamma); only a hit forms gamma and its moved point (`_signed_hit`).
+At m = 2 every step is a closed form, with the moment test
+det H = s_0 s_2 - s_1^2 > 0, and a point costs a few dozen integer
+products and one comparison.
 """
 
 from __future__ import annotations
@@ -56,18 +52,7 @@ from .qkernel import (
     det,
     kernel_basis,
 )
-from .symspace import (
-    FlatX,
-    IntersectionKind,
-    SPDPoint,
-    SubspaceY,
-    _cross,
-    _krylov,
-    _moment_kind,
-    _moment_powers,
-    flat_from_tau,
-    subspace_from_rho,
-)
+from .symspace import SPDPoint, _pair_step, flat_from_tau, subspace_from_rho
 
 
 class CommutantError(ValueError):
@@ -411,70 +396,6 @@ def _pull_back(m: int, v: Sequence[int], w: Sequence[int], row_sets):
         for h in heads:
             pulled = [sum(map(operator.mul, C, h)) + k for C, k in line]
             yield h, rest, pulled, [w0 * x + p for x, p in zip(h, plane)]
-
-
-def _pair_step(X: FlatX, Y: SubspaceY):
-    """The descent's pair step: a pulled-back (line, plane) of Y -> the
-    crossing (Z', sign) of X with the subspace of that line and plane, Z'
-    as primitive integer rows, or None when they do not cross
-    transversely. It reads no gamma.
-
-    The moment form of the pair, s_k = plane . A^k line for A = L tau, is
-    definite exactly when the crossing is a transverse point, so only then
-    does the step run the crossing solve (`symspace._cross`), the only
-    source of the point and the sign; a definite form without a point
-    raises ArithmeticError. At m >= 3 the moments are dot products of the
-    outer product of plane and line with the powers of A
-    (`symspace._moment_powers`, built once), tested by `_moment_kind`. At
-    m = 2, s_0 = plane . line, s_1 = plane . A line and
-    s_2 = A^T plane . A line, and the form is definite exactly when
-    det H = s_0 s_2 - s_1^2 > 0. Proof: H is definite exactly when
-    sign(s_0) H is positive definite, that is (by Sylvester's test,
-    `_moment_kind`'s verdict) when s_0 != 0 and det H > 0; and det H > 0
-    already forces s_0 s_2 > s_1^2 >= 0, so s_0 != 0. So s_0 s_2 <= s_1^2
-    is a miss, with no pass, and a hit hands [line, A line] to the solve.
-
-    The sign carries Y's orientation bit unchanged: with det gamma = 1
-    the pulled-back frame relates to (adj(gamma) v, gamma^T w) exactly as
-    Y's frame does to (v, w). A bit recomputed from the pulled-back pair,
-    or a plane made primitive (which may negate it), flips signs at odd m.
-    """
-    A = _int_matrix(X.tau)[1]
-    orientation = Y.orientation
-    m = X.m
-
-    def solve(J: list[list[int]], plane) -> tuple[list[list[int]], int]:
-        _, Z, s = _cross(A, J, plane)
-        if Z is None:
-            raise ArithmeticError("definite moment form, but no crossing point")
-        return Z, orientation * s
-
-    if m == 2:
-        (a00, a01), (a10, a11) = A
-
-        def step(line, plane):
-            l0, l1 = line
-            p0, p1 = plane
-            m0, m1 = a00 * l0 + a01 * l1, a10 * l0 + a11 * l1  # A line
-            s0 = p0 * l0 + p1 * l1
-            s1 = p0 * m0 + p1 * m1
-            s2 = (a00 * p0 + a10 * p1) * m0 + (a01 * p0 + a11 * p1) * m1  # A^T plane . A line
-            if s0 * s2 <= s1 * s1:  # det H <= 0: not definite
-                return None
-            return solve([[l0, l1], [m0, m1]], plane)
-
-        return step
-
-    powers = _moment_powers(A)
-
-    def step(line, plane):
-        outer = [a * b for a in plane for b in line]
-        moments = [sum(map(operator.mul, P, outer)) for P in powers]
-        if _moment_kind(moments) is not IntersectionKind.TRANSVERSE_POINT:
-            return None
-        return solve(_krylov(A, line, m), plane)
-
-    return step
 
 
 def _signed_hit(gamma: tuple[int, ...], Z: list[list[int]], sign: int) -> SignedHit:

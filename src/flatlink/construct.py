@@ -203,10 +203,11 @@ def tau_for_arrangement(arr: Arrangement) -> QMatrix:
 
 def _certify_pattern(
     flats: Sequence[PatternFlat], subspaces: Sequence[PatternSubspace]
-) -> Optional[tuple[tuple, tuple]]:
-    """The sign matrix and certificate of the N x N pattern, or None when a
-    cell cannot be certified: a Degenerate oracle verdict, a
-    GeneralPositionError, or routes that disagree (never pick one).
+) -> Optional[Pattern]:
+    """The N x N pattern of these flats and subspaces with its sign matrix
+    and certificate, or None when a cell cannot be certified: a Degenerate
+    oracle verdict, a GeneralPositionError, or routes that disagree (never
+    pick one).
 
     The oracle decides every cell from one `intersection_table`. The
     criterion decides a cell when its flat has an arrangement and its
@@ -240,7 +241,14 @@ def _certify_pattern(
                 for link, (kind, s) in zip(links, row)
             )
         )
-    return tuple(matrix), tuple(cert)
+    return Pattern(
+        N=len(flats),
+        m=flats[0].flat.m,
+        flats=tuple(flats),
+        subspaces=tuple(subspaces),
+        matrix=tuple(matrix),
+        certificate=tuple(cert),
+    )
 
 
 def _pattern_coordinates(N: int, m: int, thinness: Fraction, rotation: Fraction):
@@ -291,19 +299,9 @@ def synthesize_pattern(
         raise ValueError("thinness and rotation must be positive")
     for _ in range(retry_budget):
         flats, subspaces = _pattern_coordinates(N, m, thinness, rotation)
-        certified = _certify_pattern(flats, subspaces)
-        if certified is not None:
-            matrix, cert = certified
-            p = Pattern(
-                N=N,
-                m=m,
-                flats=tuple(flats),
-                subspaces=tuple(subspaces),
-                matrix=matrix,
-                certificate=cert,
-            )
-            if p.is_upper_triangular_nonzero_diagonal():  # so of rank N
-                return p
+        p = _certify_pattern(flats, subspaces)
+        if p is not None and p.is_upper_triangular_nonzero_diagonal():  # so of rank N
+            return p
         thinness /= 2
         rotation /= 2
     raise SynthesisBudgetError(
@@ -496,23 +494,13 @@ def rationalize_pattern(
             for line_t, plane_t in pair_targets:
                 pair, Y = rationalize_pair(line_t, plane_t, denom_bound=bound)
                 subspaces.append(PatternSubspace(subspace=Y, pair=pair))
-            certified = _certify_pattern(flats, subspaces)
+            snapped = _certify_pattern(flats, subspaces)
         except DegenerateFrameError:
             raise  # no bound fixes the target: fail now, not after every round
         except ValueError:
-            certified = None
-        if certified is not None:
-            matrix, cert = certified
-            snapped = Pattern(
-                N=p.N,
-                m=p.m,
-                flats=tuple(flats),
-                subspaces=tuple(subspaces),
-                matrix=matrix,
-                certificate=cert,
-            )
-            if certify_pattern_stability(p, snapped):
-                return snapped, bound
+            snapped = None
+        if snapped is not None and certify_pattern_stability(p, snapped):
+            return snapped, bound
         bound *= 4
     raise SynthesisBudgetError(
         f"pattern did not restabilize within {_MAX_ROUNDS} rounds "

@@ -40,7 +40,7 @@ import itertools
 import math
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter, mul
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 Rat = Fraction
@@ -122,28 +122,25 @@ class _Record:
     instances refuse any other assignment or deletion. Records are built
     on the decide and certify paths, and a hand-written `__init__` costs
     what the dataclass's generated one did, where one shared `__init__`
-    looping over the fields would not. Equality is the same class with
-    equal field tuples, the hash is the field tuple's, as a frozen
-    dataclass's is, and the repr is `Name(f=v, ...)`. Instances keep their
-    `__dict__`, so copying and pickling restore it directly.
+    looping over the fields would not. An instance's `__dict__` holds its
+    fields and nothing else, in field order, so equality is the same class
+    with equal `__dict__`s and the hash is that of its values, the field
+    tuple's, as a frozen dataclass's is; the repr is `Name(f=v, ...)`.
+    Copying and pickling restore the `__dict__` directly.
     """
 
     _fields = ()
 
     def __init_subclass__(cls):
-        fields = tuple(cls.__annotations__)
-        get = attrgetter(*fields)
-        cls._fields = cls.__match_args__ = fields
-        # attrgetter of one name returns the value, not a 1-tuple
-        cls._values = staticmethod(get if len(fields) > 1 else lambda r: (get(r),))
+        cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values(self) == other._values(other)
+        return self.__dict__ == other.__dict__
 
     def __hash__(self):
-        return hash(self._values(self))
+        return hash(tuple(self.__dict__.values()))
 
     def __repr__(self):
         body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -782,29 +779,38 @@ def isolate_real_roots(p: QPoly) -> list[tuple[Fraction, Fraction]]:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return []
-    chain = _sturm_chain(p.primitive_int())
-    B = cauchy_root_bound(p)
-    out: list[tuple[Fraction, Fraction]] = []
+    return _isolate(_sturm_chain(p.primitive_int()), cauchy_root_bound(p))
 
-    def split(lo: Fraction, hi: Fraction, count: int):
+
+def _isolate(chain: list[list[int]], B: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """`isolate_real_roots` on the Sturm chain of an integer polynomial of
+    degree >= 1, bisecting inside (-B, B], which holds all its real roots.
+
+    The intervals wait on an explicit stack, right half below left, so
+    they come out ascending, and roots closer than any recursion limit
+    allows (two of them 1e-300 apart take a thousand halvings) cost depth
+    in a list, not in frames.
+    """
+    p = chain[0]
+    out: list[tuple[Fraction, Fraction]] = []
+    stack = [(-B, B, _roots_in(chain, -B, B))]
+    while stack:
+        lo, hi, count = stack.pop()
         if count == 0:
-            return
+            continue
         if count == 1:
             out.append((lo, hi))
-            return
+            continue
         # Sturm's theorem needs only that the cut point is not a root of p.
         # The t are distinct and inside (0, 1), so one of the cuts
         # lo + t (hi - lo) misses p's finitely many roots.
         later = (Fraction(1, k) for k in itertools.count(3))
         for t in itertools.chain((Fraction(1, 2), Fraction(5, 6)), later):
             mid = lo + t * (hi - lo)
-            if _sign_at(chain[0], mid):
+            if _sign_at(p, mid):
                 break
         left = _roots_in(chain, lo, mid)
-        split(lo, mid, left)
-        split(mid, hi, count - left)
-
-    split(-B, B, _roots_in(chain, -B, B))  # left halves first: ascending
+        stack += [(mid, hi, count - left), (lo, mid, left)]  # left half first
     return out
 
 
@@ -830,7 +836,9 @@ def rational_roots(p: QPoly) -> list[Fraction]:
 
     A rational root r/s of the primitive integer p has s | a_n, so two
     distinct such numbers differ by at least 1/a_n^2. Each real root is
-    isolated (`isolate_real_roots`) and its interval (lo, hi] bisected
+    isolated on the one Sturm chain (`_isolate`, inside p's Cauchy bound,
+    which also holds p's roots once its zero roots are divided out) and
+    its interval (lo, hi] bisected
     below 1/(2 a_n^2) by the Sturm count on (lo, mid]. A cut at the root
     itself keeps it as hi: the count is then positive, as it includes a
     simple root, and at a multiple root every chain member vanishes, so
@@ -850,7 +858,7 @@ def rational_roots(p: QPoly) -> list[Fraction]:
         chain = _sturm_chain(ints)
         an = abs(ints[-1])
         width = Fraction(1, 2 * an * an)
-        for lo, hi in isolate_real_roots(QPoly(ints)):
+        for lo, hi in _isolate(chain, cauchy_root_bound(p)):
             while hi - lo >= width:
                 mid = (lo + hi) / 2
                 if _roots_in(chain, lo, mid):

@@ -23,18 +23,25 @@ the point is, so `_cross` only solves. `intersect` runs the pass first,
 and the echelon only when H is definite or singular, handing it the
 Krylov rows of v the moments were read from; it builds only K's. A
 singular H has no point, so there the echelon's kernel dimension
-(`_cross_dim`) is all that runs, with no back-substitution.
-A pattern's cells go through `intersection_table`, which keeps kind and
-sign only and decides a cell from H alone unless det H = 0: definite H is
-a crossing whose sign is read from sign(s_0)^m and sign det J, as
-det H = det K det J, and a nonsingular H that is not definite is Empty.
-J depends on the flat and the line only, so it is built once per (flat,
-line), and a cell costs 2m - 1 dot products and one m x m pass. The
-congruence descent's pair step takes a pulled-back line and plane; at
-m >= 3 it reads their moments off the powers of A (`_moment_powers`) and
-tests them with `_moment_kind` too, and at m = 2 it tests det H > 0,
-`_moment_kind`'s verdict on a 2 x 2 form, in plain ints. `_cross` stays
-the one source of points, for `intersect` and for the descents.
+(`_cross_dim`) is all that runs, with no back-substitution. One routine
+(`_cell`) makes that decision for `intersect` and for
+`intersection_table`, a pattern's cells, which keeps kind and sign only:
+definite H is a crossing whose sign the table reads from sign(s_0)^m and
+sign det J, as det H = det K det J, and a nonsingular H that is not
+definite is Empty. J depends on the flat and the line only, so the table
+builds it once per (flat, line), and a cell costs 2m - 1 dot products and
+one m x m pass.
+
+The congruence descent's pair step (`_pair_step`) decides its crossings
+here too. It takes a pulled-back line and plane, which need no gamma, to
+the crossing point and sign, or to None. At m >= 3 it reads their moments
+off the powers of A (`_moment_powers`) and tests them with `_moment_kind`;
+at m = 2 it tests det H > 0, `_moment_kind`'s verdict on a 2 x 2 form, in
+plain ints. A definite form goes to one solve (`_crossing`): `_cross`, a
+fault when it finds no point, and Y's orientation bit. It serves
+`intersect` and the pair step alike, and `_cross` stays the one source
+of points.
+
 This route never consults the projective linking criterion; it is the module
 the criterion is tested against.
 
@@ -514,34 +521,112 @@ def _integer_pair(
     return _int_matrix(X.tau)[1], Y.line, Y.plane
 
 
-def intersect(X: FlatX, Y: SubspaceY) -> IntersectionResult:
-    """Exact intersection of the two PD solution sets.
+def _cell(
+    A: Sequence[Sequence[int]], J: list[list[int]], w: Sequence[int]
+) -> tuple[IntersectionKind, int, list[int]]:
+    """The kind of X ∩ Y and its kernel dimension, decided without a point,
+    with the 2m - 1 moments s_k = w . J_k it was read from, for J the
+    Krylov rows v, A v, ..., A^(2m-2) v of Y's line.
 
-    The moment form decides the kind: the 2m - 1 moments s_k = w . A^k v,
-    A = L tau, and one pass over their Hankel matrix H (`_moment_kind`).
-    A nonsingular H that is not definite is Empty, with one kernel line
-    (see `intersection_table`), and nothing else runs. Otherwise one small
-    integer system, on the Krylov rows the moments were read from, decides
-    the rest: `_cross` gives a definite H's point, PD as H is, with its
-    sign (no point raises ArithmeticError); at det H = 0 its echelon's
-    kernel dimension (`_cross_dim`) tells Empty (1) from Degenerate, which
-    is never perturbed, and no point is solved for.
+    One pass over the Hankel form (`_moment_kind`) tells a crossing (H
+    definite) and Empty (H nonsingular but not definite, one kernel line;
+    see `intersection_table`). At det H = 0 there is no point, and
+    `_cross`'s echelon (`_cross_dim`) tells Empty (1) from Degenerate,
+    which is never perturbed.
     """
-    A, v, w = _integer_pair(X, Y)
-    J = _krylov(A, v, 2 * len(v) - 1)
-    moments = [sum(map(operator.mul, w, x)) for x in J]
-    kind = _moment_kind(moments)
-    if kind is IntersectionKind.EMPTY:
-        return IntersectionResult(kind, None, 1)
+    s = [sum(map(operator.mul, w, x)) for x in J]
+    kind = _moment_kind(s)
     if kind is None:  # det H = 0: no point
         k = _cross_dim(A, J, w)
-        kind = IntersectionKind.EMPTY if k == 1 else IntersectionKind.DEGENERATE
-        return IntersectionResult(kind, None, k)
+        return (IntersectionKind.EMPTY if k == 1 else IntersectionKind.DEGENERATE), k, s
+    return kind, 1, s
+
+
+def _crossing(
+    A: Sequence[Sequence[int]], J: list[list[int]], w: Sequence[int], orientation: int
+) -> tuple[list[list[int]], int]:
+    """The crossing of a definite moment form: `_cross`'s primitive point
+    and the sign, Y's orientation bit times sign(det K). A definite form
+    has a point (`_moment_kind`), so a solve without one raises
+    ArithmeticError."""
     _, Z, s = _cross(A, J, w)
     if Z is None:
         raise ArithmeticError("definite moment form, but no crossing point")
-    point = SPDPoint(QMatrix._from_ints(1, Z))
-    return IntersectionResult(kind, point, 1, Y.orientation * s)
+    return Z, orientation * s
+
+
+def intersect(X: FlatX, Y: SubspaceY) -> IntersectionResult:
+    """Exact intersection of the two PD solution sets.
+
+    The moment form decides the kind (`_cell`): the 2m - 1 moments
+    s_k = w . A^k v, A = L tau, one pass over their Hankel matrix H, and at
+    det H = 0 the echelon's kernel dimension. Only a definite H, PD as its
+    point is, runs the one small integer system on the Krylov rows the
+    moments were read from (`_crossing`), for the point and its sign.
+    """
+    A, v, w = _integer_pair(X, Y)
+    J = _krylov(A, v, 2 * len(v) - 1)
+    kind, k, _ = _cell(A, J, w)
+    if kind is not IntersectionKind.TRANSVERSE_POINT:
+        return IntersectionResult(kind, None, k)
+    Z, s = _crossing(A, J, w, Y.orientation)
+    return IntersectionResult(kind, SPDPoint(QMatrix._from_ints(1, Z)), 1, s)
+
+
+def _pair_step(X: FlatX, Y: SubspaceY):
+    """The congruence descent's pair step: a pulled-back (line, plane) of Y
+    -> the crossing (Z', sign) of X with the subspace of that line and
+    plane, Z' as primitive integer rows, or None when they do not cross
+    transversely. It reads no gamma.
+
+    The moment form of the pair, s_k = plane . A^k line for A = L tau, is
+    definite exactly when the crossing is a transverse point, so only then
+    does the step run the crossing solve (`_crossing`). At m >= 3 the
+    moments are dot products of the outer product of plane and line with
+    the powers of A (`_moment_powers`, built once), tested by
+    `_moment_kind`. At m = 2, s_0 = plane . line, s_1 = plane . A line and
+    s_2 = A^T plane . A line, and the form is definite exactly when
+    det H = s_0 s_2 - s_1^2 > 0. Proof: H is definite exactly when
+    sign(s_0) H is positive definite, that is (by Sylvester's test,
+    `_moment_kind`'s verdict) when s_0 != 0 and det H > 0; and det H > 0
+    already forces s_0 s_2 > s_1^2 >= 0, so s_0 != 0. So s_0 s_2 <= s_1^2
+    is a miss, with no pass, and a hit hands [line, A line] to the solve.
+
+    The sign carries Y's orientation bit unchanged: with det gamma = 1
+    the pulled-back frame relates to (adj(gamma) v, gamma^T w) exactly as
+    Y's frame does to (v, w). A bit recomputed from the pulled-back pair,
+    or a plane made primitive (which may negate it), flips signs at odd m.
+    """
+    A = _int_matrix(X.tau)[1]
+    orientation = Y.orientation
+    m = X.m
+
+    if m == 2:
+        (a00, a01), (a10, a11) = A
+
+        def step(line, plane):
+            l0, l1 = line
+            p0, p1 = plane
+            m0, m1 = a00 * l0 + a01 * l1, a10 * l0 + a11 * l1  # A line
+            s0 = p0 * l0 + p1 * l1
+            s1 = p0 * m0 + p1 * m1
+            s2 = (a00 * p0 + a10 * p1) * m0 + (a01 * p0 + a11 * p1) * m1  # A^T plane . A line
+            if s0 * s2 <= s1 * s1:  # det H <= 0: not definite
+                return None
+            return _crossing(A, [[l0, l1], [m0, m1]], plane, orientation)
+
+        return step
+
+    powers = _moment_powers(A)
+
+    def step(line, plane):
+        outer = [a * b for a in plane for b in line]
+        moments = [sum(map(operator.mul, P, outer)) for P in powers]
+        if _moment_kind(moments) is not IntersectionKind.TRANSVERSE_POINT:
+            return None
+        return _crossing(A, _krylov(A, line, m), plane, orientation)
+
+    return step
 
 
 def intersection_table(
@@ -551,12 +636,11 @@ def intersection_table(
     (X_i ∩ Y_j).kind with its sign, None unless TransversePoint.
 
     Each cell is decided by its moment form, the Hankel matrix
-    H = [s_(j+k)] of s_k = w . A^k v, A = L tau (see `_moment_kind`).
-    A row forms A's integer rows once and builds, for each distinct line v
-    among the columns, the Krylov vectors J_k = A^k v for
-    k = 0, ..., 2m - 2; a cell then costs 2m - 1 dot products with its
-    plane w, read as stored on Y. In `_cross`'s notation H = K^T J, so
-    det H = det K det J.
+    H = [s_(j+k)] of s_k = w . A^k v, A = L tau (`_cell`). A row forms A's
+    integer rows once and builds, for each distinct line v among the
+    columns, the Krylov vectors J_k = A^k v for k = 0, ..., 2m - 2; a cell
+    then costs 2m - 1 dot products with its plane w, read as stored on Y.
+    In `_cross`'s notation H = K^T J, so det H = det K det J.
 
     - H definite (sign(s_0) H passes Sylvester's test): a TransversePoint.
       A definite H has det H of sign sign(s_0)^m, so the crossing sign
@@ -572,8 +656,7 @@ def intersection_table(
       row's J: only it tells a kernel of dimension >= 2 from the one line
       at lam = 0. No point is solved for.
 
-    One pass over sign(s_0) H tells the three apart (`_moment_kind`). No
-    point is built: a certificate keeps kind and sign only.
+    No point is built: a certificate keeps kind and sign only.
     """
     if len({X.m for X in flats} | {Y.m for Y in subspaces}) > 1:
         raise ValueError("dimension mismatch")
@@ -589,19 +672,13 @@ def intersection_table(
             J = krylov.get(v)
             if J is None:
                 J = krylov[v] = _krylov(A, v, 2 * m - 1)
-            s = [sum(map(operator.mul, w, x)) for x in J]
-            kind = _moment_kind(s)
+            kind, _, s = _cell(A, J, w)
             if kind is IntersectionKind.TRANSVERSE_POINT:
                 if v not in det_signs:
                     det_signs[v] = sign(_int_det(J[:m]))
-                crossing = Y.orientation * sign(s[0]) ** m * det_signs[v]
-                row.append((kind, crossing))
-            elif kind is IntersectionKind.EMPTY:
-                row.append((kind, None))
-            elif _cross_dim(A, J, w) == 1:  # a singular H is not definite: no point
-                row.append((IntersectionKind.EMPTY, None))
+                row.append((kind, Y.orientation * sign(s[0]) ** m * det_signs[v]))
             else:
-                row.append((IntersectionKind.DEGENERATE, None))
+                row.append((kind, None))
         table.append(row)
     return table
 

@@ -16,7 +16,6 @@ from flatlink.congruence import (
     _first_row_heads,
     _intertwine_rows,
     _normalize_on_fixed_line,
-    _pair_step,
     _pull_back,
     _signed_hit,
     decomposition_valid,
@@ -37,6 +36,7 @@ from flatlink.qkernel import (
 from flatlink.symspace import (
     IntersectionKind,
     SPDPoint,
+    _pair_step,
     flat_from_tau,
     intersect,
     intersection_sign,
@@ -579,15 +579,16 @@ def test_descent_solves_a_crossing_once_per_hit(monkeypatch):
     """The moment form rules out every miss, so `_cross` runs only on the
     three hits of the bound-400 descent, each with a definite form."""
     calls = []
+    cross = symspace._cross
 
     def counted(A, J, w):
         krylov = symspace._krylov(A, J[0], 2 * len(w) - 1)
         moments = [sum(a * b for a, b in zip(w, x)) for x in krylov]
         assert symspace._moment_kind(moments) is IntersectionKind.TRANSVERSE_POINT
         calls.append(1)
-        return symspace._cross(A, J, w)
+        return cross(A, J, w)
 
-    monkeypatch.setattr(congruence, "_cross", counted)
+    monkeypatch.setattr(symspace, "_cross", counted)
     hits = enumerate_same_sign(TAU2, RHO2, CongruenceLevel(5, 1), entry_bound=400)
     assert _gammas_and_signs(hits) == C7_B400_HITS
     assert len(calls) == 3
@@ -595,7 +596,7 @@ def test_descent_solves_a_crossing_once_per_hit(monkeypatch):
 
 def test_definite_form_without_a_crossing_raises(monkeypatch):
     """The pair step, on the identity's pair (v, w), whose form is definite."""
-    monkeypatch.setattr(congruence, "_cross", lambda A, J, w: (1, None, None))
+    monkeypatch.setattr(symspace, "_cross", lambda A, J, w: (1, None, None))
     Y = subspace_from_rho(RHO2)
     step = _pair_step(flat_from_tau(TAU2), Y)
     with pytest.raises(ArithmeticError):
@@ -895,7 +896,7 @@ def test_m2_evaluator_matches_the_generic_moment_route(case, monkeypatch):
         calls.append((J, list(plane)))
         return 1, [[1, 0], [0, 1]], 1  # a stand-in point: the test is the verdict
 
-    monkeypatch.setattr(congruence, "_cross", recorded)
+    monkeypatch.setattr(symspace, "_cross", recorded)
     step = _pair_step(X, Y)
     singular = hits = 0
     for q, bound in ((5, 30), (2, 9)):
@@ -936,7 +937,7 @@ def test_m2_closed_form_is_moment_kind_on_small_moments(s0, monkeypatch):
     the moments are S_0, S_1 and S_1 a + S_0 b, which reach
     (s_0, 6 s_1, 36 s_2), a form of the same verdict, whenever
     gcd(s_0, 6 s_1) divides 36 s_2."""
-    monkeypatch.setattr(congruence, "_cross", lambda A, J, w: (1, [[1, 0], [0, 1]], 1))
+    monkeypatch.setattr(symspace, "_cross", lambda A, J, w: (1, [[1, 0], [0, 1]], 1))
     for s1 in range(-3, 4):
         for s2 in range(-3, 4):
             definite = symspace._moment_kind([s0, s1, s2]) is IntersectionKind.TRANSVERSE_POINT

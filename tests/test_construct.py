@@ -308,11 +308,7 @@ def _one_cell_pattern(points, line, plane):
     sub = construct.PatternSubspace(
         subspace=subspace_from_pair(line, plane), pair=LinePlanePair(line, plane)
     )
-    matrix, cert = construct._certify_pattern([flat], [sub])
-    return construct.Pattern(
-        N=1, m=len(points), flats=(flat,), subspaces=(sub,), matrix=matrix,
-        certificate=cert,
-    )
+    return construct._certify_pattern([flat], [sub])
 
 
 def _rationalize_in_seconds(p, **kw):

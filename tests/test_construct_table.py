@@ -93,7 +93,9 @@ def test_table_matches_per_cell_route(N, m, rotation):
     for q in (p, snapped):
         want = _certify_pattern_reference(q.flats, q.subspaces)
         assert want == (q.matrix, q.certificate)
-        assert construct._certify_pattern(q.flats, q.subspaces) == want
+        certified = construct._certify_pattern(q.flats, q.subspaces)
+        assert (certified.matrix, certified.certificate) == want
+        assert certified == q
     assert all(w.link is not None for row in p.certificate for w in row)
     assert all(w.link is None for row in snapped.certificate for w in row)
 

@@ -31,6 +31,8 @@ ALLOWED = {
     "intersect_subspaces": "boundary API, checked against its Fraction reference",
     "sum_subspaces": "boundary API, checked against its Fraction reference",
     "QPoly.derivative": "the irreducibility reference in test_qkernel_irreducible.py calls it",
+    "isolate_real_roots": "qkernel's root-isolation API; rational_roots runs its bisection, "
+    "_isolate, on the Sturm chain it has already built",
 }
 
 

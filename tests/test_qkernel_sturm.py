@@ -308,3 +308,21 @@ def test_rational_roots_matches_sympy(p):
     ground = sympy.Poly(list(reversed(p)), sympy.Symbol("t"), domain="QQ").ground_roots()
     want = sorted(Fraction(int(r.p), int(r.q)) for r in ground)
     assert rational_roots(QPoly(p)) == want
+
+
+def test_roots_1e300_apart_isolate_without_recursion():
+    """(1 - 2 10^300) t^2 + 4 10^150 t - 2 has discriminant 8, so its two
+    irrational roots, both near 10^-150, lie about 7 10^-301 apart: a
+    thousand halvings of the Cauchy interval, each a level of the former
+    recursive bisection, which raised RecursionError."""
+    k = 150
+    p = QPoly([-2, 4 * 10**k, 1 - 2 * 10 ** (2 * k)])
+    ivs = isolate_real_roots(p)
+    assert len(ivs) == 2
+    (lo0, hi0), (lo1, hi1) = ivs
+    assert lo0 < hi0 <= lo1 < hi1
+    chain = _sturm_chain(p.primitive_int())
+    for lo, hi in ivs:
+        assert _sign_at(chain[0], lo) * _sign_at(chain[0], hi) < 0
+        assert Fraction(1, 2 * 10**k) < lo < hi < Fraction(2, 10**k)
+    assert rational_roots(p) == []

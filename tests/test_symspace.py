@@ -28,6 +28,7 @@ from flatlink.symspace import (
     SubspaceY,
     _moment_kind,
     _moment_powers,
+    _pair_step,
     _sylvester,
     flat_from_tau,
     flat_membership_system,
@@ -879,6 +880,48 @@ def test_moment_form_decides_transverse(m):
         assert not (transverse and kind in (2, 3))
         transverse_draws += transverse
     assert 20 <= transverse_draws <= draws - 20
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_pair_step_on_own_pair_is_intersect(m):
+    """The descent's pair step, handed Y's own line and plane, decides as
+    `intersect` does: None exactly when X ∩ Y is not a TransversePoint,
+    else `intersect`'s primitive point and sign. The draws fix the line's
+    and plane's eigen-coordinates c and e: of one sign in every product
+    (a crossing), small, or with many zeros, so all three kinds occur; at
+    odd m under orientation bits of both signs (at even m the bit is
+    fixed, see `subspace_from_pair`)."""
+    rng = random.Random(3700 + m)
+    seen, bits = set(), set()
+    for _ in range(8):
+        tau, g = rational_frame_flat(rng, m)
+        X = flat_from_tau(tau)
+        g_dual = transpose(g.inverse())
+        done = 0
+        while done < 6:
+            mode = done % 3
+            if mode == 0:
+                c = [rng.choice([-1, 1]) * rng.randint(1, 4) for _ in range(m)]
+                e = [abs(y) if x > 0 else -abs(y) for x, y in zip(c, c[::-1])]
+            else:
+                c = [rng.choice([0, rng.randint(-3, 3)]) for _ in range(m)]
+                e = [rng.choice([0, rng.randint(-3, 3)]) for _ in range(m)]
+            if not sum(x * y for x, y in zip(c, e)):
+                continue
+            Y = subspace_from_pair(g.apply(c), g_dual.apply(e))
+            res = intersect(X, Y)
+            found = _pair_step(X, Y)(Y.line, Y.plane)
+            if res.kind is IntersectionKind.TRANSVERSE_POINT:
+                Z, s = found
+                assert (QMatrix(Z), s) == (res.point.Z, res.sign)
+                assert _int_matrix(res.point.Z)[0] == 1  # Z is primitive
+            else:
+                assert found is None
+            seen.add(res.kind)
+            bits.add(Y.orientation)
+            done += 1
+    assert seen == set(IntersectionKind)
+    assert len(bits) == 1 + m % 2
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
