@@ -162,18 +162,16 @@ class DecompSphere(_Record):
 
 
 def sphere_dim(d: Union[DecompSphere, Sequence[int]]) -> int:
-    """Dimension of the decomposition sphere by the join rule.
+    """Dimension of the decomposition sphere: sum n(n+1)/2 - 2 over the
+    block sizes n.
 
-    join(A, B) has dim A + dim B + 1 with the empty sphere at -1; the
-    sphere is the (r-2)-sphere of scales joined with each block's own
-    sphere of dimension n(n+1)/2 - 2.
+    By the join rule (join(A, B) has dim A + dim B + 1, the empty sphere
+    -1) the sphere is the (r-2)-sphere of scales joined with each block's
+    own sphere of dimension n(n+1)/2 - 2. The r joins add r and the
+    scales r - 2; with the blocks' -2r that leaves sum n(n+1)/2 - 2.
     """
     dims = d.dims if isinstance(d, DecompSphere) else DecompSphere(d).dims
-    r = len(dims)
-    total = r - 2
-    for n in dims:
-        total += (n * (n + 1) // 2 - 2) + 1
-    return total
+    return sum(n * (n + 1) // 2 for n in dims) - 2
 
 
 def _decomposition(arrangement: Sequence[QMatrix]) -> tuple[int, list[tuple[Vectors, int]]]:

@@ -97,8 +97,11 @@ def _envelope(kind: str, inputs, verdicts: dict) -> dict:
 
 def _write_text(text: str, path: Optional[str]):
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise _CliError(1, f"cannot write {path}: {e}")
     else:
         sys.stdout.write(text)
 
@@ -553,12 +556,12 @@ def _disk_xy(v) -> tuple[float, float]:
     return (_CX + _R * x, _CY - _R * y)
 
 
-def _polyline(points3, steps_split=0.8) -> list[list[tuple[float, float]]]:
+def _polyline(points3) -> list[list[tuple[float, float]]]:
     """Split a sampled projective path where it wraps through the boundary."""
     runs, cur, prev = [], [], None
     for v in points3:
         xy = _disk_xy(v)
-        if prev is not None and math.dist(prev, xy) > steps_split * _R:
+        if prev is not None and math.dist(prev, xy) > 0.8 * _R:
             runs.append(cur)
             cur = []
         cur.append(xy)
@@ -568,16 +571,13 @@ def _polyline(points3, steps_split=0.8) -> list[list[tuple[float, float]]]:
     return runs
 
 
-def _segment_samples(a, b, steps=96):
+def _segment_samples(a, b):
+    """97 points of the segment a -> b of R^3, the one sampler of every
+    projective line the figure draws. a and b are independent, so no
+    point is 0."""
     av = [float(x) for x in a]
     bv = [float(x) for x in b]
-    out = []
-    for k in range(steps + 1):
-        t = k / steps
-        v = [(1 - t) * x + t * y for x, y in zip(av, bv)]
-        if max(abs(x) for x in v) > 1e-12:
-            out.append(v)
-    return out
+    return [[(1 - k / 96) * x + k / 96 * y for x, y in zip(av, bv)] for k in range(97)]
 
 
 def _path_d(run) -> str:
@@ -613,30 +613,17 @@ def _pattern_svg(p: Pattern) -> str:
             f'fill="{color}">X{i + 1}</text>'
         )
     for j, ps in enumerate(p.subspaces):
-        v = [float(x) for x in ps.subspace.line]
-        # orthonormal basis of the plane's kernel, sampled over a half-turn
-        w = kernel_basis(QMatrix([list(ps.subspace.plane)]))
-        w1 = [float(x) for x in w[0]]
-        w2 = [float(x) for x in w[1]]
-        n1 = math.sqrt(sum(x * x for x in w1))
-        w1 = [x / n1 for x in w1]
-        dot = sum(a * b for a, b in zip(w1, w2))
-        w2 = [a - dot * b for a, b in zip(w2, w1)]
-        n2 = math.sqrt(sum(x * x for x in w2))
-        w2 = [x / n2 for x in w2]
-        samples = []
-        for k in range(97):
-            t = math.pi * k / 96
-            samples.append(
-                [math.cos(t) * a + math.sin(t) * b for a, b in zip(w1, w2)]
-            )
+        # the plane's projective line: the segments u1 -> u2 -> -u1 of a
+        # kernel basis, which close up since -u1 and u1 are one point
+        u1, u2 = kernel_basis(QMatrix([list(ps.subspace.plane)]))
+        samples = _segment_samples(u1, u2) + _segment_samples(u2, [-x for x in u1])
         for run in _polyline(samples):
             if len(run) > 1:
                 parts.append(
                     f'<path d="{_path_d(run)}" fill="none" stroke="#555" '
                     'stroke-width="1" stroke-dasharray="5 3"/>'
                 )
-        x, y = _disk_xy(v)
+        x, y = _disk_xy(ps.subspace.line)
         parts.append(
             f'<rect x="{x - 3:.2f}" y="{y - 3:.2f}" width="6" height="6" '
             'fill="#222"/>'

@@ -48,7 +48,6 @@ from .qkernel import (
     _int_kernel,
     _int_matrix,
     _is_prime,
-    _primitive_ints,
     det,
     kernel_basis,
 )
@@ -216,20 +215,19 @@ def decomposition_valid(
 # congruence levels
 
 
-def _vp(x: int, p: int) -> int:
-    x = abs(x)
-    n = 0
-    while x % p == 0:
-        x //= p
-        n += 1
-    return n
-
-
 def min_level_v(v: Sequence, p: int) -> int:
-    """Least n with 2v nonzero mod p^n, for v made primitive first."""
+    """Least n with 2v nonzero mod p^n, for v made primitive first: 1, or
+    2 at p = 2.
+
+    A primitive v has an entry x prime to p. At an odd p, 2x is a unit
+    mod p, so n = 1; at p = 2, 2v is 0 mod 2 but 2x is not 0 mod 4. So
+    the answer depends on p alone, once p is prime and v is not zero.
+    """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return 1 + min(_vp(2 * x, p) for x in _primitive_ints(v) if x != 0)
+    if not any(v):
+        raise ValueError("zero vector has no primitive representative")
+    return 2 if p == 2 else 1
 
 
 # ---------------------------------------------------------------------------

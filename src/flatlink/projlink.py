@@ -51,9 +51,6 @@ class ProjPoint(_Record):
     def dim(self) -> int:
         return len(self.rep)
 
-    def __repr__(self):
-        return f"ProjPoint{self.rep}"
-
 
 class ProjHyperplane(_Record):
     """Hyperplane of P^{m-1} as a canonical primitive integer functional."""
@@ -73,9 +70,6 @@ class ProjHyperplane(_Record):
         if len(self.functional) != len(p.rep):
             raise ValueError("dimension mismatch")
         return sum(map(mul, self.functional, p.rep))
-
-    def __repr__(self):
-        return f"ProjHyperplane{self.functional}"
 
 
 class Arrangement(_Record):

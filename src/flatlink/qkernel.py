@@ -129,10 +129,8 @@ class _Record:
     Copying and pickling restore the `__dict__` directly.
     """
 
-    _fields = ()
-
     def __init_subclass__(cls):
-        cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
+        cls.__match_args__ = tuple(cls.__annotations__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -143,7 +141,7 @@ class _Record:
         return hash(tuple(self.__dict__.values()))
 
     def __repr__(self):
-        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
         return f"{type(self).__qualname__}({body})"
 
     def __setattr__(self, name, value):
@@ -287,13 +285,12 @@ class QMatrix:
             [[K * a + L * b for a, b in zip(ra, rb)] for ra, rb in zip(self._A, other._A)],
         )
 
-    def __mul__(self, other):
-        if isinstance(other, QMatrix):
-            return self._matmul(other)
-        return self._scaled(rat(other))
+    def __mul__(self, c):
+        """The scalar multiple; a matrix product is `@`, and `rat` refuses
+        a QMatrix here with a TypeError."""
+        return self._scaled(rat(c))
 
-    def __rmul__(self, other):
-        return self._scaled(rat(other))
+    __rmul__ = __mul__
 
     def _scaled(self, c: Fraction) -> "QMatrix":
         p = c.numerator
@@ -302,9 +299,6 @@ class QMatrix:
         )
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        return self._matmul(other)
-
-    def _matmul(self, other: "QMatrix") -> "QMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
         ocols = list(zip(*other._A))
@@ -428,9 +422,6 @@ def _first_row_cofactors(rows: list[Sequence[int]]) -> list[int]:
     """C with det([c] + rows) = c . C for every first row c, for n - 1
     integer rows of length n. So C . r = 0 for each row r, and C = 0
     exactly when the rows are dependent."""
-    if len(rows) == 1:
-        ((a, b),) = rows
-        return [b, -a]
     return [
         (-1) ** j * _int_det([r[:j] + r[j + 1 :] for r in rows])
         for j in range(len(rows) + 1)

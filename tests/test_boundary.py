@@ -65,9 +65,24 @@ def test_flag_invariants():
         Flag([span((1, 0, 0), (0, 1, 0)), span((1, 0, 0))])  # decreasing
 
 
+def _compositions(m):
+    """Every ordered tuple of positive block sizes with sum m."""
+    if m == 0:
+        return [()]
+    return [(k,) + rest for k in range(1, m + 1) for rest in _compositions(m - k)]
+
+
 def test_sphere_dim():
     for m in range(2, 9):
         assert sphere_dim([m]) == m * (m + 1) // 2 - 2
+    # the join rule: the (r-2)-sphere of scales joined with each block's
+    # sphere of dimension n(n+1)/2 - 2, each join adding 1
+    for m in range(1, 9):
+        for dims in _compositions(m):
+            total = len(dims) - 2
+            for n in dims:
+                total += (n * (n + 1) // 2 - 2) + 1
+            assert sphere_dim(dims) == sphere_dim(DecompSphere(dims)) == total
     assert sphere_dim([1]) == -1
     assert sphere_dim([1, 1]) == 0
     assert sphere_dim(DecompSphere([2, 1])) == 2

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -24,7 +26,7 @@ from flatlink.cli import (
 from flatlink.congruence import CongruenceLevel, enumerate_same_sign
 from flatlink.construct import synthesize_pattern
 from flatlink.projlink import Arrangement, LinePlanePair, frame_coefficients
-from flatlink.qkernel import QMatrix, rat_str
+from flatlink.qkernel import QMatrix, rat, rat_str
 from flatlink.symspace import involution_for_pair
 
 
@@ -367,6 +369,41 @@ def test_pattern_svg(tmp_path):
     assert text.startswith("<svg")
     assert "<circle" in text and "<path" in text
     assert text.count("X4") == 1 and text.count("Y4") == 1
+    assert "nan" not in text
+    # each subspace's dashed traces come just before its label. Every
+    # point of them, lifted back to the upper hemisphere, lies on the
+    # subspace's projective line w = 0, and they run into both points
+    # +-e where that line meets the boundary circle, as only the whole
+    # line does, through more than 90 distinct points
+    planes = [[float(rat(x)) for x in s["plane"]] for s in json.loads(out.read_text())["subspaces"]]
+    points, labelled = [], 0
+    for line in text.splitlines():
+        if "stroke-dasharray" in line:
+            d = line.split('d="')[1].split('"')[0]
+            points += [(float(x), float(y)) for x, y in re.findall(r"(-?[\d.]+) (-?[\d.]+)", d)]
+        elif f">Y{labelled + 1}</text>" in line:
+            w = planes[labelled]
+            assert len(set(points)) > 90, f"Y{labelled + 1} has {len(set(points))} trace points"
+            for px, py in points:
+                x, y = (px - 300) / 270, (300 - py) / 270
+                v = (x, y, math.sqrt(max(0.0, 1 - x * x - y * y)))
+                assert abs(sum(a * b for a, b in zip(w, v))) < 0.02 * math.hypot(*w)
+            e = (-w[1] / math.hypot(w[0], w[1]), w[0] / math.hypot(w[0], w[1]))
+            for s in (1, -1):
+                end = (300 + s * 270 * e[0], 300 - s * 270 * e[1])
+                assert min(math.dist(end, pt) for pt in points) < 10
+            points, labelled = [], labelled + 1
+    assert labelled == 4
+
+
+@pytest.mark.parametrize("option", ["--out", "--svg"])
+def test_unwritable_output_path_exit1(tmp_path, capsys, option):
+    path = tmp_path / "missing" / "x"
+    argv = ["pattern", "4", "3", option, str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"flatlink: cannot write {path}: ")
+    assert "Traceback" not in err
 
 
 def test_pattern_svg_skipped_above_m3(tmp_path, capsys):
@@ -597,6 +634,12 @@ def test_descend_cmd(tmp_path):
     assert main(["descend", path, "--level", "5", "--bound", "6",
                  "--out", str(rep)]) == 0
     assert rep.read_bytes() == before
+
+    # a bare p = 2 takes n = 2: 2v is 0 mod 2 for every v
+    assert main(["descend", path, "--level", "2", "--bound", "6",
+                 "--out", str(rep)]) == 0
+    summary = json.loads(rep.read_text().splitlines()[-1])
+    assert summary["verdicts"]["level"] == [2, 2]
 
 
 def test_descend_explicit_level_exponent(tmp_path):

@@ -409,7 +409,20 @@ def test_min_level_v():
 def test_min_level_v_is_minimal():
     from flatlink.projlink import ProjPoint
 
-    for v, p in [((1, 1), 2), ((3, 6, 12), 3), ((5, 10), 5), ((1, 4), 2)]:
+    cases = [((1, 1), 2), ((3, 6, 12), 3), ((5, 10), 5), ((1, 4), 2)]
+    # seeded int and Fraction vectors whose entries share powers of p, so
+    # that only the primitive vector has an entry prime to p
+    rng = random.Random(38)
+    for m in range(2, 7):
+        for p in (2, 3, 5, 7, 1009):
+            for _ in range(4):
+                scale = p ** rng.randint(0, 5) * rng.choice((1, -1, 6))
+                ints = [rng.randint(-40, 40) * p ** rng.randint(0, 2) for _ in range(m)]
+                if not any(ints):
+                    ints[rng.randrange(m)] = 1
+                cases.append((tuple(scale * x for x in ints), p))
+                cases.append((tuple(Fraction(scale * x, rng.randint(1, 30)) for x in ints), p))
+    for v, p in cases:
         n = min_level_v(v, p)
         doubled = [2 * x for x in ProjPoint(v).rep]
         assert any(x % p**n != 0 for x in doubled)

@@ -87,6 +87,8 @@ def test_matrix_basics():
     assert transpose(A).col(0) == (1, 2)
     assert A[0, 0] + A[1, 1] == 5
     assert (2 * A)[1, 1] == 8
+    with pytest.raises(TypeError):  # `*` is scalar-only; products are `@`
+        A * B
     with pytest.raises(ValueError):
         QMatrix([[1, 2], [3]])
 
