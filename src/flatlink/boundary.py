@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .qkernel import (
     QMatrix,
@@ -144,10 +144,6 @@ class Flag(_Record):
             raise ValueError("the full space is not listed in a proper flag")
         object.__setattr__(self, "subspaces", tuple(S for S, _ in canon))
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(s.ncols for s in self.subspaces)
-
 
 class DecompSphere(_Record):
     """Block sizes of a direct-sum decomposition, for join bookkeeping."""
@@ -161,7 +157,7 @@ class DecompSphere(_Record):
         object.__setattr__(self, "dims", ds)
 
 
-def sphere_dim(d: Union[DecompSphere, Sequence[int]]) -> int:
+def sphere_dim(d: DecompSphere) -> int:
     """Dimension of the decomposition sphere: sum n(n+1)/2 - 2 over the
     block sizes n.
 
@@ -170,8 +166,7 @@ def sphere_dim(d: Union[DecompSphere, Sequence[int]]) -> int:
     own sphere of dimension n(n+1)/2 - 2. The r joins add r and the
     scales r - 2; with the blocks' -2r that leaves sum n(n+1)/2 - 2.
     """
-    dims = d.dims if isinstance(d, DecompSphere) else DecompSphere(d).dims
-    return sum(n * (n + 1) // 2 for n in dims) - 2
+    return sum(n * (n + 1) // 2 for n in d.dims) - 2
 
 
 def _decomposition(arrangement: Sequence[QMatrix]) -> tuple[int, list[tuple[Vectors, int]]]:

@@ -22,6 +22,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -95,15 +96,10 @@ def _envelope(kind: str, inputs, verdicts: dict) -> dict:
     }
 
 
-def _write_text(text: str, path: Optional[str]):
-    if path:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise _CliError(1, f"cannot write {path}: {e}")
-    else:
-        sys.stdout.write(text)
+def _output(code: int, text: str, out: Optional[str]) -> tuple[int, str, dict]:
+    """A command's result: its exit code, and text on stdout, or in the
+    file `out` when one is given."""
+    return (code, "", {out: text}) if out else (code, text, {})
 
 
 # argparse types: a value out of range is a parse error (exit 1), caught
@@ -263,7 +259,7 @@ def _cell(w: dict) -> CellWitness:
 
 
 def read_pattern(obj: dict) -> tuple:
-    """(N, m, flats, subspaces, matrix, certificate) of a pattern document.
+    """(flats, subspaces, matrix, certificate) of a pattern document.
 
     flats holds (tau, points or None), subspaces (rho, (line, plane) or
     None); every matrix and vector is checked against the declared m, and
@@ -297,20 +293,18 @@ def read_pattern(obj: dict) -> tuple:
         tuple(w.sign or 0 for w in row) for row in certificate
     ):
         raise ValueError("matrix does not match the certificate's signs")
-    return N, m, flats, subspaces, matrix, certificate
+    return flats, subspaces, matrix, certificate
 
 
 def _read_pattern_to_snap(obj: dict) -> tuple:
     values = read_pattern(obj)
-    if any(points is None for _, points in values[2]):
+    if any(points is None for _, points in values[0]):
         raise ValueError("every flat needs its arrangement: its frame is the snap target")
     return values
 
 
-def build_pattern(N, m, flats, subspaces, matrix, certificate) -> Pattern:
+def build_pattern(flats, subspaces, matrix, certificate) -> Pattern:
     return Pattern(
-        N=N,
-        m=m,
         flats=tuple(
             PatternFlat(
                 flat=flat_from_tau(tau),
@@ -398,18 +392,21 @@ def signed_hit_to_json(h: SignedHit) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its exit code, its stdout text and the files it
+# writes, {path: text}; `main` writes them
 
 
-def _emit_pattern(doc: dict, inputs, verdicts: dict, out: Optional[str]):
-    """The pattern document to stdout, or to `out` with the envelope on stdout."""
-    _write_text(_canonical(doc) + "\n", out)
-    if out:
-        verdicts["out"] = out
-        sys.stdout.write(_canonical(_envelope("Pattern", inputs, verdicts)) + "\n")
+def _pattern_output(doc: dict, inputs, verdicts: dict, out: Optional[str]):
+    """A pattern command's result: the pattern document on stdout, or in
+    the file `out` with the envelope on stdout."""
+    text = _canonical(doc) + "\n"
+    if not out:
+        return 0, text, {}
+    verdicts["out"] = out
+    return 0, _canonical(_envelope("Pattern", inputs, verdicts)) + "\n", {out: text}
 
 
-def cmd_link(args) -> int:
+def cmd_link(args):
     obj, (points, (line, plane)) = _read(args.input, _read_link)
     arr = Arrangement(points)
     pair = LinePlanePair(line, plane)
@@ -419,11 +416,10 @@ def cmd_link(args) -> int:
         "frame_coefficients": [rat_str(c) for c in coeffs],
         "plane_values": [rat_str(v) for v in values],
     }
-    _write_text(_canonical(_envelope("Link", obj, verdicts)) + "\n", args.out)
-    return 0
+    return _output(0, _canonical(_envelope("Link", obj, verdicts)) + "\n", args.out)
 
 
-def cmd_intersect(args) -> int:
+def cmd_intersect(args):
     obj, (tau, rho, pair) = _read(args.input, _read_intersect)
     X = flat_from_tau(tau)
     Y = subspace_from_rho(rho) if pair is None else subspace_from_pair(*pair)
@@ -434,11 +430,13 @@ def cmd_intersect(args) -> int:
         "point": mat_to_json(res.point.Z) if res.point else None,
         "sign": res.sign,
     }
-    _write_text(_canonical(_envelope("Intersect", obj, verdicts)) + "\n", args.out)
-    return 0 if res.kind is not IntersectionKind.DEGENERATE else 2
+    code = 0 if res.kind is not IntersectionKind.DEGENERATE else 2
+    return _output(code, _canonical(_envelope("Intersect", obj, verdicts)) + "\n", args.out)
 
 
-def cmd_pattern(args) -> int:
+def cmd_pattern(args):
+    if args.out and args.svg and os.path.realpath(args.out) == os.path.realpath(args.svg):
+        raise _CliError(1, "--out and --svg name the same file")
     p = synthesize_pattern(
         args.N,
         args.m,
@@ -459,16 +457,16 @@ def cmd_pattern(args) -> int:
         "rank": pattern_rank(p),
         "matrix": [list(row) for row in p.matrix],
     }
-    _emit_pattern(doc, inputs, verdicts, args.out)
+    code, text, files = _pattern_output(doc, inputs, verdicts, args.out)
     if args.svg:
         if p.m == 3:
-            _write_text(_pattern_svg(p), args.svg)
+            files[args.svg] = _pattern_svg(p)
         else:
             print("svg emitted only for m = 3; skipped", file=sys.stderr)
-    return 0
+    return code, text, files
 
 
-def cmd_rationalize(args) -> int:
+def cmd_rationalize(args):
     _, values = _read(args.input, _read_pattern_to_snap)
     p = build_pattern(*values)
     try:
@@ -485,16 +483,14 @@ def cmd_rationalize(args) -> int:
             str(pf.rationalized.frame_distance) for pf in snapped.flats
         ],
     }
-    _emit_pattern(doc, inputs, verdicts, args.out)
-    return 0
+    return _pattern_output(doc, inputs, verdicts, args.out)
 
 
-def cmd_rank(args) -> int:
+def cmd_rank(args):
     obj, values = _read(args.input, read_pattern)
     p = build_pattern(*values)
     verdicts = {"N": p.N, "m": p.m, "rank": pattern_rank(p)}
-    _write_text(_canonical(_envelope("Pattern", obj, verdicts)) + "\n", args.out)
-    return 0
+    return _output(0, _canonical(_envelope("Pattern", obj, verdicts)) + "\n", args.out)
 
 
 # the longest det-1 walk a descent may start: at m = 2 and q = 5 that is
@@ -502,16 +498,12 @@ def cmd_rank(args) -> int:
 _DESCENT_WALK_BUDGET = 1_000_000
 
 
-def cmd_descend(args) -> int:
+def cmd_descend(args):
     obj, (tau, rho) = _read(args.input, _read_descend)
     p, n = _parse_level(args.level)
     if n is None:
-        try:
-            n = min_level_v(subspace_from_rho(rho).line, p)
-        except ValueError:
-            # a rho with no fixed line never reaches a level: the search
-            # below rejects it (commutant first, exit 4; else exit 2)
-            n = 1
+        # the same n for every nonzero v, so Y's line need not be built
+        n = min_level_v((1,) + (0,) * (tau.nrows - 1), p)
     level = CongruenceLevel(p, n)
     walk = det_one_walk_size(tau.nrows, descent_modulus(level, args.bound), args.bound)
     if walk > _DESCENT_WALK_BUDGET:
@@ -535,8 +527,7 @@ def cmd_descend(args) -> int:
         },
     )
     lines.append(_canonical(summary))
-    _write_text("\n".join(lines) + "\n", args.out)
-    return 0
+    return _output(0, "\n".join(lines) + "\n", args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +571,15 @@ def _segment_samples(a, b):
     return [[(1 - k / 96) * x + k / 96 * y for x, y in zip(av, bv)] for k in range(97)]
 
 
-def _path_d(run) -> str:
-    return "M " + " L ".join(f"{x:.2f} {y:.2f}" for x, y in run)
+def _paths(samples, style: str) -> list[str]:
+    """One SVG path, drawn in style, per run of the sampled projective
+    path (`_polyline`) that has more than one point."""
+    parts = []
+    for run in _polyline(samples):
+        if len(run) > 1:
+            d = " L ".join(f"{x:.2f} {y:.2f}" for x, y in run)
+            parts.append(f'<path d="M {d}" fill="none" {style}/>')
+    return parts
 
 
 def _pattern_svg(p: Pattern) -> str:
@@ -596,12 +594,10 @@ def _pattern_svg(p: Pattern) -> str:
         pts = [pt.rep for pt in pf.arrangement.points]
         for a in range(3):
             for b in range(a + 1, 3):
-                for run in _polyline(_segment_samples(pts[a], pts[b])):
-                    if len(run) > 1:
-                        parts.append(
-                            f'<path d="{_path_d(run)}" fill="none" '
-                            f'stroke="{color}" stroke-width="1.5"/>'
-                        )
+                parts += _paths(
+                    _segment_samples(pts[a], pts[b]),
+                    f'stroke="{color}" stroke-width="1.5"',
+                )
         for pt in pts:
             x, y = _disk_xy(pt)
             parts.append(
@@ -617,12 +613,7 @@ def _pattern_svg(p: Pattern) -> str:
         # kernel basis, which close up since -u1 and u1 are one point
         u1, u2 = kernel_basis(QMatrix([list(ps.subspace.plane)]))
         samples = _segment_samples(u1, u2) + _segment_samples(u2, [-x for x in u1])
-        for run in _polyline(samples):
-            if len(run) > 1:
-                parts.append(
-                    f'<path d="{_path_d(run)}" fill="none" stroke="#555" '
-                    'stroke-width="1" stroke-dasharray="5 3"/>'
-                )
+        parts += _paths(samples, 'stroke="#555" stroke-width="1" stroke-dasharray="5 3"')
         x, y = _disk_xy(ps.subspace.line)
         parts.append(
             f'<rect x="{x - 3:.2f}" y="{y - 3:.2f}" width="6" height="6" '
@@ -689,10 +680,25 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    The command returns its exit code, its stdout text and the files it
+    writes. main writes every file first and stdout last, so a command
+    that fails, or a file that cannot be written (exit 1), prints nothing
+    on stdout. Failures go to stderr as one `flatlink: ...` line.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        code, text, files = args.fn(args)
+        for path, body in files.items():
+            try:
+                with open(path, "w") as fh:
+                    fh.write(body)
+            except OSError as e:
+                raise _CliError(1, f"cannot write {path}: {e}")
+        sys.stdout.write(text)
+        return code
     except _CliError as e:
         print(f"flatlink: {e}", file=sys.stderr)
         return e.code

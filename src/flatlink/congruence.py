@@ -10,8 +10,8 @@ det p(tau) is the product of p(lambda) over tau's m eigenvalues, each a
 linear form in p's coefficients. On the span such a form is either zero
 or, along p_c = sum_k c^(k-1) s_k, a nonzero polynomial in c of degree
 <= d - 1. So the span holds an invertible p(tau) exactly when one of
-p_0, ..., p_(m(d-1)) gives one, and the solver answers solved or
-no_solution after that bounded scan.
+p_0, ..., p_(m(d-1)) gives one, and the solver returns the decomposition,
+or None, after that bounded scan.
 
 The deep-congruence machinery behind the same-sign statement (double
 cosets, p-adic identity neighborhoods) is replaced by what it predicts:
@@ -84,15 +84,6 @@ class Decomposition(_Record):
         object.__setattr__(self, "b", b)
 
 
-class PtoqResult(_Record):
-    kind: str  # "solved" | "no_solution"
-    decomposition: Optional[Decomposition]
-
-    def __init__(self, kind: str, decomposition: Optional[Decomposition]):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "decomposition", decomposition)
-
-
 class SignedHit(_Record):
     gamma: QMatrix
     point: SPDPoint
@@ -140,15 +131,16 @@ def scalar_commutant_check(tau: QMatrix, rho: QMatrix) -> bool:
     return len(_echelon(rows)[0]) == tau.nrows**2 - 1
 
 
-def ptoq_solve(gamma: QMatrix, tau: QMatrix, rho: QMatrix) -> PtoqResult:
+def ptoq_solve(gamma: QMatrix, tau: QMatrix, rho: QMatrix) -> Optional[Decomposition]:
     """Split gamma = a b with [a, rho] = 1 and [b, tau] = 1, exactly.
 
     tau must be cyclic, so that a = gamma p(tau) (module docstring). With
     G, A = L tau and R the integer multiples of gamma, tau and rho, column
     k of the system is vec(G A^k R - R G A^k); the scaling only rescales
     the unknowns. G A^0, ..., G A^(m-1) are independent exactly when tau is
-    cyclic, as G is invertible. The answer is solved or no_solution. A
-    derogatory tau or a singular gamma raises ValueError.
+    cyclic, as G is invertible. The answer is the Decomposition, or None
+    when gamma has none. A derogatory tau or a singular gamma raises
+    ValueError.
     """
     m = gamma.nrows
     if not (gamma.is_square and tau.nrows == m and rho.nrows == m):
@@ -167,7 +159,7 @@ def ptoq_solve(gamma: QMatrix, tau: QMatrix, rho: QMatrix) -> PtoqResult:
     rows = [[sum(map(operator.mul, e, t)) for t in terms] for e in eqs]
     ker = _int_kernel(rows)
     if not ker:
-        return PtoqResult("no_solution", None)
+        return None
     for c in range(m * (len(ker) - 1) + 1):
         p = [sum(s[j] * c**k for k, s in enumerate(ker)) for j in range(m)]
         flat = [sum(map(operator.mul, p, entry)) for entry in zip(*terms)]
@@ -177,8 +169,8 @@ def ptoq_solve(gamma: QMatrix, tau: QMatrix, rho: QMatrix) -> PtoqResult:
             b = a.inverse() @ gamma
             if b @ tau != tau @ b:  # guaranteed by the system
                 raise ArithmeticError("a^-1 gamma does not commute with tau")
-            return PtoqResult("solved", Decomposition(a=a, b=b))
-    return PtoqResult("no_solution", None)
+            return Decomposition(a=a, b=b)
+    return None
 
 
 def _normalize_on_fixed_line(a: QMatrix, rho: QMatrix) -> QMatrix:

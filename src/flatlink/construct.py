@@ -134,8 +134,10 @@ class PatternSubspace(_Record):
 
 
 class Pattern(_Record):
-    N: int
-    m: int
+    """N flats and N subspaces with the sign matrix of their cells and, when
+    certified, each cell's witnesses. N and m are read off the flats: their
+    count and their ambient dimension."""
+
     flats: tuple[PatternFlat, ...]
     subspaces: tuple[PatternSubspace, ...]
     matrix: tuple[tuple[int, ...], ...]
@@ -143,19 +145,23 @@ class Pattern(_Record):
 
     def __init__(
         self,
-        N: int,
-        m: int,
         flats: tuple[PatternFlat, ...],
         subspaces: tuple[PatternSubspace, ...],
         matrix: tuple[tuple[int, ...], ...],
         certificate: tuple[tuple[CellWitness, ...], ...],
     ):
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "m", m)
         object.__setattr__(self, "flats", flats)
         object.__setattr__(self, "subspaces", subspaces)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "certificate", certificate)
+
+    @property
+    def N(self) -> int:
+        return len(self.flats)
+
+    @property
+    def m(self) -> int:
+        return self.flats[0].flat.m
 
     def is_upper_triangular_nonzero_diagonal(self) -> bool:
         return all(
@@ -165,9 +171,8 @@ class Pattern(_Record):
         )
 
 
-def pattern_rank(p: Union[Pattern, Sequence[Sequence[int]]]) -> int:
-    rows = p.matrix if isinstance(p, Pattern) else p
-    return rank(QMatrix(rows))
+def pattern_rank(p: Pattern) -> int:
+    return rank(QMatrix(p.matrix))
 
 
 def _frame_tau(
@@ -242,8 +247,6 @@ def _certify_pattern(
             )
         )
     return Pattern(
-        N=len(flats),
-        m=flats[0].flat.m,
         flats=tuple(flats),
         subspaces=tuple(subspaces),
         matrix=tuple(matrix),

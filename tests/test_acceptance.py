@@ -352,9 +352,9 @@ def test_criterion_6_ptoq_solver():
             continue
         a, b = member
         gamma = a @ b
-        res = ptoq_solve(gamma, tau, rho)
-        assert res.kind == "solved"
-        assert decomposition_valid(res.decomposition, gamma, tau, rho)
+        dec = ptoq_solve(gamma, tau, rho)
+        assert dec is not None
+        assert decomposition_valid(dec, gamma, tau, rho)
         solved += 1
 
     # crafted non-members: the necessary linear system has zero kernel,
@@ -374,9 +374,7 @@ def test_criterion_6_ptoq_solver():
         rows += _intertwine_rows(rho.rows, rho.rows)
         if kernel_basis(QMatrix(rows)):
             continue  # not certifiably a non-member; resample
-        res = ptoq_solve(gamma, tau, rho)
-        assert res.kind in ("no_solution", "undecided")
-        assert res.decomposition is None
+        assert ptoq_solve(gamma, tau, rho) is None
         crafted += 1
     print("PASS criterion-6: 200 members decomposed exactly, 50 non-members rejected")
 

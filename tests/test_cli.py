@@ -398,12 +398,24 @@ def test_pattern_svg(tmp_path):
 
 @pytest.mark.parametrize("option", ["--out", "--svg"])
 def test_unwritable_output_path_exit1(tmp_path, capsys, option):
+    # files are written before stdout, so a failed write prints no result
     path = tmp_path / "missing" / "x"
     argv = ["pattern", "4", "3", option, str(path)]
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"flatlink: cannot write {path}: ")
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"flatlink: cannot write {path}: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_out_and_svg_naming_one_file_exit1(tmp_path, capsys):
+    path = tmp_path / "x"
+    for other in (path, tmp_path / "sub" / ".." / "x"):
+        assert main(["pattern", "3", "3", "--out", str(path), "--svg", str(other)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "flatlink: --out and --svg name the same file\n"
+        assert captured.out == ""
+        assert not path.exists()
 
 
 def test_pattern_svg_skipped_above_m3(tmp_path, capsys):

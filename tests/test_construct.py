@@ -94,12 +94,6 @@ def test_pattern_deterministic():
     assert all(x.flat.tau == y.flat.tau for x, y in zip(a.flats, b.flats))
 
 
-def test_pattern_rank_on_raw_matrices():
-    assert pattern_rank([[0]]) == 0
-    assert pattern_rank([[1, 1], [0, -1]]) == 2
-    assert pattern_rank([[1, 1], [1, 1]]) == 1
-
-
 def test_tau_for_arrangement_eigenstructure():
     arr = Arrangement([(1, 0), (0, 1)])
     assert tau_for_arrangement(arr) == QMatrix.diagonal([1, 2])
@@ -460,9 +454,7 @@ def test_certify_stability():
     assert certify_pattern_stability(p, p)
     flipped = list(map(list, p.matrix))
     flipped[0][1] = -flipped[0][1]
-    q = construct.Pattern(
-        p.N, p.m, p.flats, p.subspaces, tuple(map(tuple, flipped)), p.certificate
-    )
+    q = construct.Pattern(p.flats, p.subspaces, tuple(map(tuple, flipped)), p.certificate)
     assert not certify_pattern_stability(p, q)
     with pytest.raises(ValueError):
         certify_pattern_stability(p, synthesize_pattern(1, 2))

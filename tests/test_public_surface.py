@@ -10,7 +10,11 @@ count. Test-only references live in `tests/_reference.py`. Every other
 name is in ALLOWED, with the reason it is kept; README's "Kept as API"
 lists the same names. A method or property is named as Class.method, and
 counts as used only when an attribute of its name is read or perfbench names
-it in a string: an attribute access names no class.
+it in a string: an attribute access names no class. So a method or
+property whose name another flatlink class also uses, for a field, a
+property or a method, counts as used when any of them is read; each such
+name is in SHARED, with where each of its definitions is read, so a new
+one is looked at before it can hide behind another.
 
 Every private module-level function or class of flatlink is named in
 `src/` outside its own definition, as an identifier in its own module or
@@ -33,6 +37,16 @@ ALLOWED = {
     "QPoly.derivative": "the irreducibility reference in test_qkernel_irreducible.py calls it",
     "isolate_real_roots": "qkernel's root-isolation API; rational_roots runs its bisection, "
     "_isolate, on the Sturm chain it has already built",
+}
+
+
+SHARED = {
+    "m": "FlatX.m and SubspaceY.m: symspace checks that flats and subspaces share m; "
+    "Arrangement.m: projlink's frame solve and common_flags; "
+    "Pattern.m: the CLI's verdicts and certify_pattern_stability",
+    "dim": "ProjPoint.dim: Arrangement and the frame solve check their points; "
+    "ProjHyperplane.dim: LinePlanePair checks its plane against its line; "
+    "LinePlanePair.dim: common_flags checks it against the arrangement",
 }
 
 
@@ -121,6 +135,30 @@ def test_allowed_names_exist_and_are_otherwise_unused():
     so the list cannot keep a name that has since found a caller or gone."""
     flagged = {n.split(".", 1)[1] for n in unused_public_names()}
     assert flagged == set(ALLOWED)
+
+
+def shared_names() -> set[str]:
+    """Names of the public methods and properties of public classes that
+    another flatlink class also defines, as a field, property or method."""
+    members = []  # (class node, member name, public method or property)
+    for path in sorted(SRC.glob("*.py")):
+        for cls in _parse(path).body:
+            if isinstance(cls, ast.ClassDef):
+                for item in cls.body:
+                    if isinstance(item, ast.FunctionDef):
+                        public = not (cls.name.startswith("_") or item.name.startswith("_"))
+                        members.append((cls, item.name, public))
+                    elif isinstance(item, ast.AnnAssign):
+                        members.append((cls, item.target.id, False))
+    return {
+        name
+        for cls, name, public in members
+        if public and any(n == name and other is not cls for other, n, _ in members)
+    }
+
+
+def test_shared_names_are_listed():
+    assert shared_names() == set(SHARED)
 
 
 def test_readme_lists_the_allowed_names():

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from flatlink.boundary import DecompSphere, Flag
-from flatlink.congruence import CongruenceLevel, Decomposition, PtoqResult, SignedHit
+from flatlink.congruence import CongruenceLevel, Decomposition, SignedHit
 from flatlink.construct import (
     CellWitness,
     Pattern,
@@ -40,6 +40,8 @@ TAU = QMatrix([[2, 1], [1, 1]])
 POINT = SPDPoint(QMatrix([[2, 1], [1, 2]]))
 Y = SubspaceY((1, 1), (1, 1), 1)
 IRRED = IrredCertificate(IrredVerdict.IRREDUCIBLE, None, ((2, (2,)),))
+FLATS = (PatternFlat(FlatX(TAU)),)
+SUBSPACES = (PatternSubspace(Y),)
 
 # class, its fields in order, the names of those with a default of None,
 # and two keyword argument sets that build unequal records
@@ -74,13 +76,6 @@ CASES = [
         (),
         {"a": QMatrix.identity(2), "b": TAU},
         {"a": TAU, "b": QMatrix.identity(2)},
-    ),
-    (
-        PtoqResult,
-        ("kind", "decomposition"),
-        (),
-        {"kind": "solved", "decomposition": Decomposition(TAU, TAU)},
-        {"kind": "no_solution", "decomposition": None},
     ),
     (
         SignedHit,
@@ -119,10 +114,10 @@ CASES = [
     ),
     (
         Pattern,
-        ("N", "m", "flats", "subspaces", "matrix", "certificate"),
+        ("flats", "subspaces", "matrix", "certificate"),
         (),
-        {"N": 1, "m": 2, "flats": (), "subspaces": (), "matrix": ((1,),), "certificate": ()},
-        {"N": 1, "m": 2, "flats": (), "subspaces": (), "matrix": ((-1,),), "certificate": ()},
+        {"flats": FLATS, "subspaces": SUBSPACES, "matrix": ((1,),), "certificate": ()},
+        {"flats": FLATS, "subspaces": SUBSPACES, "matrix": ((-1,),), "certificate": ()},
     ),
     # these write their own `__init__`, which normalizes what it is given
     (ProjPoint, ("rep",), (), {"rep": (2, 4)}, {"rep": (1, -2)}),
